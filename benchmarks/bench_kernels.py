@@ -1,27 +1,45 @@
-"""Compare the numba and pure-numpy builds of the hot kernels.
+"""Time the hot kernels.
 
 Run directly:  python benchmarks/bench_kernels.py
-The numpy path can also be forced for the whole package with
-CYCSID_DISABLE_NUMBA=1.
+
+* trajectory: the numba build against the pure-numpy twin (numpy only when
+  numba is unavailable or CYCSID_DISABLE_NUMBA=1).
+* B/D/x0 fit: the streamed normal equations plus their Cholesky solve
+  against the dense reference, which builds the whole regressor and hands it
+  to ``np.linalg.lstsq``.  The cycled paper plant at periods M = 1, 6, 12
+  with N = 3000 samples; prints the largest relative difference in theta.
 """
 
 import time
 
 import numpy as np
 
-from cycsid import kernels
+from cycsid import benchmark_plant, build_masks, cycle_signal, cyclic_reformulate, kernels
+from cycsid import simulate_multirate
+from cycsid.numerics import solve_normal_equations
 
 
 def bench(fn, *args, repeat=5):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(*args)
+        out = fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
-def main():
+def bdx0_streamed(A, C, u, y):
+    normal = kernels.io_regressor(A, C, u, y)
+    return solve_normal_equations(normal[:, :-1], normal[:, -1])
+
+
+def bdx0_dense(A, C, u, y):
+    theta, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
+                                rcond=None)
+    return theta
+
+
+def bench_trajectory():
     rng = np.random.default_rng(0)
     n, m, l, N = 18, 6, 12, 3000
     A = rng.normal(size=(n, n))
@@ -31,35 +49,46 @@ def main():
     D = np.zeros((l, m))
     u = rng.uniform(-1, 1, size=(N, m))
     x0 = np.zeros(n)
+    args = (A, B, C, D, u, x0)
 
-    cases = [
-        ("trajectory", kernels._trajectory_numpy, kernels._trajectory_jit,
-         (A, B, C, D, u, x0)),
-        ("io_regressor", kernels._io_regressor_numpy, kernels._io_regressor_jit,
-         (A, C, u)),
-    ]
-
-    print(f"workload: order {n}, {m} inputs, {l} outputs, {N} steps")
+    print(f"trajectory: order {n}, {m} inputs, {l} outputs, {N} steps")
+    t_np, ref = bench(kernels._trajectory_numpy, *args)
     if not kernels.HAS_NUMBA:
-        print("numba unavailable or disabled; timing the numpy path only")
-    for name, f_np, f_jit, args in cases:
-        t_np = bench(f_np, *args)
-        if kernels.HAS_NUMBA:
-            f_jit(*args)  # trigger compilation outside the timed region
-            t_jit = bench(f_jit, *args)
-            print(f"{name:14s} numpy {t_np * 1e3:8.2f} ms   numba {t_jit * 1e3:8.2f} ms"
-                  f"   speedup {t_np / t_jit:6.1f}x")
-        else:
-            print(f"{name:14s} numpy {t_np * 1e3:8.2f} ms")
+        print(f"  numpy {t_np * 1e3:8.2f} ms (numba unavailable or disabled)")
+        return
+    kernels._trajectory_jit(*args)  # trigger compilation outside the timed region
+    t_jit, jit = bench(kernels._trajectory_jit, *args)
+    diff = max(np.abs(a - b).max() for a, b in zip(ref, jit))
+    print(f"  numpy {t_np * 1e3:8.2f} ms   numba {t_jit * 1e3:8.2f} ms"
+          f"   speedup {t_np / t_jit:6.1f}x   agreement {diff:.3g}")
 
-    if kernels.HAS_NUMBA:
-        ref_x, ref_y = kernels._trajectory_numpy(A, B, C, D, u, x0)
-        jit_x, jit_y = kernels._trajectory_jit(A, B, C, D, u, x0)
-        dx = np.abs(ref_x - jit_x).max()
-        dy = np.abs(ref_y - jit_y).max()
-        dphi = np.abs(kernels._io_regressor_numpy(A, C, u)
-                      - kernels._io_regressor_jit(A, C, u)).max()
-        print(f"agreement: trajectory {max(dx, dy):.3g}, io_regressor {dphi:.3g}")
+
+def bench_bdx0(N=3000):
+    plant = benchmark_plant()
+    print(f"B/D/x0 fit: cycled paper plant, N = {N}")
+    print(f"  {'rates':8s} {'M':>3s} {'rows x cols':>14s} {'streamed':>11s} {'dense':>11s}"
+          f" {'speedup':>8s} {'max rel dtheta':>15s}")
+    worst = 0.0
+    for rates in ((1, 1), (2, 3), (3, 4)):
+        spec = build_masks(rates)
+        cs = cyclic_reformulate(plant, spec)
+        log = simulate_multirate(plant, spec, np.random.default_rng(0).uniform(-1, 1, (N, 1)))
+        args = (cs.A, cs.C, cycle_signal(log.u, spec.M).samples,
+                cycle_signal(log.y, spec.M).samples)
+        repeat = 1 if spec.M >= 12 else 3
+        t_new, theta = bench(bdx0_streamed, *args, repeat=repeat)
+        t_ref, want = bench(bdx0_dense, *args, repeat=repeat)
+        rel = np.linalg.norm(theta - want) / np.linalg.norm(want)
+        worst = max(worst, rel)
+        shape = f"{N * cs.C.shape[0]}x{theta.size}"
+        print(f"  {str(rates):8s} {spec.M:3d} {shape:>14s} {t_new * 1e3:8.1f} ms"
+              f" {t_ref * 1e3:8.1f} ms {t_ref / t_new:7.1f}x {rel:15.2e}")
+    print(f"  largest relative theta difference: {worst:.2e}")
+
+
+def main():
+    bench_trajectory()
+    bench_bdx0()
 
 
 if __name__ == "__main__":

@@ -245,3 +245,55 @@ def test_cycled_ranks_zero_input(plant):
     spec = build_masks((1, 3))
     rc, _ = cycled_ranks(cyclic_reformulate(ss, spec))
     assert rc == 0
+
+
+def _shift_adjusted_oracle(H, l, m, M, tol, maxdepth):
+    """The check by definition: dense shift products, block by block."""
+    Sl, Sm = shift_matrix(l, M), shift_matrix(m, M)
+
+    def offpattern(mat, keep):
+        return max((np.abs(mat[a * l:(a + 1) * l, b * m:(b + 1) * m]).max()
+                    for a in range(M) for b in range(M) if not keep(a, b)), default=0.0)
+
+    out = {}
+    for i in range(maxdepth + 1):
+        for j in range(maxdepth + 1 - i):
+            left = np.linalg.matrix_power(Sl, i) @ H[i + j]
+            out[(i, j, "diagonal")] = offpattern(left @ np.linalg.matrix_power(Sm, j),
+                                                 lambda a, b: a == b)
+            if j >= 1:
+                out[(i, j, "cyclic")] = offpattern(left @ np.linalg.matrix_power(Sm, j - 1),
+                                                   lambda a, b: a == (b + 1) % M)
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 3, 4, 6])
+def test_verify_markov_structure_matches_shift_matrix_oracle(M):
+    rng = np.random.default_rng(M)
+    l, m, depth = 2, 1, 7
+    H = []
+    for s in range(depth + 1):
+        h = rng.normal(size=(M * l, M * m))
+        for a in range(M):
+            for b in range(M):
+                if (a - b - s) % M:
+                    h[a * l:(a + 1) * l, b * m:(b + 1) * m] = 0.0
+        H.append(h)
+    for s, size in ((2, 1e-3), (5, 0.2), (7, 1e-8)):
+        if M > 1:
+            a = int(rng.integers(M))
+            H[s][((a + 1) * l) % (M * l), ((a - s) % M) * m] += size  # block (a+1, a-s)
+
+    tol = 1e-6
+    rep = verify_markov_structure(H, l, m, M, tol=tol, maxdepth=depth)
+    want = _shift_adjusted_oracle(H, l, m, M, tol, depth)
+    got = {(i, j, name): r.max_offpattern
+           for (i, j), reports in rep.items.items()
+           for name, r in reports.items() if r is not None}
+    assert got == want
+    assert rep.max_offpattern == max(want.values())
+    assert rep.passed == (max(want.values()) <= tol)
+    assert {(k, name) for k, name, _ in rep.failing()} == \
+        {((i, j), name) for (i, j, name), v in want.items() if v > tol}
+    if M > 1:
+        assert {i + j for (i, j), _, _ in rep.failing()} == {2, 5}

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from cycsid import kernels
+from cycsid import (
+    ExcitationDeficientError,
+    IdConfig,
+    build_masks,
+    cycle_signal,
+    kernels,
+    simulate_multirate,
+    subspace_identify,
+)
+from cycsid.numerics import solve_normal_equations
 
 
 @pytest.fixture
@@ -34,9 +43,6 @@ def test_jit_and_numpy_paths_agree(workload):
     xa, ya = kernels._trajectory_numpy(A, B, C, D, u, x0)
     xb, yb = kernels._trajectory_jit(A, B, C, D, u, x0)
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
-    pa = kernels._io_regressor_numpy(A, C, u)
-    pb = kernels._io_regressor_jit(A, C, u)
-    assert np.array_equal(pa, pb)
 
 
 def test_io_regressor_layout(workload):
@@ -44,8 +50,66 @@ def test_io_regressor_layout(workload):
     n = A.shape[0]
     m = u.shape[1]
     l = C.shape[0]
-    Phi = kernels.io_regressor(A, C, u)
+    Phi = kernels._io_regressor_dense(A, C, u)
     # reconstruct the response from theta = [x0, vec B, vec D] and compare
     theta = np.concatenate([x0, B.ravel(order="F"), D.ravel(order="F")])
     _, y = kernels.trajectory(A, B, C, D, u, x0)
     assert np.abs(Phi @ theta - y.reshape(-1)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [200, 3 * kernels._CHUNK, 2 * kernels._CHUNK + 1,
+                               kernels._CHUNK - 5, 1])
+def test_io_regressor_is_the_dense_normal_equations(workload, N):
+    A, B, C, D, u, x0 = workload
+    u = u[:N]
+    y = np.random.default_rng(N).normal(size=(N, C.shape[0]))
+    Phi = kernels._io_regressor_dense(A, C, u)
+    want = Phi.T @ np.column_stack([Phi, y.reshape(-1)])
+    got = kernels.io_regressor(A, C, u, y)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_zero_input_is_excitation_deficient(workload):
+    A, B, C, D, u, x0 = workload
+    u = np.zeros_like(u)
+    _, y = kernels.trajectory(A, B, C, D, u, x0)
+    normal = kernels.io_regressor(A, C, u, y)
+    with pytest.raises(ExcitationDeficientError, match="of 24 regressor columns"):
+        solve_normal_equations(normal[:, :-1], normal[:, -1])
+
+
+def test_rank_deficient_gram_is_excitation_deficient():
+    # two identical regressor columns: positive diagonal, singular Gram
+    Phi = np.random.default_rng(5).normal(size=(40, 3))
+    Phi[:, 2] = Phi[:, 0]
+    with pytest.raises(ExcitationDeficientError, match="not positive definite"):
+        solve_normal_equations(Phi.T @ Phi, Phi.T @ np.ones(40))
+
+
+@pytest.fixture(scope="module", params=[((1, 1), 0.0), ((1, 3), 0.0), ((2, 3), 0.0),
+                                        ((1, 1), 1e-2), ((1, 3), 1e-2), ((2, 3), 1e-2)],
+                ids=lambda p: f"rates{p[0][0]}{p[0][1]}-noise{p[1]:g}")
+def identified(request, plant):
+    """(A, C) identified from 3000 cycled samples, and those samples."""
+    rates, noise = request.param
+    spec = build_masks(rates)
+    rng = np.random.default_rng(7)
+    log = simulate_multirate(plant, spec, rng.uniform(-1, 1, (3000, 1)))
+    u = cycle_signal(log.u, spec.M)
+    y = cycle_signal(log.y + noise * rng.uniform(-1, 1, log.y.shape), spec.M)
+    idm = subspace_identify(u, y, IdConfig(order=plant.n * spec.M))
+    return idm.A, idm.C, u.samples, y.samples
+
+
+@pytest.mark.parametrize("N", [2 * kernels._CHUNK + 45, kernels._CHUNK - 24])
+def test_bdx0_fit_matches_dense_lstsq(identified, N):
+    # Normal equations lose accuracy with the equilibrated Gram's condition;
+    # in identified coordinates it stays below about 1e4 even on 40 samples.
+    A, C, u, y = identified
+    u, y = u[:N], y[:N]
+    normal = kernels.io_regressor(A, C, u, y)
+    theta = solve_normal_equations(normal[:, :-1], normal[:, -1])
+    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
+                               rcond=None)
+    assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
