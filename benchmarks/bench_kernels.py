@@ -4,10 +4,10 @@ Run directly:  python benchmarks/bench_kernels.py
 
 * trajectory: the numba build against the pure-numpy twin (numpy only when
   numba is unavailable or CYCSID_DISABLE_NUMBA=1).
-* B/D/x0 fit: the streamed normal equations plus their Cholesky solve
-  against the dense reference, which builds the whole regressor and hands it
-  to ``np.linalg.lstsq``.  The cycled paper plant at periods M = 1, 6, 12
-  with N = 3000 samples; prints the largest relative difference in theta.
+* B/D/x0 fit: the chunked regressor build against the dense per-sample
+  reference, each followed by the same ``np.linalg.lstsq``.  The cycled
+  paper plant at periods M = 1, 6, 12 with N = 3000 samples; prints the
+  build and fit times and the largest relative difference in theta.
 """
 
 import time
@@ -16,7 +16,6 @@ import numpy as np
 
 from cycsid import benchmark_plant, build_masks, cycle_signal, cyclic_reformulate, kernels
 from cycsid import simulate_multirate
-from cycsid.numerics import solve_normal_equations
 
 
 def bench(fn, *args, repeat=5):
@@ -28,14 +27,8 @@ def bench(fn, *args, repeat=5):
     return best, out
 
 
-def bdx0_streamed(A, C, u, y):
-    normal = kernels.io_regressor(A, C, u, y)
-    return solve_normal_equations(normal[:, :-1], normal[:, -1])
-
-
-def bdx0_dense(A, C, u, y):
-    theta, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
-                                rcond=None)
+def lstsq(Phi, y):
+    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     return theta
 
 
@@ -66,23 +59,25 @@ def bench_trajectory():
 def bench_bdx0(N=3000):
     plant = benchmark_plant()
     print(f"B/D/x0 fit: cycled paper plant, N = {N}")
-    print(f"  {'rates':8s} {'M':>3s} {'rows x cols':>14s} {'streamed':>11s} {'dense':>11s}"
-          f" {'speedup':>8s} {'max rel dtheta':>15s}")
+    print(f"  {'rates':8s} {'M':>3s} {'rows x cols':>14s} {'chunked':>11s} {'dense':>11s}"
+          f" {'speedup':>8s} {'lstsq':>11s} {'max rel dtheta':>15s}")
     worst = 0.0
     for rates in ((1, 1), (2, 3), (3, 4)):
         spec = build_masks(rates)
         cs = cyclic_reformulate(plant, spec)
         log = simulate_multirate(plant, spec, np.random.default_rng(0).uniform(-1, 1, (N, 1)))
-        args = (cs.A, cs.C, cycle_signal(log.u, spec.M).samples,
-                cycle_signal(log.y, spec.M).samples)
+        args = (cs.A, cs.C, cycle_signal(log.u, spec.M).samples)
+        y = cycle_signal(log.y, spec.M).samples
         repeat = 1 if spec.M >= 12 else 3
-        t_new, theta = bench(bdx0_streamed, *args, repeat=repeat)
-        t_ref, want = bench(bdx0_dense, *args, repeat=repeat)
+        t_new, Phi = bench(kernels.io_regressor, *args, repeat=repeat)
+        t_ref, Phi_ref = bench(kernels._io_regressor_dense, *args, repeat=repeat)
+        t_fit, theta = bench(lstsq, Phi, y, repeat=repeat)
+        want = lstsq(Phi_ref, y)
         rel = np.linalg.norm(theta - want) / np.linalg.norm(want)
         worst = max(worst, rel)
-        shape = f"{N * cs.C.shape[0]}x{theta.size}"
+        shape = f"{Phi.shape[0]}x{Phi.shape[1]}"
         print(f"  {str(rates):8s} {spec.M:3d} {shape:>14s} {t_new * 1e3:8.1f} ms"
-              f" {t_ref * 1e3:8.1f} ms {t_ref / t_new:7.1f}x {rel:15.2e}")
+              f" {t_ref * 1e3:8.1f} ms {t_ref / t_new:7.1f}x {t_fit * 1e3:8.1f} ms {rel:15.2e}")
     print(f"  largest relative theta difference: {worst:.2e}")
 
 

@@ -1,11 +1,10 @@
-"""Hot kernels: the state recursion and the normal equations of the
-input-response least squares.
+"""Hot kernels: the state recursion and the input-response regressor.
 
 The state recursion is sequential in time, so numpy cannot vectorize it
 away; it has a numba ``@njit`` build and a pure-numpy twin (set
 ``CYCSID_DISABLE_NUMBA=1`` to force the numpy path).  The input-response
-normal equations are streamed in fixed-length time chunks with BLAS calls
-only.  ``benchmarks/bench_kernels.py`` times both kernels.
+regressor is built in fixed-length time chunks with BLAS calls only.
+``benchmarks/bench_kernels.py`` times both kernels.
 """
 
 import os
@@ -23,7 +22,7 @@ try:
 except ImportError:
     HAS_NUMBA = False
 
-#: time samples per chunk of the streamed regressor
+#: time samples per chunk of the regressor
 _CHUNK = 64
 
 
@@ -64,8 +63,7 @@ def trajectory(A, B, C, D, u, x0):
 def _io_regressor_dense(A, C, u):
     """The full (N*l) x (n + n*m + l*m) regressor Phi, one sample at a time.
 
-    Reference for io_regressor in tests and benchmarks; the program never
-    builds Phi.
+    Reference for io_regressor in tests and benchmarks.
     """
     N, m = u.shape
     l, n = C.shape
@@ -87,29 +85,26 @@ def _io_regressor_dense(A, C, u):
     return Phi
 
 
-def io_regressor(A, C, u, y):
-    """Normal equations [Phi^T Phi | Phi^T vec y] of the joint (x0, vec B,
-    vec D) least squares, as a p x (p+1) array with p = n + n*m + l*m.
+def io_regressor(A, C, u):
+    """Regressor Phi for the joint (x0, vec B, vec D) least squares, an
+    (N*l) x (n + n*m + l*m) array.
 
-    Row block k of Phi is [C A^k, C Z(k), u(k)^T (x) I_l] where Z obeys
-    Z(k+1) = A Z(k) + u(k)^T (x) I_n, Z(0) = 0; vecs are column-major and
-    vec y stacks y(0), y(1), ...  Phi is never formed: rows are produced
-    _CHUNK samples at a time from the precomputed C A^s, s < _CHUNK.  For a
-    chunk starting at k0,
+    Row block k is [C A^k, C Z(k), u(k)^T (x) I_l] where Z obeys
+    Z(k+1) = A Z(k) + u(k)^T (x) I_n, Z(0) = 0; vecs are column-major.
+    Rows are made _CHUNK samples at a time from the precomputed C A^s,
+    s < _CHUNK.  For a chunk starting at k0,
 
         [C A^(k0+s), C Z(k0+s)] = C A^s [A^k0, Z(k0)] + [0, conv_s],
 
     where conv_s is the input convolved with C A^s inside the chunk (one
-    Toeplitz GEMM).  The D columns hold only u, so their Gram blocks come
-    straight from u.
+    Toeplitz GEMM).  The D columns hold only u.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     C = np.ascontiguousarray(C, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64).reshape(u.shape[0], -1)
     N, m = u.shape
     l, n = C.shape
-    nb = n + n * m  # x0 and B columns; y rides along as column nb
+    nb = n + n * m  # x0 and B columns
     p = nb + l * m
     K = max(1, min(_CHUNK, N))
 
@@ -125,23 +120,18 @@ def io_regressor(A, C, u, y):
     live = lag >= 0
     lag = np.where(live, lag, 0)
 
+    Phi = np.empty((N * l, p))
     state = np.zeros((n, nb))  # [A^k0, Z(k0)]
     state[:, :n] = np.eye(n)
-    G_bb = np.zeros((nb + 1, nb + 1))
-    G_db = np.zeros((m, l * (nb + 1)))
-    P = np.empty((K * l, nb + 1))
     for k0 in range(0, N, K):
         Kc = min(K, N - k0)
         uc = u[k0:k0 + Kc]
-        rows = P[:Kc * l]
-        np.matmul(CA_rows[:Kc * l], state, out=rows[:, :nb])
+        rows = Phi[k0 * l:(k0 + Kc) * l]
+        rows[:, :nb] = CA_rows[:Kc * l] @ state
         # T[s, j, r] = u_j(k0 + s - 1 - r) for r < s
         T = (uc[lag[:Kc, :Kc]] * live[:Kc, :Kc, None]).transpose(0, 2, 1)
         conv = T.reshape(Kc * m, Kc) @ CA_flat[:Kc]  # rows (s, j), cols (i, x)
         rows[:, n:nb] += conv.reshape(Kc, m, l, n).transpose(0, 2, 1, 3).reshape(Kc * l, n * m)
-        rows[:, nb] = y[k0:k0 + Kc].reshape(-1)
-        G_bb += rows.T @ rows
-        G_db += uc.T @ rows.reshape(Kc, l * (nb + 1))
         if k0 + K < N:
             # advance to [A^(k0+K), Z(k0+K)]; block j of the Z increment is
             # sum_t u_j(k0 + t) A^(K-1-t)
@@ -149,11 +139,9 @@ def io_regressor(A, C, u, y):
             state = AK @ state
             state[:, n:] += inc.reshape(m, n, n).transpose(1, 0, 2).reshape(n, n * m)
 
-    out = np.empty((p, p + 1))
-    bx = np.r_[0:nb, p]  # x0, B and y in the augmented layout
-    G_db = G_db.reshape(m * l, nb + 1)
-    out[:nb][:, bx] = G_bb[:nb]
-    out[nb:][:, bx] = G_db
-    out[:nb, nb:p] = G_db[:, :nb].T
-    out[nb:, nb:p] = np.kron(u.T @ u, np.eye(l))
-    return out
+    # column nb + j*l + i of output row i holds u_j
+    Phi3 = Phi.reshape(N, l, p)
+    Phi3[:, :, nb:] = 0.0
+    for i in range(l):
+        Phi3[:, i, nb + i::l] = u
+    return Phi

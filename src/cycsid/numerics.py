@@ -1,14 +1,8 @@
-"""Dense linear-algebra services: validated matrices, tolerant rank, powers,
-inverse and least squares from normal equations."""
+"""Dense linear-algebra services: validated matrices, tolerant rank, powers, inverse."""
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ExcitationDeficientError,
-    NonSquareError,
-    SingularMatrixError,
-)
+from .errors import DimensionMismatchError, NonSquareError, SingularMatrixError
 
 #: Relative singular-value cutoff separating signal from round-off.
 DEFAULT_RANK_TOL = 1e-9
@@ -65,35 +59,3 @@ def invert(m, tol=DEFAULT_RANK_TOL):
             f"matrix of size {m.shape[0]} is numerically singular at tol {tol:g}"
         )
     return np.linalg.solve(m, np.eye(m.shape[0]))
-
-
-def solve_normal_equations(gram, rhs):
-    """x minimizing ||Phi x - b|| from gram = Phi^T Phi and rhs = Phi^T b.
-
-    The Gram is equilibrated to unit diagonal (columns of Phi scaled to unit
-    norm) and solved by Cholesky; this is accurate when the equilibrated
-    Gram is well conditioned.  Raises ExcitationDeficientError when a
-    column of Phi is zero or the equilibrated Gram is not numerically
-    positive definite (a Cholesky pivot at or below p * eps): the data do
-    not determine x.
-    """
-    p = gram.shape[0]
-    d = np.diag(gram)
-    dead = int(np.count_nonzero(~(d > 0)))
-    if dead:
-        raise ExcitationDeficientError(
-            f"{dead} of {p} regressor columns are identically zero; "
-            "the data do not excite them"
-        )
-    s = 1.0 / np.sqrt(d)
-    try:
-        L = np.linalg.cholesky(gram * s[:, None] * s[None, :])
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or np.diag(L).min() ** 2 <= p * np.finfo(float).eps:
-        raise ExcitationDeficientError(
-            f"equilibrated Gram of {p} regressor columns is not positive definite; "
-            "the data do not determine all of them"
-        )
-    z = np.linalg.solve(L, s * rhs)
-    return s * np.linalg.solve(L.T, z)

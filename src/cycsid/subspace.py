@@ -5,8 +5,7 @@ matrices of input and output, an LQ factorization that projects future
 outputs onto past data along future inputs, an SVD whose leading left
 singular directions span the extended observability matrix, shift-invariance
 least squares for the state matrix, and a final linear least squares over
-the input-output equation for the input-side matrices and the initial state,
-solved through its column-equilibrated normal equations.
+the input-output equation for the input-side matrices and the initial state.
 On noise-free data from a minimal system the result is exact up to round-off.
 """
 
@@ -22,7 +21,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .kernels import io_regressor
-from .numerics import rank_with_tol, solve_normal_equations
+from .numerics import rank_with_tol
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,9 @@ def subspace_identify(ucheck, ycheck, cfg):
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
     C = Gam[:ll].copy()
 
-    # x0, B, D jointly from the input-output equation, linear least squares
-    # over all N*ll rows, solved through its normal equations.
-    normal = io_regressor(A, C, u, y)
-    theta = solve_normal_equations(normal[:, :-1], normal[:, -1])
+    # x0, B, D jointly from the input-output equation, linear least squares.
+    Phi = io_regressor(A, C, u)
+    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     x0 = theta[:order]
     B = theta[order:order + order * mm].reshape((order, mm), order="F")
     D = theta[order + order * mm:].reshape((ll, mm), order="F")
