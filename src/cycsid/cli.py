@@ -28,21 +28,14 @@ from .errors import (
 from .fileio import load_model, save_model, save_signals, write_json
 from .multirate import build_masks
 from .subspace import IdentifiedModel
-from .transform import (
-    apply_transform,
-    build_transform,
-    default_selector_G,
-    extract_components,
-    model_transfer_check,
-    verify_cyclic_form,
-)
+from .transform import model_transfer_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STRUCTURE = 4
 
-_DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError)
+_DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError, ParseError, SchemaError)
 _STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError,
                      RankConditionError, RankDeficientAError, SingularMatrixError)
 
@@ -87,7 +80,7 @@ def build_parser():
     return parser
 
 
-def _load_config(args, need_file=True):
+def _load_config(args):
     try:
         cfg = pipeline.load_config(args.config)
     except (ParseError, SchemaError, OSError) as e:
@@ -175,26 +168,18 @@ def cmd_verify(args):
 
     if isinstance(mf.model, IdentifiedModel):
         conv = args.convention or mf.provenance.get("convention") or "auto"
-        conventions = ["general", "example"] if conv == "auto" else [conv]
-        cm = None
-        for c in conventions:
-            tres = build_transform(mf.model, default_selector_G(n, m), n, m, M, c)
-            if not tres.regular:
-                continue
-            Am, Bm, Cm, Dm = apply_transform(mf.model, tres.matrix)
-            form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol_structure)
-            if form.passed:
-                cm = extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol_structure,
-                                        T=tres.matrix)
-                break
-        if cm is None:
+        try:
+            cm, _, _ = pipeline.choose_transform(mf.model, n, m, l, M, conv, tol_structure)
+        except StructureViolationError:
             print("structure FAIL: no convention yields cyclic form", file=sys.stderr)
             write_json({"structure_passed": False}, out / "verify_report.json")
             return EXIT_STRUCTURE
     else:
         cm = mf.model
 
-    form = verify_cyclic_form(*cm.assemble(), n, m, l, M, tol_structure)
+    # the margin measured when the components were read off; re-checking
+    # cm.assemble() would always read zero, as it is clean by construction
+    form = cm.structure
     tf_ok, dists = model_transfer_check(cm, plant, tol_tf)
     doc = {
         "structure_passed": form.passed,
@@ -246,12 +231,6 @@ def main(argv=None):
     except SystemExit as e:
         return e.code
     except _DATA_ERRORS as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ParseError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except SchemaError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except _STRUCTURE_ERRORS as e:

@@ -82,6 +82,31 @@ def uncycle_signal(c, tol=EXACT_TOL):
     return out
 
 
+def _pattern_index(M, off):
+    """Index into mat.reshape(M, r, M, c) selecting blocks (i+off mod M, i), i < M."""
+    i = np.arange(M)
+    return (i + off) % M, slice(None), i, slice(None)
+
+
+def place_blocks(blocks, off):
+    """M x M block matrix with blocks[i] at block (i+off mod M, i), zero elsewhere.
+
+    off = 1 gives the cyclic pattern (subdiagonal plus top-right corner),
+    off = 0 the block diagonal.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    M, r, c = blocks.shape
+    out = np.zeros((M * r, M * c))
+    out.reshape(M, r, M, c)[_pattern_index(M, off)] = blocks
+    return out
+
+
+def read_blocks(mat, M, off):
+    """Blocks (i+off mod M, i) of an M x M block matrix, stacked as (M, r, c)."""
+    rows, cols = mat.shape
+    return mat.reshape(M, rows // M, M, cols // M)[_pattern_index(M, off)]
+
+
 @dataclass(frozen=True)
 class CycledSystem:
     """M-fold cyclic reformulation; A/B cyclic, C/D block diagonal."""
@@ -102,18 +127,11 @@ def cyclic_reformulate(ss, spec):
         raise DimensionMismatchError(
             f"spec has {spec.l} rates but the plant has {ss.l} outputs"
         )
-    n, m, l, M = ss.n, ss.m, ss.l, spec.M
-    Ac = np.zeros((M * n, M * n))
-    Bc = np.zeros((M * n, M * m))
-    Cc = np.zeros((M * l, M * n))
-    Dc = np.zeros((M * l, M * m))
-    for i in range(M):
-        r = (i + 1) % M
-        Ac[r * n:(r + 1) * n, i * n:(i + 1) * n] = ss.A
-        Bc[r * n:(r + 1) * n, i * m:(i + 1) * m] = ss.B
-        Cc[i * l:(i + 1) * l, i * n:(i + 1) * n] = spec.masks[i] @ ss.C
-        Dc[i * l:(i + 1) * l, i * m:(i + 1) * m] = spec.masks[i] @ ss.D
-    return CycledSystem(A=Ac, B=Bc, C=Cc, D=Dc, n=n, m=m, l=l, M=M)
+    M = spec.M
+    return CycledSystem(A=place_blocks([ss.A] * M, 1), B=place_blocks([ss.B] * M, 1),
+                        C=place_blocks([mask @ ss.C for mask in spec.masks], 0),
+                        D=place_blocks([mask @ ss.D for mask in spec.masks], 0),
+                        n=ss.n, m=ss.m, l=ss.l, M=M)
 
 
 def cycled_initial_state(x0, M):

@@ -11,7 +11,7 @@ rank/structure facts.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
 from .numerics import rank_with_tol
-from .statespace import StateSpace, make_state_space, markov, tf_distance, transfer_functions
+from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import IdConfig, markov_match, subspace_identify
 from .transform import (
     aggregate_diagnostics,
@@ -116,11 +116,6 @@ def load_config(path):
     return cfg
 
 
-def _structure_report_dict(rep):
-    return {"kind": rep.kind, "max_offpattern": rep.max_offpattern,
-            "passed": rep.passed, "tol": rep.tol}
-
-
 @dataclass
 class RunReport:
     """Loss-free record of one run: every rank, margin, and timing."""
@@ -147,35 +142,17 @@ class RunReport:
     components: dict
     timings: dict
 
+    def __post_init__(self):
+        self.rates = tuple(self.rates)
+
     def to_dict(self):
-        return {
-            "seed": self.seed, "N": self.N, "rates": list(self.rates), "M": self.M,
-            "order": self.order, "convention": self.convention,
-            "conventions_tried": self.conventions_tried,
-            "observable_phases": self.observable_phases,
-            "ranks": self.ranks, "sv_gap": self.sv_gap,
-            "order_exposed": self.order_exposed,
-            "markov": self.markov, "markov_structure": self.markov_structure,
-            "true_structure": self.true_structure, "cyclic_form": self.cyclic_form,
-            "aggregates": self.aggregates, "component_spread": self.component_spread,
-            "tf_distances": self.tf_distances, "tf_passed": self.tf_passed,
-            "components": self.components, "timings": self.timings,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["rates"] = list(self.rates)
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            seed=d["seed"], N=d["N"], rates=tuple(d["rates"]), M=d["M"],
-            order=d["order"], convention=d["convention"],
-            conventions_tried=d["conventions_tried"],
-            observable_phases=d["observable_phases"],
-            ranks=d["ranks"], sv_gap=d["sv_gap"], order_exposed=d["order_exposed"],
-            markov=d["markov"], markov_structure=d["markov_structure"],
-            true_structure=d["true_structure"], cyclic_form=d["cyclic_form"],
-            aggregates=d["aggregates"], component_spread=d["component_spread"],
-            tf_distances=d["tf_distances"], tf_passed=d["tf_passed"],
-            components=d["components"], timings=d["timings"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def generate_input(cfg):
@@ -211,6 +188,40 @@ def collect_data(cfg):
     return spec, log
 
 
+def choose_transform(idm, n, m, l, M, convention, tol):
+    """Search the selector conventions for a transform that puts idm in
+    cyclic form; "auto" tries "general", then "example".
+
+    Returns (CyclicModel, TransformResult, tried), where tried holds one
+    entry per convention attempted and why it was accepted or rejected.
+    Raises StructureViolationError when no convention passes at tol.
+    """
+    G = default_selector_G(n, m)
+    tried = []
+    for conv in ["general", "example"] if convention == "auto" else [convention]:
+        tres = build_transform(idm, G, n, m, M, conv)
+        entry = {"convention": conv, "rank": tres.rank, "regular": tres.regular}
+        tried.append(entry)
+        if not tres.regular:
+            continue
+        try:
+            Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
+        except SingularMatrixError:
+            entry["applied"] = False
+            continue
+        form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
+        entry["applied"] = True
+        entry["structure_passed"] = form.passed
+        entry["max_offpattern"] = form.max_offpattern
+        if form.passed:
+            model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol, T=tres.matrix)
+            return model, tres, tried
+    raise StructureViolationError(
+        "no transform convention produced a regular matrix with cyclic structure: "
+        + "; ".join(str(t) for t in tried)
+    )
+
+
 def run_identification(cfg):
     """Execute one full run and return (CyclicModel, RunReport)."""
     t_all = time.perf_counter()
@@ -241,9 +252,8 @@ def run_identification(cfg):
     Xc = build_X_check(cs, Fsel)
     Yc = build_Y_check(cs, Gsel)
     true_structure = {
-        "XB_cyclic": _structure_report_dict(is_cyclic_matrix(Xc @ cs.B, n, m, M, 1e-12)),
-        "CY_block_diagonal": _structure_report_dict(
-            is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
+        "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, n, m, M, 1e-12)),
+        "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
     }
     timings["reference"] = time.perf_counter() - t0
 
@@ -261,36 +271,7 @@ def run_identification(cfg):
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    order_try = [cfg.convention] if cfg.convention != "auto" else ["general", "example"]
-    tried = []
-    chosen = None
-    for conv in order_try:
-        tres = build_transform(idm, Gsel, n, m, M, conv)
-        entry = {"convention": conv, "rank": tres.rank, "regular": tres.regular}
-        if tres.regular:
-            try:
-                Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-            except SingularMatrixError:
-                entry["applied"] = False
-                tried.append(entry)
-                continue
-            form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol["structure"])
-            entry["applied"] = True
-            entry["structure_passed"] = form.passed
-            entry["max_offpattern"] = form.max_offpattern
-            tried.append(entry)
-            if form.passed:
-                chosen = (conv, tres, Am, Bm, Cm, Dm, form)
-                break
-        else:
-            tried.append(entry)
-    if chosen is None:
-        raise StructureViolationError(
-            "no transform convention produced a regular matrix with cyclic structure: "
-            + "; ".join(str(t) for t in tried)
-        )
-    conv, tres, Am, Bm, Cm, Dm, form = chosen
-    model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol["structure"], T=tres.matrix)
+    model, tres, tried = choose_transform(idm, n, m, l, M, cfg.convention, tol["structure"])
     model.source = idm
     aggr = aggregate_diagnostics(idm, tres.matrix, Fsel, tol["structure"])
     timings["transform"] = time.perf_counter() - t0
@@ -307,7 +288,7 @@ def run_identification(cfg):
         rates=cfg.rates,
         M=M,
         order=order,
-        convention=conv,
+        convention=tres.convention,
         conventions_tried=tried,
         observable_phases=list(obs_phases),
         ranks={
@@ -327,13 +308,9 @@ def run_identification(cfg):
                           "max_offpattern": struct_rep.max_offpattern,
                           "maxdepth": struct_rep.maxdepth, "tol": struct_rep.tol},
         true_structure=true_structure,
-        cyclic_form={k: _structure_report_dict(r) for k, r in form.reports.items()},
-        aggregates={
-            "selector_aggregate_blockdiag": _structure_report_dict(
-                aggr["selector_aggregate_blockdiag"]),
-            "aggregate_dynamics_cyclic": _structure_report_dict(
-                aggr["aggregate_dynamics_cyclic"]),
-        },
+        cyclic_form={k: asdict(r) for k, r in model.structure.reports.items()},
+        aggregates={k: asdict(aggr[k]) for k in ("selector_aggregate_blockdiag",
+                                                 "aggregate_dynamics_cyclic")},
         component_spread={"A": devA, "B": devB},
         tf_distances=[[float(d) for d in row] for row in dists],
         tf_passed=tf_passed,

@@ -1,19 +1,21 @@
 """State coordinate transformation that turns an identified dense model back
 into cyclic-reformulation shape, plus component extraction and validation.
 
-The transform matrix is assembled from powers of the identified state matrix
-applied to the input matrix, shift-matrix rotations, and a row-selector
-family; two selector-index conventions are supported ("general" pairs power
-Mi+j with selector (Mi+j) mod n, "example" pairs it with selector i).  Both
-are regular on every system in the test corpus; the pipeline tries "general"
-first and falls back.
+The transform matrix is a sum over powers of the identified state matrix
+applied to the input matrix, each rotated by a power of the block shift and
+mapped through one selector block.  A shift power never becomes a matrix: it
+is an np.roll over the M-block axis, and a lifted (block-diagonal) selector
+is one product per block.  Two selector-index conventions are supported
+("general" pairs power Mi+j with selector (Mi+j) mod n, "example" pairs it
+with selector i).  Both are regular on every system in the test corpus; the
+pipeline tries "general" first and falls back.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import IDENTIFIED_TOL, is_block_diagonal, is_cyclic_matrix, shift_matrix
+from .cyclic import IDENTIFIED_TOL, is_block_diagonal, is_cyclic_matrix, place_blocks, read_blocks
 from .errors import DimensionMismatchError, RankConditionError, StructureViolationError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
@@ -65,62 +67,60 @@ def default_selector_G(n, m):
 
 def lift_selector(block, M):
     """M-fold block-diagonal replication of one selector block."""
-    r, c = block.shape
-    out = np.zeros((M * r, M * c))
-    for i in range(M):
-        out[i * r:(i + 1) * r, i * c:(i + 1) * c] = block
-    return out
+    return place_blocks([block] * M, 0)
 
 
-def _shift_powers(q, M):
-    S = shift_matrix(q, M)
-    powers = [np.eye(M * q)]
-    for _ in range(M - 1):
-        powers.append(powers[-1] @ S)
-    return powers
-
-
-def build_X_check(cs, F):
-    """Selector-weighted observability aggregate of a cycled system.
+def build_X_check(sys, F):
+    """Selector-weighted observability aggregate of a cycled or identified
+    system (any object with A, C, n, l, M).
 
     Sums lifted F_i * S_l^j * C * A^(Mi+j) over i < n, j < M: the inner
     j-sum pools every observed phase into one row block and the outer i-sum
     stacks it against powers of A^M, so the aggregate is block diagonal with
     rank Mn whenever the masked observability holds and the selector is well
     chosen.  Pairing the selector with j mod n instead collapses the rank
-    when masking leaves one active phase per period.
+    when masking leaves one active phase per period.  S_l^j moves row block
+    a+j to row block a, and the lifted F_i maps every row block through F_i.
     """
-    n, l, M = cs.n, cs.l, cs.M
-    Fl = [lift_selector(b, M) for b in F.blocks]
-    Sl = _shift_powers(l, M)
-    X = np.zeros((M * n, M * n))
-    P = cs.C.copy()  # C A^p, advanced in p
-    for p in range(n * M):
+    n, l, M = sys.n, sys.l, sys.M
+    order = M * n
+    X = np.zeros((order, order))
+    P = sys.C.copy()  # C A^p, advanced in p
+    for p in range(order):
         i, j = divmod(p, M)
-        X += Fl[i] @ Sl[j] @ P
-        P = P @ cs.A
+        X += (F.blocks[i] @ np.roll(P.reshape(M, l, order), -j, axis=0)).reshape(order, order)
+        P = P @ sys.A
     return X
 
 
+def _reach_sum(A, B, G, n, m, M, convention):
+    """Sum of A^p B S_m^(p%M + 1) lifted G_k over p < Mn, with k = p mod n
+    ("general") or k = p // M ("example").
+
+    S_m^s moves column block b-s to column block b, and the lifted G_k maps
+    every column block through G_k.
+    """
+    order = M * n
+    T = np.zeros((order, order))
+    P = B.copy()  # A^p B, advanced in p; C order, as the rounding of A @ P follows its layout
+    for p in range(order):
+        i, j = divmod(p, M)
+        Gk = G.blocks[p % n if convention == "general" else i]
+        T += (np.roll(P.reshape(order, M, m), j + 1, axis=1) @ Gk).reshape(order, order)
+        P = A @ P
+    return T
+
+
 def build_Y_check(cs, G):
-    """Controllability-side aggregate: sums A^p B S_m^(p%M + 1) G_(p mod n)
-    over p < Mn.
+    """Controllability-side aggregate: the "general" reach sum of the cycled
+    system, A^p B S_m^(p%M + 1) G_(p mod n) summed over p < Mn.
 
     Indexing the selector by p mod n sweeps every block as the power grows
     (an index of p mod M alone never reaches blocks beyond G_{M-1} when
     M < n); each diagonal block then collects consecutive powers of A
     applied to B, so the aggregate has rank Mn for controllable plants.
     """
-    n, m, M = cs.n, cs.m, cs.M
-    Gl = [lift_selector(b, M) for b in G.blocks]
-    Sm = _shift_powers(m, M)
-    Y = np.zeros((M * n, M * n))
-    P = cs.B.copy()  # A^p B
-    for p in range(n * M):
-        j = p % M
-        Y += P @ Sm[(j + 1) % M] @ Gl[p % n]
-        P = cs.A @ P
-    return Y
+    return _reach_sum(cs.A, cs.B, G, cs.n, cs.m, cs.M, "general")
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,7 @@ def build_transform(idm, G, n, m, M, convention="general"):
         raise DimensionMismatchError(
             f"identified order {idm.A.shape[0]} != M*n = {order}"
         )
-    Gl = [lift_selector(b, M) for b in G.blocks]
-    Sm = _shift_powers(m, M)
-    T = np.zeros((order, order))
-    P = idm.B.copy()  # A*^p B*
-    for p in range(order):
-        i, j = divmod(p, M)
-        sel = Gl[p % n] if convention == "general" else Gl[i]
-        T += P @ Sm[(j + 1) % M] @ sel
-        P = idm.A @ P
+    T = _reach_sum(idm.A, idm.B, G, n, m, M, convention)
     return TransformResult(matrix=T, rank=rank_with_tol(T), convention=convention,
                            order=order)
 
@@ -196,20 +188,12 @@ def verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL):
 def aggregate_diagnostics(idm, T, F, tol=IDENTIFIED_TOL):
     """Runtime evidence behind the transform's correctness argument.
 
-    The selector aggregate (built like build_X_check but on the identified
-    model and composed with T) must be block diagonal and regular, and its
-    product with the transformed state matrix must be cyclic.
+    The selector aggregate of the identified model composed with T must be
+    block diagonal and regular, and its product with the transformed state
+    matrix must be cyclic.
     """
-    n, l, M = idm.n, idm.l, idm.M
-    Fl = [lift_selector(b, M) for b in F.blocks]
-    Sl = _shift_powers(l, M)
-    X = np.zeros((M * n, M * n))
-    P = idm.C.copy()
-    for p in range(n * M):
-        i, j = divmod(p, M)
-        X += Fl[i] @ Sl[j] @ P
-        P = P @ idm.A
-    X = X @ T
+    n, M = idm.n, idm.M
+    X = build_X_check(idm, F) @ T
     Am = np.linalg.solve(T, idm.A @ T)
     Z = X @ Am
     return {
@@ -246,18 +230,8 @@ class CyclicModel:
 
     def assemble(self):
         """Rebuild (A, B, C, D) in exact cyclic-reformulation shape."""
-        n, m, l, M = self.n, self.m, self.l, self.M
-        Am = np.zeros((M * n, M * n))
-        Bm = np.zeros((M * n, M * m))
-        Cm = np.zeros((M * l, M * n))
-        Dm = np.zeros((M * l, M * m))
-        for i in range(M):
-            r = (i + 1) % M
-            Am[r * n:(r + 1) * n, i * n:(i + 1) * n] = self.A_phases[i]
-            Bm[r * n:(r + 1) * n, i * m:(i + 1) * m] = self.B_phases[i]
-            Cm[i * l:(i + 1) * l, i * n:(i + 1) * n] = self.C_phases[i]
-            Dm[i * l:(i + 1) * l, i * m:(i + 1) * m] = self.D_phases[i]
-        return Am, Bm, Cm, Dm
+        return (place_blocks(self.A_phases, 1), place_blocks(self.B_phases, 1),
+                place_blocks(self.C_phases, 0), place_blocks(self.D_phases, 0))
 
     def component_spread(self):
         """Max pairwise deviation among the A phases and among the B phases."""
@@ -279,15 +253,9 @@ def extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL, T=None):
         raise StructureViolationError(
             f"off-pattern mass {report.max_offpattern:g} exceeds {tol:g} in {', '.join(bad)}"
         )
-    A_phases, B_phases, C_phases, D_phases = [], [], [], []
-    for i in range(M):
-        r = (i + 1) % M
-        A_phases.append(Am[r * n:(r + 1) * n, i * n:(i + 1) * n].copy())
-        B_phases.append(Bm[r * n:(r + 1) * n, i * m:(i + 1) * m].copy())
-        C_phases.append(Cm[i * l:(i + 1) * l, i * n:(i + 1) * n].copy())
-        D_phases.append(Dm[i * l:(i + 1) * l, i * m:(i + 1) * m].copy())
-    return CyclicModel(A_phases=A_phases, B_phases=B_phases, C_phases=C_phases,
-                       D_phases=D_phases, T=T, structure=report, n=n, m=m, l=l, M=M)
+    return CyclicModel(A_phases=list(read_blocks(Am, M, 1)), B_phases=list(read_blocks(Bm, M, 1)),
+                       C_phases=list(read_blocks(Cm, M, 0)), D_phases=list(read_blocks(Dm, M, 0)),
+                       T=T, structure=report, n=n, m=m, l=l, M=M)
 
 
 def model_transfer_check(cm, reference, tol):

@@ -12,7 +12,8 @@ from cycsid import (
     run_identification,
 )
 from cycsid.cli import main
-from cycsid.pipeline import poly_str
+from cycsid.fileio import load_model
+from cycsid.pipeline import choose_transform, poly_str
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -162,10 +163,24 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["tf_passed"] is True
 
-    assert main(["verify", "--model", str(out / "model.json"),
-                 "--config", str(cfg), "--out", str(out)]) == 0
-    verdict = json.loads((out / "verify_report.json").read_text())
-    assert verdict["structure_passed"] and verdict["tf_passed"]
+    worst = max(v["max_offpattern"] for v in report["cyclic_form"].values())
+    for convention in ([], ["--convention", "auto"], ["--convention", "example"]):
+        assert main(["verify", "--model", str(out / "model.json"),
+                     "--config", str(cfg), "--out", str(out)] + convention) == 0
+        verdict = json.loads((out / "verify_report.json").read_text())
+        assert verdict["structure_passed"] and verdict["tf_passed"]
+        if convention != ["--convention", "example"]:
+            # the margin measured on the transformed model, not on its clean rebuild
+            assert verdict["max_offpattern"] == worst > 0.0
+
+    # the shared convention search repeats the identify run's choice on the saved model
+    idm = load_model(out / "model.json").model
+    tol = report["cyclic_form"]["A_cyclic"]["tol"]
+    cm, tres, tried = choose_transform(idm, 3, 1, 2, 3, "auto", tol)
+    assert tres.convention == report["convention"]
+    assert tried == report["conventions_tried"]
+    saved_T = np.array(json.loads((out / "cyclic_model.json").read_text())["T"])
+    assert np.array_equal(cm.T, saved_T)
     capsys.readouterr()
 
 

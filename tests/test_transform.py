@@ -19,6 +19,7 @@ from cycsid import (
     markov,
     model_transfer_check,
     rank_with_tol,
+    shift_matrix,
     tf_distance,
     transfer_functions,
     verify_cyclic_form,
@@ -71,6 +72,67 @@ def test_lift_selector():
     assert lifted.shape == (9, 6)
     assert is_block_diagonal(lifted, 3, 2, 3, tol=0.0).passed
     assert np.array_equal(lift_selector(block, 1), block)
+
+
+def dense_X_check(sys, F):
+    """sum_{i<n, j<M} lift(F_i) S_l^j C A^(Mi+j), with the shift and the
+    lifted selector as dense matrices."""
+    n, l, M = sys.n, sys.l, sys.M
+    S = shift_matrix(l, M)
+    X = np.zeros((M * n, M * n))
+    P = sys.C.copy()
+    for p in range(M * n):
+        i, j = divmod(p, M)
+        X += lift_selector(F.blocks[i], M) @ np.linalg.matrix_power(S, j) @ P
+        P = P @ sys.A
+    return X
+
+
+def dense_reach_sum(sys, G, convention):
+    """sum_{p<Mn} A^p B S_m^(p%M + 1) lift(G_k), k = p mod n ("general") or
+    p // M ("example"), with dense shift and lifted-selector matrices."""
+    n, m, M = sys.n, sys.m, sys.M
+    S = shift_matrix(m, M)
+    T = np.zeros((M * n, M * n))
+    P = sys.B.copy()
+    for p in range(M * n):
+        i, j = divmod(p, M)
+        k = p % n if convention == "general" else i
+        T += P @ np.linalg.matrix_power(S, j % M + 1) @ lift_selector(G.blocks[k], M)
+        P = sys.A @ P
+    return T
+
+
+ORACLE_RATES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 6: (2, 3), 12: (3, 4)}
+
+
+@pytest.mark.parametrize("M", sorted(ORACLE_RATES))
+def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
+    cs = cyclic_reformulate(plant, build_masks(ORACLE_RATES[M]))
+    rng = np.random.default_rng(M)
+    P = rng.normal(size=(M * 3, M * 3)) + 3 * np.eye(M * 3)
+    Pi = np.linalg.inv(P)
+    dense = IdentifiedModel(A=Pi @ cs.A @ P, B=Pi @ cs.B, C=cs.C @ P, D=cs.D, order=M * 3,
+                            n=3, m=1, l=2, M=M, x0=np.zeros(M * 3),
+                            singular_values=np.zeros(0))
+    systems = [as_identified(cs), dense]
+    if M in (3, 6):
+        run = request.getfixturevalue("mixed_rate_run" if M == 3 else "dual_rate_run")
+        systems.append(run[1].source)
+    selectors = [(default_selector_F(3, 2), default_selector_G(3, 1)),
+                 (SelectorF(tuple(rng.normal(size=(3, 2)) for _ in range(3))),
+                  SelectorG(tuple(rng.normal(size=(1, 3)) for _ in range(3))))]
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    for sys in systems:
+        for F, G in selectors:
+            close(build_X_check(sys, F), dense_X_check(sys, F))
+            close(build_Y_check(sys, G), dense_reach_sum(sys, G, "general"))
+            for conv in ("general", "example"):
+                close(build_transform(sys, G, 3, 1, M, conv).matrix,
+                      dense_reach_sum(sys, G, conv))
 
 
 def test_aggregates_full_rank_and_structured(plant):
