@@ -177,8 +177,8 @@ def cmd_verify(args):
     else:
         cm = mf.model
 
-    # the margin measured when the components were read off; re-checking
-    # cm.assemble() would always read zero, as it is clean by construction
+    # the margin measured when the components were read off (a cyclic model
+    # file stores it); re-checking cm.assemble() would always read zero
     form = cm.structure
     tf_ok, dists = model_transfer_check(cm, plant, tol_tf)
     doc = {

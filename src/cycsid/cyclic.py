@@ -6,7 +6,7 @@ subdiagonal plus the top-right corner; conjugation by the shift matrix
 rotates block-diagonal structure by one position.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,30 +56,23 @@ def cycle_signal(raw, M):
         raise ValueError("M must be positive")
     N, q = raw.shape
     out = np.zeros((N, M * q))
-    phases = np.arange(N) % M
-    for p in range(M):
-        rows = phases == p
-        out[rows, p * q:(p + 1) * q] = raw[rows]
+    k = np.arange(N)
+    out.reshape(N, M, q)[k, k % M] = raw
     return CycledSignal(samples=out, q=q, M=M)
 
 
 def uncycle_signal(c, tol=EXACT_TOL):
     """Extract block k mod M of sample k; inverse of cycle_signal."""
-    N = c.N
-    q, M = c.q, c.M
-    out = np.empty((N, q))
-    mask = np.ones((N, M * q), dtype=bool)
-    phases = np.arange(N) % M
-    for p in range(M):
-        rows = phases == p
-        out[rows] = c.samples[rows, p * q:(p + 1) * q]
-        mask[rows, p * q:(p + 1) * q] = False
-    stray = np.abs(c.samples[mask]).max() if M > 1 else 0.0
-    if stray > tol:
+    blocks = c.samples.reshape(c.N, c.M, c.q)
+    k = np.arange(c.N)
+    stray = np.ones((c.N, c.M), dtype=bool)
+    stray[k, k % c.M] = False
+    worst = np.abs(blocks[stray]).max(initial=0.0)
+    if worst > tol:
         raise MalformedCycledSignalError(
-            f"off-position mass {stray:g} exceeds tolerance {tol:g}"
+            f"off-position mass {worst:g} exceeds tolerance {tol:g}"
         )
-    return out
+    return blocks[k, k % c.M]
 
 
 def _pattern_index(M, off):
@@ -180,33 +173,42 @@ def is_cyclic_matrix(mat, block_rows, block_cols, M, tol=EXACT_TOL):
     return _report("cyclic", _offpattern(mat, block_rows, block_cols, M, 1), tol)
 
 
-@dataclass
-class MarkovStructureReport:
-    """Aggregate of the shift-adjusted Markov-parameter structure checks."""
+@dataclass(frozen=True)
+class StructureChecks:
+    """Named structure checks; the verdict, the worst margin and the failing
+    checks are read off the reports, so they cannot disagree with them."""
 
-    items: dict  # (i, j) -> {"diagonal": StructureReport, "cyclic": StructureReport|None}
-    passed: bool
-    max_offpattern: float
-    tol: float
-    maxdepth: int
+    reports: dict  # key -> StructureReport
+
+    @property
+    def passed(self):
+        return all(r.passed for r in self.reports.values())
+
+    @property
+    def max_offpattern(self):
+        return max((r.max_offpattern for r in self.reports.values()), default=0.0)
 
     def failing(self):
-        out = []
-        for key, reports in self.items.items():
-            for name, rep in reports.items():
-                if rep is not None and not rep.passed:
-                    out.append((key, name, rep.max_offpattern))
-        return out
+        """(key, max_offpattern) of every check that did not pass."""
+        return [(k, r.max_offpattern) for k, r in self.reports.items() if not r.passed]
+
+    def to_dict(self):
+        return {k: asdict(r) for k, r in self.reports.items()}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls({k: StructureReport(**r) for k, r in d.items()})
 
 
 def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, maxdepth=None):
     """Check S_l^i H(i+j) S_m^j block diagonal and S_l^i H(i+j) S_m^{j-1}
-    cyclic for all i, j >= 0 with i + j <= maxdepth.
+    cyclic for all i, j >= 0 with i + j <= maxdepth; one report per lag.
 
     Block (a, b) of S_l^i H S_m^j is block (a+i, b-j) of H, so with
     s = i + j both checks keep exactly the blocks (a, b) of H(s) with
-    a - b = s mod M: one masked block maximum per lag decides every (i, j)
-    on it.  H must supply at least maxdepth+1 matrices of size Ml x Mm.
+    a - b = s mod M: one masked block maximum per lag s decides every
+    (i, j) on it, and reports[s] holds it.  H must supply at least
+    maxdepth+1 matrices of size Ml x Mm.
     """
     if maxdepth is None:
         maxdepth = len(H) - 1
@@ -214,15 +216,8 @@ def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, maxdepth=None):
         raise DimensionMismatchError(
             f"need {maxdepth + 1} Markov matrices, got {len(H)}"
         )
-    off = [_offpattern(H[s], l, m, M, s) for s in range(maxdepth + 1)]
-    items = {}
-    for i in range(maxdepth + 1):
-        for j in range(maxdepth + 1 - i):
-            items[(i, j)] = {"diagonal": _report("block_diagonal", off[i + j], tol),
-                             "cyclic": _report("cyclic", off[i + j], tol) if j >= 1 else None}
-    worst = max(off)
-    return MarkovStructureReport(items=items, passed=worst <= tol, max_offpattern=worst,
-                                 tol=tol, maxdepth=maxdepth)
+    return StructureChecks({s: _report("block_diagonal", _offpattern(H[s], l, m, M, s), tol)
+                            for s in range(maxdepth + 1)})
 
 
 def cycled_ranks(cs, tol=DEFAULT_RANK_TOL):

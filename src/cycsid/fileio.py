@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .cyclic import StructureChecks
 from .errors import ParseError, SchemaError
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
-from .transform import CyclicModel, verify_cyclic_form
+from .transform import CYCLIC_FORM_CHECKS, CyclicModel
 
 FLOAT_FMT = "{:.17g}"
 
@@ -147,6 +148,7 @@ def save_model(model, path, rates, provenance=None):
             "C_phases": [matrix_to_lists(X) for X in model.C_phases],
             "D_phases": [matrix_to_lists(X) for X in model.D_phases],
             "T": matrix_to_lists(model.T) if model.T is not None else None,
+            "structure": model.structure.to_dict(),
             "provenance": provenance,
         }
     else:
@@ -198,11 +200,16 @@ def load_model(path):
         T = np.array(T, dtype=np.float64) if T is not None else None
         if T is not None and T.shape != (M * n, M * n):
             raise SchemaError(f"{path}: T is {T.shape} but M*n = {M * n} from the declared rates")
-        probe = CyclicModel(A_phases=phases["A_phases"], B_phases=phases["B_phases"],
+        structure = require(doc, "structure", path)
+        if not isinstance(structure, dict) or set(structure) != set(CYCLIC_FORM_CHECKS):
+            raise SchemaError(f"{path}: 'structure' must hold {', '.join(CYCLIC_FORM_CHECKS)}")
+        try:
+            structure = StructureChecks.from_dict(structure)
+        except TypeError as e:
+            raise SchemaError(f"{path}: malformed 'structure' report: {e}") from e
+        model = CyclicModel(A_phases=phases["A_phases"], B_phases=phases["B_phases"],
                             C_phases=phases["C_phases"], D_phases=phases["D_phases"],
-                            T=T, structure=None, n=n, m=m, l=l, M=M)
-        probe.structure = verify_cyclic_form(*probe.assemble(), n, m, l, M, tol=0.0)
-        model = probe
+                            T=T, structure=structure, n=n, m=m, l=l, M=M)
     else:
         raise SchemaError(f"{path}: unknown model kind '{kind}'")
     return ModelFile(kind=kind, model=model, rates=rates, provenance=provenance)

@@ -24,9 +24,6 @@ class MultirateSpec:
     def l(self):
         return len(self.rates)
 
-    def mask_at(self, k):
-        return self.masks[k % self.M]
-
     def pattern(self, N):
         """(N, l) 0/1 observation pattern over N steps."""
         diag = np.array([np.diag(V) for V in self.masks])

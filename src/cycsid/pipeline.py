@@ -52,6 +52,8 @@ from .transform import (
 DEFAULT_SEED = 12345
 DEFAULT_N = 3000
 DEFAULT_TOLERANCES = {"markov": 1e-6, "structure": 1e-6, "tf": 1e-6}
+#: identified Markov parameters H(0..12) are compared against the true system's
+MARKOV_MATCH_DEPTH = 12
 
 
 @dataclass
@@ -64,7 +66,6 @@ class ExperimentConfig:
         "kind": "uniform", "amplitude": 1.0, "seed": DEFAULT_SEED})
     N: int = DEFAULT_N
     block_rows: int | None = None
-    sv_gap_tol: float = 0.1
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     convention: str = "auto"
     noise: float = 0.0
@@ -103,7 +104,6 @@ def load_config(path):
             input=doc.get("input", {"kind": "uniform", "amplitude": 1.0, "seed": DEFAULT_SEED}),
             N=int(doc.get("N", DEFAULT_N)),
             block_rows=doc.get("block_rows"),
-            sv_gap_tol=float(doc.get("sv_gap_tol", 0.1)),
             tolerances=doc.get("tolerances", {}),
             convention=doc.get("convention", "auto"),
             noise=float(doc.get("noise", 0.0)),
@@ -258,16 +258,15 @@ def run_identification(cfg):
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, IdConfig(order=order, block_rows=cfg.block_rows,
-                                             sv_gap_tol=cfg.sv_gap_tol))
+    idm = subspace_identify(uc, yc, IdConfig(order=order, block_rows=cfg.block_rows))
     timings["identify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    depth = max(12, 2 * order)
-    H_true = markov(cs, depth + 1)
-    H_id = markov(idm, depth + 1)
-    mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, 12, tol["markov"])
-    struct_rep = verify_markov_structure(H_id, l, m, M, tol["structure"], maxdepth=2 * order)
+    maxdepth = 2 * order
+    H_true = markov(cs, MARKOV_MATCH_DEPTH + 1)
+    H_id = markov(idm, max(MARKOV_MATCH_DEPTH, maxdepth) + 1)
+    mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, MARKOV_MATCH_DEPTH, tol["markov"])
+    markov_form = verify_markov_structure(H_id, l, m, M, tol["structure"], maxdepth=maxdepth)
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -303,12 +302,12 @@ def run_identification(cfg):
         sv_gap=idm.order_gap,
         order_exposed=idm.order_exposed,
         markov={"worst_error": mk_worst, "worst_index": mk_idx,
-                "passed": mk_passed, "depth": 12, "tol": tol["markov"]},
-        markov_structure={"passed": struct_rep.passed,
-                          "max_offpattern": struct_rep.max_offpattern,
-                          "maxdepth": struct_rep.maxdepth, "tol": struct_rep.tol},
+                "passed": mk_passed, "depth": MARKOV_MATCH_DEPTH, "tol": tol["markov"]},
+        markov_structure={"passed": markov_form.passed,
+                          "max_offpattern": markov_form.max_offpattern,
+                          "maxdepth": maxdepth, "tol": tol["structure"]},
         true_structure=true_structure,
-        cyclic_form={k: asdict(r) for k, r in model.structure.reports.items()},
+        cyclic_form=model.structure.to_dict(),
         aggregates={k: asdict(aggr[k]) for k in ("selector_aggregate_blockdiag",
                                                  "aggregate_dynamics_cyclic")},
         component_spread={"A": devA, "B": devB},

@@ -23,6 +23,9 @@ from .errors import (
 from .kernels import io_regressor
 from .numerics import rank_with_tol
 
+#: the forced order counts as exposed when sv[order] / sv[order-1] is at most this
+SV_GAP_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class IdConfig:
@@ -35,7 +38,6 @@ class IdConfig:
 
     order: int
     block_rows: int | None = None
-    sv_gap_tol: float = 0.1
 
 
 @dataclass
@@ -155,7 +157,7 @@ def subspace_identify(ucheck, ycheck, cfg):
         gap = float(sv[order] / sv[order - 1])
     else:
         gap = float("inf") if sv.size <= order or sv[order - 1] == 0 else 0.0
-    exposed = gap <= cfg.sv_gap_tol
+    exposed = gap <= SV_GAP_TOL
 
     Gam = Uu[:, :order] * np.sqrt(sv[:order])
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)

@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import IDENTIFIED_TOL, is_block_diagonal, is_cyclic_matrix, place_blocks, read_blocks
+from .cyclic import (
+    IDENTIFIED_TOL,
+    StructureChecks,
+    is_block_diagonal,
+    is_cyclic_matrix,
+    place_blocks,
+    read_blocks,
+)
 from .errors import DimensionMismatchError, RankConditionError, StructureViolationError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
 
 CONVENTIONS = ("general", "example")
+CYCLIC_FORM_CHECKS = ("A_cyclic", "B_cyclic", "C_block_diagonal", "D_block_diagonal")
 
 
 @dataclass(frozen=True)
@@ -161,28 +169,16 @@ def apply_transform(idm, T, tol=DEFAULT_RANK_TOL):
     return Ti @ idm.A @ T, Ti @ idm.B, idm.C @ T, idm.D.copy()
 
 
-@dataclass
-class CyclicFormReport:
-    """Structure evidence for one transformed model."""
-
-    reports: dict  # name -> StructureReport
-    passed: bool
-    max_offpattern: float
-
-
 def verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL):
     """Check the four transformed matrices against the cyclic-reformulation
-    pattern: dynamics and input cyclic, output and feedthrough block diagonal."""
-    reports = {
+    pattern: dynamics and input cyclic, output and feedthrough block diagonal.
+    The reports are keyed by CYCLIC_FORM_CHECKS."""
+    return StructureChecks({
         "A_cyclic": is_cyclic_matrix(Am, n, n, M, tol),
         "B_cyclic": is_cyclic_matrix(Bm, n, m, M, tol),
         "C_block_diagonal": is_block_diagonal(Cm, l, n, M, tol),
         "D_block_diagonal": is_block_diagonal(Dm, l, m, M, tol),
-    }
-    worst = max(r.max_offpattern for r in reports.values())
-    return CyclicFormReport(reports=reports,
-                            passed=all(r.passed for r in reports.values()),
-                            max_offpattern=worst)
+    })
 
 
 def aggregate_diagnostics(idm, T, F, tol=IDENTIFIED_TOL):
@@ -216,7 +212,7 @@ class CyclicModel:
     C_phases: list
     D_phases: list
     T: np.ndarray | None
-    structure: CyclicFormReport
+    structure: StructureChecks
     n: int
     m: int
     l: int
@@ -249,9 +245,9 @@ def extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL, T=None):
     """
     report = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
     if not report.passed:
-        bad = [k for k, r in report.reports.items() if not r.passed]
         raise StructureViolationError(
-            f"off-pattern mass {report.max_offpattern:g} exceeds {tol:g} in {', '.join(bad)}"
+            f"off-pattern mass {report.max_offpattern:g} exceeds {tol:g} in "
+            + ", ".join(k for k, _ in report.failing())
         )
     return CyclicModel(A_phases=list(read_blocks(Am, M, 1)), B_phases=list(read_blocks(Bm, M, 1)),
                        C_phases=list(read_blocks(Cm, M, 0)), D_phases=list(read_blocks(Dm, M, 0)),

@@ -190,8 +190,8 @@ def test_verify_markov_structure_flags_injected_defect(plant):
     H[2][3, 0] += 0.1  # off-diagonal-block position for the (0, 2) check
     rep = verify_markov_structure(H, 2, 1, 3, tol=1e-9, maxdepth=8)
     assert not rep.passed
-    failing = {key for key, _, _ in rep.failing()}
-    assert all(i + j == 2 for i, j in failing)
+    assert [lag for lag, _ in rep.failing()] == [2]
+    assert rep.reports[2].max_offpattern == rep.max_offpattern == pytest.approx(0.1)
 
 
 def test_markov_exchange_forms_agree_up_to_phase_rotation(corpus):
@@ -287,13 +287,11 @@ def test_verify_markov_structure_matches_shift_matrix_oracle(M):
     tol = 1e-6
     rep = verify_markov_structure(H, l, m, M, tol=tol, maxdepth=depth)
     want = _shift_adjusted_oracle(H, l, m, M, tol, depth)
-    got = {(i, j, name): r.max_offpattern
-           for (i, j), reports in rep.items.items()
-           for name, r in reports.items() if r is not None}
-    assert got == want
+    assert sorted(rep.reports) == list(range(depth + 1))
+    for (i, j, name), v in want.items():
+        assert rep.reports[i + j].max_offpattern == v, (i, j, name)
     assert rep.max_offpattern == max(want.values())
     assert rep.passed == (max(want.values()) <= tol)
-    assert {(k, name) for k, name, _ in rep.failing()} == \
-        {((i, j), name) for (i, j, name), v in want.items() if v > tol}
+    assert {lag for lag, _ in rep.failing()} == {i + j for (i, j, _), v in want.items() if v > tol}
     if M > 1:
-        assert {i + j for (i, j), _, _ in rep.failing()} == {2, 5}
+        assert {lag for lag, _ in rep.failing()} == {2, 5}

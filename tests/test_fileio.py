@@ -78,6 +78,35 @@ def test_model_roundtrip_cyclic(plant, tmp_path):
     assert mf.kind == "cyclic"
     for i in range(3):
         assert np.array_equal(mf.model.A_phases[i], cm.A_phases[i])
+    assert mf.model.structure == cm.structure
+
+
+def test_model_roundtrip_cyclic_keeps_measured_margin(dual_rate_run, tmp_path):
+    _, model, report = dual_rate_run
+    path = tmp_path / "cyclic.json"
+    save_model(model, path, rates=(2, 3))
+    structure = load_model(path).model.structure
+    assert structure == model.structure
+    assert structure.to_dict() == report.cyclic_form
+    assert structure.max_offpattern > 0.0  # not the clean rebuild's zero
+
+
+@pytest.mark.parametrize("edit", ["drop", "partial", "malformed"])
+def test_model_cyclic_bad_structure(plant, tmp_path, edit):
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    path = tmp_path / "cyclic.json"
+    save_model(cm, path, rates=(1, 3))
+    doc = json.loads(path.read_text())
+    if edit == "drop":
+        del doc["structure"]
+    elif edit == "partial":
+        del doc["structure"]["B_cyclic"]
+    else:
+        del doc["structure"]["A_cyclic"]["tol"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="structure"):
+        load_model(path)
 
 
 def test_model_rate_dimension_mismatch(plant, tmp_path):

@@ -173,6 +173,13 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
             # the margin measured on the transformed model, not on its clean rebuild
             assert verdict["max_offpattern"] == worst > 0.0
 
+    # the cyclic model file carries the margin measured at extraction
+    assert main(["verify", "--model", str(out / "cyclic_model.json"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verify_report.json").read_text())
+    assert verdict["structure_passed"] and verdict["tf_passed"]
+    assert verdict["max_offpattern"] == worst > 0.0
+
     # the shared convention search repeats the identify run's choice on the saved model
     idm = load_model(out / "model.json").model
     tol = report["cyclic_form"]["A_cyclic"]["tol"]
