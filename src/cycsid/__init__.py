@@ -59,7 +59,7 @@ from .statespace import (
     tf_distance,
     transfer_functions,
 )
-from .subspace import IdConfig, IdentifiedModel, build_block_hankel, markov_match, subspace_identify
+from .subspace import IdentifiedModel, build_block_hankel, markov_match, subspace_identify
 from .transform import (
     CyclicModel,
     SelectorF,

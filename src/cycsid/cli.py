@@ -7,6 +7,7 @@ demo-paper (built-in studies).  Exit codes: 0 success, 2 config error,
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -14,15 +15,14 @@ import numpy as np
 
 from . import pipeline
 from .errors import (
-    AssumptionFailedError,
+    DATA_ERRORS,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_STRUCTURE,
+    STRUCTURE_ERRORS,
     CycsidError,
-    ExcitationDeficientError,
-    InsufficientDataError,
     ParseError,
-    RankConditionError,
-    RankDeficientAError,
     SchemaError,
-    SingularMatrixError,
     StructureViolationError,
 )
 from .fileio import load_model, save_model, save_signals, write_json
@@ -31,13 +31,6 @@ from .subspace import IdentifiedModel
 from .transform import model_transfer_check
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_STRUCTURE = 4
-
-_DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError, ParseError, SchemaError)
-_STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError,
-                     RankConditionError, RankDeficientAError, SingularMatrixError)
 
 
 def _add_common(p):
@@ -80,29 +73,36 @@ def build_parser():
     return parser
 
 
+def _override(cfg, args):
+    """cfg with the command-line overrides applied.  The config constructor
+    checks the result, so a bad flag value raises ValueError."""
+    changes = {}
+    if args.seed is not None:
+        inp = {"kind": "uniform", "amplitude": 1.0, **cfg.input, "seed": args.seed}
+        inp.pop("file", None)
+        changes["input"] = inp
+    if getattr(args, "signals", None) is not None:
+        changes["input"] = {"file": args.signals}
+    if args.n is not None:
+        changes["N"] = args.n
+    if args.noise is not None:
+        changes["noise"] = args.noise
+    if args.convention is not None:
+        changes["convention"] = args.convention
+    tol = {k: v for k, v in (("structure", args.tol_structure), ("tf", args.tol_tf))
+           if v is not None}
+    if tol:
+        changes["tolerances"] = {**cfg.tolerances, **tol}
+    return dataclasses.replace(cfg, **changes)
+
+
 def _load_config(args):
     try:
         cfg = pipeline.load_config(args.config)
     except (ParseError, SchemaError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG) from e
-    if args.seed is not None:
-        cfg.input = dict(cfg.input)
-        cfg.input.pop("file", None)
-        cfg.input["seed"] = args.seed
-        cfg.input.setdefault("kind", "uniform")
-        cfg.input.setdefault("amplitude", 1.0)
-    if args.n is not None:
-        cfg.N = args.n
-    if args.noise is not None:
-        cfg.noise = args.noise
-    if args.convention is not None:
-        cfg.convention = args.convention
-    if args.tol_structure is not None:
-        cfg.tolerances["structure"] = args.tol_structure
-    if args.tol_tf is not None:
-        cfg.tolerances["tf"] = args.tol_tf
-    return cfg
+    return _override(cfg, args)
 
 
 def _outdir(args, cfg=None):
@@ -130,8 +130,6 @@ def cmd_simulate(args):
 
 def cmd_identify(args):
     cfg = _load_config(args)
-    if args.signals is not None:
-        cfg.input = {"file": args.signals}
     out = _outdir(args, cfg)
     model, report = pipeline.run_identification(cfg)
     provenance = {"seed": report.seed, "N": report.N, "convention": report.convention}
@@ -198,15 +196,10 @@ def cmd_verify(args):
 
 
 def cmd_demo(args):
+    studies = [(label, _override(pipeline.builtin_config(rates), args))
+               for label, rates in pipeline.DEMO_STUDIES]
     out = _outdir(args)
-    status, reports = pipeline.demo_paper(
-        seed=args.seed if args.seed is not None else pipeline.DEFAULT_SEED,
-        N=args.n if args.n is not None else pipeline.DEFAULT_N,
-        noise=args.noise if args.noise is not None else 0.0,
-        convention=args.convention or "auto",
-        tol_structure=args.tol_structure,
-        tol_tf=args.tol_tf,
-    )
+    status, reports = pipeline.demo_paper(studies)
     write_json({label: rep.to_dict() if hasattr(rep, "to_dict") else rep
                 for label, rep in reports.items()},
                out / "demo_report.json")
@@ -230,10 +223,10 @@ def main(argv=None):
         return handlers[args.command](args)
     except SystemExit as e:
         return e.code
-    except _DATA_ERRORS as e:
+    except DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except _STRUCTURE_ERRORS as e:
+    except STRUCTURE_ERRORS as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_STRUCTURE
     except (ValueError, OSError) as e:

@@ -63,3 +63,14 @@ class ParseError(CycsidError):
 
 class SchemaError(CycsidError):
     """A parsed file is missing or mistypes a required field."""
+
+
+# Exit codes of the command line, and the errors each one stands for; the
+# CLI and the built-in studies map errors through the same tuples.
+EXIT_CONFIG = 2
+EXIT_DATA = 3
+EXIT_STRUCTURE = 4
+
+DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError, ParseError, SchemaError)
+STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError,
+                    RankConditionError, RankDeficientAError, SingularMatrixError)

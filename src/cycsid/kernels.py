@@ -4,7 +4,6 @@ The state recursion is sequential in time, so numpy cannot vectorize it
 away; it has a numba ``@njit`` build and a pure-numpy twin (set
 ``CYCSID_DISABLE_NUMBA=1`` to force the numpy path).  The input-response
 regressor is built in fixed-length time chunks with BLAS calls only.
-``benchmarks/bench_kernels.py`` times both kernels.
 """
 
 import os
@@ -63,7 +62,7 @@ def trajectory(A, B, C, D, u, x0):
 def _io_regressor_dense(A, C, u):
     """The full (N*l) x (n + n*m + l*m) regressor Phi, one sample at a time.
 
-    Reference for io_regressor in tests and benchmarks.
+    Reference for io_regressor in tests.
     """
     N, m = u.shape
     l, n = C.shape

@@ -24,9 +24,11 @@ from .cyclic import (
     verify_markov_structure,
 )
 from .errors import (
+    DATA_ERRORS,
+    EXIT_DATA,
+    EXIT_STRUCTURE,
+    STRUCTURE_ERRORS,
     AssumptionFailedError,
-    ExcitationDeficientError,
-    InsufficientDataError,
     SchemaError,
     SingularMatrixError,
     StructureViolationError,
@@ -35,7 +37,7 @@ from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
 from .numerics import rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
-from .subspace import IdConfig, markov_match, subspace_identify
+from .subspace import markov_match, subspace_identify
 from .transform import (
     aggregate_diagnostics,
     apply_transform,
@@ -58,14 +60,19 @@ MARKOV_MATCH_DEPTH = 12
 
 @dataclass
 class ExperimentConfig:
-    """Everything one identification run needs, serializable to JSON."""
+    """Everything one identification run needs, serializable to JSON.
+
+    The only home of config defaults, conversions and checks: config files,
+    command-line overrides (via dataclasses.replace) and the built-in
+    studies all build through this constructor, which raises ValueError on
+    a bad value.
+    """
 
     plant: StateSpace
     rates: tuple
     input: dict = field(default_factory=lambda: {
         "kind": "uniform", "amplitude": 1.0, "seed": DEFAULT_SEED})
     N: int = DEFAULT_N
-    block_rows: int | None = None
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     convention: str = "auto"
     noise: float = 0.0
@@ -75,6 +82,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.rates = tuple(int(r) for r in self.rates)
+        self.N = int(self.N)
+        self.noise = float(self.noise)
+        self.offsets = tuple(self.offsets) if self.offsets else None
+        if self.x0 is not None:
+            self.x0 = np.asarray(self.x0, dtype=float)
         if self.N <= 0:
             raise ValueError("N must be positive")
         if len(self.rates) != self.plant.l:
@@ -83,6 +95,10 @@ class ExperimentConfig:
             )
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
+        unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown}; "
+                             f"expected keys {sorted(DEFAULT_TOLERANCES)}")
         if any(v <= 0 for v in tol.values()):
             raise ValueError("tolerances must be positive")
         self.tolerances = tol
@@ -91,29 +107,18 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    """Build an ExperimentConfig from a JSON file."""
+    """Build an ExperimentConfig from a JSON file whose keys are its fields;
+    a key that is not a field is a SchemaError."""
     doc = read_json(path)
     plant_doc = require(doc, "plant", path)
     for key in ("A", "B", "C", "D"):
         require(plant_doc, key, path)
+    require(doc, "rates", path)
     try:
         plant = make_state_space(plant_doc["A"], plant_doc["B"], plant_doc["C"], plant_doc["D"])
-        cfg = ExperimentConfig(
-            plant=plant,
-            rates=require(doc, "rates", path),
-            input=doc.get("input", {"kind": "uniform", "amplitude": 1.0, "seed": DEFAULT_SEED}),
-            N=int(doc.get("N", DEFAULT_N)),
-            block_rows=doc.get("block_rows"),
-            tolerances=doc.get("tolerances", {}),
-            convention=doc.get("convention", "auto"),
-            noise=float(doc.get("noise", 0.0)),
-            offsets=tuple(doc["offsets"]) if doc.get("offsets") else None,
-            x0=np.asarray(doc["x0"], dtype=float) if doc.get("x0") is not None else None,
-            out_dir=doc.get("out_dir"),
-        )
+        return ExperimentConfig(**{**doc, "plant": plant})
     except (ValueError, TypeError) as e:
         raise SchemaError(f"{path}: {e}") from e
-    return cfg
 
 
 @dataclass
@@ -258,7 +263,7 @@ def run_identification(cfg):
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, IdConfig(order=order, block_rows=cfg.block_rows))
+    idm = subspace_identify(uc, yc, order)
     timings["identify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -336,17 +341,19 @@ def benchmark_plant():
     )
 
 
-def builtin_config(rates, N=DEFAULT_N, seed=DEFAULT_SEED, convention="auto",
-                   noise=0.0, tolerances=None):
+def builtin_config(rates, N=DEFAULT_N, seed=DEFAULT_SEED, noise=0.0, tolerances=None):
     return ExperimentConfig(
         plant=benchmark_plant(),
         rates=rates,
         input={"kind": "uniform", "amplitude": 1.0, "seed": seed},
         N=N,
-        convention=convention,
         noise=noise,
         tolerances=tolerances or {},
     )
+
+
+#: (label, rates) of the built-in studies that `cycsid demo-paper` runs
+DEMO_STUDIES = (("mixed rates (1,3)", (1, 3)), ("dual rate (2,3)", (2, 3)))
 
 
 def poly_str(coeffs, var="z"):
@@ -373,39 +380,30 @@ def _fmt_matrix(X, indent="    "):
     return "\n".join(indent + r for r in rows)
 
 
-def demo_paper(seed=DEFAULT_SEED, N=DEFAULT_N, noise=0.0, convention="auto",
-               tol_structure=None, tol_tf=None, printer=print):
-    """Run both built-in multirate studies and print a verification report.
+def demo_paper(studies, printer=print):
+    """Run (label, ExperimentConfig) studies and print a verification report
+    that compares each recovered transfer function with its config's plant.
 
-    Returns 0 when every check meets its threshold, nonzero otherwise.
+    Returns (status, reports): status is 0 when every check meets its
+    threshold, otherwise the CLI exit code of the worst failure.
     """
-    tolerances = {}
-    if tol_structure is not None:
-        tolerances["structure"] = tol_structure
-    if tol_tf is not None:
-        tolerances["tf"] = tol_tf
-    studies = [("mixed rates (1,3)", (1, 3)), ("dual rate (2,3)", (2, 3))]
-    plant = benchmark_plant()
-    ref_tfs = transfer_functions(plant)
     status = 0
     reports = {}
-    for label, rates in studies:
+    for label, cfg in studies:
         printer(f"=== {label} ===")
-        cfg = builtin_config(rates, N=N, seed=seed, convention=convention,
-                             noise=noise, tolerances=tolerances)
         try:
             model, report = run_identification(cfg)
-        except (InsufficientDataError, ExcitationDeficientError) as e:
+        except DATA_ERRORS as e:
             printer(f"study result: FAIL (data error: {e})")
             printer("")
             reports[label] = {"error": str(e), "kind": "data"}
-            status = max(status, 3)
+            status = max(status, EXIT_DATA)
             continue
-        except (AssumptionFailedError, StructureViolationError, SingularMatrixError) as e:
+        except STRUCTURE_ERRORS as e:
             printer(f"study result: FAIL ({e})")
             printer("")
             reports[label] = {"error": str(e), "kind": "structure"}
-            status = 4
+            status = EXIT_STRUCTURE
             continue
         reports[label] = report
         r = report.ranks
@@ -425,8 +423,9 @@ def demo_paper(seed=DEFAULT_SEED, N=DEFAULT_N, noise=0.0, convention="auto",
                 f"B {report.component_spread['B']:.3g}")
         printer("extracted phase-0 dynamics:")
         printer(_fmt_matrix(model.A_phases[0]))
+        ref_tfs = transfer_functions(cfg.plant)
         got_tfs = transfer_functions(model.phase_system(0))
-        for i in range(plant.l):
+        for i in range(cfg.plant.l):
             ref = ref_tfs[i][0]
             printer(f"reference TF{i + 1}: ({poly_str(ref.num)}) / ({poly_str(ref.den)})")
             printer(f"recovered TF{i + 1}: ({poly_str(np.round(got_tfs[i][0].num, 10))}) "
@@ -443,5 +442,5 @@ def demo_paper(seed=DEFAULT_SEED, N=DEFAULT_N, noise=0.0, convention="auto",
         printer(f"study result: {'PASS' if ok else 'FAIL'}")
         printer("")
         if not ok:
-            status = 4
+            status = EXIT_STRUCTURE
     return status, reports

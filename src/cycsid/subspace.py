@@ -27,19 +27,6 @@ from .numerics import rank_with_tol
 SV_GAP_TOL = 0.1
 
 
-@dataclass(frozen=True)
-class IdConfig:
-    """Knobs for one identification run.
-
-    block_rows None picks max(ceil(2*order/rows_y), 2n+2, order+1); the
-    order+1 floor keeps the extended observability matrix full rank even
-    when masking starves all but one cyclic output channel.
-    """
-
-    order: int
-    block_rows: int | None = None
-
-
 @dataclass
 class IdentifiedModel:
     """State-space model of the forced order returned by identification."""
@@ -103,11 +90,14 @@ def _signal_array(sig):
     return arr, arr.shape[1], 1
 
 
-def subspace_identify(ucheck, ycheck, cfg):
-    """Identify an order-cfg.order model from input/output data.
+def subspace_identify(ucheck, ycheck, order, block_rows=None):
+    """Identify an order-`order` model from input/output data.
 
     Accepts CycledSignal values (their base dimension and period are kept
     on the result) or plain (N, channels) arrays treated as single-rate.
+    block_rows None picks max(ceil(2*order/rows_y), 2n+2, order+1); the
+    order+1 floor keeps the extended observability matrix full rank even
+    when masking starves all but one cyclic output channel.
     Raises InsufficientDataError or ExcitationDeficientError when the data
     cannot support the factorization; a weak singular-value gap at the
     forced order is reported on the result, not raised.
@@ -123,9 +113,8 @@ def subspace_identify(ucheck, ycheck, cfg):
     N = u.shape[0]
     mm = u.shape[1]
     ll = y.shape[1]
-    order = cfg.order
     n_base = order // M if order % M == 0 else order
-    i = cfg.block_rows if cfg.block_rows is not None else default_block_rows(order, ll, n_base)
+    i = block_rows if block_rows is not None else default_block_rows(order, ll, n_base)
     if i <= order / ll + 1:
         raise ValueError(f"block_rows={i} too small to expose order {order} with {ll} output rows")
     if N < 2 * i * (mm + ll) + order:

@@ -29,7 +29,6 @@ from cycsid import (
     transfer_functions,
     verify_markov_structure,
 )
-from cycsid.subspace import IdConfig
 
 from conftest import random_plant
 
@@ -174,7 +173,7 @@ def test_criterion_7_single_rate_degeneration():
 
         u = generate_input(cfg)
         log = simulate(ss, u)
-        plain = subspace_identify(u, log.y, IdConfig(order=n))
+        plain = subspace_identify(u, log.y, order=n)
         H_plain = markov(plain, 21)
         agree = max(np.linalg.norm(a - b) for a, b in zip(H_pipe, H_plain))
         assert agree <= 1e-12, agree

@@ -176,3 +176,18 @@ def test_config_rate_count_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_config(path)
+
+
+@pytest.mark.parametrize("extra, key", [
+    pytest.param({"tolerence": {"tf": 1e-9}}, "tolerence", id="tolerence"),
+    pytest.param({"sv_gap_tol": 0.5}, "sv_gap_tol", id="sv_gap_tol"),
+    pytest.param({"block_rows": 8}, "block_rows", id="block_rows"),
+    pytest.param({"tolerances": {"tff": 1e-9}}, "tff", id="tff"),
+])
+def test_config_rejects_unknown_key(tmp_path, extra, key):
+    doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+           "rates": [2], **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=key):
+        load_config(path)

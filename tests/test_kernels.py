@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cycsid import (
-    IdConfig,
     build_masks,
     cycle_signal,
     kernels,
@@ -77,7 +76,7 @@ def identified(request, plant):
     log = simulate_multirate(plant, spec, rng.uniform(-1, 1, (3000, 1)))
     u = cycle_signal(log.u, spec.M)
     y = cycle_signal(log.y + noise * rng.uniform(-1, 1, log.y.shape), spec.M)
-    idm = subspace_identify(u, y, IdConfig(order=plant.n * spec.M))
+    idm = subspace_identify(u, y, order=plant.n * spec.M)
     return idm.A, idm.C, u.samples, y.samples
 
 

@@ -4,7 +4,6 @@ import pytest
 from cycsid import (
     DimensionMismatchError,
     ExcitationDeficientError,
-    IdConfig,
     InsufficientDataError,
     build_block_hankel,
     build_masks,
@@ -44,7 +43,7 @@ def test_identify_scalar_single_rate():
     rng = np.random.default_rng(17)
     u = rng.uniform(-1, 1, (500, 1))
     log = simulate(ss, u)
-    idm = subspace_identify(u, log.y, IdConfig(order=1))
+    idm = subspace_identify(u, log.y, order=1)
     H_true = markov(ss, 11)
     H_id = markov(idm, 11)
     passed, worst, _ = markov_match(H_true, H_id, 10, 1e-8)
@@ -58,7 +57,7 @@ def test_identify_mixed_rates_matches_display(plant):
     u = rng.uniform(-1, 1, (3000, 1))
     log = simulate_multirate(plant, spec, u)
     idm = subspace_identify(cycle_signal(log.u, 3), cycle_signal(log.y, 3),
-                            IdConfig(order=9))
+                            order=9)
     S1 = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
     got = (idm.C @ idm.B) @ S1
     want = np.array([
@@ -76,8 +75,8 @@ def test_identify_block_rows_invariance(plant):
     u = rng.uniform(-1, 1, (3000, 1))
     log = simulate_multirate(plant, spec, u)
     uc, yc = cycle_signal(log.u, 6), cycle_signal(log.y, 6)
-    a = subspace_identify(uc, yc, IdConfig(order=18, block_rows=19))
-    b = subspace_identify(uc, yc, IdConfig(order=18, block_rows=23))
+    a = subspace_identify(uc, yc, order=18, block_rows=19)
+    b = subspace_identify(uc, yc, order=18, block_rows=23)
     Ha, Hb = markov(a, 13), markov(b, 13)
     assert max(np.linalg.norm(x - y) for x, y in zip(Ha, Hb)) <= 1e-6
 
@@ -88,7 +87,7 @@ def test_identify_insufficient_data(plant):
     log = simulate_multirate(plant, spec, u)
     with pytest.raises(InsufficientDataError):
         subspace_identify(cycle_signal(log.u, 6), cycle_signal(log.y, 6),
-                          IdConfig(order=18))
+                          order=18)
 
 
 def test_identify_flat_input_not_exciting(plant):
@@ -97,7 +96,7 @@ def test_identify_flat_input_not_exciting(plant):
     log = simulate_multirate(plant, spec, u)
     with pytest.raises(ExcitationDeficientError):
         subspace_identify(cycle_signal(log.u, 3), cycle_signal(log.y, 3),
-                          IdConfig(order=9))
+                          order=9)
 
 
 def test_identify_overstated_order_is_flagged():
@@ -105,7 +104,7 @@ def test_identify_overstated_order_is_flagged():
     rng = np.random.default_rng(23)
     u = rng.uniform(-1, 1, (800, 1))
     log = simulate(ss, u)
-    idm = subspace_identify(u, log.y, IdConfig(order=3, block_rows=8))
+    idm = subspace_identify(u, log.y, order=3, block_rows=8)
     assert not idm.order_exposed
     assert idm.order_gap > 0.1
 
@@ -116,15 +115,15 @@ def test_identify_deterministic(plant):
     u = rng.uniform(-1, 1, (1500, 1))
     log = simulate_multirate(plant, spec, u)
     uc, yc = cycle_signal(log.u, 3), cycle_signal(log.y, 3)
-    a = subspace_identify(uc, yc, IdConfig(order=9))
-    b = subspace_identify(uc, yc, IdConfig(order=9))
+    a = subspace_identify(uc, yc, order=9)
+    b = subspace_identify(uc, yc, order=9)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert np.array_equal(a.C, b.C) and np.array_equal(a.D, b.D)
 
 
 def test_identify_rejects_mismatched_lengths(plant):
     with pytest.raises(DimensionMismatchError):
-        subspace_identify(np.ones((100, 1)), np.ones((90, 2)), IdConfig(order=2))
+        subspace_identify(np.ones((100, 1)), np.ones((90, 2)), order=2)
 
 
 def test_markov_match_identical(plant):
