@@ -3,7 +3,10 @@
 The state recursion is sequential in time, so numpy cannot vectorize it
 away; it has a numba ``@njit`` build and a pure-numpy twin (set
 ``CYCSID_DISABLE_NUMBA=1`` to force the numpy path).  The input-response
-regressor is built in fixed-length time chunks with BLAS calls only.
+regressor is built in fixed-length time chunks with BLAS calls only, into a
+column-major array: LAPACK's least squares works on a Fortran-ordered copy
+of its matrix, and copying a column-major regressor reads it in order
+instead of transposing it with strided access.
 """
 
 import os
@@ -96,7 +99,8 @@ def io_regressor(A, C, u):
         [C A^(k0+s), C Z(k0+s)] = C A^s [A^k0, Z(k0)] + [0, conv_s],
 
     where conv_s is the input convolved with C A^s inside the chunk (one
-    Toeplitz GEMM).  The D columns hold only u.
+    Toeplitz GEMM).  The D columns hold only u.  Phi is column-major (see
+    the module docstring); the layout changes speed only, not a value.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     C = np.ascontiguousarray(C, dtype=np.float64)
@@ -119,7 +123,7 @@ def io_regressor(A, C, u):
     live = lag >= 0
     lag = np.where(live, lag, 0)
 
-    Phi = np.empty((N * l, p))
+    Phi = np.empty((N * l, p), order="F")
     state = np.zeros((n, nb))  # [A^k0, Z(k0)]
     state[:, :n] = np.eye(n)
     for k0 in range(0, N, K):

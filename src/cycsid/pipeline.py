@@ -89,6 +89,15 @@ class ExperimentConfig:
             self.x0 = np.asarray(self.x0, dtype=float)
         if self.N <= 0:
             raise ValueError("N must be positive")
+        if self.noise < 0:
+            raise ValueError("noise must be nonnegative")
+        if set(self.input) != {"file"}:
+            unknown = sorted(set(self.input) - {"kind", "amplitude", "seed"})
+            if unknown:
+                raise ValueError(f"unknown input keys {unknown}; expected 'file' alone, "
+                                 "or any of 'kind', 'amplitude', 'seed'")
+            if self.input.get("kind", "uniform") != "uniform":
+                raise ValueError(f"unsupported input kind '{self.input['kind']}'")
         if len(self.rates) != self.plant.l:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
@@ -164,9 +173,6 @@ def generate_input(cfg):
     """Input record for a run: seeded uniform samples, or a signals file."""
     if "file" in cfg.input:
         return None  # caller loads the file
-    kind = cfg.input.get("kind", "uniform")
-    if kind != "uniform":
-        raise ValueError(f"unsupported input kind '{kind}'")
     amp = float(cfg.input.get("amplitude", 1.0))
     seed = cfg.input.get("seed", DEFAULT_SEED)
     rng = np.random.default_rng(seed)

@@ -90,6 +90,41 @@ def _signal_array(sig):
     return arr, arr.shape[1], 1
 
 
+def _observability_estimate(u, y, i, order):
+    """(Gam, sv): the order-`order` extended observability estimate from
+    block-Hankel data with i block rows, and the singular values it came from.
+
+    The Hankel blocks, their LQ factor and the SVD factors are locals here,
+    so they are freed before the caller builds the much larger B/D/x0
+    regressor.
+    """
+    mm = u.shape[1]
+    ll = y.shape[1]
+    j = u.shape[0] - 2 * i + 1
+    U = build_block_hankel(u, 2 * i, j)
+    Y = build_block_hankel(y, 2 * i, j)
+    Up, Uf = U[:i * mm], U[i * mm:]
+    Yp, Yf = Y[:i * ll], Y[i * ll:]
+
+    # LQ of [Uf; Up; Yp; Yf]: row space of the lower-left blocks of Yf gives
+    # the span of future outputs explained by past data after future inputs.
+    # Only L is used, so mode "r" skips forming the j-row orthogonal factor;
+    # it runs the same Householder QR, so L is the same to the bit.
+    stack = np.vstack([Uf, Up, Yp, Yf])
+    L = np.linalg.qr(stack.T, mode="r").T
+    r_uf = i * mm
+    r_past = r_uf + i * mm + i * ll
+
+    if rank_with_tol(L[:2 * i * mm, :2 * i * mm], 1e-10) < 2 * i * mm:
+        raise ExcitationDeficientError(
+            f"input hankel rank below {2 * i * mm}; input is not persistently exciting"
+        )
+
+    proj = L[r_past:, r_uf:r_past]
+    Uu, sv, _ = np.linalg.svd(proj, full_matrices=False)
+    return Uu[:, :order] * np.sqrt(sv[:order]), sv
+
+
 def subspace_identify(ucheck, ycheck, order, block_rows=None):
     """Identify an order-`order` model from input/output data.
 
@@ -122,33 +157,13 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             f"need at least {2 * i * (mm + ll) + order} samples for block_rows={i}, got {N}"
         )
 
-    j = N - 2 * i + 1
-    U = build_block_hankel(u, 2 * i, j)
-    Y = build_block_hankel(y, 2 * i, j)
-    Up, Uf = U[:i * mm], U[i * mm:]
-    Yp, Yf = Y[:i * ll], Y[i * ll:]
-
-    # LQ of [Uf; Up; Yp; Yf]: row space of the lower-left blocks of Yf gives
-    # the span of future outputs explained by past data after future inputs.
-    stack = np.vstack([Uf, Up, Yp, Yf])
-    L = np.linalg.qr(stack.T, mode="reduced")[1].T
-    r_uf = i * mm
-    r_past = r_uf + i * mm + i * ll
-
-    if rank_with_tol(L[:2 * i * mm, :2 * i * mm], 1e-10) < 2 * i * mm:
-        raise ExcitationDeficientError(
-            f"input hankel rank below {2 * i * mm}; input is not persistently exciting"
-        )
-
-    proj = L[r_past:, r_uf:r_past]
-    Uu, sv, _ = np.linalg.svd(proj, full_matrices=False)
+    Gam, sv = _observability_estimate(u, y, i, order)
     if sv.size > order and sv[order - 1] > 0:
         gap = float(sv[order] / sv[order - 1])
     else:
         gap = float("inf") if sv.size <= order or sv[order - 1] == 0 else 0.0
     exposed = gap <= SV_GAP_TOL
 
-    Gam = Uu[:, :order] * np.sqrt(sv[:order])
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
     C = Gam[:ll].copy()
 

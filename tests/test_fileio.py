@@ -183,6 +183,10 @@ def test_config_rate_count_mismatch(tmp_path):
     pytest.param({"sv_gap_tol": 0.5}, "sv_gap_tol", id="sv_gap_tol"),
     pytest.param({"block_rows": 8}, "block_rows", id="block_rows"),
     pytest.param({"tolerances": {"tff": 1e-9}}, "tff", id="tff"),
+    pytest.param({"input": {"kind": "uniform", "amplitud": 5.0}}, "amplitud", id="amplitud"),
+    pytest.param({"input": {"kind": "uniform", "sed": 3}}, "sed", id="sed"),
+    pytest.param({"input": {"file": "signals.csv", "seed": 3}}, "file", id="file-and-seed"),
+    pytest.param({"input": {"kind": "gaussian"}}, "gaussian", id="kind"),
 ])
 def test_config_rejects_unknown_key(tmp_path, extra, key):
     doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},

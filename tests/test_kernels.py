@@ -54,6 +54,17 @@ def test_io_regressor_layout(workload):
     assert np.abs(Phi @ theta - y.reshape(-1)).max() <= 1e-10
 
 
+def test_io_regressor_is_column_major(workload):
+    # LAPACK solves on a column-major copy; the layout changes speed, not theta
+    A, B, C, D, u, x0 = workload
+    _, y = kernels.trajectory(A, B, C, D, u, x0)
+    Phi = kernels.io_regressor(A, C, u)
+    assert Phi.flags.f_contiguous
+    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
+    want, *_ = np.linalg.lstsq(np.ascontiguousarray(Phi), y.reshape(-1), rcond=None)
+    assert np.array_equal(theta, want)
+
+
 @pytest.mark.parametrize("N", [200, 3 * kernels._CHUNK, 2 * kernels._CHUNK + 1,
                                kernels._CHUNK - 5, 1])
 def test_io_regressor_matches_dense_reference(workload, N):

@@ -202,17 +202,22 @@ def test_cli_config_error_exit_2(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
     pytest.param("--n", "0", "N must be positive", id="n"),
+    pytest.param("--noise", "-0.5", "noise must be nonnegative", id="noise"),
 ])
 def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, message):
     cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 flag, value]) == 2
+    simulate_err = capsys.readouterr().err
     assert main(["identify", "--config", str(cfg), "--out", str(tmp_path),
                  flag, value]) == 2
     identify_err = capsys.readouterr().err
     assert main(["demo-paper", "--out", str(tmp_path), flag, value]) == 2
     demo = capsys.readouterr()
-    assert identify_err == demo.err == f"config error: {message}\n"
+    assert simulate_err == identify_err == demo.err == f"config error: {message}\n"
     assert demo.out == ""
     assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "signals.csv").exists()
 
 
 def test_cli_data_error_exit_3(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ def test_identify_deterministic(plant):
     b = subspace_identify(uc, yc, order=9)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert np.array_equal(a.C, b.C) and np.array_equal(a.D, b.D)
+
+
+def test_identify_frees_factorization_before_fit(plant):
+    # the B/D/x0 regressor is the largest array a run holds; the Hankel
+    # blocks, LQ and SVD factors must be gone before it is built
+    spec = build_masks((2, 3))
+    u = np.random.default_rng(5).uniform(-1, 1, (3000, 1))
+    log = simulate_multirate(plant, spec, u)
+    uc, yc = cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M)
+    order = plant.n * spec.M
+    N, mm = uc.samples.shape
+    ll = yc.samples.shape[1]
+    regressor_bytes = 8 * N * ll * (order + order * mm + ll * mm)
+    tracemalloc.start()
+    try:
+        subspace_identify(uc, yc, order=order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * regressor_bytes, peak / regressor_bytes
 
 
 def test_identify_rejects_mismatched_lengths(plant):
