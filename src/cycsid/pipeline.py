@@ -51,9 +51,8 @@ from .transform import (
     verify_cyclic_form,
 )
 
-DEFAULT_SEED = 12345
-DEFAULT_N = 3000
 DEFAULT_TOLERANCES = {"markov": 1e-6, "structure": 1e-6, "tf": 1e-6}
+DEFAULT_INPUT = {"kind": "uniform", "amplitude": 1.0, "seed": 12345}
 #: identified Markov parameters H(0..12) are compared against the true system's
 MARKOV_MATCH_DEPTH = 12
 
@@ -70,10 +69,9 @@ class ExperimentConfig:
 
     plant: StateSpace
     rates: tuple
-    input: dict = field(default_factory=lambda: {
-        "kind": "uniform", "amplitude": 1.0, "seed": DEFAULT_SEED})
-    N: int = DEFAULT_N
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    input: dict = field(default_factory=dict)
+    N: int = 3000
+    tolerances: dict = field(default_factory=dict)
     convention: str = "auto"
     noise: float = 0.0
     offsets: tuple | None = None
@@ -91,12 +89,16 @@ class ExperimentConfig:
             raise ValueError("N must be positive")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
+        if self.noise > 0 and set(self.input) == {"file"}:
+            raise ValueError("noise applies to simulated data, not to a signals file")
         if set(self.input) != {"file"}:
-            unknown = sorted(set(self.input) - {"kind", "amplitude", "seed"})
+            unknown = sorted(set(self.input) - set(DEFAULT_INPUT))
             if unknown:
                 raise ValueError(f"unknown input keys {unknown}; expected 'file' alone, "
                                  "or any of 'kind', 'amplitude', 'seed'")
-            if self.input.get("kind", "uniform") != "uniform":
+            self.input = {**DEFAULT_INPUT, **self.input}
+            self.input["amplitude"] = float(self.input["amplitude"])
+            if self.input["kind"] != "uniform":
                 raise ValueError(f"unsupported input kind '{self.input['kind']}'")
         if len(self.rates) != self.plant.l:
             raise ValueError(
@@ -159,6 +161,18 @@ class RunReport:
     def __post_init__(self):
         self.rates = tuple(self.rates)
 
+    def failures(self):
+        """Names of the checks this run failed, empty when it passed: each of
+        the controllability, observability and transform ranks that misses
+        the model order, then markov, markov_structure, cyclic_form and tf."""
+        failed = [f"rank.{k}" for k in ("controllability", "observability", "transform")
+                  if self.ranks[k] != self.ranks["expected"]]
+        passed = {"markov": self.markov["passed"],
+                  "markov_structure": self.markov_structure["passed"],
+                  "cyclic_form": all(v["passed"] for v in self.cyclic_form.values()),
+                  "tf": self.tf_passed}
+        return failed + [name for name, ok in passed.items() if not ok]
+
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["rates"] = list(self.rates)
@@ -170,13 +184,9 @@ class RunReport:
 
 
 def generate_input(cfg):
-    """Input record for a run: seeded uniform samples, or a signals file."""
-    if "file" in cfg.input:
-        return None  # caller loads the file
-    amp = float(cfg.input.get("amplitude", 1.0))
-    seed = cfg.input.get("seed", DEFAULT_SEED)
-    rng = np.random.default_rng(seed)
-    return amp * rng.uniform(-1.0, 1.0, size=(cfg.N, cfg.plant.m))
+    """Seeded uniform input samples for a run whose input is not a signals file."""
+    rng = np.random.default_rng(cfg.input["seed"])
+    return cfg.input["amplitude"] * rng.uniform(-1.0, 1.0, size=(cfg.N, cfg.plant.m))
 
 
 def collect_data(cfg):
@@ -193,7 +203,7 @@ def collect_data(cfg):
     u = generate_input(cfg)
     log = simulate_multirate(cfg.plant, spec, u, cfg.x0)
     if cfg.noise > 0.0:
-        seed = cfg.input.get("seed", DEFAULT_SEED)
+        seed = cfg.input["seed"]
         noise_rng = np.random.default_rng(None if seed is None else seed + 1)
         log.y = log.y + cfg.noise * noise_rng.uniform(-1.0, 1.0, log.y.shape) * log.obs
     return spec, log
@@ -347,15 +357,9 @@ def benchmark_plant():
     )
 
 
-def builtin_config(rates, N=DEFAULT_N, seed=DEFAULT_SEED, noise=0.0, tolerances=None):
-    return ExperimentConfig(
-        plant=benchmark_plant(),
-        rates=rates,
-        input={"kind": "uniform", "amplitude": 1.0, "seed": seed},
-        N=N,
-        noise=noise,
-        tolerances=tolerances or {},
-    )
+def builtin_config(rates):
+    """The benchmark plant sampled at rates, with every other field defaulted."""
+    return ExperimentConfig(plant=benchmark_plant(), rates=rates)
 
 
 #: (label, rates) of the built-in studies that `cycsid demo-paper` runs
@@ -416,15 +420,16 @@ def demo_paper(studies, printer=print):
         printer(f"period M = {report.M}, model order = {report.order}")
         printer(f"ranks: controllability {r['controllability']}, observability "
                 f"{r['observability']}, transform {r['transform']} (expected {r['expected']})")
+        failed = report.failures()
         printer(f"identified/true Markov match: worst {report.markov['worst_error']:.3g} "
-                f"at depth {report.markov['depth']} -> "
-                f"{'PASS' if report.markov['passed'] else 'FAIL'}")
+                f"at lag {report.markov['worst_index']} (depth {report.markov['depth']}) -> "
+                f"{'FAIL' if 'markov' in failed else 'PASS'}")
         printer(f"shift-adjusted Markov structure: max off-pattern "
                 f"{report.markov_structure['max_offpattern']:.3g} -> "
-                f"{'PASS' if report.markov_structure['passed'] else 'FAIL'}")
+                f"{'FAIL' if 'markov_structure' in failed else 'PASS'}")
         printer(f"cyclic form after transform ({report.convention}): max off-pattern "
                 f"{max(v['max_offpattern'] for v in report.cyclic_form.values()):.3g} -> "
-                f"{'PASS' if all(v['passed'] for v in report.cyclic_form.values()) else 'FAIL'}")
+                f"{'FAIL' if 'cyclic_form' in failed else 'PASS'}")
         printer(f"component spread: A {report.component_spread['A']:.3g}, "
                 f"B {report.component_spread['B']:.3g}")
         printer("extracted phase-0 dynamics:")
@@ -438,15 +443,8 @@ def demo_paper(studies, printer=print):
                     f"/ ({poly_str(np.round(got_tfs[i][0].den, 10))})")
             printer(f"coefficient distance: {report.tf_distances[i][0]:.3g} -> "
                     f"{'PASS' if report.tf_distances[i][0] <= cfg.tolerances['tf'] else 'FAIL'}")
-        ok = (report.markov["passed"]
-              and report.markov_structure["passed"]
-              and all(v["passed"] for v in report.cyclic_form.values())
-              and report.tf_passed
-              and r["controllability"] == r["expected"]
-              and r["observability"] == r["expected"]
-              and r["transform"] == r["expected"])
-        printer(f"study result: {'PASS' if ok else 'FAIL'}")
+        printer(f"study result: {'FAIL (' + ', '.join(failed) + ')' if failed else 'PASS'}")
         printer("")
-        if not ok:
+        if failed:
             status = EXIT_STRUCTURE
     return status, reports

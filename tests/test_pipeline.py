@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -11,9 +13,9 @@ from cycsid import (
     make_state_space,
     run_identification,
 )
-from cycsid.cli import main
+from cycsid.cli import build_parser, main
 from cycsid.fileio import load_model
-from cycsid.pipeline import choose_transform, poly_str
+from cycsid.pipeline import choose_transform, demo_paper, load_config, poly_str
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -68,8 +70,8 @@ def test_run_report_round_trips(dual_rate_run):
 
 
 def test_runs_are_deterministic(plant):
-    cfg1 = builtin_config((1, 3), N=1200, seed=77)
-    cfg2 = builtin_config((1, 3), N=1200, seed=77)
+    cfg1 = dataclasses.replace(builtin_config((1, 3)), N=1200, input={"seed": 77})
+    cfg2 = dataclasses.replace(builtin_config((1, 3)), N=1200, input={"seed": 77})
     m1, r1 = run_identification(cfg1)
     m2, r2 = run_identification(cfg2)
     for a, b in zip(m1.A_phases, m2.A_phases):
@@ -103,9 +105,9 @@ def test_run_from_signals_file_in_config(plant, tmp_path):
 
 
 def test_noise_degrades_margins(plant):
-    clean = builtin_config((1, 3), N=1500, seed=5)
-    noisy = builtin_config((1, 3), N=1500, seed=5, noise=1e-4,
-                           tolerances={"markov": 1.0, "structure": 1.0, "tf": 1.0})
+    clean = dataclasses.replace(builtin_config((1, 3)), N=1500, input={"seed": 5})
+    noisy = dataclasses.replace(clean, noise=1e-4,
+                                tolerances={"markov": 1.0, "structure": 1.0, "tf": 1.0})
     _, rep_clean = run_identification(clean)
     _, rep_noisy = run_identification(noisy)
     assert (rep_noisy.markov["worst_error"]
@@ -214,7 +216,11 @@ def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, message):
     identify_err = capsys.readouterr().err
     assert main(["demo-paper", "--out", str(tmp_path), flag, value]) == 2
     demo = capsys.readouterr()
-    assert simulate_err == identify_err == demo.err == f"config error: {message}\n"
+    assert identify_err == demo.err == f"config error: {message}\n"
+    if flag == "--tol-tf":  # simulate takes no check flags
+        assert f"unrecognized arguments: {flag} {value}\n" in simulate_err
+    else:
+        assert simulate_err == identify_err
     assert demo.out == ""
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "signals.csv").exists()
@@ -240,6 +246,78 @@ def test_cli_structure_failure_exit_4(tmp_path):
         N=600,
     )
     assert main(["identify", "--config", str(blind), "--out", str(tmp_path)]) == 4
+
+
+def test_identify_and_demo_paper_give_one_verdict(tmp_path, capsys):
+    # output noise moves the identified Markov parameters ~1e-3 off the plant's,
+    # past the 1e-6 tolerance, while the structure checks and the loosened TF pass
+    path = write_config(tmp_path, rates=[2, 3], N=3000, input={"seed": 12345})
+    assert main(["identify", "--config", str(path), "--out", str(tmp_path),
+                 "--noise", "0.01", "--tol-tf", "0.1"]) == 4
+    assert "; checks FAIL: markov\n" in capsys.readouterr().out
+    report = RunReport.from_dict(json.loads((tmp_path / "report.json").read_text()))
+    assert report.failures() == ["markov"]
+
+    cfg = dataclasses.replace(load_config(path), noise=0.01,
+                              tolerances={"markov": 1e-6, "structure": 1e-6, "tf": 0.1})
+    lines = []
+    status, reports = demo_paper([("noisy (2,3)", cfg)], printer=lines.append)
+    assert status == 4
+    assert "study result: FAIL (markov)" in lines
+    markov_line = next(s for s in lines if s.startswith("identified/true Markov match"))
+    assert markov_line.endswith(f"at lag {report.markov['worst_index']} (depth 12) -> FAIL")
+    assert reports["noisy (2,3)"].to_dict() == {**report.to_dict(),
+                                                "timings": reports["noisy (2,3)"].timings}
+
+
+def test_cli_records_the_default_seed(tmp_path, capsys):
+    path = write_config(tmp_path, input={"amplitude": 2.0})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["identify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    for name in ("simulate_report.json", "report.json"):
+        assert json.loads((tmp_path / name).read_text())["seed"] == 12345
+    seeded = tmp_path / "seeded"
+    assert main(["identify", "--config", str(path), "--out", str(seeded),
+                 "--seed", "12345"]) == 0
+    assert (json.loads((seeded / "report.json").read_text())["components"]
+            == json.loads((tmp_path / "report.json").read_text())["components"])
+    capsys.readouterr()
+
+
+def test_noise_on_a_signals_file_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, noise=1e-9)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    signals = str(tmp_path / "signals.csv")
+    # --signals replaces the config's input and noise with the recording
+    assert main(["identify", "--config", str(path), "--signals", signals,
+                 "--out", str(tmp_path)]) == 0
+    assert main(["identify", "--config", str(path), "--signals", signals,
+                 "--noise", "0.5", "--out", str(tmp_path)]) == 2
+    on_file = write_config(tmp_path, input={"file": signals}, noise=0.5)
+    assert main(["identify", "--config", str(on_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(
+        line.startswith("config error: ")
+        and line.endswith("noise applies to simulated data, not to a signals file")
+        for line in err)
+
+
+def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    data, check = {"--seed", "--n", "--noise"}, {"--convention", "--tol-structure", "--tol-tf"}
+    assert options == {
+        "simulate": {"--config", "--out"} | data,
+        "identify": {"--config", "--signals", "--out"} | data | check,
+        "verify": {"--model", "--config", "--out"} | check,
+        "demo-paper": {"--out"} | data | check,
+    }
+    cfg = str(write_config(tmp_path))
+    assert main(["simulate", "--config", cfg, "--tol-tf", "1"]) == 2
+    assert main(["verify", "--model", "model.json", "--config", cfg, "--noise", "1"]) == 2
+    assert "unrecognized arguments: --noise 1" in capsys.readouterr().err
 
 
 def test_demo_prints_reference_line_and_passes(tmp_path, capsys):
