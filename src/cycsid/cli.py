@@ -84,6 +84,10 @@ def _override(cfg, args):
         inp.pop("file", None)
         changes["input"] = inp
     if "signals" in flags:
+        for flag in ("seed", "n"):
+            if flag in flags:
+                raise ValueError(f"--{flag} does not apply to a signals file, "
+                                 "which holds its own input and length")
         # the recorded signals already carry whatever noise they were made with
         changes["input"] = {"file": flags["signals"]}
         changes["noise"] = 0.0
@@ -174,12 +178,15 @@ def cmd_verify(args):
             print("structure FAIL: no convention yields cyclic form", file=sys.stderr)
             write_json({"structure_passed": False}, out / "verify_report.json")
             return EXIT_STRUCTURE
+    elif args.convention is not None:
+        raise ValueError("--convention applies to an identified model file; "
+                         "a cyclic model file holds its transform already")
     else:
         cm = mf.model
 
-    # the margin measured when the components were read off (a cyclic model
-    # file stores it); re-checking cm.assemble() would always read zero
-    form = cm.structure
+    # the margins measured when the components were read off (a cyclic model
+    # file stores them); re-checking cm.assemble() would always read zero
+    form = cm.structure.judged_at(tol_structure)
     tf_ok, dists = model_transfer_check(cm, plant, tol_tf)
     doc = {
         "structure_passed": form.passed,

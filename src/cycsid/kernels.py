@@ -1,51 +1,24 @@
 """Hot kernels: the state recursion and the input-response regressor.
 
-The state recursion is sequential in time, so numpy cannot vectorize it
-away; it has a numba ``@njit`` build and a pure-numpy twin (set
-``CYCSID_DISABLE_NUMBA=1`` to force the numpy path).  The input-response
-regressor is built in fixed-length time chunks with BLAS calls only, into a
-column-major array: LAPACK's least squares works on a Fortran-ordered copy
-of its matrix, and copying a column-major regressor reads it in order
-instead of transposing it with strided access.
+The state recursion is sequential in time, so only its one mat-vec per
+step, x(k+1) = A x(k) + B u(k), stays in a Python loop.  B u, C x and D u
+do not depend on earlier steps and run batched, as stacked ``np.matmul``
+calls; numpy computes each stacked item with the same gemv as a single
+``B @ u[k]``, so the states and outputs are bit-equal to the per-step
+recursion.  The input-response regressor is built in fixed-length time
+chunks with BLAS calls only, into a column-major array: LAPACK's least
+squares works on a Fortran-ordered copy of its matrix, and copying a
+column-major regressor reads it in order instead of transposing it with
+strided access.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("CYCSID_DISABLE_NUMBA", "").strip() not in ("", "0", "false")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by CYCSID_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+#: there is no compiled build; perfbench/worker.py reads this for its environment stamp
+HAS_NUMBA = False
 
 #: time samples per chunk of the regressor
 _CHUNK = 64
-
-
-def _trajectory_numpy(A, B, C, D, u, x0):
-    N = u.shape[0]
-    n = A.shape[0]
-    l = C.shape[0]
-    x = np.empty((N, n))
-    y = np.empty((N, l))
-    xk = x0.copy()
-    for k in range(N):
-        x[k] = xk
-        y[k] = C @ xk + D @ u[k]
-        xk = A @ xk + B @ u[k]
-    return x, y
-
-
-if HAS_NUMBA:
-    _trajectory_jit = njit(cache=True)(_trajectory_numpy)
-else:
-    _trajectory_jit = _trajectory_numpy
 
 
 def trajectory(A, B, C, D, u, x0):
@@ -59,7 +32,18 @@ def trajectory(A, B, C, D, u, x0):
     D = np.ascontiguousarray(D, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    return _trajectory_jit(A, B, C, D, u, x0)
+    N = u.shape[0]
+    x = np.empty((N, A.shape[0]))
+    y = np.empty((N, C.shape[0]))
+    x[:1] = x0
+    # x[k+1] holds B u(k) first; adding A x(k) to it in place is bit-equal to
+    # A x(k) + B u(k), since floating-point addition commutes
+    np.matmul(B, u[:-1, :, None], out=x[1:, :, None])
+    for k in range(N - 1):
+        x[k + 1] += A @ x[k]
+    np.matmul(C, x[:, :, None], out=y[:, :, None])
+    y += np.matmul(D, u[:, :, None])[:, :, 0]
+    return x, y
 
 
 def _io_regressor_dense(A, C, u):
@@ -119,9 +103,11 @@ def io_regressor(A, C, u):
     CA_rows = CA.reshape(K * l, n)
     CA_flat = CA.reshape(K, l * n)
     AK = A @ Apow[-1]
-    lag = np.arange(K)[:, None] - 1 - np.arange(K)[None, :]  # s - 1 - r
-    live = lag >= 0
-    lag = np.where(live, lag, 0)
+    # T[s, j, r] = u_j(k0 + s - 1 - r) for r < s, else 0, gathered from the
+    # chunk behind one zero row (uz[t + 1] = uc[t]); dead lags read uz[0]
+    lead = np.maximum(np.arange(K)[:, None] - np.arange(K)[None, :], 0)  # s - r
+    gather = lead[:, None, :] * m + np.arange(m)[None, :, None]  # into uz.ravel()
+    uz = np.zeros((K + 1, m))
 
     Phi = np.empty((N * l, p), order="F")
     state = np.zeros((n, nb))  # [A^k0, Z(k0)]
@@ -131,8 +117,8 @@ def io_regressor(A, C, u):
         uc = u[k0:k0 + Kc]
         rows = Phi[k0 * l:(k0 + Kc) * l]
         rows[:, :nb] = CA_rows[:Kc * l] @ state
-        # T[s, j, r] = u_j(k0 + s - 1 - r) for r < s
-        T = (uc[lag[:Kc, :Kc]] * live[:Kc, :Kc, None]).transpose(0, 2, 1)
+        uz[1:Kc + 1] = uc
+        T = uz.ravel()[gather[:Kc, :, :Kc]]
         conv = T.reshape(Kc * m, Kc) @ CA_flat[:Kc]  # rows (s, j), cols (i, x)
         rows[:, n:nb] += conv.reshape(Kc, m, l, n).transpose(0, 2, 1, 3).reshape(Kc * l, n * m)
         if k0 + K < N:

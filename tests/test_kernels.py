@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,22 +26,25 @@ def workload():
     return A, B, C, D, u, x0
 
 
-def test_trajectory_matches_hand_recursion(workload):
-    A, B, C, D, u, x0 = workload
-    x, y = kernels.trajectory(A, B, C, D, u, x0)
-    xk = x0.copy()
-    for k in range(40):
-        assert np.abs(x[k] - xk).max() == 0.0
-        assert np.abs(y[k] - (C @ xk + D @ u[k])).max() <= 1e-15
-        xk = A @ xk + B @ u[k]
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable or disabled")
-def test_jit_and_numpy_paths_agree(workload):
-    A, B, C, D, u, x0 = workload
-    xa, ya = kernels._trajectory_numpy(A, B, C, D, u, x0)
-    xb, yb = kernels._trajectory_jit(A, B, C, D, u, x0)
-    assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+def test_trajectory_matches_hand_recursion():
+    # B u, C x and D u run batched; each stacked item is the same gemv as one
+    # per-step product, so the whole record is bit-equal to the recursion
+    for N, m in itertools.product([1, 2, kernels._CHUNK + 1, 200], [1, 3]):
+        rng = np.random.default_rng(100 * N + m)
+        n, l = 5, 2
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(l, n)), rng.normal(size=(l, m))
+        u = rng.uniform(-1, 1, size=(N, m))
+        x0 = rng.normal(size=n)
+        want_x, want_y = np.empty((N, n)), np.empty((N, l))
+        xk = x0
+        for k in range(N):
+            want_x[k] = xk
+            want_y[k] = C @ xk + D @ u[k]
+            xk = A @ xk + B @ u[k]
+        x, y = kernels.trajectory(A, B, C, D, u, x0)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y), (N, m)
 
 
 def test_io_regressor_layout(workload):
@@ -65,11 +70,16 @@ def test_io_regressor_is_column_major(workload):
     assert np.array_equal(theta, want)
 
 
-@pytest.mark.parametrize("N", [200, 3 * kernels._CHUNK, 2 * kernels._CHUNK + 1,
-                               kernels._CHUNK - 5, 1])
-def test_io_regressor_matches_dense_reference(workload, N):
+@pytest.mark.parametrize("N, m", [
+    *(pytest.param(N, 2, id=str(N)) for N in (200, 3 * kernels._CHUNK,
+                                               2 * kernels._CHUNK + 1, kernels._CHUNK - 5, 1)),
+    # the Toeplitz gather interleaves the inputs, so its layout depends on m
+    pytest.param(200, 3, id="m3-200"),
+    pytest.param(kernels._CHUNK + 1, 3, id="m3-65"),
+])
+def test_io_regressor_matches_dense_reference(workload, N, m):
     A, B, C, D, u, x0 = workload
-    u = u[:N]
+    u = u[:N] if m == u.shape[1] else np.random.default_rng(3).uniform(-1, 1, size=(N, m))
     want = kernels._io_regressor_dense(A, C, u)
     got = kernels.io_regressor(A, C, u)
     assert got.shape == want.shape

@@ -302,6 +302,49 @@ def test_noise_on_a_signals_file_is_a_config_error(tmp_path, capsys):
         for line in err)
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "99"), ("--n", "600")], ids=["seed", "n"])
+def test_signals_file_takes_no_seed_or_n(tmp_path, capsys, flag, value):
+    # the recording fixes the input and the sample count, so either flag would be dropped
+    path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    signals = str(tmp_path / "signals.csv")
+    capsys.readouterr()
+    assert main(["identify", "--config", str(path), "--signals", signals,
+                 "--out", str(tmp_path), flag, value]) == 2
+    assert capsys.readouterr().err == (f"config error: {flag} does not apply to a signals "
+                                       "file, which holds its own input and length\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual_rate_run,
+                                                                  capsys):
+    from cycsid.fileio import save_model
+
+    _, model, report = dual_rate_run
+    path = tmp_path / "cyclic_model.json"
+    save_model(model, path, rates=(2, 3), provenance={"convention": report.convention})
+    verify = ["verify", "--model", str(path), "--config",
+              str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]
+    assert main(verify) == 0
+    margin = json.loads((tmp_path / "verify_report.json").read_text())["max_offpattern"]
+    assert 0.0 < margin <= 1e-6
+
+    # the stored margins are judged against the given tolerance, not the stored one
+    assert main(verify + ["--tol-structure", "1e-20"]) == 4
+    verdict = json.loads((tmp_path / "verify_report.json").read_text())
+    assert verdict["structure_passed"] is False and verdict["tol_structure"] == 1e-20
+    assert verdict["max_offpattern"] == margin
+    assert "structure FAIL" in capsys.readouterr().out
+
+    # the file holds its transform already, so there is no convention to choose
+    (tmp_path / "verify_report.json").unlink()
+    assert main(verify + ["--convention", "example"]) == 2
+    assert capsys.readouterr().err == ("config error: --convention applies to an identified "
+                                       "model file; a cyclic model file holds its transform "
+                                       "already\n")
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
