@@ -148,6 +148,12 @@ def cmd_identify(args):
     print(f"order {report.order} model identified (convention {report.convention}); "
           f"worst TF distance {worst_tf:.3g}; "
           f"checks {'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
+    depth = report.block_rows
+    how = ("pattern" if depth["used"] == depth["pattern"]
+           else f"fallback from pattern {depth['pattern']}")
+    margin = depth["shift_margin"]
+    print(f"block rows {depth['used']} ({how}); shift margin {margin:.2g} "
+          f"{'>' if margin > report.sv_gap else '<='} gap {report.sv_gap:.2g}")
     print(f"wrote {out / 'model.json'}, {out / 'cyclic_model.json'}, {out / 'report.json'}")
     return EXIT_STRUCTURE if failed else EXIT_OK
 

@@ -38,7 +38,8 @@ class ExcitationDeficientError(CycsidError):
 
 
 class RankConditionError(CycsidError):
-    """A selector matrix violates its full-rank condition."""
+    """A matrix violates its full-rank condition: a transform selector, or
+    the shifted extended observability estimate at the requested Hankel depth."""
 
 
 class StructureViolationError(CycsidError):

@@ -136,6 +136,7 @@ def save_model(model, path, rates, provenance=None):
             "rates": list(int(r) for r in rates),
             "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
             "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
+            "block_rows": model.depth_evidence(),
             "provenance": provenance,
         }
     elif isinstance(model, CyclicModel):
@@ -182,8 +183,15 @@ def load_model(path):
             raise SchemaError(
                 f"{path}: A is {A.shape} but M*n = {M * n} from the declared rates"
             )
+        # files written before the depth record was kept load without it
+        depth = doc.get("block_rows", {})
+        if not isinstance(depth, dict):
+            raise SchemaError(f"{path}: 'block_rows' must hold used, pattern, shift_margin")
         model = IdentifiedModel(A=A, B=B, C=C, D=D, order=order, n=n, m=m, l=l, M=M,
-                                x0=np.zeros(order), singular_values=np.zeros(0))
+                                x0=np.zeros(order), singular_values=np.zeros(0),
+                                block_rows=int(depth.get("used", 0)),
+                                pattern_block_rows=int(depth.get("pattern", 0)),
+                                shift_margin=depth.get("shift_margin"))
     elif kind == "cyclic":
         shapes = {"A_phases": (n, n), "B_phases": (n, m),
                   "C_phases": (l, n), "D_phases": (l, m)}

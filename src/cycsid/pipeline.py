@@ -146,6 +146,7 @@ class RunReport:
     observable_phases: list
     ranks: dict
     sv_gap: float
+    block_rows: dict
     order_exposed: bool
     markov: dict
     markov_structure: dict
@@ -321,6 +322,7 @@ def run_identification(cfg):
             "expected": order,
         },
         sv_gap=idm.order_gap,
+        block_rows=idm.depth_evidence(),
         order_exposed=idm.order_exposed,
         markov={"worst_error": mk_worst, "worst_index": mk_idx,
                 "passed": mk_passed, "depth": MARKOV_MATCH_DEPTH, "tol": tol["markov"]},

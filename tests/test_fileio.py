@@ -67,6 +67,23 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     assert np.array_equal(mf.model.A, idm.A)
     assert np.array_equal(mf.model.D, idm.D)
     assert mf.provenance["convention"] == report.convention
+    assert mf.model.depth_evidence() == idm.depth_evidence() == report.block_rows
+
+
+def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):
+    idm = dual_rate_run[1].source
+    path = tmp_path / "model.json"
+    save_model(idm, path, rates=(2, 3))
+    doc = json.loads(path.read_text())
+    del doc["block_rows"]
+    path.write_text(json.dumps(doc))
+    mf = load_model(path)
+    assert np.array_equal(mf.model.A, idm.A)
+    assert mf.model.depth_evidence() == {"used": 0, "pattern": 0, "shift_margin": None}
+    doc["block_rows"] = 9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="block_rows"):
+        load_model(path)
 
 
 def test_model_roundtrip_cyclic(plant, tmp_path):

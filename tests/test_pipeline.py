@@ -20,6 +20,9 @@ from cycsid.pipeline import choose_transform, demo_paper, load_config, poly_str
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
     _, model, report = dual_rate_run
+    assert report.block_rows == {"used": 9, "pattern": 9,
+                                 "shift_margin": model.source.shift_margin}
+    assert report.block_rows["shift_margin"] > report.sv_gap
     assert report.tf_passed
     assert max(max(row) for row in report.tf_distances) <= 1e-6
     assert report.ranks["controllability"] == 18
@@ -164,6 +167,10 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     assert (out / "cyclic_model.json").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["tf_passed"] is True
+    depth = report["block_rows"]
+    assert (f"block rows {depth['used']} (pattern); shift margin "
+            f"{depth['shift_margin']:.2g} > gap {report['sv_gap']:.2g}\n"
+            in capsys.readouterr().out)
 
     worst = max(v["max_offpattern"] for v in report["cyclic_form"].values())
     for convention in ([], ["--convention", "auto"], ["--convention", "example"]):
@@ -235,6 +242,24 @@ def test_cli_data_error_exit_3(tmp_path):
     starved = write_config(tmp_path, N=50)
     assert main(["identify", "--config", str(starved),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_cli_identify_shows_a_depth_fallback(tmp_path, capsys):
+    # the second mode is seen only at phase 0, so the pattern depth 6 fails
+    # the shifted-observability check and the run falls back to order + 1
+    path = write_config(
+        tmp_path,
+        plant={"A": [[0.9, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]],
+               "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[0.0], [0.0]]},
+        rates=[1, 6], N=3000,
+    )
+    assert main(["identify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "; checks PASS\nblock rows 13 (fallback from pattern 6); shift margin " \
+        in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    depth = report["block_rows"]
+    assert (depth["used"], depth["pattern"]) == (13, 6)
+    assert depth["shift_margin"] > report["sv_gap"]
 
 
 def test_cli_structure_failure_exit_4(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from cycsid import (
     DimensionMismatchError,
     ExcitationDeficientError,
+    ExperimentConfig,
     InsufficientDataError,
+    RankConditionError,
     build_block_hankel,
     build_masks,
     cycle_signal,
@@ -14,9 +17,17 @@ from cycsid import (
     make_state_space,
     markov,
     markov_match,
+    run_identification,
     simulate,
     simulate_multirate,
     subspace_identify,
+)
+from cycsid.subspace import (
+    _observability_estimate,
+    default_block_rows,
+    full_block_rows,
+    pattern_cover,
+    sampled_rows,
 )
 
 
@@ -38,6 +49,113 @@ def test_hankel_rejects_short_signal():
 def test_hankel_constant_signal():
     H = build_block_hankel(np.full(10, 7.0), rows=3, cols=4)
     assert np.all(H == 7.0)
+
+
+def test_hankel_writes_into_out():
+    out = np.full((4, 2), np.nan)
+    H = build_block_hankel([1.0, 2.0, 3.0, 4.0, 5.0], rows=2, cols=2, start=1, out=out[1:3])
+    assert np.array_equal(out[1:3], [[2, 3], [3, 4]]) and np.isnan(out[[0, 3]]).all()
+    assert H.base is out
+
+
+def _cycled_data(plant, rates, N, seed, noise=0.0):
+    spec = build_masks(rates)
+    rng = np.random.default_rng(seed)
+    log = simulate_multirate(plant, spec, rng.uniform(-1, 1, (N, plant.m)))
+    y = log.y + noise * rng.uniform(-1, 1, log.y.shape) * log.obs
+    return cycle_signal(log.u, spec.M), cycle_signal(y, spec.M)
+
+
+def _pattern_rows(rates):
+    spec = build_masks(rates)
+    return sampled_rows(cycle_signal(spec.pattern(spec.M), spec.M).samples, spec.M)
+
+
+def test_pattern_cover_counts_sampled_rows():
+    seen = _pattern_rows((2, 3))
+    assert seen.tolist() == [2, 0, 1, 1, 1, 0]
+    # windows of 2 block rows starting at phases 1 and 4 sample one row
+    assert [pattern_cover(seen, h) for h in (0, 1, 2, 6, 7, 8)] == [0, 0, 1, 5, 5, 6]
+    assert sampled_rows(np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 3.0]]), 1).tolist() == [2]
+
+
+def test_default_depth_follows_the_pattern():
+    assert [default_block_rows(3 * math.lcm(*r), _pattern_rows(r))
+            for r in ((2, 3), (3, 4), (4, 5))] == [9, 13, 16]
+    # never deeper than max(ceil(2 order / rows), 2n + 2, order + 1), which it
+    # equals wherever 2n sampled rows per window take order block rows
+    rate_grid = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (1, 3),
+                 (3, 4), (4, 5)]
+    for n in (1, 2, 3):
+        for rates in rate_grid:
+            M, seen = math.lcm(*rates), _pattern_rows(rates)
+            order = M * n
+            before = max(math.ceil(2 * order / (M * len(rates))), 2 * n + 2, order + 1)
+            assert full_block_rows(order, M) == before
+            i = default_block_rows(order, seen)
+            assert i <= before
+            if all(pattern_cover(seen, h) < 2 * n for h in range(1, order)):
+                assert i == before, (n, rates)
+
+
+def test_identify_refuses_depth_the_pattern_cannot_support(plant):
+    # at (1,3) phases 1 and 2 sample one output row each, so block_rows=3
+    # leaves two sampled rows in a 2-block-row window, fewer than n = 3: the
+    # shifted observability matrix cannot reach rank 9, however clean the data.
+    # Every plant-free check passed on the wrong model this depth gave before.
+    uc, yc = _cycled_data(plant, (1, 3), 3000, 99)
+    with pytest.raises(ValueError, match="use block_rows >= 4"):
+        subspace_identify(uc, yc, order=9, block_rows=3)
+
+
+@pytest.fixture(scope="module")
+def blind_sensor():
+    # meets the observability assumption at rates (1,6), but the first sensor
+    # sees only the first mode however often it samples: five block rows that
+    # miss phase 0 hold five sampled rows of rank 1, so the pattern depth 6
+    # passes the row count and fails the data check
+    return make_state_space(np.diag([0.9, 0.5]), [[1.0], [1.0]], np.eye(2), np.zeros((2, 1)))
+
+
+def test_explicit_depth_that_fails_the_data_check_raises(blind_sensor):
+    uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, 4)
+    with pytest.raises(RankConditionError, match="use block_rows=13"):
+        subspace_identify(uc, yc, order=12, block_rows=6)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_fallback_is_the_full_depth_result(blind_sensor, noise):
+    # the default depth 6 fails the data check, and the rerun at
+    # max(2n + 2, order + 1) = 13 is that depth's result to the bit
+    uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, 8, noise)
+    fell_back = subspace_identify(uc, yc, order=12)
+    full = subspace_identify(uc, yc, order=12, block_rows=13)
+    assert (fell_back.block_rows, fell_back.pattern_block_rows) == (13, 6)
+    for name in ("A", "B", "C", "D", "x0", "singular_values"):
+        assert np.array_equal(getattr(fell_back, name), getattr(full, name)), name
+
+
+def test_short_record_identifies_at_pattern_depth(plant):
+    # 1000 samples are too few for the 37 block rows of max(2n + 2, order + 1)
+    _, report = run_identification(ExperimentConfig(plant=plant, rates=(3, 4), N=1000))
+    assert report.block_rows["used"] == report.block_rows["pattern"] == 13
+    assert report.failures() == []
+    assert max(max(row) for row in report.tf_distances) <= 1e-6
+
+
+def test_lq_operand_built_in_place_matches_stacked_hankels(plant):
+    uc, yc = _cycled_data(plant, (2, 3), 600, 12, noise=1e-3)
+    u, y, i, order = uc.samples, yc.samples, 9, 18
+    j = u.shape[0] - 2 * i + 1
+    U, Y = build_block_hankel(u, 2 * i, j), build_block_hankel(y, 2 * i, j)
+    mm, ll = u.shape[1], y.shape[1]
+    stack = np.vstack([U[i * mm:], U[:i * mm], Y[:i * ll], Y[i * ll:]])
+    L = np.linalg.qr(stack.T, mode="r").T
+    r_uf, r_past = i * mm, 2 * i * mm + i * ll
+    Uu, sv, _ = np.linalg.svd(L[r_past:, r_uf:r_past], full_matrices=False)
+    Gam, sv_in_place = _observability_estimate(u, y, i, order)
+    assert np.array_equal(sv_in_place, sv)
+    assert np.array_equal(Gam, Uu[:, :order] * np.sqrt(sv[:order]))
 
 
 def test_identify_scalar_single_rate():
