@@ -23,6 +23,7 @@ from .errors import (
     AssumptionFailedError,
     CycsidError,
     DimensionMismatchError,
+    DivergentModelError,
     ExcitationDeficientError,
     InsufficientDataError,
     InvalidRateError,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .fileio import load_model, load_signals, save_model, save_signals
 from .multirate import MultirateSpec, build_masks, check_observability_assumption, simulate_multirate
-from .numerics import invert, mat_pow, rank_with_tol
+from .numerics import invert, rank_with_tol
 from .pipeline import (
     ExperimentConfig,
     RunReport,

@@ -43,8 +43,6 @@ def build_parser():
     data.add_argument("--noise", type=float, default=None,
                       help="uniform output noise amplitude on observed entries")
     check = argparse.ArgumentParser(add_help=False)
-    check.add_argument("--convention", choices=("general", "example", "auto"), default=None,
-                       help="transform selector convention")
     check.add_argument("--tol-structure", type=float, default=None)
     check.add_argument("--tol-tf", type=float, default=None)
 
@@ -95,8 +93,6 @@ def _override(cfg, args):
         changes["N"] = flags["n"]
     if "noise" in flags:
         changes["noise"] = flags["noise"]
-    if "convention" in flags:
-        changes["convention"] = flags["convention"]
     tol = {k: flags[f"tol_{k}"] for k in ("structure", "tf") if f"tol_{k}" in flags}
     if tol:
         changes["tolerances"] = {**cfg.tolerances, **tol}
@@ -140,8 +136,8 @@ def cmd_identify(args):
     out = _outdir(args, cfg)
     model, report = pipeline.run_identification(cfg)
     provenance = {"seed": report.seed, "N": report.N, "convention": report.convention}
-    save_model(model.source, out / "model.json", cfg.rates, provenance)
-    save_model(model, out / "cyclic_model.json", cfg.rates, provenance)
+    save_model(model.source, out / "model.json", cfg.rates, provenance, cfg.offsets)
+    save_model(model, out / "cyclic_model.json", cfg.rates, provenance, cfg.offsets)
     write_json(report.to_dict(), out / "report.json")
     worst_tf = max(max(row) for row in report.tf_distances)
     failed = report.failures()
@@ -166,10 +162,11 @@ def cmd_verify(args):
     except (ParseError, SchemaError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    if tuple(mf.rates) != tuple(cfg.rates):
-        print(f"data error: model rates {list(mf.rates)} != config rates {list(cfg.rates)}",
-              file=sys.stderr)
-        return EXIT_DATA
+    for key in ("rates", "offsets"):
+        if getattr(mf, key) != getattr(cfg, key):
+            print(f"data error: model {key} {list(getattr(mf, key))} != "
+                  f"config {key} {list(getattr(cfg, key))}", file=sys.stderr)
+            return EXIT_DATA
     tol_structure = cfg.tolerances["structure"]
     tol_tf = cfg.tolerances["tf"]
     plant = cfg.plant
@@ -177,23 +174,19 @@ def cmd_verify(args):
     n, m, l, M = plant.n, plant.m, plant.l, spec.M
 
     if isinstance(mf.model, IdentifiedModel):
-        conv = args.convention or mf.provenance.get("convention") or "auto"
         try:
-            cm, _, _ = pipeline.choose_transform(mf.model, n, m, l, M, conv, tol_structure)
+            cm, _, _ = pipeline.choose_transform(mf.model, n, m, l, M, tol_structure)
         except StructureViolationError:
             print("structure FAIL: no convention yields cyclic form", file=sys.stderr)
             write_json({"structure_passed": False}, out / "verify_report.json")
             return EXIT_STRUCTURE
-    elif args.convention is not None:
-        raise ValueError("--convention applies to an identified model file; "
-                         "a cyclic model file holds its transform already")
     else:
         cm = mf.model
 
     # the margins measured when the components were read off (a cyclic model
     # file stores them); re-checking cm.assemble() would always read zero
     form = cm.structure.judged_at(tol_structure)
-    tf_ok, dists = model_transfer_check(cm, plant, tol_tf)
+    tf_ok, dists = model_transfer_check(cm, plant, spec, tol_tf)
     doc = {
         "structure_passed": form.passed,
         "max_offpattern": form.max_offpattern,

@@ -42,6 +42,10 @@ class RankConditionError(CycsidError):
     the shifted extended observability estimate at the requested Hankel depth."""
 
 
+class DivergentModelError(CycsidError):
+    """The identified state matrix overflows the B/D/x0 regressor."""
+
+
 class StructureViolationError(CycsidError):
     """A matrix failed a required structural check."""
 
@@ -73,5 +77,5 @@ EXIT_DATA = 3
 EXIT_STRUCTURE = 4
 
 DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError, ParseError, SchemaError)
-STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError,
+STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError, DivergentModelError,
                     RankConditionError, RankDeficientAError, SingularMatrixError)

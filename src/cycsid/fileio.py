@@ -123,17 +123,21 @@ class ModelFile:
     model: object
     rates: tuple
     provenance: dict
+    offsets: tuple
 
 
-def save_model(model, path, rates, provenance=None):
-    """Persist an IdentifiedModel or CyclicModel with dims and provenance."""
+def save_model(model, path, rates, provenance=None, offsets=None):
+    """Persist an IdentifiedModel or CyclicModel with dims, rates, offsets
+    (default zeros) and provenance."""
     provenance = provenance or {}
+    sampling = {"rates": [int(r) for r in rates],
+                "offsets": [int(o) for o in offsets or [0] * len(rates)]}
     if isinstance(model, IdentifiedModel):
         doc = {
             "kind": "identified",
             "n": model.n, "m": model.m, "l": model.l, "M": model.M,
             "order": model.order,
-            "rates": list(int(r) for r in rates),
+            **sampling,
             "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
             "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
             "block_rows": model.depth_evidence(),
@@ -143,7 +147,7 @@ def save_model(model, path, rates, provenance=None):
         doc = {
             "kind": "cyclic",
             "n": model.n, "m": model.m, "l": model.l, "M": model.M,
-            "rates": list(int(r) for r in rates),
+            **sampling,
             "A_phases": [matrix_to_lists(X) for X in model.A_phases],
             "B_phases": [matrix_to_lists(X) for X in model.B_phases],
             "C_phases": [matrix_to_lists(X) for X in model.C_phases],
@@ -172,6 +176,9 @@ def load_model(path):
         raise SchemaError(f"{path}: {l} outputs declared but {len(rates)} rates")
     if math.lcm(*rates) != M:
         raise SchemaError(f"{path}: declared M={M} but lcm(rates)={math.lcm(*rates)}")
+    offsets = tuple(int(o) for o in doc.get("offsets", [0] * l))
+    if len(offsets) != l:
+        raise SchemaError(f"{path}: {l} outputs declared but {len(offsets)} offsets")
     provenance = doc.get("provenance", {})
     if kind == "identified":
         A = np.array(require(doc, "A", path), dtype=np.float64)
@@ -220,4 +227,4 @@ def load_model(path):
                             T=T, structure=structure, n=n, m=m, l=l, M=M)
     else:
         raise SchemaError(f"{path}: unknown model kind '{kind}'")
-    return ModelFile(kind=kind, model=model, rates=rates, provenance=provenance)
+    return ModelFile(kind, model, rates, provenance, offsets)

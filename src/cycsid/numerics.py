@@ -1,4 +1,4 @@
-"""Dense linear-algebra services: validated matrices, tolerant rank, powers, inverse."""
+"""Dense linear-algebra services: validated matrices, tolerant rank, inverse."""
 
 import numpy as np
 
@@ -37,16 +37,6 @@ def rank_with_tol(m, tol=DEFAULT_RANK_TOL):
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-def mat_pow(m, k):
-    """m**k for integer k >= 0; m**0 is the identity."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"matrix power needs a square matrix, got {m.shape}")
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(m, int(k))
 
 
 def invert(m, tol=DEFAULT_RANK_TOL):

@@ -3,11 +3,11 @@ and the built-in benchmark studies.
 
 A run executes four stages: derive the period from the sensor rates and
 collect (or load) masked input/output data, cycle the signals and identify a
-model of order M*n, build and apply the coordinate transform (trying both
-selector conventions when set to auto), then validate the cyclic structure
-and extract the per-phase components.  Every intermediate rank and margin is
-kept on the report because the method's justification is a chain of
-rank/structure facts.
+model of order M*n, build and apply the coordinate transform (the first
+selector convention whose model passes the cyclic-form check is kept), then
+extract the per-phase components and validate the recovered plant.  Every
+intermediate rank and margin is kept on the report because the method's
+justification is a chain of rank/structure facts.
 """
 
 import time
@@ -39,6 +39,7 @@ from .numerics import rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
+    CONVENTIONS,
     aggregate_diagnostics,
     apply_transform,
     build_transform,
@@ -72,7 +73,6 @@ class ExperimentConfig:
     input: dict = field(default_factory=dict)
     N: int = 3000
     tolerances: dict = field(default_factory=dict)
-    convention: str = "auto"
     noise: float = 0.0
     offsets: tuple | None = None
     x0: np.ndarray | None = None
@@ -82,7 +82,7 @@ class ExperimentConfig:
         self.rates = tuple(int(r) for r in self.rates)
         self.N = int(self.N)
         self.noise = float(self.noise)
-        self.offsets = tuple(self.offsets) if self.offsets else None
+        self.offsets = tuple(int(o) for o in self.offsets or [0] * len(self.rates))
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
         if self.N <= 0:
@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
             )
+        if (len(self.offsets) != len(self.rates)
+                or not all(0 <= o < r for o, r in zip(self.offsets, self.rates))):
+            raise ValueError(f"offsets {list(self.offsets)}: need one in [0, rate) per rate")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
         unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
@@ -113,8 +116,6 @@ class ExperimentConfig:
         if any(v <= 0 for v in tol.values()):
             raise ValueError("tolerances must be positive")
         self.tolerances = tol
-        if self.convention not in ("auto", "general", "example"):
-            raise ValueError(f"unknown convention '{self.convention}'")
 
 
 def load_config(path):
@@ -210,9 +211,9 @@ def collect_data(cfg):
     return spec, log
 
 
-def choose_transform(idm, n, m, l, M, convention, tol):
-    """Search the selector conventions for a transform that puts idm in
-    cyclic form; "auto" tries "general", then "example".
+def choose_transform(idm, n, m, l, M, tol):
+    """Search CONVENTIONS in order for a transform that puts idm in cyclic
+    form; each transformed model is checked once, here.
 
     Returns (CyclicModel, TransformResult, tried), where tried holds one
     entry per convention attempted and why it was accepted or rejected.
@@ -220,7 +221,7 @@ def choose_transform(idm, n, m, l, M, convention, tol):
     """
     G = default_selector_G(n, m)
     tried = []
-    for conv in ["general", "example"] if convention == "auto" else [convention]:
+    for conv in CONVENTIONS:
         tres = build_transform(idm, G, n, m, M, conv)
         entry = {"convention": conv, "rank": tres.rank, "regular": tres.regular}
         tried.append(entry)
@@ -232,11 +233,10 @@ def choose_transform(idm, n, m, l, M, convention, tol):
             entry["applied"] = False
             continue
         form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
-        entry["applied"] = True
-        entry["structure_passed"] = form.passed
-        entry["max_offpattern"] = form.max_offpattern
+        entry.update(applied=True, structure_passed=form.passed,
+                     max_offpattern=form.max_offpattern)
         if form.passed:
-            model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol, T=tres.matrix)
+            model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, form, T=tres.matrix)
             return model, tres, tried
     raise StructureViolationError(
         "no transform convention produced a regular matrix with cyclic structure: "
@@ -292,13 +292,13 @@ def run_identification(cfg):
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model, tres, tried = choose_transform(idm, n, m, l, M, cfg.convention, tol["structure"])
+    model, tres, tried = choose_transform(idm, n, m, l, M, tol["structure"])
     model.source = idm
     aggr = aggregate_diagnostics(idm, tres.matrix, Fsel, tol["structure"])
     timings["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tf_passed, dists = model_transfer_check(model, plant, tol["tf"])
+    tf_passed, dists = model_transfer_check(model, plant, spec, tol["tf"])
     devA, devB = model.component_spread()
     timings["verify"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_all
@@ -437,7 +437,7 @@ def demo_paper(studies, printer=print):
         printer("extracted phase-0 dynamics:")
         printer(_fmt_matrix(model.A_phases[0]))
         ref_tfs = transfer_functions(cfg.plant)
-        got_tfs = transfer_functions(model.phase_system(0))
+        got_tfs = transfer_functions(model.recovered_plant(build_masks(cfg.rates, cfg.offsets)))
         for i in range(cfg.plant.l):
             ref = ref_tfs[i][0]
             printer(f"reference TF{i + 1}: ({poly_str(ref.num)}) / ({poly_str(ref.den)})")

@@ -21,6 +21,7 @@ import numpy as np
 from .cyclic import CycledSignal
 from .errors import (
     DimensionMismatchError,
+    DivergentModelError,
     ExcitationDeficientError,
     InsufficientDataError,
     RankConditionError,
@@ -224,8 +225,9 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
       order is exposed raises RankConditionError.
 
     Raises InsufficientDataError or ExcitationDeficientError when the data
-    cannot support the factorization; a weak singular-value gap at the
-    forced order is reported on the result, not raised.
+    cannot support the factorization, and DivergentModelError when the
+    fitted A overflows the B/D/x0 regressor; a weak singular-value gap at
+    the forced order is reported on the result, not raised.
     """
     u, m_base, M = _signal_array(ucheck)
     y, l_base, My = _signal_array(ycheck)
@@ -274,8 +276,14 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
     C = Gam[:ll].copy()
 
-    # x0, B, D jointly from the input-output equation, linear least squares.
-    Phi = io_regressor(A, C, u)
+    # x0, B, D jointly from the input-output equation; an overflowing A stops here.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            Phi = io_regressor(A, C, u)
+    except FloatingPointError as e:
+        raise DivergentModelError(
+            f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
+            f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
     theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     x0 = theta[:order]
     B = theta[order:order + order * mm].reshape((order, mm), order="F")

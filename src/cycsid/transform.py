@@ -5,10 +5,10 @@ The transform matrix is a sum over powers of the identified state matrix
 applied to the input matrix, each rotated by a power of the block shift and
 mapped through one selector block.  A shift power never becomes a matrix: it
 is an np.roll over the M-block axis, and a lifted (block-diagonal) selector
-is one product per block.  Two selector-index conventions are supported
-("general" pairs power Mi+j with selector (Mi+j) mod n, "example" pairs it
-with selector i).  Both are regular on every system in the test corpus; the
-pipeline tries "general" first and falls back.
+is one product per block.  CONVENTIONS lists the selector-index conventions
+in the order the pipeline tries them ("general" pairs power Mi+j with
+selector (Mi+j) mod n, "example" pairs it with selector i).  Each transformed
+model is checked once; its phase blocks keep that check as evidence.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .cyclic import (
     place_blocks,
     read_blocks,
 )
-from .errors import DimensionMismatchError, RankConditionError, StructureViolationError
+from .errors import DimensionMismatchError, RankConditionError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
 
@@ -146,10 +146,9 @@ class TransformResult:
 def build_transform(idm, G, n, m, M, convention="general"):
     """Coordinate transform from the identified model's reachability data.
 
-    convention "general": power Mi+j pairs with selector (Mi+j) mod n;
-    convention "example": it pairs with selector i.  Shift exponents are
-    reduced mod M (the shift has period M exactly).  The matrix is returned
-    with its numerical rank regardless of regularity; callers decide.
+    convention is one of CONVENTIONS (see the module docstring).  Shift
+    exponents are reduced mod M (the shift has period M exactly).  The matrix
+    is returned with its numerical rank regardless of regularity.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -219,10 +218,13 @@ class CyclicModel:
     M: int
     source: object | None = None  # identified model the components came from
 
-    def phase_system(self, i=0):
-        """Components of phase i packaged as a plain LTI system."""
-        return StateSpace(self.A_phases[i], self.B_phases[i],
-                          self.C_phases[i], self.D_phases[i])
+    def recovered_plant(self, spec):
+        """The plant behind data sampled under the MultirateSpec spec: A and B
+        from phase 0, output row r of C and D from the first phase sampling r."""
+        first = [next(i for i, V in enumerate(spec.masks) if V[r, r]) for r in range(self.l)]
+        C, D = (np.array([X[i][r] for r, i in enumerate(first)])
+                for X in (self.C_phases, self.D_phases))
+        return StateSpace(self.A_phases[0], self.B_phases[0], C, D)
 
     def assemble(self):
         """Rebuild (A, B, C, D) in exact cyclic-reformulation shape."""
@@ -236,30 +238,24 @@ class CyclicModel:
         return devA, devB
 
 
-def extract_components(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL, T=None):
+def extract_components(Am, Bm, Cm, Dm, n, m, l, M, structure, T=None):
     """Read the per-phase blocks out of a transformed model.
 
     Phase i of the dynamics and input sits at block (i+1 mod M, i); output
-    and feedthrough phases sit on the diagonal.  Raises
-    StructureViolationError when the matrices fail the pattern check at tol.
+    and feedthrough phases sit on the diagonal.  structure, the
+    verify_cyclic_form result already measured on them, is kept as evidence.
     """
-    report = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
-    if not report.passed:
-        raise StructureViolationError(
-            f"off-pattern mass {report.max_offpattern:g} exceeds {tol:g} in "
-            + ", ".join(k for k, _ in report.failing())
-        )
     return CyclicModel(A_phases=list(read_blocks(Am, M, 1)), B_phases=list(read_blocks(Bm, M, 1)),
                        C_phases=list(read_blocks(Cm, M, 0)), D_phases=list(read_blocks(Dm, M, 0)),
-                       T=T, structure=report, n=n, m=m, l=l, M=M)
+                       T=T, structure=structure, n=n, m=m, l=l, M=M)
 
 
-def model_transfer_check(cm, reference, tol):
-    """Compare phase-0 transfer functions against a reference plant.
+def model_transfer_check(cm, reference, spec, tol):
+    """Compare the transfer functions of cm.recovered_plant(spec) with a reference plant.
 
     Returns (passed, distances) with one tf_distance per output/input pair.
     """
-    got = transfer_functions(cm.phase_system(0))
+    got = transfer_functions(cm.recovered_plant(spec))
     want = transfer_functions(reference)
     distances = np.array([
         [tf_distance(want[i][j], got[i][j]) for j in range(reference.m)]

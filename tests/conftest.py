@@ -12,13 +12,22 @@ from cycsid import (
     builtin_config,
     check_observability_assumption,
     cyclic_reformulate,
+    extract_components,
     make_state_space,
     run_identification,
+    verify_cyclic_form,
 )
 from cycsid.statespace import ctrb, obsv
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 20
+
+
+def extract_checked(Am, Bm, Cm, Dm, n, m, l, M, tol):
+    """extract_components with the cyclic-form check measured on the same
+    matrices, as the pipeline's convention search hands it over."""
+    form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
+    return extract_components(Am, Bm, Cm, Dm, n, m, l, M, form)
 
 
 @pytest.fixture(scope="session")

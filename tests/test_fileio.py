@@ -17,8 +17,9 @@ from cycsid import (
 from cycsid.fileio import ModelFile
 from cycsid.pipeline import load_config
 from cycsid.subspace import IdentifiedModel
-from cycsid.transform import extract_components
 from cycsid import cyclic_reformulate
+
+from conftest import extract_checked
 
 
 def test_signals_roundtrip_bit_exact(plant, tmp_path):
@@ -86,9 +87,26 @@ def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):
         load_model(path)
 
 
+def test_model_file_records_offsets(dual_rate_run, tmp_path):
+    idm = dual_rate_run[1].source
+    path = tmp_path / "model.json"
+    save_model(idm, path, rates=(2, 3), offsets=(1, 0))
+    doc = json.loads(path.read_text())
+    assert list(doc)[list(doc).index("rates") + 1] == "offsets"
+    assert load_model(path).offsets == (1, 0)
+    # files written before offsets were kept read as zero offsets
+    del doc["offsets"]
+    path.write_text(json.dumps(doc))
+    assert load_model(path).offsets == (0, 0)
+    doc["offsets"] = [1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="offsets"):
+        load_model(path)
+
+
 def test_model_roundtrip_cyclic(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
     save_model(cm, path, rates=(1, 3))
     mf = load_model(path)
@@ -111,7 +129,7 @@ def test_model_roundtrip_cyclic_keeps_measured_margin(dual_rate_run, tmp_path):
 @pytest.mark.parametrize("edit", ["drop", "partial", "malformed"])
 def test_model_cyclic_bad_structure(plant, tmp_path, edit):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
     save_model(cm, path, rates=(1, 3))
     doc = json.loads(path.read_text())
@@ -142,7 +160,7 @@ def test_model_rate_dimension_mismatch(plant, tmp_path):
 
 def test_model_cyclic_bad_block_shape(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
     save_model(cm, path, rates=(1, 3))
     doc = json.loads(path.read_text())
@@ -167,16 +185,28 @@ def test_config_roundtrip(tmp_path):
         "input": {"kind": "uniform", "amplitude": 0.5, "seed": 9},
         "N": 900,
         "tolerances": {"tf": 1e-7},
-        "convention": "example",
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
     assert cfg.N == 900
     assert cfg.rates == (2,)
-    assert cfg.convention == "example"
     assert cfg.tolerances["tf"] == 1e-7
     assert cfg.tolerances["structure"] == 1e-6  # default preserved
+
+
+def test_config_offsets_pair_with_rates(tmp_path):
+    doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+           "rates": [2]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path).offsets == (0,)  # the default is filled in
+    # one offset per rate, in [0, rate): offset 2 or -1 at rate 2 samples the
+    # same steps as 0 or 1, and the model file would record it differently
+    for offsets in ([1, 0], [2], [-1]):
+        path.write_text(json.dumps({**doc, "offsets": offsets}))
+        with pytest.raises(SchemaError, match=r"need one in \[0, rate\) per rate"):
+            load_config(path)
 
 
 def test_config_missing_field(tmp_path):
@@ -199,6 +229,7 @@ def test_config_rate_count_mismatch(tmp_path):
     pytest.param({"tolerence": {"tf": 1e-9}}, "tolerence", id="tolerence"),
     pytest.param({"sv_gap_tol": 0.5}, "sv_gap_tol", id="sv_gap_tol"),
     pytest.param({"block_rows": 8}, "block_rows", id="block_rows"),
+    pytest.param({"convention": "general"}, "convention", id="convention"),
     pytest.param({"tolerances": {"tff": 1e-9}}, "tff", id="tff"),
     pytest.param({"input": {"kind": "uniform", "amplitud": 5.0}}, "amplitud", id="amplitud"),
     pytest.param({"input": {"kind": "uniform", "sed": 3}}, "sed", id="sed"),

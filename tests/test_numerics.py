@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cycsid import NonSquareError, SingularMatrixError, invert, mat_pow, rank_with_tol
+from cycsid import SingularMatrixError, invert, rank_with_tol
 from cycsid.cyclic import shift_matrix
 
 
@@ -28,36 +28,6 @@ def test_rank_permutation_invariant():
         pr = rng.permutation(5)
         pc = rng.permutation(4)
         assert rank_with_tol(m[pr][:, pc]) == r
-
-
-def test_mat_pow_zero_is_identity():
-    m = np.array([[2.0, 1.0], [0.0, 3.0]])
-    assert np.array_equal(mat_pow(m, 0), np.eye(2))
-
-
-def test_mat_pow_shift_period():
-    s = shift_matrix(1, 3)
-    assert np.array_equal(mat_pow(s, 3), np.eye(3))
-
-
-def test_mat_pow_matches_direct_multiplication(plant):
-    assert np.allclose(mat_pow(plant.A, 2), plant.A @ plant.A, atol=0)
-
-
-def test_mat_pow_exponent_additivity():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        m = rng.normal(size=(3, 3))
-        m *= 2.0 / np.linalg.norm(m, 2)
-        a, b = int(rng.integers(0, 11)), int(rng.integers(0, 10))
-        lhs = mat_pow(m, a + b)
-        rhs = mat_pow(m, a) @ mat_pow(m, b)
-        assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
-
-
-def test_mat_pow_rejects_rectangular():
-    with pytest.raises(NonSquareError):
-        mat_pow(np.ones((2, 3)), 2)
 
 
 def test_invert_identity():

@@ -9,7 +9,9 @@ from cycsid import (
     AssumptionFailedError,
     ExperimentConfig,
     RunReport,
+    build_transform,
     builtin_config,
+    default_selector_G,
     make_state_space,
     run_identification,
 )
@@ -48,20 +50,26 @@ def test_run_rejects_unobservable_plant():
 def test_convention_fallback_on_eigenvalue_paired_plant():
     # with eigenvalues 0.9 and -0.9 under period 2, A^2 B is parallel to B,
     # so the outer-index transform is singular while the cycled index works
-    from cycsid import StructureViolationError
-
     plant = make_state_space(np.diag([0.9, -0.9]), [[1.0], [1.0]],
                              np.eye(2), np.zeros((2, 1)))
     cfg = ExperimentConfig(plant=plant, rates=(1, 2), N=1500,
                            input={"kind": "uniform", "amplitude": 1.0, "seed": 3})
-    _, report = run_identification(cfg)
+    model, report = run_identification(cfg)
     assert report.convention == "general"
     assert report.tf_passed
+    outer = build_transform(model.source, default_selector_G(2, 1), 2, 1, 2, "example")
+    assert not outer.regular
 
-    forced = ExperimentConfig(plant=plant, rates=(1, 2), N=1500, convention="example",
-                              input={"kind": "uniform", "amplitude": 1.0, "seed": 3})
-    with pytest.raises(StructureViolationError):
-        run_identification(forced)
+
+@pytest.mark.parametrize("offsets", [(0, 1), (1, 0)])
+def test_sampling_offsets_pass_every_check(offsets):
+    # phase 0 does not sample one output; its row of C and D is read from the
+    # first phase that does, so a correct model passes the transfer check
+    cfg = dataclasses.replace(builtin_config((2, 3)), offsets=offsets)
+    model, report = run_identification(cfg)
+    assert report.failures() == []
+    assert max(max(row) for row in report.tf_distances) <= 1e-6
+    assert np.abs(model.C_phases[0][offsets.index(1)]).max() <= 1e-12
 
 
 def test_run_report_round_trips(dual_rate_run):
@@ -173,14 +181,12 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
             in capsys.readouterr().out)
 
     worst = max(v["max_offpattern"] for v in report["cyclic_form"].values())
-    for convention in ([], ["--convention", "auto"], ["--convention", "example"]):
-        assert main(["verify", "--model", str(out / "model.json"),
-                     "--config", str(cfg), "--out", str(out)] + convention) == 0
-        verdict = json.loads((out / "verify_report.json").read_text())
-        assert verdict["structure_passed"] and verdict["tf_passed"]
-        if convention != ["--convention", "example"]:
-            # the margin measured on the transformed model, not on its clean rebuild
-            assert verdict["max_offpattern"] == worst > 0.0
+    assert main(["verify", "--model", str(out / "model.json"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verify_report.json").read_text())
+    assert verdict["structure_passed"] and verdict["tf_passed"]
+    # the margin measured on the transformed model, not on its clean rebuild
+    assert verdict["max_offpattern"] == worst > 0.0
 
     # the cyclic model file carries the margin measured at extraction
     assert main(["verify", "--model", str(out / "cyclic_model.json"),
@@ -192,12 +198,37 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     # the shared convention search repeats the identify run's choice on the saved model
     idm = load_model(out / "model.json").model
     tol = report["cyclic_form"]["A_cyclic"]["tol"]
-    cm, tres, tried = choose_transform(idm, 3, 1, 2, 3, "auto", tol)
+    cm, tres, tried = choose_transform(idm, 3, 1, 2, 3, tol)
     assert tres.convention == report["convention"]
     assert tried == report["conventions_tried"]
     saved_T = np.array(json.loads((out / "cyclic_model.json").read_text())["T"])
     assert np.array_equal(cm.T, saved_T)
     capsys.readouterr()
+
+
+def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
+    cfg = write_config(tmp_path, rates=[2, 3], offsets=[0, 1], N=3000)
+    out = tmp_path / "run"
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "checks PASS" in capsys.readouterr().out
+    for name in ("model.json", "cyclic_model.json"):
+        assert json.loads((out / name).read_text())["offsets"] == [0, 1]
+        assert main(["verify", "--model", str(out / name), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        verdict = json.loads((out / "verify_report.json").read_text())
+        assert verdict["structure_passed"] and verdict["tf_passed"]
+        assert max(max(row) for row in verdict["tf_distances"]) <= 1e-6
+
+    # a config sampled at other offsets describes other data: a data error,
+    # not a transfer verdict
+    (out / "verify_report.json").unlink()
+    other = write_config(tmp_path, rates=[2, 3], offsets=[1, 0], N=3000)
+    capsys.readouterr()
+    assert main(["verify", "--model", str(out / "model.json"), "--config", str(other),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("data error: model offsets [0, 1] != "
+                                       "config offsets [1, 0]\n")
+    assert not (out / "verify_report.json").exists()
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -361,21 +392,13 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     assert verdict["max_offpattern"] == margin
     assert "structure FAIL" in capsys.readouterr().out
 
-    # the file holds its transform already, so there is no convention to choose
-    (tmp_path / "verify_report.json").unlink()
-    assert main(verify + ["--convention", "example"]) == 2
-    assert capsys.readouterr().err == ("config error: --convention applies to an identified "
-                                       "model file; a cyclic model file holds its transform "
-                                       "already\n")
-    assert not (tmp_path / "verify_report.json").exists()
-
 
 def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                for name, p in sub.choices.items()}
-    data, check = {"--seed", "--n", "--noise"}, {"--convention", "--tol-structure", "--tol-tf"}
+    data, check = {"--seed", "--n", "--noise"}, {"--tol-structure", "--tol-tf"}
     assert options == {
         "simulate": {"--config", "--out"} | data,
         "identify": {"--config", "--signals", "--out"} | data | check,
@@ -386,6 +409,9 @@ def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--tol-tf", "1"]) == 2
     assert main(["verify", "--model", "model.json", "--config", cfg, "--noise", "1"]) == 2
     assert "unrecognized arguments: --noise 1" in capsys.readouterr().err
+    # the data choose the transform convention; there is no flag for it
+    assert main(["identify", "--config", cfg, "--convention", "general"]) == 2
+    assert "unrecognized arguments: --convention general" in capsys.readouterr().err
 
 
 def test_demo_prints_reference_line_and_passes(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from cycsid import (
     DimensionMismatchError,
+    DivergentModelError,
     ExcitationDeficientError,
     ExperimentConfig,
     InsufficientDataError,
@@ -121,6 +122,16 @@ def test_explicit_depth_that_fails_the_data_check_raises(blind_sensor):
     uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, 4)
     with pytest.raises(RankConditionError, match="use block_rows=13"):
         subspace_identify(uc, yc, order=12, block_rows=6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_regressor_overflow_is_a_typed_error(blind_sensor, seed, capfd):
+    # block_rows=3 passes the pattern count but exposes no order here, and the
+    # shift fit returns an unstable A whose powers overflow the B/D/x0 regressor
+    uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, seed)
+    with pytest.raises(DivergentModelError, match="overflows the B/D/x0 regressor over 3000 samples"):
+        subspace_identify(uc, yc, order=12, block_rows=3)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint about inf input
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-3])

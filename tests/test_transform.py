@@ -25,8 +25,11 @@ from cycsid import (
     verify_cyclic_form,
 )
 from cycsid.cyclic import is_block_diagonal, is_cyclic_matrix
+from cycsid.pipeline import choose_transform
 from cycsid.subspace import IdentifiedModel
 from cycsid.transform import SelectorF, SelectorG
+
+from conftest import extract_checked
 
 
 def as_identified(cs):
@@ -241,7 +244,9 @@ def test_verify_cyclic_form_dense_fails(plant):
 def test_extract_components_reads_blocks(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    form = verify_cyclic_form(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, form)
+    assert cm.structure is form  # kept as evidence, not measured again
     for i in range(3):
         assert np.array_equal(cm.A_phases[i], plant.A)
         assert np.array_equal(cm.B_phases[i], plant.B)
@@ -251,30 +256,52 @@ def test_extract_components_reads_blocks(plant):
     assert np.array_equal(asm[2], cs.C)
 
 
-def test_extract_components_rejects_dense(plant):
-    spec = build_masks((1, 3))
-    cs = cyclic_reformulate(plant, spec)
-    dense = cs.A + 0.01
-    with pytest.raises(StructureViolationError):
-        extract_components(dense, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=1e-6)
+def test_choose_transform_rejects_dense(plant):
+    # a dense perturbation of the cycled dynamics is cyclic in no basis: each
+    # convention's transform is regular, and each transformed model fails the
+    # one cyclic-form check, so the search raises
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    dense = IdentifiedModel(A=cs.A + 0.01, B=cs.B, C=cs.C, D=cs.D, order=9, n=3, m=1, l=2,
+                            M=3, x0=np.zeros(9), singular_values=np.zeros(0))
+    with pytest.raises(StructureViolationError) as err:
+        choose_transform(dense, 3, 1, 2, 3, 1e-6)
+    for conv in ("general", "example"):
+        assert (f"'convention': '{conv}', 'rank': 9, 'regular': True, 'applied': True, "
+                "'structure_passed': False") in str(err.value)
 
 
 def test_model_transfer_check_true_components(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
-    passed, dists = model_transfer_check(cm, plant, 1e-10)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
+    passed, dists = model_transfer_check(cm, plant, spec, 1e-10)
     assert passed and dists.shape == (2, 1)
+
+
+@pytest.mark.parametrize("offsets", [(0, 1), (1, 0)])
+def test_recovered_plant_reads_each_output_where_it_is_sampled(plant, offsets):
+    # phase 0 does not sample one output, so its C row there is zero; the
+    # recovered plant reads that row from the first phase that samples it
+    spec = build_masks((2, 3), offsets)
+    cs = cyclic_reformulate(plant, spec)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 6, 0.0)
+    blind = offsets.index(1)
+    assert not cm.C_phases[0][blind].any()
+    rec = cm.recovered_plant(spec)
+    for name in ("A", "B", "C", "D"):
+        assert np.array_equal(getattr(rec, name), getattr(plant, name)), name
+    passed, dists = model_transfer_check(cm, plant, spec, 1e-12)
+    assert passed and dists.max() == 0.0
 
 
 def test_model_transfer_check_detects_perturbed_reference(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     A2 = plant.A.copy()
     A2[0, 2] += 0.05
     other = make_state_space(A2, plant.B, plant.C, plant.D)
-    passed, dists = model_transfer_check(cm, other, 1e-6)
+    passed, dists = model_transfer_check(cm, other, spec, 1e-6)
     assert not passed and dists.max() >= 0.01
 
 
@@ -294,17 +321,17 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     Am, Bm, Cm, Dm = apply_transform(idm, T @ hetero)
     rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 6, tol=1e-9)
     assert rep.passed
-    cm = extract_components(Am, Bm, Cm, Dm, 3, 1, 2, 6, tol=1e-9)
+    cm = extract_checked(Am, Bm, Cm, Dm, 3, 1, 2, 6, 1e-9)
     devA, _ = cm.component_spread()
     assert devA > 1e-3  # phases genuinely differ now
 
     block = rng.normal(size=(3, 3)) + 2 * np.eye(3)
     equal = lift_selector(block, 6)
     Am, Bm, Cm, Dm = apply_transform(idm, T @ equal)
-    cm = extract_components(Am, Bm, Cm, Dm, 3, 1, 2, 6, tol=1e-9)
+    cm = extract_checked(Am, Bm, Cm, Dm, 3, 1, 2, 6, 1e-9)
     devA, devB = cm.component_spread()
     assert devA <= 1e-9 and devB <= 1e-9
-    passed, _ = model_transfer_check(cm, plant, 1e-8)
+    passed, _ = model_transfer_check(cm, plant, spec, 1e-8)
     assert passed
 
 
