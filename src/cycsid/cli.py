@@ -26,7 +26,6 @@ from .errors import (
     StructureViolationError,
 )
 from .fileio import load_model, save_model, save_signals, write_json
-from .multirate import build_masks
 from .subspace import IdentifiedModel
 from .transform import model_transfer_check
 
@@ -136,8 +135,8 @@ def cmd_identify(args):
     out = _outdir(args, cfg)
     model, report = pipeline.run_identification(cfg)
     provenance = {"seed": report.seed, "N": report.N, "convention": report.convention}
-    save_model(model.source, out / "model.json", cfg.rates, provenance, cfg.offsets)
-    save_model(model, out / "cyclic_model.json", cfg.rates, provenance, cfg.offsets)
+    save_model(model.source, out / "model.json", cfg.spec, provenance)
+    save_model(model, out / "cyclic_model.json", cfg.spec, provenance)
     write_json(report.to_dict(), out / "report.json")
     worst_tf = max(max(row) for row in report.tf_distances)
     failed = report.failures()
@@ -162,15 +161,15 @@ def cmd_verify(args):
     except (ParseError, SchemaError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    for key in ("rates", "offsets"):
-        if getattr(mf, key) != getattr(cfg, key):
-            print(f"data error: model {key} {list(getattr(mf, key))} != "
-                  f"config {key} {list(getattr(cfg, key))}", file=sys.stderr)
-            return EXIT_DATA
+    spec = cfg.spec
+    if mf.spec != spec:
+        print(f"data error: model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
+              f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}",
+              file=sys.stderr)
+        return EXIT_DATA
     tol_structure = cfg.tolerances["structure"]
     tol_tf = cfg.tolerances["tf"]
     plant = cfg.plant
-    spec = build_masks(cfg.rates, cfg.offsets)
     n, m, l, M = plant.n, plant.m, plant.l, spec.M
 
     if isinstance(mf.model, IdentifiedModel):

@@ -17,8 +17,8 @@ class SingularMatrixError(CycsidError):
     """Matrix is numerically rank deficient where regularity is required."""
 
 
-class InvalidRateError(CycsidError):
-    """A sensor rate must be a positive integer."""
+class InvalidRateError(CycsidError, ValueError):
+    """A sensor rate must be a positive integer and its offset lie in [0, rate)."""
 
 
 class RankDeficientAError(CycsidError):

@@ -7,14 +7,14 @@ with line/column; missing or inconsistent fields as SchemaError.
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cyclic import StructureChecks
-from .errors import ParseError, SchemaError
+from .errors import InvalidRateError, ParseError, SchemaError
+from .multirate import MultirateSpec, build_masks
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
 from .transform import CYCLIC_FORM_CHECKS, CyclicModel
@@ -121,17 +121,15 @@ def _is_float(s):
 class ModelFile:
     kind: str  # "identified" or "cyclic"
     model: object
-    rates: tuple
+    spec: MultirateSpec  # sampling the model was identified under
     provenance: dict
-    offsets: tuple
 
 
-def save_model(model, path, rates, provenance=None, offsets=None):
-    """Persist an IdentifiedModel or CyclicModel with dims, rates, offsets
-    (default zeros) and provenance."""
+def save_model(model, path, spec, provenance=None):
+    """Persist an IdentifiedModel or CyclicModel with dims, the rates and
+    offsets of its MultirateSpec, and provenance."""
     provenance = provenance or {}
-    sampling = {"rates": [int(r) for r in rates],
-                "offsets": [int(o) for o in offsets or [0] * len(rates)]}
+    sampling = {"rates": list(spec.rates), "offsets": list(spec.offsets)}
     if isinstance(model, IdentifiedModel):
         doc = {
             "kind": "identified",
@@ -171,14 +169,16 @@ def load_model(path):
     M = int(require(doc, "M", path))
     if min(n, m, l, M) < 1:
         raise SchemaError(f"{path}: dimensions must be positive")
-    rates = tuple(int(r) for r in require(doc, "rates", path))
+    rates = require(doc, "rates", path)
     if len(rates) != l:
         raise SchemaError(f"{path}: {l} outputs declared but {len(rates)} rates")
-    if math.lcm(*rates) != M:
-        raise SchemaError(f"{path}: declared M={M} but lcm(rates)={math.lcm(*rates)}")
-    offsets = tuple(int(o) for o in doc.get("offsets", [0] * l))
-    if len(offsets) != l:
-        raise SchemaError(f"{path}: {l} outputs declared but {len(offsets)} offsets")
+    try:
+        # files written before offsets were kept read as zero offsets
+        spec = build_masks(rates, doc.get("offsets"))
+    except InvalidRateError as e:
+        raise SchemaError(f"{path}: {e}") from e
+    if spec.M != M:
+        raise SchemaError(f"{path}: declared M={M} but lcm(rates)={spec.M}")
     provenance = doc.get("provenance", {})
     if kind == "identified":
         A = np.array(require(doc, "A", path), dtype=np.float64)
@@ -227,4 +227,4 @@ def load_model(path):
                             T=T, structure=structure, n=n, m=m, l=l, M=M)
     else:
         raise SchemaError(f"{path}: unknown model kind '{kind}'")
-    return ModelFile(kind, model, rates, provenance, offsets)
+    return ModelFile(kind, model, spec, provenance)

@@ -2,7 +2,7 @@
 and the per-phase observability assumption check."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,12 +13,13 @@ from .statespace import SignalLog, as_input_sequence, simulate
 
 @dataclass(frozen=True)
 class MultirateSpec:
-    """Sensor rates M_1..M_l with period M = lcm and diagonal masks V_0..V_{M-1}."""
+    """Sensor rates M_1..M_l with period M = lcm and diagonal masks V_0..V_{M-1}.
+    Two specs are equal when their rates and offsets are."""
 
     rates: tuple
     offsets: tuple
     M: int
-    masks: tuple  # M diagonal l x l arrays, entries 0/1
+    masks: tuple = field(compare=False)  # M diagonal l x l arrays, entries 0/1
 
     @property
     def l(self):
@@ -33,20 +34,18 @@ class MultirateSpec:
 def build_masks(rates, offsets=None):
     """MultirateSpec for the given sensor periods.
 
-    Sensor i reports when (k - offset_i) mod rate_i == 0; offsets default
-    to zero, which reproduces the V_0 = I convention of the worked examples.
+    Sensor i reports when (k - offset_i) mod rate_i == 0, with offset_i in
+    [0, rate_i); offsets default to zero, which reproduces the V_0 = I
+    convention of the worked examples.
     """
     rates = tuple(int(r) for r in rates)
     if len(rates) == 0:
         raise InvalidRateError("at least one rate is required")
     if any(r < 1 for r in rates):
         raise InvalidRateError(f"rates must be positive, got {rates}")
-    if offsets is None:
-        offsets = tuple(0 for _ in rates)
-    else:
-        offsets = tuple(int(o) for o in offsets)
-        if len(offsets) != len(rates):
-            raise DimensionMismatchError("offsets must pair with rates")
+    offsets = tuple(0 for _ in rates) if offsets is None else tuple(int(o) for o in offsets)
+    if len(offsets) != len(rates) or not all(0 <= o < r for o, r in zip(offsets, rates)):
+        raise InvalidRateError(f"offsets {list(offsets)}: need one in [0, rate) per rate")
     M = math.lcm(*rates)
     masks = []
     for k in range(M):

@@ -65,7 +65,7 @@ class ExperimentConfig:
     The only home of config defaults, conversions and checks: config files,
     command-line overrides (via dataclasses.replace) and the built-in
     studies all build through this constructor, which raises ValueError on
-    a bad value.
+    a bad value.  cfg.spec is the MultirateSpec of its rates and offsets.
     """
 
     plant: StateSpace
@@ -82,7 +82,6 @@ class ExperimentConfig:
         self.rates = tuple(int(r) for r in self.rates)
         self.N = int(self.N)
         self.noise = float(self.noise)
-        self.offsets = tuple(int(o) for o in self.offsets or [0] * len(self.rates))
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
         if self.N <= 0:
@@ -104,9 +103,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
             )
-        if (len(self.offsets) != len(self.rates)
-                or not all(0 <= o < r for o, r in zip(self.offsets, self.rates))):
-            raise ValueError(f"offsets {list(self.offsets)}: need one in [0, rate) per rate")
+        # the sampling pattern; InvalidRateError (a ValueError) on a bad rate or offset
+        self.spec = build_masks(self.rates, self.offsets)
+        self.offsets = self.spec.offsets
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
         unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
@@ -193,7 +192,6 @@ def generate_input(cfg):
 
 def collect_data(cfg):
     """Simulate the masked plant (or load signals) for one run."""
-    spec = build_masks(cfg.rates, cfg.offsets)
     if "file" in cfg.input:
         log = load_signals(cfg.input["file"])
         if log.u.shape[1] != cfg.plant.m or log.y.shape[1] != cfg.plant.l:
@@ -201,14 +199,14 @@ def collect_data(cfg):
                 f"signals are ({log.u.shape[1]} in, {log.y.shape[1]} out) but the plant "
                 f"is ({cfg.plant.m} in, {cfg.plant.l} out)"
             )
-        return spec, log
+        return cfg.spec, log
     u = generate_input(cfg)
-    log = simulate_multirate(cfg.plant, spec, u, cfg.x0)
+    log = simulate_multirate(cfg.plant, cfg.spec, u, cfg.x0)
     if cfg.noise > 0.0:
         seed = cfg.input["seed"]
         noise_rng = np.random.default_rng(None if seed is None else seed + 1)
         log.y = log.y + cfg.noise * noise_rng.uniform(-1.0, 1.0, log.y.shape) * log.obs
-    return spec, log
+    return cfg.spec, log
 
 
 def choose_transform(idm, n, m, l, M, tol):
@@ -437,7 +435,7 @@ def demo_paper(studies, printer=print):
         printer("extracted phase-0 dynamics:")
         printer(_fmt_matrix(model.A_phases[0]))
         ref_tfs = transfer_functions(cfg.plant)
-        got_tfs = transfer_functions(model.recovered_plant(build_masks(cfg.rates, cfg.offsets)))
+        got_tfs = transfer_functions(model.recovered_plant(cfg.spec))
         for i in range(cfg.plant.l):
             ref = ref_tfs[i][0]
             printer(f"reference TF{i + 1}: ({poly_str(ref.num)}) / ({poly_str(ref.den)})")

@@ -60,7 +60,7 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     _, model, report = dual_rate_run
     idm = model.source
     path = tmp_path / "model.json"
-    save_model(idm, path, rates=(2, 3), provenance={"seed": report.seed,
+    save_model(idm, path, build_masks((2, 3)), provenance={"seed": report.seed,
                                                     "N": report.N,
                                                     "convention": report.convention})
     mf = load_model(path)
@@ -74,7 +74,7 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
 def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):
     idm = dual_rate_run[1].source
     path = tmp_path / "model.json"
-    save_model(idm, path, rates=(2, 3))
+    save_model(idm, path, build_masks((2, 3)))
     doc = json.loads(path.read_text())
     del doc["block_rows"]
     path.write_text(json.dumps(doc))
@@ -90,14 +90,14 @@ def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):
 def test_model_file_records_offsets(dual_rate_run, tmp_path):
     idm = dual_rate_run[1].source
     path = tmp_path / "model.json"
-    save_model(idm, path, rates=(2, 3), offsets=(1, 0))
+    save_model(idm, path, build_masks((2, 3), (1, 0)))
     doc = json.loads(path.read_text())
     assert list(doc)[list(doc).index("rates") + 1] == "offsets"
-    assert load_model(path).offsets == (1, 0)
+    assert load_model(path).spec == build_masks((2, 3), (1, 0))
     # files written before offsets were kept read as zero offsets
     del doc["offsets"]
     path.write_text(json.dumps(doc))
-    assert load_model(path).offsets == (0, 0)
+    assert load_model(path).spec == build_masks((2, 3))
     doc["offsets"] = [1]
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="offsets"):
@@ -108,7 +108,7 @@ def test_model_roundtrip_cyclic(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
-    save_model(cm, path, rates=(1, 3))
+    save_model(cm, path, build_masks((1, 3)))
     mf = load_model(path)
     assert mf.kind == "cyclic"
     for i in range(3):
@@ -119,7 +119,7 @@ def test_model_roundtrip_cyclic(plant, tmp_path):
 def test_model_roundtrip_cyclic_keeps_measured_margin(dual_rate_run, tmp_path):
     _, model, report = dual_rate_run
     path = tmp_path / "cyclic.json"
-    save_model(model, path, rates=(2, 3))
+    save_model(model, path, build_masks((2, 3)))
     structure = load_model(path).model.structure
     assert structure == model.structure
     assert structure.to_dict() == report.cyclic_form
@@ -131,7 +131,7 @@ def test_model_cyclic_bad_structure(plant, tmp_path, edit):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
-    save_model(cm, path, rates=(1, 3))
+    save_model(cm, path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
     if edit == "drop":
         del doc["structure"]
@@ -150,7 +150,7 @@ def test_model_rate_dimension_mismatch(plant, tmp_path):
                           n=3, m=1, l=2, M=3,
                           x0=np.zeros(9), singular_values=np.zeros(0))
     path = tmp_path / "model.json"
-    save_model(idm, path, rates=(1, 3))
+    save_model(idm, path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
     doc["rates"] = [2, 3]  # lcm 6 disagrees with stored M = 3
     path.write_text(json.dumps(doc))
@@ -162,7 +162,7 @@ def test_model_cyclic_bad_block_shape(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
     path = tmp_path / "cyclic.json"
-    save_model(cm, path, rates=(1, 3))
+    save_model(cm, path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
     doc["B_phases"][1] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]  # n x m is 3x1
     path.write_text(json.dumps(doc))
@@ -207,6 +207,15 @@ def test_config_offsets_pair_with_rates(tmp_path):
         path.write_text(json.dumps({**doc, "offsets": offsets}))
         with pytest.raises(SchemaError, match=r"need one in \[0, rate\) per rate"):
             load_config(path)
+
+
+def test_config_rejects_a_nonpositive_rate(tmp_path):
+    doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+           "rates": [0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"rates must be positive, got \(0,\)"):
+        load_config(path)
 
 
 def test_config_missing_field(tmp_path):

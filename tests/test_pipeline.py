@@ -226,8 +226,8 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--model", str(out / "model.json"), "--config", str(other),
                  "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("data error: model offsets [0, 1] != "
-                                       "config offsets [1, 0]\n")
+    assert capsys.readouterr().err == ("data error: model rates [2, 3], offsets [0, 1] "
+                                       "!= config rates [2, 3], offsets [1, 0]\n")
     assert not (out / "verify_report.json").exists()
 
 
@@ -376,9 +376,9 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
                                                                   capsys):
     from cycsid.fileio import save_model
 
-    _, model, report = dual_rate_run
+    cfg, model, report = dual_rate_run
     path = tmp_path / "cyclic_model.json"
-    save_model(model, path, rates=(2, 3), provenance={"convention": report.convention})
+    save_model(model, path, cfg.spec, provenance={"convention": report.convention})
     verify = ["verify", "--model", str(path), "--config",
               str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]
     assert main(verify) == 0
@@ -439,9 +439,9 @@ def test_cli_verify_wrong_reference_fails(tmp_path, dual_rate_run, capsys):
     # verify a (2,3) model against a perturbed reference plant: transfer FAIL
     from cycsid.fileio import save_model
 
-    _, model, report = dual_rate_run
+    cfg, model, report = dual_rate_run
     model_path = tmp_path / "model.json"
-    save_model(model, model_path, rates=(2, 3),
+    save_model(model, model_path, cfg.spec,
                provenance={"convention": report.convention})
     wrong = write_config(
         tmp_path,
