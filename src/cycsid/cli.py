@@ -162,21 +162,25 @@ def cmd_verify(args):
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     spec = cfg.spec
+    plant = cfg.plant
+    # a model of another sampling pattern or plant size came from other data
     if mf.spec != spec:
         print(f"data error: model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
               f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}",
               file=sys.stderr)
         return EXIT_DATA
+    if (mf.model.n, mf.model.m) != (plant.n, plant.m):
+        print(f"data error: model (n, m) = ({mf.model.n}, {mf.model.m}) != config plant "
+              f"(n, m) = ({plant.n}, {plant.m})", file=sys.stderr)
+        return EXIT_DATA
     tol_structure = cfg.tolerances["structure"]
     tol_tf = cfg.tolerances["tf"]
-    plant = cfg.plant
-    n, m, l, M = plant.n, plant.m, plant.l, spec.M
 
     if isinstance(mf.model, IdentifiedModel):
         try:
-            cm, _, _ = pipeline.choose_transform(mf.model, n, m, l, M, tol_structure)
+            cm, _, _ = pipeline.choose_transform(mf.model, tol_structure)
         except StructureViolationError:
-            print("structure FAIL: no convention yields cyclic form", file=sys.stderr)
+            print("structure FAIL: the transform yields no cyclic form", file=sys.stderr)
             write_json({"structure_passed": False}, out / "verify_report.json")
             return EXIT_STRUCTURE
     else:

@@ -3,8 +3,8 @@ and the built-in benchmark studies.
 
 A run executes four stages: derive the period from the sensor rates and
 collect (or load) masked input/output data, cycle the signals and identify a
-model of order M*n, build and apply the coordinate transform (the first
-selector convention whose model passes the cyclic-form check is kept), then
+model of order M*n, build the coordinate transform from the identified
+model's reachability data, apply it and check the cyclic form once, then
 extract the per-phase components and validate the recovered plant.  Every
 intermediate rank and margin is kept on the report because the method's
 justification is a chain of rank/structure facts.
@@ -30,7 +30,6 @@ from .errors import (
     STRUCTURE_ERRORS,
     AssumptionFailedError,
     SchemaError,
-    SingularMatrixError,
     StructureViolationError,
 )
 from .fileio import load_signals, read_json, require
@@ -39,7 +38,6 @@ from .numerics import rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
-    CONVENTIONS,
     aggregate_diagnostics,
     apply_transform,
     build_transform,
@@ -209,37 +207,29 @@ def collect_data(cfg):
     return cfg.spec, log
 
 
-def choose_transform(idm, n, m, l, M, tol):
-    """Search CONVENTIONS in order for a transform that puts idm in cyclic
-    form; each transformed model is checked once, here.
+def choose_transform(idm, tol):
+    """Build the transform from idm's reachability data, apply it and check
+    the cyclic form once, with n, m, l and M read from idm.
 
-    Returns (CyclicModel, TransformResult, tried), where tried holds one
-    entry per convention attempted and why it was accepted or rejected.
-    Raises StructureViolationError when no convention passes at tol.
+    Returns (CyclicModel, TransformResult, tried), where tried holds the one
+    attempt: its rank, cond(T) and, once applied, the cyclic-form margin.
+    Raises StructureViolationError when T is singular or the transformed
+    model is not cyclic at tol.
     """
-    G = default_selector_G(n, m)
-    tried = []
-    for conv in CONVENTIONS:
-        tres = build_transform(idm, G, n, m, M, conv)
-        entry = {"convention": conv, "rank": tres.rank, "regular": tres.regular}
-        tried.append(entry)
-        if not tres.regular:
-            continue
-        try:
-            Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        except SingularMatrixError:
-            entry["applied"] = False
-            continue
+    n, m, l, M = idm.n, idm.m, idm.l, idm.M
+    tres = build_transform(idm, default_selector_G(n, m))
+    entry = {"convention": "general", "rank": tres.rank, "regular": tres.regular,
+             "cond": tres.cond}
+    if tres.regular:
+        Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
         form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
         entry.update(applied=True, structure_passed=form.passed,
                      max_offpattern=form.max_offpattern)
         if form.passed:
             model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, form, T=tres.matrix)
-            return model, tres, tried
+            return model, tres, [entry]
     raise StructureViolationError(
-        "no transform convention produced a regular matrix with cyclic structure: "
-        + "; ".join(str(t) for t in tried)
-    )
+        f"the transform gives no regular matrix with cyclic structure: {entry}")
 
 
 def run_identification(cfg):
@@ -290,7 +280,7 @@ def run_identification(cfg):
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model, tres, tried = choose_transform(idm, n, m, l, M, tol["structure"])
+    model, tres, tried = choose_transform(idm, tol["structure"])
     model.source = idm
     aggr = aggregate_diagnostics(idm, tres.matrix, Fsel, tol["structure"])
     timings["transform"] = time.perf_counter() - t0
@@ -307,7 +297,7 @@ def run_identification(cfg):
         rates=cfg.rates,
         M=M,
         order=order,
-        convention=tres.convention,
+        convention=tried[0]["convention"],
         conventions_tried=tried,
         observable_phases=list(obs_phases),
         ranks={

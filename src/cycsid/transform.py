@@ -1,14 +1,13 @@
 """State coordinate transformation that turns an identified dense model back
 into cyclic-reformulation shape, plus component extraction and validation.
 
-The transform matrix is a sum over powers of the identified state matrix
-applied to the input matrix, each rotated by a power of the block shift and
-mapped through one selector block.  A shift power never becomes a matrix: it
-is an np.roll over the M-block axis, and a lifted (block-diagonal) selector
-is one product per block.  CONVENTIONS lists the selector-index conventions
-in the order the pipeline tries them ("general" pairs power Mi+j with
-selector (Mi+j) mod n, "example" pairs it with selector i).  Each transformed
-model is checked once; its phase blocks keep that check as evidence.
+The transform matrix is the identified model's reach sum (build_Y_check):
+powers of its state matrix applied to its input matrix, each rotated by a
+power of the block shift and mapped through the selector block indexed by
+the power mod n.  A shift power never becomes a matrix: it is an np.roll
+over the M-block axis, and a lifted (block-diagonal) selector is one product
+per block.  The transformed model is checked once; its phase blocks keep
+that check as evidence.
 """
 
 from dataclasses import dataclass
@@ -23,11 +22,10 @@ from .cyclic import (
     place_blocks,
     read_blocks,
 )
-from .errors import DimensionMismatchError, RankConditionError
+from .errors import RankConditionError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
 
-CONVENTIONS = ("general", "example")
 CYCLIC_FORM_CHECKS = ("A_cyclic", "B_cyclic", "C_block_diagonal", "D_block_diagonal")
 
 
@@ -101,65 +99,45 @@ def build_X_check(sys, F):
     return X
 
 
-def _reach_sum(A, B, G, n, m, M, convention):
-    """Sum of A^p B S_m^(p%M + 1) lifted G_k over p < Mn, with k = p mod n
-    ("general") or k = p // M ("example").
+def build_Y_check(sys, G):
+    """Controllability-side aggregate of a cycled or identified system (any
+    object with A, B, n, m, M): the reach sum of A^p B S_m^(p%M + 1) lifted
+    G_(p mod n) over p < Mn.  On an identified model it is the transform.
 
     S_m^s moves column block b-s to column block b, and the lifted G_k maps
-    every column block through G_k.
+    every column block through G_k.  Indexing the selector by p mod n sweeps
+    every block as the power grows (an index of p mod M alone never reaches
+    blocks beyond G_{M-1} when M < n); each diagonal block then collects
+    consecutive powers of A applied to B, so the aggregate has rank Mn for
+    controllable plants.
     """
+    n, m, M = sys.n, sys.m, sys.M
     order = M * n
     T = np.zeros((order, order))
-    P = B.copy()  # A^p B, advanced in p; C order, as the rounding of A @ P follows its layout
+    P = sys.B.copy()  # A^p B, advanced in p; C order, as the rounding of A @ P follows its layout
     for p in range(order):
-        i, j = divmod(p, M)
-        Gk = G.blocks[p % n if convention == "general" else i]
-        T += (np.roll(P.reshape(order, M, m), j + 1, axis=1) @ Gk).reshape(order, order)
-        P = A @ P
+        shifted = np.roll(P.reshape(order, M, m), p % M + 1, axis=1)
+        T += (shifted @ G.blocks[p % n]).reshape(order, order)
+        P = sys.A @ P
     return T
-
-
-def build_Y_check(cs, G):
-    """Controllability-side aggregate: the "general" reach sum of the cycled
-    system, A^p B S_m^(p%M + 1) G_(p mod n) summed over p < Mn.
-
-    Indexing the selector by p mod n sweeps every block as the power grows
-    (an index of p mod M alone never reaches blocks beyond G_{M-1} when
-    M < n); each diagonal block then collects consecutive powers of A
-    applied to B, so the aggregate has rank Mn for controllable plants.
-    """
-    return _reach_sum(cs.A, cs.B, G, cs.n, cs.m, cs.M, "general")
 
 
 @dataclass(frozen=True)
 class TransformResult:
     matrix: np.ndarray
     rank: int
-    convention: str
-    order: int
+    cond: float
 
     @property
     def regular(self):
-        return self.rank == self.order
+        return self.rank == len(self.matrix)
 
 
-def build_transform(idm, G, n, m, M, convention="general"):
-    """Coordinate transform from the identified model's reachability data.
-
-    convention is one of CONVENTIONS (see the module docstring).  Shift
-    exponents are reduced mod M (the shift has period M exactly).  The matrix
-    is returned with its numerical rank regardless of regularity.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    order = M * n
-    if idm.A.shape != (order, order):
-        raise DimensionMismatchError(
-            f"identified order {idm.A.shape[0]} != M*n = {order}"
-        )
-    T = _reach_sum(idm.A, idm.B, G, n, m, M, convention)
-    return TransformResult(matrix=T, rank=rank_with_tol(T), convention=convention,
-                           order=order)
+def build_transform(idm, G):
+    """The coordinate transform build_Y_check(idm, G), returned with its
+    numerical rank and condition number whether or not it is regular."""
+    T = build_Y_check(idm, G)
+    return TransformResult(matrix=T, rank=rank_with_tol(T), cond=float(np.linalg.cond(T)))
 
 
 def apply_transform(idm, T, tol=DEFAULT_RANK_TOL):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,15 +10,15 @@ from cycsid import (
     AssumptionFailedError,
     ExperimentConfig,
     RunReport,
-    build_transform,
+    StructureViolationError,
     builtin_config,
-    default_selector_G,
+    check_observability_assumption,
     make_state_space,
     run_identification,
 )
 from cycsid.cli import build_parser, main
 from cycsid.fileio import load_model
-from cycsid.pipeline import choose_transform, demo_paper, load_config, poly_str
+from cycsid.pipeline import DEMO_STUDIES, choose_transform, demo_paper, load_config, poly_str
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -48,8 +49,8 @@ def test_run_rejects_unobservable_plant():
 
 
 def test_convention_fallback_on_eigenvalue_paired_plant():
-    # with eigenvalues 0.9 and -0.9 under period 2, A^2 B is parallel to B,
-    # so the outer-index transform is singular while the cycled index works
+    # with eigenvalues 0.9 and -0.9 under period 2, A^2 B is parallel to B;
+    # the transform's selector index p mod n still sweeps every block
     plant = make_state_space(np.diag([0.9, -0.9]), [[1.0], [1.0]],
                              np.eye(2), np.zeros((2, 1)))
     cfg = ExperimentConfig(plant=plant, rates=(1, 2), N=1500,
@@ -57,8 +58,36 @@ def test_convention_fallback_on_eigenvalue_paired_plant():
     model, report = run_identification(cfg)
     assert report.convention == "general"
     assert report.tf_passed
-    outer = build_transform(model.source, default_selector_G(2, 1), 2, 1, 2, "example")
-    assert not outer.regular
+
+
+def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd):
+    # one output at rate 4 sees A^4, whose modes (-0.052)^4 and 0.033^4 sit
+    # near the rank cutoff: each run raises StructureViolationError or returns
+    # a report that names its failures, with no warning (warnings are errors
+    # here) and no LAPACK line, and cond(T) is finite in either record
+    rng = np.random.default_rng(1)
+    outcomes = set()
+    runs = 0
+    while runs < 6:
+        P, B, C = rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=(1, 3))
+        A = P @ np.diag([-0.9, -0.052, 0.033]) @ np.linalg.inv(P)
+        plant = make_state_space(A, B, C, [[0.93]])
+        cfg = ExperimentConfig(plant=plant, rates=(4,), N=3000)
+        if not check_observability_assumption(plant, cfg.spec):
+            continue
+        runs += 1
+        try:
+            _, report = run_identification(cfg)
+        except StructureViolationError as e:
+            outcomes.add("error")
+            cond = float(re.search(r"'cond': ([^,]+),", str(e)).group(1))
+        else:
+            outcomes.add("failures")
+            assert report.failures()
+            cond = report.conventions_tried[0]["cond"]
+        assert np.isfinite(cond) and cond >= 1.0
+    assert outcomes == {"error", "failures"}
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("offsets", [(0, 1), (1, 0)])
@@ -195,12 +224,12 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     assert verdict["structure_passed"] and verdict["tf_passed"]
     assert verdict["max_offpattern"] == worst > 0.0
 
-    # the shared convention search repeats the identify run's choice on the saved model
+    # the transform, rebuilt from the saved model, repeats the identify run's attempt
     idm = load_model(out / "model.json").model
     tol = report["cyclic_form"]["A_cyclic"]["tol"]
-    cm, tres, tried = choose_transform(idm, 3, 1, 2, 3, tol)
-    assert tres.convention == report["convention"]
+    cm, tres, tried = choose_transform(idm, tol)
     assert tried == report["conventions_tried"]
+    assert report["convention"] == tried[0]["convention"] == "general"
     saved_T = np.array(json.loads((out / "cyclic_model.json").read_text())["T"])
     assert np.array_equal(cm.T, saved_T)
     capsys.readouterr()
@@ -229,6 +258,38 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     assert capsys.readouterr().err == ("data error: model rates [2, 3], offsets [0, 1] "
                                        "!= config rates [2, 3], offsets [1, 0]\n")
     assert not (out / "verify_report.json").exists()
+
+
+RESIZED_PAPER_PLANTS = {
+    "m2": {"A": [[0.0, 0.0, 0.8], [1.0, 0.0, 0.5], [0.0, 1.0, -0.4]],
+           "B": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+           "C": [[1.0, 0.5, 0.3], [0.1, 0.3, 0.7]],
+           "D": [[0.0, 0.0], [0.0, 0.0]]},
+    "n2": {"A": [[0.0, 0.8], [1.0, 0.5]], "B": [[1.0], [0.0]],
+           "C": [[1.0, 0.5], [0.1, 0.3]], "D": [[0.0], [0.0]]},
+}
+
+
+@pytest.mark.parametrize("kind", ["model", "cyclic_model"])
+@pytest.mark.parametrize("size", sorted(RESIZED_PAPER_PLANTS))
+def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, capsys,
+                                                      kind, size):
+    # a model of the (n, m) = (3, 1) paper plant, judged against a plant of
+    # another size at the same rates: a data error that names both sizes
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / f"{kind}.json"
+    save_model(model.source if kind == "model" else model, path, cfg.spec)
+    plant = RESIZED_PAPER_PLANTS[size]
+    other = write_config(tmp_path, plant=plant, rates=[2, 3])
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config", str(other),
+                 "--out", str(tmp_path)]) == 3
+    n, m = len(plant["A"]), len(plant["B"][0])
+    assert capsys.readouterr().err == (f"data error: model (n, m) = (3, 1) != config plant "
+                                       f"(n, m) = ({n}, {m})\n")
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -409,7 +470,7 @@ def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--tol-tf", "1"]) == 2
     assert main(["verify", "--model", "model.json", "--config", cfg, "--noise", "1"]) == 2
     assert "unrecognized arguments: --noise 1" in capsys.readouterr().err
-    # the data choose the transform convention; there is no flag for it
+    # there is one transform, and no flag for its selector convention
     assert main(["identify", "--config", cfg, "--convention", "general"]) == 2
     assert "unrecognized arguments: --convention general" in capsys.readouterr().err
 
@@ -421,6 +482,31 @@ def test_demo_prints_reference_line_and_passes(tmp_path, capsys):
     assert "(0.1z^2+0.34z+0.77) / (z^3+0.4z^2-0.5z-0.8)" in text
     assert "study result: PASS" in text
     assert (tmp_path / "demo_report.json").exists()
+
+
+def test_demo_paper_pins_its_round_off_free_lines():
+    # every line of the built-in studies that carries no round-off digits
+    lines = []
+    status, _ = demo_paper([(label, builtin_config(rates)) for label, rates in DEMO_STUDIES],
+                           printer=lines.append)
+    assert status == 0
+    tf1 = "(z^2+0.9z) / (z^3+0.4z^2-0.5z-0.8)"
+    tf2 = "(0.1z^2+0.34z+0.77) / (z^3+0.4z^2-0.5z-0.8)"
+    tfs = [f"reference TF1: {tf1}", f"recovered TF1: {tf1}",
+           f"reference TF2: {tf2}", f"recovered TF2: {tf2}"]
+    pinned = ("===", "period", "ranks", "reference TF", "recovered TF", "study result")
+    assert [line for line in lines if line.startswith(pinned)] == [
+        "=== mixed rates (1,3) ===",
+        "period M = 3, model order = 9",
+        "ranks: controllability 9, observability 9, transform 9 (expected 9)",
+        *tfs,
+        "study result: PASS",
+        "=== dual rate (2,3) ===",
+        "period M = 6, model order = 18",
+        "ranks: controllability 18, observability 18, transform 18 (expected 18)",
+        *tfs,
+        "study result: PASS",
+    ]
 
 
 def test_demo_starved_data_reports_cleanly(tmp_path, capsys):

@@ -91,17 +91,15 @@ def dense_X_check(sys, F):
     return X
 
 
-def dense_reach_sum(sys, G, convention):
-    """sum_{p<Mn} A^p B S_m^(p%M + 1) lift(G_k), k = p mod n ("general") or
-    p // M ("example"), with dense shift and lifted-selector matrices."""
+def dense_reach_sum(sys, G):
+    """sum_{p<Mn} A^p B S_m^(p%M + 1) lift(G_(p mod n)), with dense shift and
+    lifted-selector matrices."""
     n, m, M = sys.n, sys.m, sys.M
     S = shift_matrix(m, M)
     T = np.zeros((M * n, M * n))
     P = sys.B.copy()
     for p in range(M * n):
-        i, j = divmod(p, M)
-        k = p % n if convention == "general" else i
-        T += P @ np.linalg.matrix_power(S, j % M + 1) @ lift_selector(G.blocks[k], M)
+        T += P @ np.linalg.matrix_power(S, p % M + 1) @ lift_selector(G.blocks[p % n], M)
         P = sys.A @ P
     return T
 
@@ -132,10 +130,8 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
     for sys in systems:
         for F, G in selectors:
             close(build_X_check(sys, F), dense_X_check(sys, F))
-            close(build_Y_check(sys, G), dense_reach_sum(sys, G, "general"))
-            for conv in ("general", "example"):
-                close(build_transform(sys, G, 3, 1, M, conv).matrix,
-                      dense_reach_sum(sys, G, conv))
+            close(build_Y_check(sys, G), dense_reach_sum(sys, G))
+            assert np.array_equal(build_transform(sys, G).matrix, build_Y_check(sys, G))
 
 
 def test_aggregates_full_rank_and_structured(plant):
@@ -163,13 +159,11 @@ def test_transform_regular_both_conventions_true_system(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
-    G = default_selector_G(3, 1)
-    for conv in ("general", "example"):
-        tres = build_transform(idm, G, 3, 1, 3, conv)
-        assert tres.regular, conv
-        Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-10)
-        assert rep.passed, (conv, rep.max_offpattern)
+    tres = build_transform(idm, default_selector_G(3, 1))
+    assert tres.regular
+    Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
+    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-10)
+    assert rep.passed, rep.max_offpattern
 
 
 def test_transform_period_one_conventions_coincide():
@@ -177,10 +171,7 @@ def test_transform_period_one_conventions_coincide():
                           [[1.0, 0.0]], [[0.0]])
     cs = cyclic_reformulate(ss, build_masks((1,)))
     idm = as_identified(cs)
-    G = default_selector_G(2, 1)
-    Ta = build_transform(idm, G, 2, 1, 1, "general").matrix
-    Tb = build_transform(idm, G, 2, 1, 1, "example").matrix
-    assert np.array_equal(Ta, Tb)
+    Ta = build_transform(idm, default_selector_G(2, 1)).matrix
     # M = 1 collapses to sum_i A^i B G_i, the controllability matrix here
     expect = np.column_stack([ss.B.ravel(), (ss.A @ ss.B).ravel()])
     assert np.abs(Ta - expect).max() <= 1e-14
@@ -198,7 +189,7 @@ def test_apply_transform_preserves_markov(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
-    T = build_transform(idm, default_selector_G(3, 1), 3, 1, 3).matrix
+    T = build_transform(idm, default_selector_G(3, 1)).matrix
     Am, Bm, Cm, Dm = apply_transform(idm, T)
     tr = IdentifiedModel(A=Am, B=Bm, C=Cm, D=Dm, order=9, n=3, m=1, l=2, M=3,
                          x0=np.zeros(9), singular_values=np.zeros(0))
@@ -223,7 +214,7 @@ def test_true_system_transform_is_exact(corpus):
         cs = case["cycled"]
         idm = as_identified(cs)
         G = default_selector_G(cs.n, cs.m)
-        tres = build_transform(idm, G, cs.n, cs.m, cs.M, "general")
+        tres = build_transform(idm, G)
         assert tres.regular
         Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
         rep = verify_cyclic_form(Am, Bm, Cm, Dm, cs.n, cs.m, cs.l, cs.M, tol=1e-10)
@@ -257,17 +248,18 @@ def test_extract_components_reads_blocks(plant):
 
 
 def test_choose_transform_rejects_dense(plant):
-    # a dense perturbation of the cycled dynamics is cyclic in no basis: each
-    # convention's transform is regular, and each transformed model fails the
-    # one cyclic-form check, so the search raises
+    # a dense perturbation of the cycled dynamics is cyclic in no basis: the
+    # transform is regular, and the transformed model fails the one
+    # cyclic-form check, so the one attempt raises with its record
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     dense = IdentifiedModel(A=cs.A + 0.01, B=cs.B, C=cs.C, D=cs.D, order=9, n=3, m=1, l=2,
                             M=3, x0=np.zeros(9), singular_values=np.zeros(0))
     with pytest.raises(StructureViolationError) as err:
-        choose_transform(dense, 3, 1, 2, 3, 1e-6)
-    for conv in ("general", "example"):
-        assert (f"'convention': '{conv}', 'rank': 9, 'regular': True, 'applied': True, "
-                "'structure_passed': False") in str(err.value)
+        choose_transform(dense, 1e-6)
+    message = str(err.value)
+    assert message.count("'convention'") == 1
+    assert "{'convention': 'general', 'rank': 9, 'regular': True, 'cond': " in message
+    assert "'applied': True, 'structure_passed': False, 'max_offpattern': " in message
 
 
 def test_model_transfer_check_true_components(plant):
@@ -312,7 +304,7 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
     G = default_selector_G(3, 1)
-    T = build_transform(idm, G, 3, 1, 6, "general").matrix
+    T = build_transform(idm, G).matrix
     rng = np.random.default_rng(40)
 
     hetero = np.zeros((18, 18))
@@ -338,21 +330,11 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
 def test_both_conventions_validate_on_identified_mixed_rate(mixed_rate_run):
     _, model, _ = mixed_rate_run
     idm = model.source
-    G = default_selector_G(3, 1)
-    for conv in ("general", "example"):
-        tres = build_transform(idm, G, 3, 1, 3, conv)
-        assert tres.regular, conv
-        Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-6)
-        assert rep.passed, (conv, rep.max_offpattern)
-
-
-def test_identified_transform_example_convention_rank(dual_rate_run):
-    # the outer-index convention must also be regular on the identified model
-    _, model, _ = dual_rate_run
-    tres = build_transform(model.source, default_selector_G(3, 1), 3, 1, 6, "example")
-    assert tres.rank == 18
-    assert rank_with_tol(tres.matrix, 1e-10) == 18
+    tres = build_transform(idm, default_selector_G(3, 1))
+    assert tres.regular
+    Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
+    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-6)
+    assert rep.passed, rep.max_offpattern
 
 
 def test_aggregate_diagnostics_on_identified_model(dual_rate_run):
