@@ -85,9 +85,11 @@ def _override(cfg, args):
             if flag in flags:
                 raise ValueError(f"--{flag} does not apply to a signals file, "
                                  "which holds its own input and length")
-        # the recorded signals already carry whatever noise they were made with
+        # the recorded signals already carry whatever noise and initial state
+        # they were made with
         changes["input"] = {"file": flags["signals"]}
         changes["noise"] = 0.0
+        changes["x0"] = None
     if "n" in flags:
         changes["N"] = flags["n"]
     if "noise" in flags:
@@ -179,9 +181,10 @@ def cmd_verify(args):
     if isinstance(mf.model, IdentifiedModel):
         try:
             cm, _, _ = pipeline.choose_transform(mf.model, tol_structure)
-        except StructureViolationError:
+        except StructureViolationError as e:
             print("structure FAIL: the transform yields no cyclic form", file=sys.stderr)
-            write_json({"structure_passed": False}, out / "verify_report.json")
+            write_json({"structure_passed": False, "attempt": e.attempt},
+                       out / "verify_report.json")
             return EXIT_STRUCTURE
     else:
         cm = mf.model

@@ -47,7 +47,13 @@ class DivergentModelError(CycsidError):
 
 
 class StructureViolationError(CycsidError):
-    """A matrix failed a required structural check."""
+    """A matrix failed a required structural check.  When the coordinate
+    transform failed, attempt holds its record (rank, regular, cond, applied,
+    max_offpattern); otherwise it is None."""
+
+    def __init__(self, message, attempt=None):
+        super().__init__(message)
+        self.attempt = attempt
 
 
 class AssumptionFailedError(CycsidError):

@@ -1,15 +1,16 @@
 """Hot kernels: the state recursion and the input-response regressor.
 
 The state recursion is sequential in time, so only its one mat-vec per
-step, x(k+1) = A x(k) + B u(k), stays in a Python loop.  B u, C x and D u
-do not depend on earlier steps and run batched, as stacked ``np.matmul``
-calls; numpy computes each stacked item with the same gemv as a single
-``B @ u[k]``, so the states and outputs are bit-equal to the per-step
-recursion.  The input-response regressor is built in fixed-length time
-chunks with BLAS calls only, into a column-major array: LAPACK's least
-squares works on a Fortran-ordered copy of its matrix, and copying a
-column-major regressor reads it in order instead of transposing it with
-strided access.
+step, x(k+1) = A x(k) + B u(k), stays in a Python loop, as two numpy calls
+per step on row views made once.  B u, C x and D u do not depend on earlier
+steps and run batched, as stacked ``np.matmul`` calls; numpy computes each
+stacked item with the same gemv as a single ``B @ u[k]``, so the states and
+outputs are bit-equal to the per-step recursion.  The input-response
+regressor is built in fixed-length time chunks with BLAS calls only, into a
+column-major array: LAPACK's least squares works on a Fortran-ordered copy
+of its matrix, and copying a column-major regressor reads it in order
+instead of transposing it with strided access.  Each chunk is written in
+place through the array's C-contiguous transpose, with no transposing copy.
 """
 
 import numpy as np
@@ -39,8 +40,11 @@ def trajectory(A, B, C, D, u, x0):
     # x[k+1] holds B u(k) first; adding A x(k) to it in place is bit-equal to
     # A x(k) + B u(k), since floating-point addition commutes
     np.matmul(B, u[:-1, :, None], out=x[1:, :, None])
-    for k in range(N - 1):
-        x[k + 1] += A @ x[k]
+    Ax = np.empty(A.shape[0])  # A x(k), written by the same gemv as A @ x[k]
+    rows = list(x)
+    for prev, nxt in zip(rows, rows[1:]):
+        A.dot(prev, out=Ax)
+        nxt += Ax
     np.matmul(C, x[:, :, None], out=y[:, :, None])
     y += np.matmul(D, u[:, :, None])[:, :, 0]
     return x, y
@@ -83,8 +87,10 @@ def io_regressor(A, C, u):
         [C A^(k0+s), C Z(k0+s)] = C A^s [A^k0, Z(k0)] + [0, conv_s],
 
     where conv_s is the input convolved with C A^s inside the chunk (one
-    Toeplitz GEMM).  The D columns hold only u.  Phi is column-major (see
-    the module docstring); the layout changes speed only, not a value.
+    Toeplitz GEMM).  Both terms go straight into the C-contiguous Phi.T:
+    the first as a GEMM's output, the second added in one pass from the
+    Toeplitz GEMM's own layout.  The D columns hold only u.  Phi is
+    column-major (see the module docstring); the layout changes speed only.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     C = np.ascontiguousarray(C, dtype=np.float64)
@@ -110,17 +116,19 @@ def io_regressor(A, C, u):
     uz = np.zeros((K + 1, m))
 
     Phi = np.empty((N * l, p), order="F")
+    PhiT = Phi.T  # C-contiguous, so BLAS writes its rows in place
     state = np.zeros((n, nb))  # [A^k0, Z(k0)]
     state[:, :n] = np.eye(n)
     for k0 in range(0, N, K):
         Kc = min(K, N - k0)
         uc = u[k0:k0 + Kc]
-        rows = Phi[k0 * l:(k0 + Kc) * l]
-        rows[:, :nb] = CA_rows[:Kc * l] @ state
+        rows = slice(k0 * l, (k0 + Kc) * l)
+        np.matmul(state.T, CA_rows[:Kc * l].T, out=PhiT[:nb, rows])
         uz[1:Kc + 1] = uc
         T = uz.ravel()[gather[:Kc, :, :Kc]]
         conv = T.reshape(Kc * m, Kc) @ CA_flat[:Kc]  # rows (s, j), cols (i, x)
-        rows[:, n:nb] += conv.reshape(Kc, m, l, n).transpose(0, 2, 1, 3).reshape(Kc * l, n * m)
+        Bcols = PhiT[n:nb, rows].reshape(m, n, Kc, l)  # a view, axes (j, x, s, i)
+        Bcols += conv.reshape(Kc, m, l, n).transpose(1, 3, 0, 2)
         if k0 + K < N:
             # advance to [A^(k0+K), Z(k0+K)]; block j of the Z increment is
             # sum_t u_j(k0 + t) A^(K-1-t)
@@ -128,9 +136,8 @@ def io_regressor(A, C, u):
             state = AK @ state
             state[:, n:] += inc.reshape(m, n, n).transpose(1, 0, 2).reshape(n, n * m)
 
-    # column nb + j*l + i of output row i holds u_j
-    Phi3 = Phi.reshape(N, l, p)
-    Phi3[:, :, nb:] = 0.0
+    # column nb + j*l + i of output row i holds u_j; the other D entries are 0
+    PhiT[nb:] = 0.0
     for i in range(l):
-        Phi3[:, i, nb + i::l] = u
+        PhiT[nb + i::l, i::l] = u.T
     return Phi

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRateError, RankDeficientAError
-from .numerics import DEFAULT_RANK_TOL, rank_with_tol
+from .numerics import DEFAULT_RANK_TOL, as_matrix, rank_with_tol
 from .statespace import SignalLog, as_input_sequence, simulate
 
 
@@ -69,20 +69,21 @@ def simulate_multirate(ss, spec, u, x0=None):
 def check_observability_assumption(ss, spec, tol=DEFAULT_RANK_TOL):
     """Phases j whose masked pair (V_j C, A^M) is observable at horizon n.
 
-    An empty set means no sampling phase pins down the full state.
+    An empty set means no sampling phase pins down the full state.  The
+    observability matrix [C; C A^M; ...; C A^(M(n-1))] is built once; phase j
+    keeps the rows of the outputs it samples (the 0/1 masks are exact, so a
+    kept row is bit-equal to the one V_j C would give), and one stacked SVD
+    gives every phase's rank at rank_with_tol's relative cutoff.
     """
     n = ss.n
     if rank_with_tol(ss.A, tol) < n:
         raise RankDeficientAError("state matrix must have rank n for the multirate analysis")
     AM = np.linalg.matrix_power(ss.A, spec.M)
-    good = set()
-    for j in range(spec.M):
-        VC = spec.masks[j] @ ss.C
-        rows = []
-        P = VC
-        for _ in range(n):
-            rows.append(P)
-            P = P @ AM
-        if rank_with_tol(np.vstack(rows), tol) == n:
-            good.add(j)
-    return good
+    blocks = [ss.C]
+    for _ in range(n - 1):
+        blocks.append(blocks[-1] @ AM)
+    obs = as_matrix(np.vstack(blocks), "observability matrix")  # row k*l + i: C_i A^(Mk)
+    keep = np.tile(spec.pattern(spec.M), n)  # (M, n*l), the sampled rows of each phase
+    sv = np.linalg.svd(obs * keep[:, :, None], compute_uv=False)  # (M, n), descending
+    ranks = np.count_nonzero(sv > tol * sv[:, :1], axis=1)
+    return {j for j in range(spec.M) if ranks[j] == n}

@@ -80,8 +80,6 @@ class ExperimentConfig:
         self.rates = tuple(int(r) for r in self.rates)
         self.N = int(self.N)
         self.noise = float(self.noise)
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
         if self.N <= 0:
             raise ValueError("N must be positive")
         if self.noise < 0:
@@ -97,6 +95,15 @@ class ExperimentConfig:
             self.input["amplitude"] = float(self.input["amplitude"])
             if self.input["kind"] != "uniform":
                 raise ValueError(f"unsupported input kind '{self.input['kind']}'")
+        if self.x0 is not None:
+            if set(self.input) == {"file"}:
+                raise ValueError("x0 applies to simulated data, not to a signals file")
+            self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+            if self.x0.shape != (self.plant.n,):
+                raise ValueError(f"x0 must have length {self.plant.n} (the plant order), "
+                                 f"got {self.x0.size}")
+            if not np.all(np.isfinite(self.x0)):
+                raise ValueError("x0 must be finite")
         if len(self.rates) != self.plant.l:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
@@ -213,8 +220,8 @@ def choose_transform(idm, tol):
 
     Returns (CyclicModel, TransformResult, tried), where tried holds the one
     attempt: its rank, cond(T) and, once applied, the cyclic-form margin.
-    Raises StructureViolationError when T is singular or the transformed
-    model is not cyclic at tol.
+    Raises StructureViolationError, with the attempt's record as its
+    attempt, when T is singular or the transformed model is not cyclic at tol.
     """
     n, m, l, M = idm.n, idm.m, idm.l, idm.M
     tres = build_transform(idm, default_selector_G(n, m))
@@ -229,7 +236,7 @@ def choose_transform(idm, tol):
             model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, form, T=tres.matrix)
             return model, tres, [entry]
     raise StructureViolationError(
-        f"the transform gives no regular matrix with cyclic structure: {entry}")
+        f"the transform gives no regular matrix with cyclic structure: {entry}", attempt=entry)
 
 
 def run_identification(cfg):
@@ -402,7 +409,8 @@ def demo_paper(studies, printer=print):
         except STRUCTURE_ERRORS as e:
             printer(f"study result: FAIL ({e})")
             printer("")
-            reports[label] = {"error": str(e), "kind": "structure"}
+            reports[label] = {"error": str(e), "kind": "structure",
+                              "attempt": getattr(e, "attempt", None)}
             status = EXIT_STRUCTURE
             continue
         reports[label] = report

@@ -1,12 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cycsid import (
+    benchmark_plant,
     build_masks,
     cycle_signal,
+    cyclic_reformulate,
     kernels,
+    make_state_space,
     simulate_multirate,
     subspace_identify,
 )
@@ -84,6 +88,45 @@ def test_io_regressor_matches_dense_reference(workload, N, m):
     got = kernels.io_regressor(A, C, u)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m, M", [(1, 3), (1, 6), (2, 3), (2, 6)])
+def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
+    # the pipeline feeds cycled inputs, mostly exact zeros, and a cycled model
+    # whose masked output rows are zero; the D block holds exact zeros and
+    # exact copies of u
+    rng = np.random.default_rng(10 * m + M)
+    n, l = 3, 2
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    plant = make_state_space(A, rng.normal(size=(n, m)), rng.normal(size=(l, n)),
+                             rng.normal(size=(l, m)))
+    cs = cyclic_reformulate(plant, build_masks((1, M)))
+    N = 2 * kernels._CHUNK + 7
+    u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), M).samples
+    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    got = kernels.io_regressor(cs.A, cs.C, u)
+    nb = M * n * (1 + M * m)  # x0 and B columns
+    assert got.shape == want.shape and got.shape[1] == nb + M * l * M * m
+    assert np.abs(got[:, :nb] - want[:, :nb]).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got[:, nb:], want[:, nb:])
+
+
+def test_io_regressor_allocates_no_regressor_sized_temporary():
+    # chunks are written in place: beyond Phi itself only chunk-sized
+    # temporaries live, here under 5% of Phi's 57 MB at rates (2, 3)
+    spec = build_masks((2, 3))
+    cs = cyclic_reformulate(benchmark_plant(), spec)
+    u = cycle_signal(np.random.default_rng(5).uniform(-1, 1, size=(3000, 1)), spec.M).samples
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Phi = kernels.io_regressor(cs.A, cs.C, u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert Phi.shape == (3000 * 12, 18 + 18 * 6 + 12 * 6)
+    assert peak <= 1.05 * Phi.nbytes
 
 
 @pytest.fixture(scope="module", params=[((1, 1), 0.0), ((1, 3), 0.0), ((2, 3), 0.0),

@@ -10,6 +10,7 @@ from cycsid import (
     simulate,
     simulate_multirate,
 )
+from cycsid.numerics import rank_with_tol
 
 
 def test_masks_rates_1_3():
@@ -115,6 +116,35 @@ def test_observability_assumption_blind_sensor(plant):
 
 def test_observability_assumption_single_rate(plant):
     assert check_observability_assumption(plant, build_masks((1, 1))) == {0}
+
+
+def observable_phases_oracle(ss, spec):
+    """Per-phase rank of [V_j C; V_j C A^M; ...; V_j C A^(M(n-1))]."""
+    AM = np.linalg.matrix_power(ss.A, spec.M)
+    good = set()
+    for j, V in enumerate(spec.masks):
+        rows = [V @ ss.C]
+        for _ in range(ss.n - 1):
+            rows.append(rows[-1] @ AM)
+        if rank_with_tol(np.vstack(rows)) == ss.n:
+            good.add(j)
+    return good
+
+
+def test_observability_assumption_matches_per_phase_oracle(plant, corpus):
+    # phase 1 of rates (1, 2) sees only output 0, whose row alone cannot tell
+    # the +-0.9 modes apart under A^2 = diag(0.81, 0.81, 0.25): a blind phase
+    # with a nonzero row, next to an observable phase 0
+    paired = make_state_space(np.diag([0.9, -0.9, 0.5]), [[1.0], [1.0], [1.0]],
+                              [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [[0.0], [0.0]])
+    assert check_observability_assumption(paired, build_masks((1, 2))) == {0}
+    cases = [(paired, build_masks((1, 2))), (paired, build_masks((2, 1), (1, 0)))]
+    cases += [(plant, build_masks(rates, offsets)) for rates, offsets in
+              [((2, 3), None), ((3, 4), (1, 2)), ((4, 2), (3, 1)), ((1, 5), None)]]
+    cases += [(case["plant"], spec) for case in corpus
+              for spec in (case["spec"], build_masks([r + 1 for r in case["rates"]]))]
+    for ss, spec in cases:
+        assert check_observability_assumption(ss, spec) == observable_phases_oracle(ss, spec)
 
 
 def test_observability_assumption_requires_regular_A():

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import json
-import re
 
 import numpy as np
 import pytest
@@ -9,10 +8,13 @@ import pytest
 from cycsid import (
     AssumptionFailedError,
     ExperimentConfig,
+    IdentifiedModel,
     RunReport,
     StructureViolationError,
+    build_masks,
     builtin_config,
     check_observability_assumption,
+    cyclic_reformulate,
     make_state_space,
     run_identification,
 )
@@ -64,7 +66,8 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd):
     # one output at rate 4 sees A^4, whose modes (-0.052)^4 and 0.033^4 sit
     # near the rank cutoff: each run raises StructureViolationError or returns
     # a report that names its failures, with no warning (warnings are errors
-    # here) and no LAPACK line, and cond(T) is finite in either record
+    # here) and no LAPACK line, and cond(T) is finite in either record; the
+    # built-in study runner stores the error's attempt record as it is
     rng = np.random.default_rng(1)
     outcomes = set()
     runs = 0
@@ -79,8 +82,14 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd):
         try:
             _, report = run_identification(cfg)
         except StructureViolationError as e:
+            if "error" not in outcomes:
+                status, reports = demo_paper([("rate 4", cfg)], printer=lambda line: None)
+                assert status == 4 and reports == {"rate 4": {
+                    "error": str(e), "kind": "structure", "attempt": e.attempt}}
             outcomes.add("error")
-            cond = float(re.search(r"'cond': ([^,]+),", str(e)).group(1))
+            assert str(e).endswith(str(e.attempt))
+            assert e.attempt["applied"] and not e.attempt["structure_passed"]
+            cond = e.attempt["cond"]
         else:
             outcomes.add("failures")
             assert report.failures()
@@ -419,6 +428,34 @@ def test_noise_on_a_signals_file_is_a_config_error(tmp_path, capsys):
         for line in err)
 
 
+@pytest.mark.parametrize("x0, on_file, message", [
+    pytest.param([1.0, 2.0], False, "x0 must have length 3 (the plant order), got 2",
+                 id="length"),
+    pytest.param([1.0, float("nan"), 0.0], False, "x0 must be finite", id="nan"),
+    pytest.param([1.0, 2.0, 3.0], True, "x0 applies to simulated data, not to a signals file",
+                 id="file"),
+])
+def test_config_checks_x0(tmp_path, capsys, x0, on_file, message):
+    # the constructor checks x0, so a bad one is a config error before any run
+    commands = ["simulate", "identify"]
+    if on_file:
+        path = write_config(tmp_path, x0=x0)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        signals = str(tmp_path / "signals.csv")
+        # --signals replaces the config's x0 along with its input and noise
+        assert main(["identify", "--config", str(path), "--signals", signals,
+                     "--out", str(tmp_path)]) == 0
+        path = write_config(tmp_path, input={"file": signals}, x0=x0)
+        commands = ["identify"]
+    else:
+        path = write_config(tmp_path, rates=[2, 3], x0=x0)
+    capsys.readouterr()
+    for command in commands:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n" * len(commands)
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--seed", "99"), ("--n", "600")], ids=["seed", "n"])
 def test_signals_file_takes_no_seed_or_n(tmp_path, capsys, flag, value):
     # the recording fixes the input and the sample count, so either flag would be dropped
@@ -452,6 +489,31 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     assert verdict["structure_passed"] is False and verdict["tol_structure"] == 1e-20
     assert verdict["max_offpattern"] == margin
     assert "structure FAIL" in capsys.readouterr().out
+
+
+def test_verify_reports_the_attempt_of_a_model_that_fails_the_structure_check(
+        tmp_path, plant, capsys):
+    from cycsid.fileio import save_model
+
+    # a dense perturbation of the cycled dynamics is cyclic in no basis, so
+    # the transform applies and the cyclic-form check refuses it
+    spec = build_masks((1, 3))
+    cs = cyclic_reformulate(plant, spec)
+    dense = IdentifiedModel(A=cs.A + 0.01, B=cs.B, C=cs.C, D=cs.D, order=9, n=3, m=1, l=2,
+                            M=3, x0=np.zeros(9), singular_values=np.zeros(0))
+    path = tmp_path / "model.json"
+    save_model(dense, path, spec)
+    assert main(["verify", "--model", str(path), "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "structure FAIL: the transform yields no cyclic form\n"
+    verdict = json.loads((tmp_path / "verify_report.json").read_text())
+    with pytest.raises(StructureViolationError) as err:
+        choose_transform(dense, 1e-6)
+    assert verdict == {"structure_passed": False, "attempt": err.value.attempt}
+    attempt = verdict["attempt"]
+    assert (attempt["convention"], attempt["rank"], attempt["regular"]) == ("general", 9, True)
+    assert attempt["applied"] and not attempt["structure_passed"]
+    assert attempt["max_offpattern"] > 1e-6 and attempt["cond"] >= 1.0
 
 
 def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
