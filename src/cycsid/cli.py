@@ -26,7 +26,6 @@ from .errors import (
     StructureViolationError,
 )
 from .fileio import load_model, save_model, save_signals, write_json
-from .subspace import IdentifiedModel
 from .transform import model_transfer_check
 
 EXIT_OK = 0
@@ -138,7 +137,6 @@ def cmd_identify(args):
     model, report = pipeline.run_identification(cfg)
     provenance = {"seed": report.seed, "N": report.N, "convention": report.convention}
     save_model(model.source, out / "model.json", cfg.spec, provenance)
-    save_model(model, out / "cyclic_model.json", cfg.spec, provenance)
     write_json(report.to_dict(), out / "report.json")
     worst_tf = max(max(row) for row in report.tf_distances)
     failed = report.failures()
@@ -151,7 +149,7 @@ def cmd_identify(args):
     margin = depth["shift_margin"]
     print(f"block rows {depth['used']} ({how}); shift margin {margin:.2g} "
           f"{'>' if margin > report.sv_gap else '<='} gap {report.sv_gap:.2g}")
-    print(f"wrote {out / 'model.json'}, {out / 'cyclic_model.json'}, {out / 'report.json'}")
+    print(f"wrote {out / 'model.json'}, {out / 'report.json'}")
     return EXIT_STRUCTURE if failed else EXIT_OK
 
 
@@ -178,35 +176,29 @@ def cmd_verify(args):
     tol_structure = cfg.tolerances["structure"]
     tol_tf = cfg.tolerances["tf"]
 
-    if isinstance(mf.model, IdentifiedModel):
-        try:
-            cm, _, _ = pipeline.choose_transform(mf.model, tol_structure)
-        except StructureViolationError as e:
-            print("structure FAIL: the transform yields no cyclic form", file=sys.stderr)
-            write_json({"structure_passed": False, "attempt": e.attempt},
-                       out / "verify_report.json")
-            return EXIT_STRUCTURE
-    else:
-        cm = mf.model
-
-    # the margins measured when the components were read off (a cyclic model
-    # file stores them); re-checking cm.assemble() would always read zero
-    form = cm.structure.judged_at(tol_structure)
+    try:
+        cm, _, _ = pipeline.choose_transform(mf.model, tol_structure)
+    except StructureViolationError as e:
+        print("structure FAIL: the transform yields no cyclic form", file=sys.stderr)
+        write_json({"structure_passed": False, "attempt": e.attempt},
+                   out / "verify_report.json")
+        return EXIT_STRUCTURE
+    # choose_transform returns only a model whose cyclic form passed at tol_structure
+    margin = cm.structure.max_offpattern
     tf_ok, dists = model_transfer_check(cm, plant, spec, tol_tf)
     doc = {
-        "structure_passed": form.passed,
-        "max_offpattern": form.max_offpattern,
+        "structure_passed": True,
+        "max_offpattern": margin,
         "tf_passed": tf_ok,
         "tf_distances": [[float(d) for d in row] for row in dists],
         "tol_structure": tol_structure,
         "tol_tf": tol_tf,
     }
     write_json(doc, out / "verify_report.json")
-    print(f"structure {'PASS' if form.passed else 'FAIL'} "
-          f"(max off-pattern {form.max_offpattern:.3g}); "
+    print(f"structure PASS (max off-pattern {margin:.3g}); "
           f"transfer {'PASS' if tf_ok else 'FAIL'} "
           f"(worst distance {float(np.max(dists)):.3g})")
-    return EXIT_OK if (form.passed and tf_ok) else EXIT_STRUCTURE
+    return EXIT_OK if tf_ok else EXIT_STRUCTURE
 
 
 def cmd_demo(args):

@@ -192,17 +192,8 @@ class StructureChecks:
         """(key, max_offpattern) of every check that did not pass."""
         return [(k, r.max_offpattern) for k, r in self.reports.items() if not r.passed]
 
-    def judged_at(self, tol):
-        """The same margins, each judged against tol."""
-        return StructureChecks({k: _report(r.kind, r.max_offpattern, tol)
-                                for k, r in self.reports.items()})
-
     def to_dict(self):
         return {k: asdict(r) for k, r in self.reports.items()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls({k: StructureReport(**r) for k, r in d.items()})
 
 
 def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, maxdepth=None):

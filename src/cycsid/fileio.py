@@ -12,12 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclic import StructureChecks
-from .errors import InvalidRateError, ParseError, SchemaError
+from .errors import DimensionMismatchError, ParseError, SchemaError
 from .multirate import MultirateSpec, build_masks
+from .numerics import convert, integer
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
-from .transform import CYCLIC_FORM_CHECKS, CyclicModel
 
 FLOAT_FMT = "{:.17g}"
 
@@ -119,112 +118,64 @@ def _is_float(s):
 
 @dataclass
 class ModelFile:
-    kind: str  # "identified" or "cyclic"
-    model: object
+    model: IdentifiedModel
     spec: MultirateSpec  # sampling the model was identified under
     provenance: dict
 
 
 def save_model(model, path, spec, provenance=None):
-    """Persist an IdentifiedModel or CyclicModel with dims, the rates and
-    offsets of its MultirateSpec, and provenance."""
-    provenance = provenance or {}
-    sampling = {"rates": list(spec.rates), "offsets": list(spec.offsets)}
-    if isinstance(model, IdentifiedModel):
-        doc = {
-            "kind": "identified",
-            "n": model.n, "m": model.m, "l": model.l, "M": model.M,
-            "order": model.order,
-            **sampling,
-            "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
-            "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
-            "block_rows": model.depth_evidence(),
-            "provenance": provenance,
-        }
-    elif isinstance(model, CyclicModel):
-        doc = {
-            "kind": "cyclic",
-            "n": model.n, "m": model.m, "l": model.l, "M": model.M,
-            **sampling,
-            "A_phases": [matrix_to_lists(X) for X in model.A_phases],
-            "B_phases": [matrix_to_lists(X) for X in model.B_phases],
-            "C_phases": [matrix_to_lists(X) for X in model.C_phases],
-            "D_phases": [matrix_to_lists(X) for X in model.D_phases],
-            "T": matrix_to_lists(model.T) if model.T is not None else None,
-            "structure": model.structure.to_dict(),
-            "provenance": provenance,
-        }
-    else:
-        raise TypeError(f"cannot save model of type {type(model).__name__}")
-    write_json(doc, path)
+    """Persist an IdentifiedModel with dims, the rates and offsets of its
+    MultirateSpec, and provenance."""
+    write_json({
+        "kind": "identified",
+        "n": model.n, "m": model.m, "l": model.l, "M": model.M,
+        "order": model.order,
+        "rates": list(spec.rates), "offsets": list(spec.offsets),
+        "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
+        "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
+        "block_rows": model.depth_evidence(),
+        "provenance": provenance or {},
+    }, path)
 
 
 def load_model(path):
-    """Load a model file; validates dims against the declared rates."""
+    """Load an identified model file; validates dims against the declared
+    rates.  A missing or malformed field is a SchemaError that names it."""
     doc = read_json(path)
     kind = require(doc, "kind", path)
-    n = int(require(doc, "n", path))
-    m = int(require(doc, "m", path))
-    l = int(require(doc, "l", path))
-    M = int(require(doc, "M", path))
-    if min(n, m, l, M) < 1:
-        raise SchemaError(f"{path}: dimensions must be positive")
-    rates = require(doc, "rates", path)
-    if len(rates) != l:
-        raise SchemaError(f"{path}: {l} outputs declared but {len(rates)} rates")
+    if kind == "cyclic":
+        raise SchemaError(f"{path}: cyclic model files are no longer read; verify the "
+                          "model.json written beside it, whose cyclic form verify rebuilds")
+    if kind != "identified":
+        raise SchemaError(f"{path}: unknown model kind '{kind}'")
     try:
-        # files written before offsets were kept read as zero offsets
-        spec = build_masks(rates, doc.get("offsets"))
-    except InvalidRateError as e:
-        raise SchemaError(f"{path}: {e}") from e
-    if spec.M != M:
-        raise SchemaError(f"{path}: declared M={M} but lcm(rates)={spec.M}")
-    provenance = doc.get("provenance", {})
-    if kind == "identified":
-        A = np.array(require(doc, "A", path), dtype=np.float64)
-        B = np.array(require(doc, "B", path), dtype=np.float64)
-        C = np.array(require(doc, "C", path), dtype=np.float64)
-        D = np.array(require(doc, "D", path), dtype=np.float64)
-        order = int(doc.get("order", M * n))
+        n, m, l, M = (convert(key, require(doc, key, path), integer, "an integer")
+                      for key in ("n", "m", "l", "M"))
+        if min(n, m, l, M) < 1:
+            raise ValueError("dimensions must be positive")
+        # files written before offsets were kept read as zero offsets; a bad
+        # rate or offset is a ValueError that names it
+        spec = build_masks(require(doc, "rates", path), doc.get("offsets"))
+        if spec.l != l:
+            raise ValueError(f"{l} outputs declared but {spec.l} rates")
+        if spec.M != M:
+            raise ValueError(f"declared M={M} but lcm(rates)={spec.M}")
+        A, B, C, D = (convert(key, require(doc, key, path),
+                              lambda v: np.array(v, dtype=np.float64), "a matrix of numbers")
+                      for key in ("A", "B", "C", "D"))
+        order = convert("order", doc.get("order", M * n), integer, "an integer")
         if A.shape != (M * n, M * n) or order != M * n:
-            raise SchemaError(
-                f"{path}: A is {A.shape} but M*n = {M * n} from the declared rates"
-            )
+            raise ValueError(f"A is {A.shape} but M*n = {M * n} from the declared rates")
         # files written before the depth record was kept load without it
         depth = doc.get("block_rows", {})
         if not isinstance(depth, dict):
-            raise SchemaError(f"{path}: 'block_rows' must hold used, pattern, shift_margin")
+            raise ValueError("'block_rows' must hold used, pattern, shift_margin")
+        used, pattern = (convert(f"block_rows.{key}", depth.get(key, 0), integer, "an integer")
+                         for key in ("used", "pattern"))
         model = IdentifiedModel(A=A, B=B, C=C, D=D, order=order, n=n, m=m, l=l, M=M,
                                 x0=np.zeros(order), singular_values=np.zeros(0),
-                                block_rows=int(depth.get("used", 0)),
-                                pattern_block_rows=int(depth.get("pattern", 0)),
+                                block_rows=used, pattern_block_rows=pattern,
                                 shift_margin=depth.get("shift_margin"))
-    elif kind == "cyclic":
-        shapes = {"A_phases": (n, n), "B_phases": (n, m),
-                  "C_phases": (l, n), "D_phases": (l, m)}
-        phases = {}
-        for key, shape in shapes.items():
-            raw = require(doc, key, path)
-            if len(raw) != M:
-                raise SchemaError(f"{path}: {key} must hold {M} blocks, found {len(raw)}")
-            blocks = [np.array(x, dtype=np.float64) for x in raw]
-            if any(b.shape != shape for b in blocks):
-                raise SchemaError(f"{path}: {key} blocks must be {shape[0]}x{shape[1]}")
-            phases[key] = blocks
-        T = doc.get("T")
-        T = np.array(T, dtype=np.float64) if T is not None else None
-        if T is not None and T.shape != (M * n, M * n):
-            raise SchemaError(f"{path}: T is {T.shape} but M*n = {M * n} from the declared rates")
-        structure = require(doc, "structure", path)
-        if not isinstance(structure, dict) or set(structure) != set(CYCLIC_FORM_CHECKS):
-            raise SchemaError(f"{path}: 'structure' must hold {', '.join(CYCLIC_FORM_CHECKS)}")
-        try:
-            structure = StructureChecks.from_dict(structure)
-        except TypeError as e:
-            raise SchemaError(f"{path}: malformed 'structure' report: {e}") from e
-        model = CyclicModel(A_phases=phases["A_phases"], B_phases=phases["B_phases"],
-                            C_phases=phases["C_phases"], D_phases=phases["D_phases"],
-                            T=T, structure=structure, n=n, m=m, l=l, M=M)
-    else:
-        raise SchemaError(f"{path}: unknown model kind '{kind}'")
-    return ModelFile(kind, model, spec, provenance)
+    except (ValueError, DimensionMismatchError) as e:
+        raise SchemaError(f"{path}: {e}") from e
+    return ModelFile(model, spec, doc.get("provenance", {}))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRateError, RankDeficientAError
-from .numerics import DEFAULT_RANK_TOL, as_matrix, rank_with_tol
+from .numerics import DEFAULT_RANK_TOL, as_matrix, convert, integer, rank_with_tol
 from .statespace import SignalLog, as_input_sequence, simulate
 
 
@@ -38,12 +38,13 @@ def build_masks(rates, offsets=None):
     [0, rate_i); offsets default to zero, which reproduces the V_0 = I
     convention of the worked examples.
     """
-    rates = tuple(int(r) for r in rates)
+    rates = convert("rates", rates, _integers, "a list of integers")
     if len(rates) == 0:
         raise InvalidRateError("at least one rate is required")
     if any(r < 1 for r in rates):
         raise InvalidRateError(f"rates must be positive, got {rates}")
-    offsets = tuple(0 for _ in rates) if offsets is None else tuple(int(o) for o in offsets)
+    offsets = ((0,) * len(rates) if offsets is None
+               else convert("offsets", offsets, _integers, "a list of integers"))
     if len(offsets) != len(rates) or not all(0 <= o < r for o, r in zip(offsets, rates)):
         raise InvalidRateError(f"offsets {list(offsets)}: need one in [0, rate) per rate")
     M = math.lcm(*rates)
@@ -52,6 +53,10 @@ def build_masks(rates, offsets=None):
         d = [1.0 if (k - o) % r == 0 else 0.0 for r, o in zip(rates, offsets)]
         masks.append(np.diag(d))
     return MultirateSpec(rates=rates, offsets=offsets, M=M, masks=tuple(masks))
+
+
+def _integers(values):
+    return tuple(integer(v) for v in values)
 
 
 def simulate_multirate(ss, spec, u, x0=None):

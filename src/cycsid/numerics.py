@@ -1,4 +1,6 @@
-"""Dense linear-algebra services: validated matrices, tolerant rank, inverse."""
+"""Dense linear-algebra services: validated matrices and values, tolerant rank, inverse."""
+
+import reprlib
 
 import numpy as np
 
@@ -26,6 +28,21 @@ def as_vector(v, length=None, name="vector"):
     if not np.all(np.isfinite(x)):
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return x
+
+
+def convert(key, value, to, what):
+    """to(value); a value that to refuses is a ValueError naming key and what it must be."""
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}") from e
+
+
+def integer(value):
+    """value as an int; a string, a bool or a fractional number raises ValueError."""
+    if isinstance(value, (str, bool)) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
 
 
 def rank_with_tol(m, tol=DEFAULT_RANK_TOL):

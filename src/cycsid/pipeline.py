@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
-from .numerics import rank_with_tol
+from .numerics import convert, integer, rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
@@ -77,12 +77,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.rates = tuple(int(r) for r in self.rates)
-        self.N = int(self.N)
-        self.noise = float(self.noise)
+        # every conversion that fails is a ValueError naming its key
+        self.N = convert("N", self.N, integer, "an integer")
+        self.noise = convert("noise", self.noise, float, "a number")
         if self.N <= 0:
             raise ValueError("N must be positive")
-        if self.noise < 0:
+        if not self.noise >= 0:  # NaN too
             raise ValueError("noise must be nonnegative")
         if self.noise > 0 and set(self.input) == {"file"}:
             raise ValueError("noise applies to simulated data, not to a signals file")
@@ -92,34 +92,49 @@ class ExperimentConfig:
                 raise ValueError(f"unknown input keys {unknown}; expected 'file' alone, "
                                  "or any of 'kind', 'amplitude', 'seed'")
             self.input = {**DEFAULT_INPUT, **self.input}
-            self.input["amplitude"] = float(self.input["amplitude"])
+            self.input["amplitude"] = convert("input.amplitude", self.input["amplitude"],
+                                              float, "a number")
+            self.input["seed"] = convert("input.seed", self.input["seed"], _seed,
+                                         "a nonnegative integer or null")
             if self.input["kind"] != "uniform":
                 raise ValueError(f"unsupported input kind '{self.input['kind']}'")
         if self.x0 is not None:
             if set(self.input) == {"file"}:
                 raise ValueError("x0 applies to simulated data, not to a signals file")
-            self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+            self.x0 = convert("x0", self.x0, lambda v: np.asarray(v, dtype=float).reshape(-1),
+                              "a list of numbers")
             if self.x0.shape != (self.plant.n,):
                 raise ValueError(f"x0 must have length {self.plant.n} (the plant order), "
                                  f"got {self.x0.size}")
             if not np.all(np.isfinite(self.x0)):
                 raise ValueError("x0 must be finite")
+        # the sampling pattern; a bad rate or offset is a ValueError naming it
+        self.spec = build_masks(self.rates, self.offsets)
+        self.rates, self.offsets = self.spec.rates, self.spec.offsets
         if len(self.rates) != self.plant.l:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
             )
-        # the sampling pattern; InvalidRateError (a ValueError) on a bad rate or offset
-        self.spec = build_masks(self.rates, self.offsets)
-        self.offsets = self.spec.offsets
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
         unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; "
                              f"expected keys {sorted(DEFAULT_TOLERANCES)}")
-        if any(v <= 0 for v in tol.values()):
+        tol = {k: convert(f"tolerances.{k}", v, float, "a number") for k, v in tol.items()}
+        if not all(v > 0 for v in tol.values()):  # NaN too
             raise ValueError("tolerances must be positive")
         self.tolerances = tol
+
+
+def _seed(value):
+    """A seed is null (fresh entropy) or a nonnegative integer."""
+    if value is None:
+        return None
+    seed = integer(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
 
 
 def load_config(path):
@@ -204,6 +219,15 @@ def collect_data(cfg):
                 f"signals are ({log.u.shape[1]} in, {log.y.shape[1]} out) but the plant "
                 f"is ({cfg.plant.m} in, {cfg.plant.l} out)"
             )
+        # a recording made under another sampling pattern is other data
+        pattern = cfg.spec.pattern(log.N)
+        bad = np.argwhere((log.obs != pattern) | ((log.obs == 0) & (log.y != 0)))
+        if bad.size:
+            k, i = bad[0]
+            raise SchemaError(
+                f"{cfg.input['file']}: step {k}, output {i + 1} has obs {log.obs[k, i]:g} and "
+                f"y {log.y[k, i]:g}, but rates {list(cfg.spec.rates)}, offsets "
+                f"{list(cfg.spec.offsets)} {'sample' if pattern[k, i] else 'skip'} it")
         return cfg.spec, log
     u = generate_input(cfg)
     log = simulate_multirate(cfg.plant, cfg.spec, u, cfg.x0)

@@ -26,9 +26,6 @@ from .errors import RankConditionError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
 
-CYCLIC_FORM_CHECKS = ("A_cyclic", "B_cyclic", "C_block_diagonal", "D_block_diagonal")
-
-
 @dataclass(frozen=True)
 class SelectorF:
     """n row-selector blocks F_0..F_{n-1}, each n x l; [F_0 ... F_{n-1}] has rank n."""
@@ -148,8 +145,7 @@ def apply_transform(idm, T, tol=DEFAULT_RANK_TOL):
 
 def verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL):
     """Check the four transformed matrices against the cyclic-reformulation
-    pattern: dynamics and input cyclic, output and feedthrough block diagonal.
-    The reports are keyed by CYCLIC_FORM_CHECKS."""
+    pattern: dynamics and input cyclic, output and feedthrough block diagonal."""
     return StructureChecks({
         "A_cyclic": is_cyclic_matrix(Am, n, n, M, tol),
         "B_cyclic": is_cyclic_matrix(Bm, n, m, M, tol),

@@ -19,8 +19,6 @@ from cycsid.pipeline import load_config
 from cycsid.subspace import IdentifiedModel
 from cycsid import cyclic_reformulate
 
-from conftest import extract_checked
-
 
 def test_signals_roundtrip_bit_exact(plant, tmp_path):
     rng = np.random.default_rng(6)
@@ -64,7 +62,8 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
                                                     "N": report.N,
                                                     "convention": report.convention})
     mf = load_model(path)
-    assert isinstance(mf, ModelFile) and mf.kind == "identified"
+    assert isinstance(mf, ModelFile)
+    assert json.loads(path.read_text())["kind"] == "identified"
     assert np.array_equal(mf.model.A, idm.A)
     assert np.array_equal(mf.model.D, idm.D)
     assert mf.provenance["convention"] == report.convention
@@ -104,46 +103,6 @@ def test_model_file_records_offsets(dual_rate_run, tmp_path):
         load_model(path)
 
 
-def test_model_roundtrip_cyclic(plant, tmp_path):
-    cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
-    path = tmp_path / "cyclic.json"
-    save_model(cm, path, build_masks((1, 3)))
-    mf = load_model(path)
-    assert mf.kind == "cyclic"
-    for i in range(3):
-        assert np.array_equal(mf.model.A_phases[i], cm.A_phases[i])
-    assert mf.model.structure == cm.structure
-
-
-def test_model_roundtrip_cyclic_keeps_measured_margin(dual_rate_run, tmp_path):
-    _, model, report = dual_rate_run
-    path = tmp_path / "cyclic.json"
-    save_model(model, path, build_masks((2, 3)))
-    structure = load_model(path).model.structure
-    assert structure == model.structure
-    assert structure.to_dict() == report.cyclic_form
-    assert structure.max_offpattern > 0.0  # not the clean rebuild's zero
-
-
-@pytest.mark.parametrize("edit", ["drop", "partial", "malformed"])
-def test_model_cyclic_bad_structure(plant, tmp_path, edit):
-    cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
-    path = tmp_path / "cyclic.json"
-    save_model(cm, path, build_masks((1, 3)))
-    doc = json.loads(path.read_text())
-    if edit == "drop":
-        del doc["structure"]
-    elif edit == "partial":
-        del doc["structure"]["B_cyclic"]
-    else:
-        del doc["structure"]["A_cyclic"]["tol"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="structure"):
-        load_model(path)
-
-
 def test_model_rate_dimension_mismatch(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     idm = IdentifiedModel(A=cs.A, B=cs.B, C=cs.C, D=cs.D, order=9,
@@ -155,18 +114,6 @@ def test_model_rate_dimension_mismatch(plant, tmp_path):
     doc["rates"] = [2, 3]  # lcm 6 disagrees with stored M = 3
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
-        load_model(path)
-
-
-def test_model_cyclic_bad_block_shape(plant, tmp_path):
-    cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
-    path = tmp_path / "cyclic.json"
-    save_model(cm, path, build_masks((1, 3)))
-    doc = json.loads(path.read_text())
-    doc["B_phases"][1] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]  # n x m is 3x1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="B_phases"):
         load_model(path)
 
 
@@ -252,3 +199,46 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=key):
         load_config(path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param({"N": "abc"}, "N must be an integer, got 'abc'", id="N-text"),
+    pytest.param({"N": 200.7}, "N must be an integer, got 200.7", id="N-fraction"),
+    pytest.param({"noise": "x"}, "noise must be a number, got 'x'", id="noise"),
+    pytest.param({"noise": float("nan")}, "noise must be nonnegative", id="noise-nan"),
+    pytest.param({"rates": 3}, "rates must be a list of integers, got 3", id="rates-scalar"),
+    pytest.param({"rates": ["q"]}, "rates must be a list of integers, got ['q']",
+                 id="rates-text"),
+    pytest.param({"offsets": ["a"]}, "offsets must be a list of integers, got ['a']",
+                 id="offsets"),
+    pytest.param({"x0": ["a"]}, "x0 must be a list of numbers, got ['a']", id="x0"),
+    pytest.param({"tolerances": {"tf": "x"}}, "tolerances.tf must be a number, got 'x'",
+                 id="tolerances"),
+    pytest.param({"tolerances": {"tf": float("nan")}}, "tolerances must be positive",
+                 id="tolerances-nan"),
+    pytest.param({"input": {"amplitude": "x"}}, "input.amplitude must be a number, got 'x'",
+                 id="amplitude"),
+    pytest.param({"input": {"seed": "s"}},
+                 "input.seed must be a nonnegative integer or null, got 's'", id="seed-text"),
+    pytest.param({"input": {"seed": 1.5}},
+                 "input.seed must be a nonnegative integer or null, got 1.5", id="seed-fraction"),
+    pytest.param({"input": {"seed": -1}},
+                 "input.seed must be a nonnegative integer or null, got -1", id="seed-negative"),
+])
+def test_config_value_that_fails_conversion_names_its_key(tmp_path, extra, message):
+    doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+           "rates": [2], **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_config_seed_may_be_null(tmp_path):
+    doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+           "rates": [2], "input": {"seed": None}, "N": 200.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(path)
+    assert cfg.input["seed"] is None and cfg.N == 200 and isinstance(cfg.N, int)

@@ -209,8 +209,8 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     assert main(["identify", "--config", str(cfg),
                  "--signals", str(out / "signals.csv"),
                  "--out", str(out)]) == 0
-    assert (out / "model.json").exists()
-    assert (out / "cyclic_model.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "report.json",
+                                                     "signals.csv", "simulate_report.json"]
     report = json.loads((out / "report.json").read_text())
     assert report["tf_passed"] is True
     depth = report["block_rows"]
@@ -226,21 +226,16 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     # the margin measured on the transformed model, not on its clean rebuild
     assert verdict["max_offpattern"] == worst > 0.0
 
-    # the cyclic model file carries the margin measured at extraction
-    assert main(["verify", "--model", str(out / "cyclic_model.json"),
-                 "--config", str(cfg), "--out", str(out)]) == 0
-    verdict = json.loads((out / "verify_report.json").read_text())
-    assert verdict["structure_passed"] and verdict["tf_passed"]
-    assert verdict["max_offpattern"] == worst > 0.0
-
-    # the transform, rebuilt from the saved model, repeats the identify run's attempt
+    # the transform, rebuilt from the saved model, repeats the identify run's
+    # attempt, cyclic form and components exactly
     idm = load_model(out / "model.json").model
     tol = report["cyclic_form"]["A_cyclic"]["tol"]
     cm, tres, tried = choose_transform(idm, tol)
     assert tried == report["conventions_tried"]
+    assert cm.structure.to_dict() == report["cyclic_form"]
     assert report["convention"] == tried[0]["convention"] == "general"
-    saved_T = np.array(json.loads((out / "cyclic_model.json").read_text())["T"])
-    assert np.array_equal(cm.T, saved_T)
+    assert {k: [X.tolist() for X in getattr(cm, k)] for k in report["components"]} \
+        == report["components"]
     capsys.readouterr()
 
 
@@ -249,13 +244,19 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
     assert "checks PASS" in capsys.readouterr().out
-    for name in ("model.json", "cyclic_model.json"):
-        assert json.loads((out / name).read_text())["offsets"] == [0, 1]
-        assert main(["verify", "--model", str(out / name), "--config", str(cfg),
-                     "--out", str(out)]) == 0
-        verdict = json.loads((out / "verify_report.json").read_text())
-        assert verdict["structure_passed"] and verdict["tf_passed"]
-        assert max(max(row) for row in verdict["tf_distances"]) <= 1e-6
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert json.loads((out / "model.json").read_text())["offsets"] == [0, 1]
+    assert main(["verify", "--model", str(out / "model.json"), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    verdict = json.loads((out / "verify_report.json").read_text())
+    assert verdict["structure_passed"] and verdict["tf_passed"]
+    assert max(max(row) for row in verdict["tf_distances"]) <= 1e-6
+    cm, _, tried = choose_transform(load_model(out / "model.json").model,
+                                    verdict["tol_structure"])
+    assert (cm.structure.to_dict(), tried) == (report["cyclic_form"],
+                                               report["conventions_tried"])
+    assert verdict["max_offpattern"] == cm.structure.max_offpattern
 
     # a config sampled at other offsets describes other data: a data error,
     # not a transfer verdict
@@ -279,17 +280,15 @@ RESIZED_PAPER_PLANTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["model", "cyclic_model"])
 @pytest.mark.parametrize("size", sorted(RESIZED_PAPER_PLANTS))
-def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, capsys,
-                                                      kind, size):
+def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, capsys, size):
     # a model of the (n, m) = (3, 1) paper plant, judged against a plant of
     # another size at the same rates: a data error that names both sizes
     from cycsid.fileio import save_model
 
     cfg, model, _ = dual_rate_run
-    path = tmp_path / f"{kind}.json"
-    save_model(model.source if kind == "model" else model, path, cfg.spec)
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
     plant = RESIZED_PAPER_PLANTS[size]
     other = write_config(tmp_path, plant=plant, rates=[2, 3])
     capsys.readouterr()
@@ -313,6 +312,8 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
     pytest.param("--n", "0", "N must be positive", id="n"),
     pytest.param("--noise", "-0.5", "noise must be nonnegative", id="noise"),
+    pytest.param("--seed", "-3", "input.seed must be a nonnegative integer or null, got -3",
+                 id="seed"),
 ])
 def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, message):
     cfg = write_config(tmp_path)
@@ -475,20 +476,91 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     from cycsid.fileio import save_model
 
     cfg, model, report = dual_rate_run
-    path = tmp_path / "cyclic_model.json"
-    save_model(model, path, cfg.spec, provenance={"convention": report.convention})
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec, provenance={"convention": report.convention})
     verify = ["verify", "--model", str(path), "--config",
               str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]
     assert main(verify) == 0
     margin = json.loads((tmp_path / "verify_report.json").read_text())["max_offpattern"]
+    assert margin == max(v["max_offpattern"] for v in report.cyclic_form.values())
     assert 0.0 < margin <= 1e-6
 
-    # the stored margins are judged against the given tolerance, not the stored one
+    # the rebuilt cyclic form is judged against the given tolerance
     assert main(verify + ["--tol-structure", "1e-20"]) == 4
     verdict = json.loads((tmp_path / "verify_report.json").read_text())
-    assert verdict["structure_passed"] is False and verdict["tol_structure"] == 1e-20
-    assert verdict["max_offpattern"] == margin
-    assert "structure FAIL" in capsys.readouterr().out
+    assert verdict["structure_passed"] is False
+    assert verdict["attempt"]["max_offpattern"] == margin
+    assert capsys.readouterr().err == "structure FAIL: the transform yields no cyclic form\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({"n": "x"}, "n must be an integer, got 'x'", id="n"),
+    pytest.param({"M": "q"}, "M must be an integer, got 'q'", id="M"),
+    pytest.param({"rates": 3}, "rates must be a list of integers, got 3", id="rates"),
+    pytest.param({"offsets": "ab"}, "offsets must be a list of integers, got 'ab'",
+                 id="offsets"),
+    pytest.param({"block_rows": {"used": "x"}}, "block_rows.used must be an integer, got 'x'",
+                 id="block_rows"),
+    pytest.param({"A": [[0.0] * 18] * 17 + [[0.0]]},
+                 "A must be a matrix of numbers, got [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...], ",
+                 id="ragged-A"),
+])
+def test_verify_names_a_malformed_model_field(tmp_path, dual_rate_run, capsys, edit, message):
+    # the model file is data: a bad field is a data error (exit 3) that names it
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config",
+                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_signals_of_another_sampling_pattern_are_a_data_error(tmp_path, capsys):
+    # recorded at offsets (0, 0), identified under offsets (1, 0): other data
+    path = write_config(tmp_path, rates=[2, 3], N=3000)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    signals = tmp_path / "signals.csv"
+    (tmp_path / "shifted").mkdir()
+    shifted = write_config(tmp_path / "shifted", rates=[2, 3], N=3000, offsets=[1, 0])
+    capsys.readouterr()
+    assert main(["identify", "--config", str(shifted), "--signals", str(signals),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == (f"data error: {signals}: step 0, output 1 has obs 1 "
+                                       "and y 0, but rates [2, 3], offsets [1, 0] skip it\n")
+
+    # a sample where the recording says nothing was observed
+    lines = signals.read_text().splitlines()
+    k, u, y1, y2, o1, o2 = lines[2].split(",")  # step 1: neither output is sampled
+    assert (o1, o2) == ("0", "0")
+    lines[2] = ",".join([k, u, y1, "0.5", o1, o2])
+    signals.write_text("\n".join(lines) + "\n")
+    assert main(["identify", "--config", str(path), "--signals", str(signals),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == (f"data error: {signals}: step 1, output 2 has obs 0 "
+                                       "and y 0.5, but rates [2, 3], offsets [0, 0] skip it\n")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_verify_refuses_a_cyclic_model_file(tmp_path, dual_rate_run, capsys):
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / "cyclic_model.json"
+    save_model(model.source, path, cfg.spec)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "kind": "cyclic"}))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config",
+                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: cyclic model files are no longer read; verify the model.json "
+        "written beside it, whose cyclic form verify rebuilds\n")
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_verify_reports_the_attempt_of_a_model_that_fails_the_structure_check(
@@ -589,7 +661,7 @@ def test_cli_verify_wrong_reference_fails(tmp_path, dual_rate_run, capsys):
 
     cfg, model, report = dual_rate_run
     model_path = tmp_path / "model.json"
-    save_model(model, model_path, cfg.spec,
+    save_model(model.source, model_path, cfg.spec,
                provenance={"convention": report.convention})
     wrong = write_config(
         tmp_path,
