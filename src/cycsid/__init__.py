@@ -24,6 +24,7 @@ from .errors import (
     CycsidError,
     DimensionMismatchError,
     DivergentModelError,
+    DivergentPlantError,
     ExcitationDeficientError,
     InsufficientDataError,
     InvalidRateError,

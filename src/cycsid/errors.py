@@ -46,6 +46,11 @@ class DivergentModelError(CycsidError):
     """The identified state matrix overflows the B/D/x0 regressor."""
 
 
+class DivergentPlantError(CycsidError, ValueError):
+    """The plant's state overflows over the simulated record: the plant and
+    the sample count come from the configuration."""
+
+
 class StructureViolationError(CycsidError):
     """A matrix failed a required structural check.  When the coordinate
     transform failed, attempt holds its record (rank, regular, cond, applied,

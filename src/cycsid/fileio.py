@@ -166,6 +166,11 @@ def load_model(path):
         order = convert("order", doc.get("order", M * n), integer, "an integer")
         if A.shape != (M * n, M * n) or order != M * n:
             raise ValueError(f"A is {A.shape} but M*n = {M * n} from the declared rates")
+        for key, X, shape in (("B", B, (M * n, M * m)), ("C", C, (M * l, M * n)),
+                              ("D", D, (M * l, M * m))):
+            if X.shape != shape:
+                raise ValueError(f"{key} is {X.shape} but the declared (n, m, l, M) "
+                                 f"make it {shape}")
         # files written before the depth record was kept load without it
         depth = doc.get("block_rows", {})
         if not isinstance(depth, dict):

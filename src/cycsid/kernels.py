@@ -1,12 +1,14 @@
-"""Hot kernels: the state recursion and the input-response regressor.
+"""Hot kernels: the state simulation and the input-response regressor.
 
-The state recursion is sequential in time, so only its one mat-vec per
-step, x(k+1) = A x(k) + B u(k), stays in a Python loop, as two numpy calls
-per step on row views made once.  B u, C x and D u do not depend on earlier
-steps and run batched, as stacked ``np.matmul`` calls; numpy computes each
-stacked item with the same gemv as a single ``B @ u[k]``, so the states and
-outputs are bit-equal to the per-step recursion.  The input-response
-regressor is built in fixed-length time chunks with BLAS calls only, into a
+Both are built in fixed-length time chunks with BLAS calls only, from one
+table of the powers A^s, s < _CHUNK, and one gather that lays a chunk's
+lagged inputs out as a Toeplitz block.  ``chunked_trajectory`` computes
+each chunk's states from the state entering it, as the free response (one
+product with the power table) plus the forced response (one GEMM of the
+Toeplitz block against the stacked A^q B), so its Python loop runs once per
+chunk, not once per sample.  It agrees with the per-step recursion
+``trajectory``, its test oracle, to round-off: the chunks sum the forced
+response in another order.  The input-response regressor is written into a
 column-major array: LAPACK's least squares works on a Fortran-ordered copy
 of its matrix, and copying a column-major regressor reads it in order
 instead of transposing it with strided access.  Each chunk is written in
@@ -18,8 +20,26 @@ import numpy as np
 #: there is no compiled build; perfbench/worker.py reads this for its environment stamp
 HAS_NUMBA = False
 
-#: time samples per chunk of the regressor
+#: time samples per chunk of the simulation and the regressor
 _CHUNK = 64
+
+
+def _chunk_tables(A, K, m):
+    """The powers A^s, s < K, as a (K, n, n) array, and the gather and the
+    (K + 1, m) buffer uz that lay a chunk's lagged inputs out as a Toeplitz
+    block.
+
+    With uz[t + 1] = u(k0 + t) and uz[0] = 0, uz.ravel()[gather][s, j, r] is
+    u_j(k0 + s - 1 - r) for r < s and 0 otherwise: dead lags read uz[0].
+    """
+    n = A.shape[0]
+    Apow = np.empty((K, n, n))
+    Apow[0] = np.eye(n)
+    for s in range(1, K):
+        np.matmul(A, Apow[s - 1], out=Apow[s])
+    lead = np.maximum(np.arange(K)[:, None] - np.arange(K)[None, :], 0)  # s - r
+    gather = lead[:, None, :] * m + np.arange(m)[None, :, None]  # into uz.ravel()
+    return Apow, gather, np.zeros((K + 1, m))
 
 
 def trajectory(A, B, C, D, u, x0):
@@ -47,6 +67,48 @@ def trajectory(A, B, C, D, u, x0):
         nxt += Ax
     np.matmul(C, x[:, :, None], out=y[:, :, None])
     y += np.matmul(D, u[:, :, None])[:, :, 0]
+    return x, y
+
+
+def chunked_trajectory(A, B, C, D, u, x0):
+    """``trajectory``'s (x, y), _CHUNK samples at a time.
+
+    For a chunk starting at k0, from the state x(k0),
+
+        x(k0 + s) = A^s x(k0) + sum_{q<s} A^q B u(k0 + s - 1 - q),
+
+    the free response as one product with the power table and the forced
+    response as one GEMM of the lagged-input Toeplitz block against the
+    stacked A^q B; y = C x + D u follows per chunk.  Beyond x and y, only
+    chunk-sized arrays are allocated.
+    """
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    B = np.ascontiguousarray(B, dtype=np.float64)
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    D = np.ascontiguousarray(D, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    N, m = u.shape
+    n = A.shape[0]
+    K = max(1, min(_CHUNK, N))
+    Apow, gather, uz = _chunk_tables(A, K, m)
+    A_rows = Apow.reshape(K * n, n)
+    # row j*K + q holds (A^q B)[:, j], matching the gather's (j, r) columns
+    AB = np.ascontiguousarray((Apow @ B).transpose(2, 0, 1)).reshape(m * K, n)
+
+    x = np.empty((N, n))
+    y = np.empty((N, C.shape[0]))
+    x[0] = x0
+    # consecutive chunks share a row: each starts from the state its
+    # predecessor ended on, and rewrites that row as A^0 x + 0 = x
+    for k0 in range(0, max(N - 1, 1), max(K - 1, 1)):
+        Kc = min(K, N - k0)
+        uc, xc, yc = u[k0:k0 + Kc], x[k0:k0 + Kc], y[k0:k0 + Kc]
+        free = A_rows[:Kc * n] @ xc[0]
+        uz[1:Kc + 1] = uc
+        np.matmul(uz.ravel()[gather[:Kc]].reshape(Kc, m * K), AB, out=xc)
+        xc += free.reshape(Kc, n)
+        np.matmul(xc, C.T, out=yc)
+        yc += uc @ D.T
     return x, y
 
 
@@ -101,19 +163,11 @@ def io_regressor(A, C, u):
     p = nb + l * m
     K = max(1, min(_CHUNK, N))
 
-    Apow = np.empty((K, n, n))
-    Apow[0] = np.eye(n)
-    for s in range(1, K):
-        Apow[s] = A @ Apow[s - 1]
+    Apow, gather, uz = _chunk_tables(A, K, m)
     CA = C @ Apow  # (K, l, n)
     CA_rows = CA.reshape(K * l, n)
     CA_flat = CA.reshape(K, l * n)
     AK = A @ Apow[-1]
-    # T[s, j, r] = u_j(k0 + s - 1 - r) for r < s, else 0, gathered from the
-    # chunk behind one zero row (uz[t + 1] = uc[t]); dead lags read uz[0]
-    lead = np.maximum(np.arange(K)[:, None] - np.arange(K)[None, :], 0)  # s - r
-    gather = lead[:, None, :] * m + np.arange(m)[None, :, None]  # into uz.ravel()
-    uz = np.zeros((K + 1, m))
 
     Phi = np.empty((N * l, p), order="F")
     PhiT = Phi.T  # C-contiguous, so BLAS writes its rows in place

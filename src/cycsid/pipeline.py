@@ -94,6 +94,8 @@ class ExperimentConfig:
             self.input = {**DEFAULT_INPUT, **self.input}
             self.input["amplitude"] = convert("input.amplitude", self.input["amplitude"],
                                               float, "a number")
+            if not np.isfinite(self.input["amplitude"]):
+                raise ValueError(f"input.amplitude must be finite, got {self.input['amplitude']}")
             self.input["seed"] = convert("input.seed", self.input["seed"], _seed,
                                          "a nonnegative integer or null")
             if self.input["kind"] != "uniform":

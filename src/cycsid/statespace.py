@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .kernels import trajectory
+from .errors import DimensionMismatchError, DivergentPlantError
+from .kernels import chunked_trajectory
 from .numerics import as_matrix, as_vector
 
 
@@ -115,15 +115,26 @@ def as_input_sequence(u, m):
         raise DimensionMismatchError(f"input must be (N, {m}), got {arr.shape}")
     if arr.shape[0] < 1:
         raise DimensionMismatchError("input must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatchError("input contains non-finite entries")
     return arr
 
 
 def simulate(sys, u, x0=None):
-    """Simulate the recursion from x0 (zero when unspecified)."""
+    """Simulate the recursion from x0 (zero when unspecified).
+
+    A state that overflows float64 is a DivergentPlantError, with no warning.
+    """
     u = as_input_sequence(u, sys.B.shape[1])
     n = sys.A.shape[0]
     x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
-    x, y = trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x, y = chunked_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
+    except FloatingPointError as e:
+        raise DivergentPlantError(
+            f"the plant's A (spectral radius {np.abs(np.linalg.eigvals(sys.A)).max():.3g}) "
+            f"overflows the simulation over N = {u.shape[0]} samples") from e
     return SignalLog(u=u, y=y, x0=x0, x=x)
 
 

@@ -218,6 +218,9 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
                  id="tolerances-nan"),
     pytest.param({"input": {"amplitude": "x"}}, "input.amplitude must be a number, got 'x'",
                  id="amplitude"),
+    *(pytest.param({"input": {"amplitude": v}}, f"input.amplitude must be finite, got {v}",
+                   id=f"amplitude-{name}")
+      for v, name in ((float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "neg-inf"))),
     pytest.param({"input": {"seed": "s"}},
                  "input.seed must be a nonnegative integer or null, got 's'", id="seed-text"),
     pytest.param({"input": {"seed": 1.5}},

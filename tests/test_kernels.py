@@ -51,6 +51,53 @@ def test_trajectory_matches_hand_recursion():
         assert np.array_equal(x, want_x) and np.array_equal(y, want_y), (N, m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, 3])
+def test_chunked_trajectory_matches_the_per_step_oracle(n, m):
+    # chunks sum the forced response in another order than the recursion,
+    # so the two agree to round-off, not to the bit
+    K = kernels._CHUNK
+    for N in (1, 2, K - 1, K, K + 1, 200, 2000):
+        rng = np.random.default_rng(1000 * N + 10 * m + n)
+        l = 2
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(l, n)), rng.normal(size=(l, m))
+        u = rng.uniform(-1, 1, size=(N, m))
+        x0 = rng.normal(size=n)
+        want_x, want_y = kernels.trajectory(A, B, C, D, u, x0)
+        x, y = kernels.chunked_trajectory(A, B, C, D, u, x0)
+        assert x.shape == want_x.shape and y.shape == want_y.shape, N
+        assert np.abs(x - want_x).max() <= 1e-13 * np.abs(want_x).max(), N
+        assert np.abs(y - want_y).max() <= 1e-13 * np.abs(want_y).max(), N
+
+
+def test_chunked_trajectory_of_zero_input_and_state_is_exactly_zero(workload):
+    A, B, C, D, u, _ = workload
+    x, y = kernels.chunked_trajectory(A, B, C, D, np.zeros_like(u), np.zeros(A.shape[0]))
+    assert not x.any() and not y.any()
+
+
+def test_chunked_trajectory_allocates_only_chunk_sized_temporaries():
+    # beyond x and y only the tables and one chunk's Toeplitz block live
+    # (77 kB here, whatever N); the bound of 262 kB is under a third of the
+    # smallest N-sized array, the 800 kB of u
+    rng = np.random.default_rng(6)
+    n, m, l, N = 3, 1, 2, 100000
+    A = 0.5 * np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    B, C, D = rng.normal(size=(n, m)), rng.normal(size=(l, n)), rng.normal(size=(l, m))
+    u = rng.uniform(-1, 1, size=(N, m))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x, y = kernels.chunked_trajectory(A, B, C, D, u, np.zeros(n))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    chunk = 2 * kernels._CHUNK ** 2 * (n + m) * 8
+    assert peak <= x.nbytes + y.nbytes + chunk
+
+
 def test_io_regressor_layout(workload):
     A, B, C, D, u, x0 = workload
     n = A.shape[0]

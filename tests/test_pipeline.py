@@ -335,6 +335,20 @@ def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, message):
     assert not (tmp_path / "signals.csv").exists()
 
 
+def test_cli_unstable_plant_is_a_config_error(tmp_path, capsys):
+    # the plant's state overflows over the record: a typed config error that
+    # names the spectral radius and N, with no RuntimeWarning (warnings are
+    # errors here) and no misleading non-finite-signals message
+    cfg = write_config(tmp_path, plant={"A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
+                                        "D": [[0.0]]}, rates=[1], N=3000)
+    for command in ("simulate", "identify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("config error: the plant's A (spectral radius 1.5) "
+                                           "overflows the simulation over N = 3000 samples\n")
+    assert not (tmp_path / "signals.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_data_error_exit_3(tmp_path):
     cfg = write_config(tmp_path)
     sig = tmp_path / "bad.csv"
@@ -504,6 +518,11 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"A": [[0.0] * 18] * 17 + [[0.0]]},
                  "A must be a matrix of numbers, got [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...], ",
                  id="ragged-A"),
+    *(pytest.param({key: [[0.0] * cols] * rows},
+                   f"{key} is ({rows}, {cols}) but the declared (n, m, l, M) make it {want}",
+                   id=f"shape-{key}")
+      for key, rows, cols, want in (("B", 17, 6, (18, 6)), ("C", 12, 17, (12, 18)),
+                                    ("D", 11, 6, (12, 6)))),
 ])
 def test_verify_names_a_malformed_model_field(tmp_path, dual_rate_run, capsys, edit, message):
     # the model file is data: a bad field is a data error (exit 3) that names it

@@ -60,6 +60,15 @@ def test_simulate_rejects_bad_x0(plant):
         simulate(plant, np.ones((4, 1)), x0=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_rejects_non_finite_input(plant, bad):
+    # refused before the overflow guard could blame the plant for it
+    u = np.ones((4, 1))
+    u[2, 0] = bad
+    with pytest.raises(DimensionMismatchError, match="input contains non-finite entries"):
+        simulate(plant, u)
+
+
 def test_markov_zero_feedthrough(plant):
     H = markov(plant, 3)
     assert np.array_equal(H[0], np.zeros((2, 1)))

@@ -15,6 +15,7 @@ from cycsid import (
     build_masks,
     cycle_signal,
     cyclic_reformulate,
+    kernels,
     make_state_space,
     markov,
     markov_match,
@@ -60,11 +61,16 @@ def test_hankel_writes_into_out():
 
 
 def _cycled_data(plant, rates, N, seed, noise=0.0):
+    # the per-step oracle, not the chunked simulation: the depth-edge tests
+    # below were chosen on these exact inputs, and some of their outcomes
+    # turn on the last bits of the data
     spec = build_masks(rates)
     rng = np.random.default_rng(seed)
-    log = simulate_multirate(plant, spec, rng.uniform(-1, 1, (N, plant.m)))
-    y = log.y + noise * rng.uniform(-1, 1, log.y.shape) * log.obs
-    return cycle_signal(log.u, spec.M), cycle_signal(y, spec.M)
+    u = rng.uniform(-1, 1, (N, plant.m))
+    _, y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(plant.n))
+    obs = spec.pattern(N)
+    y = y * obs + noise * rng.uniform(-1, 1, y.shape) * obs
+    return cycle_signal(u, spec.M), cycle_signal(y, spec.M)
 
 
 def _pattern_rows(rates):
@@ -132,6 +138,24 @@ def test_regressor_overflow_is_a_typed_error(blind_sensor, seed, capfd):
     with pytest.raises(DivergentModelError, match="overflows the B/D/x0 regressor over 3000 samples"):
         subspace_identify(uc, yc, order=12, block_rows=3)
     assert capfd.readouterr().err == ""  # no LAPACK complaint about inf input
+
+
+def test_unexposed_depth_ends_typed_or_unexposed_on_simulated_data(blind_sensor, capfd):
+    # through the chunked simulation the same depth may give a stable A
+    # instead: each seed ends in the typed error with nothing on stderr, or
+    # in a model that reports its order as unexposed (warnings are errors here)
+    spec = build_masks((1, 6))
+    for seed in range(16):
+        u = np.random.default_rng(seed).uniform(-1, 1, (3000, 1))
+        log = simulate_multirate(blind_sensor, spec, u)
+        uc, yc = cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M)
+        try:
+            idm = subspace_identify(uc, yc, order=12, block_rows=3)
+        except DivergentModelError:
+            assert capfd.readouterr().err == "", seed
+        else:
+            assert not idm.order_exposed, seed
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-3])
