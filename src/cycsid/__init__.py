@@ -10,13 +10,11 @@ from .cyclic import (
     CycledSystem,
     StructureReport,
     cycle_signal,
-    cycled_initial_state,
     cycled_ranks,
     cyclic_reformulate,
     is_block_diagonal,
     is_cyclic_matrix,
     shift_matrix,
-    uncycle_signal,
     verify_markov_structure,
 )
 from .errors import (
@@ -28,7 +26,6 @@ from .errors import (
     ExcitationDeficientError,
     InsufficientDataError,
     InvalidRateError,
-    MalformedCycledSignalError,
     NonSquareError,
     ParseError,
     RankConditionError,
@@ -48,6 +45,7 @@ from .pipeline import (
     demo_paper,
     load_config,
     run_identification,
+    validate,
 )
 from .statespace import (
     SignalLog,

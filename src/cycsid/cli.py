@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate (config -> signals CSV), identify (signals + config ->
-model + report), verify (model + reference -> structure/TF report), and
+model + report), verify (saved model + config -> the same report), and
 demo-paper (built-in studies).  Exit codes: 0 success, 2 config error,
 3 data error, 4 assumption or structure failure.
 """
@@ -10,8 +10,6 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import pipeline
 from .errors import (
@@ -23,10 +21,8 @@ from .errors import (
     CycsidError,
     ParseError,
     SchemaError,
-    StructureViolationError,
 )
 from .fileio import load_model, save_model, save_signals, write_json
-from .transform import model_transfer_check
 
 EXIT_OK = 0
 
@@ -131,18 +127,20 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _verdict(report):
+    """The verdict fragment identify and verify print: worst TF distance and failed checks."""
+    failed = report.failures()
+    return (f"worst TF distance {max(max(row) for row in report.tf_distances):.3g}; "
+            f"checks {'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
+
+
 def cmd_identify(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     model, report = pipeline.run_identification(cfg)
-    provenance = {"seed": report.seed, "N": report.N, "convention": report.convention}
-    save_model(model.source, out / "model.json", cfg.spec, provenance)
+    save_model(model.source, out / "model.json", cfg.spec, {"seed": report.seed, "N": report.N})
     write_json(report.to_dict(), out / "report.json")
-    worst_tf = max(max(row) for row in report.tf_distances)
-    failed = report.failures()
-    print(f"order {report.order} model identified (convention {report.convention}); "
-          f"worst TF distance {worst_tf:.3g}; "
-          f"checks {'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
+    print(f"order {report.order} model identified; {_verdict(report)}")
     depth = report.block_rows
     how = ("pattern" if depth["used"] == depth["pattern"]
            else f"fallback from pattern {depth['pattern']}")
@@ -150,7 +148,7 @@ def cmd_identify(args):
     print(f"block rows {depth['used']} ({how}); shift margin {margin:.2g} "
           f"{'>' if margin > report.sv_gap else '<='} gap {report.sv_gap:.2g}")
     print(f"wrote {out / 'model.json'}, {out / 'report.json'}")
-    return EXIT_STRUCTURE if failed else EXIT_OK
+    return EXIT_STRUCTURE if report.failures() else EXIT_OK
 
 
 def cmd_verify(args):
@@ -173,32 +171,16 @@ def cmd_verify(args):
         print(f"data error: model (n, m) = ({mf.model.n}, {mf.model.m}) != config plant "
               f"(n, m) = ({plant.n}, {plant.m})", file=sys.stderr)
         return EXIT_DATA
-    tol_structure = cfg.tolerances["structure"]
-    tol_tf = cfg.tolerances["tf"]
-
     try:
-        cm, _, _ = pipeline.choose_transform(mf.model, tol_structure)
-    except StructureViolationError as e:
-        print("structure FAIL: the transform yields no cyclic form", file=sys.stderr)
-        write_json({"structure_passed": False, "attempt": e.attempt},
-                   out / "verify_report.json")
+        provenance = {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}
+        _, report = pipeline.validate(mf.model, cfg, provenance)
+    except STRUCTURE_ERRORS as e:
+        write_json(pipeline.refusal(e), out / "verify_report.json")
+        print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_STRUCTURE
-    # choose_transform returns only a model whose cyclic form passed at tol_structure
-    margin = cm.structure.max_offpattern
-    tf_ok, dists = model_transfer_check(cm, plant, spec, tol_tf)
-    doc = {
-        "structure_passed": True,
-        "max_offpattern": margin,
-        "tf_passed": tf_ok,
-        "tf_distances": [[float(d) for d in row] for row in dists],
-        "tol_structure": tol_structure,
-        "tol_tf": tol_tf,
-    }
-    write_json(doc, out / "verify_report.json")
-    print(f"structure PASS (max off-pattern {margin:.3g}); "
-          f"transfer {'PASS' if tf_ok else 'FAIL'} "
-          f"(worst distance {float(np.max(dists)):.3g})")
-    return EXIT_OK if tf_ok else EXIT_STRUCTURE
+    write_json(report.to_dict(), out / "verify_report.json")
+    print(f"order {report.order} model verified; {_verdict(report)}")
+    return EXIT_STRUCTURE if report.failures() else EXIT_OK
 
 
 def cmd_demo(args):

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedCycledSignalError
+from .errors import DimensionMismatchError
 from .numerics import DEFAULT_RANK_TOL, rank_with_tol
 from .statespace import ctrb, obsv
 
@@ -40,10 +40,6 @@ class CycledSignal:
     q: int
     M: int
 
-    @property
-    def N(self):
-        return self.samples.shape[0]
-
 
 def cycle_signal(raw, M):
     """Pack sample k into block k mod M of a length-Mq vector."""
@@ -59,20 +55,6 @@ def cycle_signal(raw, M):
     k = np.arange(N)
     out.reshape(N, M, q)[k, k % M] = raw
     return CycledSignal(samples=out, q=q, M=M)
-
-
-def uncycle_signal(c, tol=EXACT_TOL):
-    """Extract block k mod M of sample k; inverse of cycle_signal."""
-    blocks = c.samples.reshape(c.N, c.M, c.q)
-    k = np.arange(c.N)
-    stray = np.ones((c.N, c.M), dtype=bool)
-    stray[k, k % c.M] = False
-    worst = np.abs(blocks[stray]).max(initial=0.0)
-    if worst > tol:
-        raise MalformedCycledSignalError(
-            f"off-position mass {worst:g} exceeds tolerance {tol:g}"
-        )
-    return blocks[k, k % c.M]
 
 
 def _pattern_index(M, off):
@@ -125,14 +107,6 @@ def cyclic_reformulate(ss, spec):
                         C=place_blocks([mask @ ss.C for mask in spec.masks], 0),
                         D=place_blocks([mask @ ss.D for mask in spec.masks], 0),
                         n=ss.n, m=ss.m, l=ss.l, M=M)
-
-
-def cycled_initial_state(x0, M):
-    """Mn-vector with x0 in block 0 and zeros elsewhere."""
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    out = np.zeros(M * x0.size)
-    out[:x0.size] = x0
-    return out
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class RankDeficientAError(CycsidError):
     """The state matrix must have full rank for the multirate analysis."""
 
 
-class MalformedCycledSignalError(CycsidError):
-    """A cycled sample has mass outside its active block."""
-
-
 class InsufficientDataError(CycsidError):
     """Not enough samples for the requested operation."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SchemaError
 from .multirate import MultirateSpec, build_masks
-from .numerics import convert, integer
+from .numerics import convert, integer, of_type, optional
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
 
@@ -134,6 +134,7 @@ def save_model(model, path, spec, provenance=None):
         "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
         "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
         "block_rows": model.depth_evidence(),
+        "sv_gap": model.order_gap, "order_exposed": model.order_exposed,
         "provenance": provenance or {},
     }, path)
 
@@ -177,10 +178,22 @@ def load_model(path):
             raise ValueError("'block_rows' must hold used, pattern, shift_margin")
         used, pattern = (convert(f"block_rows.{key}", depth.get(key, 0), integer, "an integer")
                          for key in ("used", "pattern"))
+        # files written before the SV gap and its verdict were kept load them as None
+        margin, gap = (convert(key, value, optional(float), "a number or null")
+                       for key, value in (("block_rows.shift_margin", depth.get("shift_margin")),
+                                          ("sv_gap", doc.get("sv_gap"))))
+        exposed = convert("order_exposed", doc.get("order_exposed"), optional(of_type(bool)),
+                          "true, false or null")
+        provenance = convert("provenance", doc.get("provenance", {}), of_type(dict),
+                             "an object")
+        for key in ("seed", "N"):
+            convert(f"provenance.{key}", provenance.get(key), optional(integer),
+                    "an integer or null")
         model = IdentifiedModel(A=A, B=B, C=C, D=D, order=order, n=n, m=m, l=l, M=M,
                                 x0=np.zeros(order), singular_values=np.zeros(0),
+                                order_gap=gap, order_exposed=exposed,
                                 block_rows=used, pattern_block_rows=pattern,
-                                shift_margin=depth.get("shift_margin"))
+                                shift_margin=margin)
     except (ValueError, DimensionMismatchError) as e:
         raise SchemaError(f"{path}: {e}") from e
-    return ModelFile(model, spec, doc.get("provenance", {}))
+    return ModelFile(model, spec, provenance)

@@ -45,6 +45,20 @@ def integer(value):
     return int(value)
 
 
+def of_type(*types):
+    """A conversion that passes a value of one of types through and refuses any other."""
+    def check(value):
+        if not isinstance(value, types):
+            raise TypeError(value)
+        return value
+    return check
+
+
+def optional(to):
+    """The conversion to, with None passed through."""
+    return lambda value: None if value is None else to(value)
+
+
 def rank_with_tol(m, tol=DEFAULT_RANK_TOL):
     """Number of singular values strictly above tol times the largest one."""
     if tol < 0:

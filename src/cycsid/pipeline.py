@@ -1,13 +1,13 @@
 """End-to-end identification runs: configuration, orchestration, reporting,
 and the built-in benchmark studies.
 
-A run executes four stages: derive the period from the sensor rates and
-collect (or load) masked input/output data, cycle the signals and identify a
-model of order M*n, build the coordinate transform from the identified
-model's reachability data, apply it and check the cyclic form once, then
-extract the per-phase components and validate the recovered plant.  Every
-intermediate rank and margin is kept on the report because the method's
-justification is a chain of rank/structure facts.
+A run collects (or loads) masked input/output data, cycles the signals and
+identifies a model of order M*n, then hands it to `validate`, the one judge
+of an identified model: it builds the coordinate transform from the model's
+reachability data, applies it and checks the cyclic form once, extracts the
+per-phase components and checks the recovered plant against the reference.
+Every intermediate rank and margin is kept on the report because the
+method's justification is a chain of rank/structure facts.
 """
 
 import time
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
-from .numerics import convert, integer, rank_with_tol
+from .numerics import convert, integer, of_type, optional, rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
@@ -78,6 +78,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every conversion that fails is a ValueError naming its key
+        self.input = convert("input", self.input, of_type(dict), "an object")
+        self.out_dir = convert("out_dir", self.out_dir, optional(of_type(str)),
+                               "a string or null")
         self.N = convert("N", self.N, integer, "an integer")
         self.noise = convert("noise", self.noise, float, "a number")
         if self.N <= 0:
@@ -96,7 +99,7 @@ class ExperimentConfig:
                                               float, "a number")
             if not np.isfinite(self.input["amplitude"]):
                 raise ValueError(f"input.amplitude must be finite, got {self.input['amplitude']}")
-            self.input["seed"] = convert("input.seed", self.input["seed"], _seed,
+            self.input["seed"] = convert("input.seed", self.input["seed"], optional(_seed),
                                          "a nonnegative integer or null")
             if self.input["kind"] != "uniform":
                 raise ValueError(f"unsupported input kind '{self.input['kind']}'")
@@ -118,7 +121,8 @@ class ExperimentConfig:
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
             )
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances or {})
+        tol.update(convert("tolerances", self.tolerances, optional(of_type(dict)),
+                           "an object or null") or {})
         unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; "
@@ -130,9 +134,7 @@ class ExperimentConfig:
 
 
 def _seed(value):
-    """A seed is null (fresh entropy) or a nonnegative integer."""
-    if value is None:
-        return None
+    """A seed is a nonnegative integer."""
     seed = integer(value)
     if seed < 0:
         raise ValueError(value)
@@ -163,7 +165,6 @@ class RunReport:
     rates: tuple
     M: int
     order: int
-    convention: str
     conventions_tried: list
     observable_phases: list
     ranks: dict
@@ -265,28 +266,54 @@ def choose_transform(idm, tol):
         f"the transform gives no regular matrix with cyclic structure: {entry}", attempt=entry)
 
 
-def run_identification(cfg):
-    """Execute one full run and return (CyclicModel, RunReport)."""
-    t_all = time.perf_counter()
-    timings = {}
-    plant = cfg.plant
-    n, m, l = plant.n, plant.m, plant.l
-    tol = cfg.tolerances
+def refusal(e):
+    """The record a structure error leaves in place of a RunReport."""
+    return {"error": str(e), "kind": "structure", "attempt": getattr(e, "attempt", None)}
 
+
+def observable_phases(cfg):
+    """The phases whose masked output pair observes cfg's plant, sorted;
+    raises AssumptionFailedError when there is none."""
+    phases = sorted(check_observability_assumption(cfg.plant, cfg.spec))
+    if not phases:
+        raise AssumptionFailedError("no sampling phase gives an observable masked output pair")
+    return phases
+
+
+def run_identification(cfg):
+    """Identify a model from cfg's data and validate it: (CyclicModel, RunReport)."""
+    t_all = time.perf_counter()
     t0 = time.perf_counter()
     spec, log = collect_data(cfg)
+    phases = observable_phases(cfg)
+    uc = cycle_signal(log.u, spec.M)
+    yc = cycle_signal(log.y, spec.M)
+    t_data = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    idm = subspace_identify(uc, yc, spec.M * cfg.plant.n)
+    t_identify = time.perf_counter() - t0
+
+    model, report = validate(idm, cfg, {"seed": cfg.input.get("seed"), "N": log.N,
+                                        "observable_phases": phases})
+    report.timings = {"data": t_data, "identify": t_identify, **report.timings,
+                      "total": time.perf_counter() - t_all}
+    return model, report
+
+
+def validate(idm, cfg, provenance):
+    """Judge idm against cfg's plant, sampling and tolerances: (CyclicModel,
+    RunReport), timed from the reference stage to verify.  provenance holds
+    the data's seed and N (None when not recorded) and observable_phases.
+    Raises StructureViolationError when choose_transform refuses idm.
+    """
+    timings = {}
+    plant, spec, tol = cfg.plant, cfg.spec, cfg.tolerances
+    n, m, l = plant.n, plant.m, plant.l
     M = spec.M
     order = M * n
-    obs_phases = sorted(check_observability_assumption(plant, spec))
-    if not obs_phases:
-        raise AssumptionFailedError(
-            "no sampling phase gives an observable masked output pair"
-        )
-    uc = cycle_signal(log.u, M)
-    yc = cycle_signal(log.y, M)
-    timings["data"] = time.perf_counter() - t0
 
-    # True-system reference facts (the plant is known in every run config).
+    # True-system reference facts.
     t0 = time.perf_counter()
     cs = cyclic_reformulate(plant, spec)
     rank_c, rank_o = cycled_ranks(cs)
@@ -299,10 +326,6 @@ def run_identification(cfg):
         "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
     }
     timings["reference"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, order)
-    timings["identify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     maxdepth = 2 * order
@@ -322,17 +345,15 @@ def run_identification(cfg):
     tf_passed, dists = model_transfer_check(model, plant, spec, tol["tf"])
     devA, devB = model.component_spread()
     timings["verify"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_all
 
     report = RunReport(
-        seed=cfg.input.get("seed"),
-        N=log.N,
+        seed=provenance.get("seed"),
+        N=provenance.get("N"),
         rates=cfg.rates,
         M=M,
         order=order,
-        convention=tried[0]["convention"],
         conventions_tried=tried,
-        observable_phases=list(obs_phases),
+        observable_phases=provenance["observable_phases"],
         ranks={
             "controllability": rank_c,
             "observability": rank_o,
@@ -435,8 +456,7 @@ def demo_paper(studies, printer=print):
         except STRUCTURE_ERRORS as e:
             printer(f"study result: FAIL ({e})")
             printer("")
-            reports[label] = {"error": str(e), "kind": "structure",
-                              "attempt": getattr(e, "attempt", None)}
+            reports[label] = refusal(e)
             status = EXIT_STRUCTURE
             continue
         reports[label] = report
@@ -451,7 +471,7 @@ def demo_paper(studies, printer=print):
         printer(f"shift-adjusted Markov structure: max off-pattern "
                 f"{report.markov_structure['max_offpattern']:.3g} -> "
                 f"{'FAIL' if 'markov_structure' in failed else 'PASS'}")
-        printer(f"cyclic form after transform ({report.convention}): max off-pattern "
+        printer(f"cyclic form after transform: max off-pattern "
                 f"{max(v['max_offpattern'] for v in report.cyclic_form.values()):.3g} -> "
                 f"{'FAIL' if 'cyclic_form' in failed else 'PASS'}")
         printer(f"component spread: A {report.component_spread['A']:.3g}, "

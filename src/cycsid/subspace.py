@@ -40,7 +40,9 @@ class IdentifiedModel:
     block_rows is the Hankel depth used, pattern_block_rows the depth the
     sampling pattern chose (they differ after a fallback or an explicit
     depth), and shift_margin sigma_min/sigma_max of the shifted observability
-    estimate at the depth used (None when not recorded).
+    estimate at the depth used.  order_gap is sv[order]/sv[order-1] and
+    order_exposed whether it passed SV_GAP_TOL.  Each of the three is None
+    when not recorded.
     """
 
     A: np.ndarray
@@ -54,8 +56,8 @@ class IdentifiedModel:
     M: int
     x0: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
-    order_gap: float = 0.0
-    order_exposed: bool = True
+    order_gap: float | None = None
+    order_exposed: bool | None = None
     block_rows: int = 0
     pattern_block_rows: int = 0
     shift_margin: float | None = None

@@ -3,10 +3,8 @@ import pytest
 
 from cycsid import (
     DimensionMismatchError,
-    MalformedCycledSignalError,
     build_masks,
     cycle_signal,
-    cycled_initial_state,
     cycled_ranks,
     cyclic_reformulate,
     is_block_diagonal,
@@ -16,9 +14,24 @@ from cycsid import (
     shift_matrix,
     simulate,
     simulate_multirate,
-    uncycle_signal,
     verify_markov_structure,
 )
+
+
+def uncycle_signal(samples, M):
+    """Block k mod M of cycled sample k; asserts that no other block carries mass."""
+    N = samples.shape[0]
+    blocks = samples.reshape(N, M, -1)
+    k = np.arange(N)
+    stray = np.ones((N, M), dtype=bool)
+    stray[k, k % M] = False
+    assert np.abs(blocks[stray]).max(initial=0.0) <= 1e-12
+    return blocks[k, k % M]
+
+
+def cycled_initial_state(x0, M):
+    """Mn-vector with x0 in block 0 and zeros elsewhere."""
+    return np.concatenate([x0, np.zeros((M - 1) * len(x0))])
 
 
 def test_shift_matrix_q1_M3():
@@ -53,24 +66,14 @@ def test_cycle_signal_period_one_identity():
     raw = np.arange(6.0).reshape(3, 2)
     c = cycle_signal(raw, 1)
     assert np.array_equal(c.samples, raw)
-    assert np.array_equal(uncycle_signal(c), raw)
+    assert np.array_equal(uncycle_signal(c.samples, c.M), raw)
 
 
 def test_cycle_uncycle_roundtrip():
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(20, 2))
     c = cycle_signal(raw, 6)
-    assert np.array_equal(uncycle_signal(c), raw)
-
-
-def test_uncycle_rejects_two_active_blocks():
-    c = cycle_signal(np.ones((4, 1)), 3)
-    samples = c.samples.copy()
-    samples[1, 0] = 0.5  # block 0 active although phase is 1
-    from cycsid.cyclic import CycledSignal
-
-    with pytest.raises(MalformedCycledSignalError):
-        uncycle_signal(CycledSignal(samples=samples, q=1, M=3))
+    assert np.array_equal(uncycle_signal(c.samples, c.M), raw)
 
 
 def test_cyclic_reformulate_mixed_rates(plant):
@@ -105,12 +108,6 @@ def test_cyclic_reformulate_zero_row_blocks(plant):
         assert np.all(cs.C[2 * k:2 * k + 2] == 0)
 
 
-def test_cycled_initial_state():
-    assert np.array_equal(cycled_initial_state([1, 2, 3], 3),
-                          [1, 2, 3, 0, 0, 0, 0, 0, 0])
-    assert np.array_equal(cycled_initial_state(np.zeros(2), 4), np.zeros(8))
-
-
 def test_cycled_state_tracks_flat_state(plant):
     rng = np.random.default_rng(8)
     spec = build_masks((1, 3))
@@ -135,9 +132,7 @@ def test_cycled_flat_output_equivalence(corpus):
         flat = simulate_multirate(ss, spec, u)
         cyc = simulate(cs, cycle_signal(u, spec.M).samples,
                        cycled_initial_state(np.zeros(ss.n), spec.M))
-        from cycsid.cyclic import CycledSignal
-
-        back = uncycle_signal(CycledSignal(samples=cyc.y, q=ss.l, M=spec.M))
+        back = uncycle_signal(cyc.y, spec.M)
         assert np.abs(back - flat.y).max() <= 1e-12
 
 

@@ -59,14 +59,14 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     idm = model.source
     path = tmp_path / "model.json"
     save_model(idm, path, build_masks((2, 3)), provenance={"seed": report.seed,
-                                                    "N": report.N,
-                                                    "convention": report.convention})
+                                                    "N": report.N})
     mf = load_model(path)
     assert isinstance(mf, ModelFile)
     assert json.loads(path.read_text())["kind"] == "identified"
     assert np.array_equal(mf.model.A, idm.A)
     assert np.array_equal(mf.model.D, idm.D)
-    assert mf.provenance["convention"] == report.convention
+    assert mf.provenance == {"seed": report.seed, "N": report.N}
+    assert (mf.model.order_gap, mf.model.order_exposed) == (report.sv_gap, report.order_exposed)
     assert mf.model.depth_evidence() == idm.depth_evidence() == report.block_rows
 
 
@@ -227,6 +227,10 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
                  "input.seed must be a nonnegative integer or null, got 1.5", id="seed-fraction"),
     pytest.param({"input": {"seed": -1}},
                  "input.seed must be a nonnegative integer or null, got -1", id="seed-negative"),
+    pytest.param({"input": None}, "input must be an object, got None", id="input-null"),
+    pytest.param({"tolerances": [1]}, "tolerances must be an object or null, got [1]",
+                 id="tolerances-list"),
+    pytest.param({"out_dir": 5}, "out_dir must be a string or null, got 5", id="out_dir"),
 ])
 def test_config_value_that_fails_conversion_names_its_key(tmp_path, extra, message):
     doc = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},

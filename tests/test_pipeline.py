@@ -10,17 +10,27 @@ from cycsid import (
     ExperimentConfig,
     IdentifiedModel,
     RunReport,
+    SignalLog,
     StructureViolationError,
     build_masks,
     builtin_config,
     check_observability_assumption,
     cyclic_reformulate,
+    kernels,
     make_state_space,
     run_identification,
+    save_signals,
 )
 from cycsid.cli import build_parser, main
 from cycsid.fileio import load_model
-from cycsid.pipeline import DEMO_STUDIES, choose_transform, demo_paper, load_config, poly_str
+from cycsid.pipeline import (
+    DEMO_STUDIES,
+    choose_transform,
+    demo_paper,
+    generate_input,
+    load_config,
+    poly_str,
+)
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -58,16 +68,17 @@ def test_convention_fallback_on_eigenvalue_paired_plant():
     cfg = ExperimentConfig(plant=plant, rates=(1, 2), N=1500,
                            input={"kind": "uniform", "amplitude": 1.0, "seed": 3})
     model, report = run_identification(cfg)
-    assert report.convention == "general"
     assert report.tf_passed
 
 
-def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd):
+def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_path):
     # one output at rate 4 sees A^4, whose modes (-0.052)^4 and 0.033^4 sit
     # near the rank cutoff: each run raises StructureViolationError or returns
     # a report that names its failures, with no warning (warnings are errors
     # here) and no LAPACK line, and cond(T) is finite in either record; the
-    # built-in study runner stores the error's attempt record as it is
+    # built-in study runner stores the error's attempt record as it is.  The
+    # outcome mix turns on the last bits of the data, so the signals come
+    # from the per-step oracle, not from the chunked simulation
     rng = np.random.default_rng(1)
     outcomes = set()
     runs = 0
@@ -79,6 +90,12 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd):
         if not check_observability_assumption(plant, cfg.spec):
             continue
         runs += 1
+        u = generate_input(cfg)
+        _, y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(3))
+        obs = cfg.spec.pattern(cfg.N)
+        signals = tmp_path / f"signals{runs}.csv"
+        save_signals(SignalLog(u=u, y=y * obs, x0=np.zeros(0), obs=obs), signals)
+        cfg = dataclasses.replace(cfg, input={"file": str(signals)})
         try:
             _, report = run_identification(cfg)
         except StructureViolationError as e:
@@ -116,6 +133,8 @@ def test_run_report_round_trips(dual_rate_run):
     back = RunReport.from_dict(doc)
     assert back.to_dict() == report.to_dict()
     assert back.components["A_phases"] == report.components["A_phases"]
+    # a report written while it still carried the transform's convention loads
+    assert RunReport.from_dict({**doc, "convention": "general"}).to_dict() == report.to_dict()
 
 
 def test_runs_are_deterministic(plant):
@@ -218,13 +237,13 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
             f"{depth['shift_margin']:.2g} > gap {report['sv_gap']:.2g}\n"
             in capsys.readouterr().out)
 
-    worst = max(v["max_offpattern"] for v in report["cyclic_form"].values())
     assert main(["verify", "--model", str(out / "model.json"),
                  "--config", str(cfg), "--out", str(out)]) == 0
     verdict = json.loads((out / "verify_report.json").read_text())
-    assert verdict["structure_passed"] and verdict["tf_passed"]
+    assert verdict["tf_passed"] and RunReport.from_dict(verdict).failures() == []
     # the margin measured on the transformed model, not on its clean rebuild
-    assert verdict["max_offpattern"] == worst > 0.0
+    assert verdict["cyclic_form"] == report["cyclic_form"]
+    assert max(v["max_offpattern"] for v in verdict["cyclic_form"].values()) > 0.0
 
     # the transform, rebuilt from the saved model, repeats the identify run's
     # attempt, cyclic form and components exactly
@@ -233,7 +252,7 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     cm, tres, tried = choose_transform(idm, tol)
     assert tried == report["conventions_tried"]
     assert cm.structure.to_dict() == report["cyclic_form"]
-    assert report["convention"] == tried[0]["convention"] == "general"
+    assert tried[0]["convention"] == "general"
     assert {k: [X.tolist() for X in getattr(cm, k)] for k in report["components"]} \
         == report["components"]
     capsys.readouterr()
@@ -250,13 +269,10 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     assert main(["verify", "--model", str(out / "model.json"), "--config", str(cfg),
                  "--out", str(out)]) == 0
     verdict = json.loads((out / "verify_report.json").read_text())
-    assert verdict["structure_passed"] and verdict["tf_passed"]
+    assert RunReport.from_dict(verdict).failures() == []
     assert max(max(row) for row in verdict["tf_distances"]) <= 1e-6
-    cm, _, tried = choose_transform(load_model(out / "model.json").model,
-                                    verdict["tol_structure"])
-    assert (cm.structure.to_dict(), tried) == (report["cyclic_form"],
-                                               report["conventions_tried"])
-    assert verdict["max_offpattern"] == cm.structure.max_offpattern
+    assert (verdict["cyclic_form"], verdict["conventions_tried"]) == (
+        report["cyclic_form"], report["conventions_tried"])
 
     # a config sampled at other offsets describes other data: a data error,
     # not a transfer verdict
@@ -485,26 +501,68 @@ def test_signals_file_takes_no_seed_or_n(tmp_path, capsys, flag, value):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_verify_writes_the_identify_report_and_verdict(tmp_path, capsys):
+    # verify judges the saved model with the validation identify ran: the same
+    # report apart from timings, the same verdict line and the same exit code;
+    # output noise fails markov while the loosened TF passes
+    path = write_config(tmp_path, rates=[2, 3], N=3000, input={"seed": 12345})
+    check = ["--out", str(tmp_path), "--tol-tf", "0.1"]
+    assert main(["identify", "--config", str(path), "--noise", "0.01", *check]) == 4
+    identified = capsys.readouterr().out.splitlines()[0]
+    assert identified.endswith("; checks FAIL: markov")
+    assert main(["verify", "--model", str(tmp_path / "model.json"), "--config", str(path),
+                 *check]) == 4
+    verdict_line = identified.replace("identified", "verified")
+    assert capsys.readouterr().out == verdict_line + "\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    verdict = json.loads((tmp_path / "verify_report.json").read_text())
+    assert list(verdict["timings"]) == ["reference", "markov", "transform", "verify"]
+    assert {**verdict, "timings": report["timings"]} == report
+    assert (verdict["seed"], verdict["N"]) == (12345, 3000)
+
+
+def test_verify_reports_null_for_facts_an_older_model_file_lacks(tmp_path, dual_rate_run):
+    # a model file written before sv_gap, order_exposed and provenance were
+    # kept verifies, and its report says null for each rather than a default
+    from cycsid.fileio import save_model
+
+    cfg, model, report = dual_rate_run
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec, {"seed": 1, "N": 2})
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({k: v for k, v in doc.items()
+                                if k not in ("sv_gap", "order_exposed", "provenance")}))
+    assert main(["verify", "--model", str(path), "--config",
+                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [verdict[k] for k in ("sv_gap", "order_exposed", "seed", "N")] == [None] * 4
+    assert verdict["components"] == report.components
+
+
 def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual_rate_run,
                                                                   capsys):
     from cycsid.fileio import save_model
 
     cfg, model, report = dual_rate_run
     path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec, provenance={"convention": report.convention})
+    save_model(model.source, path, cfg.spec)
     verify = ["verify", "--model", str(path), "--config",
               str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]
     assert main(verify) == 0
-    margin = json.loads((tmp_path / "verify_report.json").read_text())["max_offpattern"]
-    assert margin == max(v["max_offpattern"] for v in report.cyclic_form.values())
+    cyclic_form = json.loads((tmp_path / "verify_report.json").read_text())["cyclic_form"]
+    assert cyclic_form == report.cyclic_form
+    margin = max(v["max_offpattern"] for v in cyclic_form.values())
     assert 0.0 < margin <= 1e-6
 
-    # the rebuilt cyclic form is judged against the given tolerance
+    # the rebuilt cyclic form is judged against the given tolerance; the
+    # refusal is the record demo-paper keeps for a refused study
+    capsys.readouterr()
     assert main(verify + ["--tol-structure", "1e-20"]) == 4
     verdict = json.loads((tmp_path / "verify_report.json").read_text())
-    assert verdict["structure_passed"] is False
+    assert verdict == {"error": verdict["error"], "kind": "structure",
+                       "attempt": verdict["attempt"]}
     assert verdict["attempt"]["max_offpattern"] == margin
-    assert capsys.readouterr().err == "structure FAIL: the transform yields no cyclic form\n"
+    assert capsys.readouterr().err == f"verification failure: {verdict['error']}\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -515,6 +573,17 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
                  id="offsets"),
     pytest.param({"block_rows": {"used": "x"}}, "block_rows.used must be an integer, got 'x'",
                  id="block_rows"),
+    pytest.param({"block_rows": {"shift_margin": "x"}},
+                 "block_rows.shift_margin must be a number or null, got 'x'", id="shift_margin"),
+    pytest.param({"sv_gap": "x"}, "sv_gap must be a number or null, got 'x'", id="sv_gap"),
+    pytest.param({"order_exposed": "yes"}, "order_exposed must be true, false or null, got 'yes'",
+                 id="order_exposed"),
+    *(pytest.param({"provenance": v}, f"provenance must be an object, got {v!r}",
+                   id=f"provenance-{type(v).__name__}") for v in ([1, 2], "seed", None)),
+    pytest.param({"provenance": {"seed": "x"}},
+                 "provenance.seed must be an integer or null, got 'x'", id="provenance-seed"),
+    pytest.param({"provenance": {"N": [1, 2]}},
+                 "provenance.N must be an integer or null, got [1, 2]", id="provenance-N"),
     pytest.param({"A": [[0.0] * 18] * 17 + [[0.0]]},
                  "A must be a matrix of numbers, got [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...], ",
                  id="ragged-A"),
@@ -596,11 +665,12 @@ def test_verify_reports_the_attempt_of_a_model_that_fails_the_structure_check(
     save_model(dense, path, spec)
     assert main(["verify", "--model", str(path), "--config", str(write_config(tmp_path)),
                  "--out", str(tmp_path)]) == 4
-    assert capsys.readouterr().err == "structure FAIL: the transform yields no cyclic form\n"
     verdict = json.loads((tmp_path / "verify_report.json").read_text())
     with pytest.raises(StructureViolationError) as err:
         choose_transform(dense, 1e-6)
-    assert verdict == {"structure_passed": False, "attempt": err.value.attempt}
+    assert capsys.readouterr().err == f"verification failure: {err.value}\n"
+    assert verdict == {"error": str(err.value), "kind": "structure",
+                       "attempt": err.value.attempt}
     attempt = verdict["attempt"]
     assert (attempt["convention"], attempt["rank"], attempt["regular"]) == ("general", 9, True)
     assert attempt["applied"] and not attempt["structure_passed"]
@@ -678,10 +748,9 @@ def test_cli_verify_wrong_reference_fails(tmp_path, dual_rate_run, capsys):
     # verify a (2,3) model against a perturbed reference plant: transfer FAIL
     from cycsid.fileio import save_model
 
-    cfg, model, report = dual_rate_run
+    cfg, model, _ = dual_rate_run
     model_path = tmp_path / "model.json"
-    save_model(model.source, model_path, cfg.spec,
-               provenance={"convention": report.convention})
+    save_model(model.source, model_path, cfg.spec)
     wrong = write_config(
         tmp_path,
         plant={"A": [[0.0, 0.0, 0.8], [1.0, 0.0, 0.5], [0.0, 1.0, -0.3]],
