@@ -135,8 +135,35 @@ def save_model(model, path, spec, provenance=None):
         "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
         "block_rows": model.depth_evidence(),
         "sv_gap": model.order_gap, "order_exposed": model.order_exposed,
+        "phases": model.phase_evidence(),
         "provenance": provenance or {},
     }, path)
+
+
+#: the keys a model file may hold, and those of its depth and per-phase records
+MODEL_KEYS = {"kind", "n", "m", "l", "M", "order", "rates", "offsets", "A", "B", "C", "D",
+              "block_rows", "sv_gap", "order_exposed", "phases", "provenance"}
+DEPTH_KEYS = {"used", "pattern", "shift_margin"}
+PHASE_KEYS = {"rank_margin", "sv_gap", "a_offpattern"}
+
+
+def _record(doc, key, known):
+    """doc[key] as an object of known keys, {} when absent; anything else is a
+    ValueError that names the key."""
+    rec = doc.get(key, {})
+    if not isinstance(rec, dict):
+        raise ValueError(f"'{key}' must hold {', '.join(sorted(known))}")
+    unknown = sorted(set(rec) - known)
+    if unknown:
+        raise ValueError(f"unknown {key} keys {unknown}; expected {sorted(known)}")
+    return rec
+
+
+def _numbers(value):
+    """A list of numbers as floats; Infinity stands for a phase without a gap."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return [float(v) for v in value]
 
 
 def load_model(path):
@@ -149,6 +176,9 @@ def load_model(path):
                           "model.json written beside it, whose cyclic form verify rebuilds")
     if kind != "identified":
         raise SchemaError(f"{path}: unknown model kind '{kind}'")
+    unknown = sorted(set(doc) - MODEL_KEYS)
+    if unknown:
+        raise SchemaError(f"{path}: unknown model keys {unknown}; expected {sorted(MODEL_KEYS)}")
     try:
         n, m, l, M = (convert(key, require(doc, key, path), integer, "an integer")
                       for key in ("n", "m", "l", "M"))
@@ -172,18 +202,25 @@ def load_model(path):
             if X.shape != shape:
                 raise ValueError(f"{key} is {X.shape} but the declared (n, m, l, M) "
                                  f"make it {shape}")
-        # files written before the depth record was kept load without it
-        depth = doc.get("block_rows", {})
-        if not isinstance(depth, dict):
-            raise ValueError("'block_rows' must hold used, pattern, shift_margin")
+        # files written before the depth, SV-gap or per-phase records were
+        # kept load them as 0 or None
+        depth = _record(doc, "block_rows", DEPTH_KEYS)
         used, pattern = (convert(f"block_rows.{key}", depth.get(key, 0), integer, "an integer")
                          for key in ("used", "pattern"))
-        # files written before the SV gap and its verdict were kept load them as None
         margin, gap = (convert(key, value, optional(float), "a number or null")
                        for key, value in (("block_rows.shift_margin", depth.get("shift_margin")),
                                           ("sv_gap", doc.get("sv_gap"))))
         exposed = convert("order_exposed", doc.get("order_exposed"), optional(of_type(bool)),
                           "true, false or null")
+        phases = _record(doc, "phases", PHASE_KEYS)
+        rank_margins, gaps = (convert(f"phases.{key}", phases.get(key), optional(_numbers),
+                                      "a list of numbers or null")
+                              for key in ("rank_margin", "sv_gap"))
+        for key, values in (("rank_margin", rank_margins), ("sv_gap", gaps)):
+            if values is not None and len(values) != M:
+                raise ValueError(f"phases.{key} has {len(values)} entries but M = {M}")
+        a_off = convert("phases.a_offpattern", phases.get("a_offpattern"), optional(float),
+                        "a number or null")
         provenance = convert("provenance", doc.get("provenance", {}), of_type(dict),
                              "an object")
         for key in ("seed", "N"):
@@ -193,7 +230,8 @@ def load_model(path):
                                 x0=np.zeros(order), singular_values=np.zeros(0),
                                 order_gap=gap, order_exposed=exposed,
                                 block_rows=used, pattern_block_rows=pattern,
-                                shift_margin=margin)
+                                shift_margin=margin, phase_rank_margins=rank_margins,
+                                phase_gaps=gaps, a_offpattern=a_off)
     except (ValueError, DimensionMismatchError) as e:
         raise SchemaError(f"{path}: {e}") from e
     return ModelFile(model, spec, provenance)

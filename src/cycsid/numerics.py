@@ -60,14 +60,23 @@ def optional(to):
 
 
 def rank_with_tol(m, tol=DEFAULT_RANK_TOL):
-    """Number of singular values strictly above tol times the largest one."""
+    """Number of singular values strictly above tol times the largest one.
+
+    A stack of matrices, shape (k, r, c), gives an array of k ranks, all cut
+    at tol times the largest singular value of the whole stack: the ranks of
+    the diagonal blocks of a block-diagonal matrix at that matrix's cutoff.
+    """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    m = as_matrix(m)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    mats = np.asarray(m, dtype=np.float64)
+    stacked = mats.ndim == 3
+    if stacked:
+        as_matrix(mats.reshape(-1, mats.shape[-1]))  # nonempty and finite
+    else:
+        mats = as_matrix(mats)[None]
+    sv = np.linalg.svd(mats, compute_uv=False)
+    ranks = np.count_nonzero(sv > tol * sv.max(initial=0.0), axis=1)
+    return ranks if stacked else int(ranks[0])
 
 
 def invert(m, tol=DEFAULT_RANK_TOL):

@@ -11,7 +11,7 @@ method's justification is a chain of rank/structure facts.
 """
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -181,6 +181,9 @@ class RunReport:
     tf_passed: bool
     components: dict
     timings: dict
+    #: per-phase rank margins and gaps and A's zeroed off-pattern size
+    #: (IdentifiedModel.phase_evidence); None on reports written before them
+    phases: dict | None = None
 
     def __post_init__(self):
         self.rates = tuple(self.rates)
@@ -204,7 +207,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(**{f.name: d[f.name] for f in fields(cls)
+                      if f.name in d or f.default is MISSING})
 
 
 def generate_input(cfg):
@@ -385,6 +389,7 @@ def validate(idm, cfg, provenance):
             "D_phases": [X.tolist() for X in model.D_phases],
         },
         timings=timings,
+        phases=idm.phase_evidence(),
     )
     return model, report
 

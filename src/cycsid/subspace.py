@@ -12,13 +12,33 @@ The Hankel depth (block rows) comes from the sampling pattern: most rows of
 a cycled output are zeros that no sensor samples, so the depth counts only
 the rows each phase block samples, and the shifted observability estimate
 is checked against the data before a short depth is accepted.
+
+After the LQ the work is split by phase.  A cycled signal carries sample k
+in phase block k mod M, so Hankel row (block row b, phase block p) is
+nonzero only on the columns j = p - start - b mod M: the LQ operand is a
+direct sum of M phase groups.  The rows of outputs that no sensor samples
+are all zero and go after all the others.  At a zero pivot Householder
+keeps the running column's entry as it stands, so a zero row among the
+others leaks raw data of later rows across the groups; placed last, it
+leaks into nothing the fit reads (noisy data: off-group entries of L fall
+from 2.8e-4 to 5.7e-16 of its largest entry at rates (2,3), noise 1e-2).
+Noise-free data are rank deficient, and the Householder pivots that land
+on round-off still leave off-group entries near 9e-3 of the largest entry;
+the phase subspaces do not depend on them and stay exact, within a
+principal-angle sine of about 1e-15.  So each group's excitation rank and
+projection SVD are taken apart, and each phase's top n left singular
+vectors fill its own state block of the observability estimate: the shift
+fit then gives a cyclic A (its round-off off-pattern part is recorded and
+zeroed) and the first block row a block-diagonal C, whose never-sampled
+rows are exact zeros.  The B/D/x0 regressor (``kernels.io_regressor``)
+computes only the blocks such a model leaves nonzero.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclic import CycledSignal
+from .cyclic import CycledSignal, is_cyclic_matrix, place_blocks, read_blocks
 from .errors import (
     DimensionMismatchError,
     DivergentModelError,
@@ -40,9 +60,12 @@ class IdentifiedModel:
     block_rows is the Hankel depth used, pattern_block_rows the depth the
     sampling pattern chose (they differ after a fallback or an explicit
     depth), and shift_margin sigma_min/sigma_max of the shifted observability
-    estimate at the depth used.  order_gap is sv[order]/sv[order-1] and
-    order_exposed whether it passed SV_GAP_TOL.  Each of the three is None
-    when not recorded.
+    estimate at the depth used.  phase_rank_margins and phase_gaps hold, per
+    state phase p, sigma_n/sigma_1 and sigma_(n+1)/sigma_n of that phase's
+    projection; order_gap is the largest phase gap and order_exposed whether
+    it passed SV_GAP_TOL.  a_offpattern is the largest entry of the shift
+    fit's A outside the cyclic pattern, which identification then zeroes.
+    Each is None when not recorded.
     """
 
     A: np.ndarray
@@ -61,6 +84,9 @@ class IdentifiedModel:
     block_rows: int = 0
     pattern_block_rows: int = 0
     shift_margin: float | None = None
+    phase_rank_margins: list | None = None
+    phase_gaps: list | None = None
+    a_offpattern: float | None = None
 
     def __post_init__(self):
         if self.A.shape != (self.order, self.order):
@@ -78,6 +104,12 @@ class IdentifiedModel:
         """{used, pattern, shift_margin}: the depth record kept in reports and model files."""
         return {"used": self.block_rows, "pattern": self.pattern_block_rows,
                 "shift_margin": self.shift_margin}
+
+    def phase_evidence(self):
+        """{rank_margin, sv_gap, a_offpattern}: the per-phase record kept in
+        reports and model files."""
+        return {"rank_margin": self.phase_rank_margins, "sv_gap": self.phase_gaps,
+                "a_offpattern": self.a_offpattern}
 
 
 def build_block_hankel(signal, rows, cols, start=0, out=None):
@@ -117,28 +149,29 @@ def _shortest_cover(seen, rows, limit):
     return next((h for h in range(1, limit + 1) if pattern_cover(seen, h) >= rows), None)
 
 
-def _base_order(order, M):
-    return order // M if order % M == 0 else order
-
-
 def full_block_rows(order, M):
     """max(2n + 2, order + 1): a depth that needs no pattern count.  Under the
     observability assumption every phase reaches an observable phase within
     M - 1 steps and then takes n samples spaced M apart, so the shifted
     observability matrix of order block rows has full column rank."""
-    return max(2 * _base_order(order, M) + 2, order + 1)
+    return max(2 * (order // M) + 2, order + 1)
 
 
 def default_block_rows(order, seen):
     """max(2n + 2, min(order + 1, h + 1)), h the fewest block rows whose every
     window samples at least 2n output rows (seen from `sampled_rows`)."""
-    n = _base_order(order, len(seen))
+    n = order // len(seen)
     h = _shortest_cover(seen, 2 * n, order - 1)
     return max(2 * n + 2, order + 1 if h is None else h + 1)
 
 
 def _signal_array(sig):
     if isinstance(sig, CycledSignal):
+        N = sig.samples.shape[0]
+        held = sig.samples.reshape(N, sig.M, sig.q)[np.arange(N), np.arange(N) % sig.M]
+        if np.count_nonzero(held) != np.count_nonzero(sig.samples):
+            raise DimensionMismatchError(
+                "a cycled signal must hold sample k in phase block k mod M only")
         return sig.samples, sig.q, sig.M
     arr = np.asarray(sig, dtype=np.float64)
     if arr.ndim == 1:
@@ -146,40 +179,74 @@ def _signal_array(sig):
     return arr, arr.shape[1], 1
 
 
-def _observability_estimate(u, y, i, order):
-    """(Gam, sv): the order-`order` extended observability estimate from
-    block-Hankel data with i block rows, and the singular values it came from.
+def _hankel_phases(channels, q, M, start, rows):
+    """Phase group of each row of a block Hankel with `rows` block rows over
+    the given channels of a cycled signal with q channels per phase block:
+    row (b, c) is nonzero only on columns j = (channels[c] // q - start - b)
+    mod M, the group."""
+    return ((channels // q)[None, :] - start - np.arange(rows)[:, None]).ravel() % M
 
-    The Hankel blocks, their LQ factor and the SVD factors are locals here,
-    so they are freed before the caller builds the much larger B/D/x0
-    regressor.
+
+def _observability_estimate(u, y, i, order, M):
+    """(Gam, svs): the order-`order` extended observability estimate from
+    block-Hankel data with i block rows, and the singular values of each
+    phase's projection, svs[p] for the state at phases k = p mod M.
+
+    The LQ operand [Uf; Up; Yp; Yf] keeps its full shape with the rows of
+    never-sampled outputs last; each phase group's input rank and projection
+    SVD are taken apart, and each phase's top n left singular vectors fill
+    its state block of Gam (see the module docstring).  The Hankel blocks,
+    their LQ factor and the SVD factors are locals here, so they are freed
+    before the caller builds the much larger B/D/x0 regressor.
     """
     N, mm = u.shape
     ll = y.shape[1]
+    n = order // M
     j = N - 2 * i + 1
+    live = np.flatnonzero(y.any(axis=0))
     r_uf = i * mm
-    r_past = r_uf + i * mm + i * ll
+    r_up = 2 * r_uf
+    r_past = r_up + i * live.size
+    r_live = r_past + i * live.size
 
     # LQ of [Uf; Up; Yp; Yf]: row space of the lower-left blocks of Yf gives
     # the span of future outputs explained by past data after future inputs.
     # The Hankel blocks are written straight into the stack.  Only L is used,
-    # so mode "r" skips forming the j-row orthogonal factor; it runs the same
-    # Householder QR, so L is the same to the bit.
-    stack = np.empty((r_past + i * ll, j))
+    # so mode "r" skips forming the j-row orthogonal factor.
+    stack = np.empty((2 * i * (mm + ll), j))
     build_block_hankel(u, i, j, start=i, out=stack[:r_uf])
-    build_block_hankel(u, i, j, out=stack[r_uf:2 * r_uf])
-    build_block_hankel(y, i, j, out=stack[2 * r_uf:r_past])
-    build_block_hankel(y, i, j, start=i, out=stack[r_past:])
+    build_block_hankel(u, i, j, out=stack[r_uf:r_up])
+    build_block_hankel(y[:, live], i, j, out=stack[r_up:r_past])
+    build_block_hankel(y[:, live], i, j, start=i, out=stack[r_past:r_live])
+    stack[r_live:] = 0.0
     L = np.linalg.qr(stack.T, mode="r").T
 
-    if rank_with_tol(L[:2 * i * mm, :2 * i * mm], 1e-10) < 2 * i * mm:
+    inputs = np.arange(mm)
+    group_up = _hankel_phases(inputs, mm // M, M, 0, i)
+    by_group = np.argsort(np.concatenate([_hankel_phases(inputs, mm // M, M, i, i), group_up]),
+                          kind="stable").reshape(M, -1)
+    ranks = rank_with_tol(L[by_group[:, :, None], by_group[:, None, :]], 1e-10)
+    if np.any(ranks < by_group.shape[1]):
         raise ExcitationDeficientError(
-            f"input hankel rank below {2 * i * mm}; input is not persistently exciting"
-        )
+            f"input hankel rank below {2 * i * mm} in phase groups "
+            f"{np.flatnonzero(ranks < by_group.shape[1]).tolist()}; "
+            "input is not persistently exciting")
 
-    proj = L[r_past:, r_uf:r_past]
-    Uu, sv, _ = np.linalg.svd(proj, full_matrices=False)
-    return Uu[:, :order] * np.sqrt(sv[:order]), sv
+    proj = L[r_past:r_live, r_uf:r_past]
+    group_f = _hankel_phases(live, ll // M, M, i, i)
+    group_past = np.concatenate([group_up, _hankel_phases(live, ll // M, M, 0, i)])
+    gam_rows = (np.arange(i)[:, None] * ll + live).ravel()  # Yf row -> row of Gam
+    Gam = np.zeros((i * ll, order))
+    svs = [None] * M
+    for g in range(M):
+        rows = np.flatnonzero(group_f == g)
+        Uu, sv, _ = np.linalg.svd(proj[np.ix_(rows, np.flatnonzero(group_past == g))],
+                                  full_matrices=False)
+        p = (g + i) % M  # the state at the start of the future window
+        k = min(n, sv.size)
+        Gam[gam_rows[rows], p * n:p * n + k] = Uu[:, :k] * np.sqrt(sv[:k])
+        svs[p] = sv
+    return Gam, svs
 
 
 def _require_samples(N, i, mm, ll, order, why=""):
@@ -189,24 +256,35 @@ def _require_samples(N, i, mm, ll, order, why=""):
             f"{why}need at least {need} samples for block_rows={i}, got {N}")
 
 
-def _gap_and_margin(Gam, sv, order, ll):
-    """(gap, margin): sv[order]/sv[order-1], and sigma_min/sigma_max of the
-    shifted estimate Gam[:-ll], which has full column rank exactly when the
-    depth is long enough for the shift-invariance fit."""
-    if sv.size > order and sv[order - 1] > 0:
-        gap = float(sv[order] / sv[order - 1])
-    else:
-        gap = float("inf") if sv.size <= order or sv[order - 1] == 0 else 0.0
+def _phase_margins(svs, n):
+    """(rank margins, gaps): sigma_n/sigma_1 and sigma_(n+1)/sigma_n of each
+    phase's singular values.  A phase without a nonzero n-th singular value
+    has margin 0 and an infinite gap; one with exactly n has nothing beyond
+    its order, a gap of 0."""
+    margins, gaps = [], []
+    for sv in svs:
+        if sv.size < n or sv[n - 1] == 0:
+            margins.append(0.0)
+            gaps.append(float("inf"))
+        else:
+            margins.append(float(sv[n - 1] / sv[0]))
+            gaps.append(float(sv[n] / sv[n - 1]) if sv.size > n else 0.0)
+    return margins, gaps
+
+
+def _shift_margin(Gam, order, ll):
+    """sigma_min/sigma_max of the shifted estimate Gam[:-ll], which has full
+    column rank exactly when the depth is long enough for the shift fit."""
     s = np.linalg.svd(Gam[:-ll], compute_uv=False)
-    margin = float(s[order - 1] / s[0]) if s.size >= order and s[0] > 0 else 0.0
-    return gap, margin
+    return float(s[order - 1] / s[0]) if s.size >= order and s[0] > 0 else 0.0
 
 
 def subspace_identify(ucheck, ycheck, order, block_rows=None):
     """Identify an order-`order` model from input/output data.
 
     Accepts CycledSignal values (their base dimension and period are kept
-    on the result) or plain (N, channels) arrays treated as single-rate.
+    on the result; sample k must sit in phase block k mod M and order must
+    be a multiple of M) or plain (N, channels) arrays treated as single-rate.
 
     The depth i (block rows) follows the sampling pattern.  seen[p] counts
     the output rows of phase block p that carry a nonzero sample (for a
@@ -219,17 +297,20 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     - any depth needs cover(i - 1) >= n, without which the shifted
       observability matrix cannot reach rank `order`; a shorter one raises
       ValueError naming the smallest depth that passes;
-    - a depth is accepted when the data expose the order (SV gap
-      sv[order]/sv[order-1] <= SV_GAP_TOL) and the shifted estimate's
-      sigma_min/sigma_max exceeds that gap.  A default depth that fails is
-      replaced once by max(2n + 2, order + 1), which needs no pattern count
-      (see `full_block_rows`); an explicit block_rows that fails while the
-      order is exposed raises RankConditionError.
+    - a depth is accepted when the data expose the order in every phase
+      (the largest phase gap sigma_(n+1)/sigma_n is at most SV_GAP_TOL) and
+      the shifted estimate's sigma_min/sigma_max exceeds that gap.  A default
+      depth that fails is replaced once by max(2n + 2, order + 1), which
+      needs no pattern count (see `full_block_rows`); an explicit block_rows
+      that fails while the order is exposed raises RankConditionError.
 
-    Raises InsufficientDataError or ExcitationDeficientError when the data
-    cannot support the factorization, and DivergentModelError when the
-    fitted A overflows the B/D/x0 regressor; a weak singular-value gap at
-    the forced order is reported on the result, not raised.
+    A is fitted by one shift least squares on the phase-placed estimate and
+    its off-pattern blocks, of round-off size, are recorded and zeroed, so
+    A is cyclic and C block diagonal by construction.  Raises
+    InsufficientDataError or ExcitationDeficientError when the data cannot
+    support the factorization, and DivergentModelError when the fitted A
+    overflows the B/D/x0 regressor; a weak singular-value gap at the forced
+    order is reported on the result, not raised.
     """
     u, m_base, M = _signal_array(ucheck)
     y, l_base, My = _signal_array(ycheck)
@@ -239,10 +320,12 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
         raise DimensionMismatchError(
             f"signals must share length, got {u.shape[0]} and {y.shape[0]}"
         )
+    if order % M:
+        raise DimensionMismatchError(f"order {order} is not a multiple of the period {M}")
     N = u.shape[0]
     mm = u.shape[1]
     ll = y.shape[1]
-    n_base = _base_order(order, M)
+    n_base = order // M
     seen = sampled_rows(y, M)
     pattern = default_block_rows(order, seen)
     i = pattern if block_rows is None else block_rows
@@ -257,16 +340,18 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
         )
     _require_samples(N, i, mm, ll, order)
 
-    Gam, sv = _observability_estimate(u, y, i, order)
-    gap, margin = _gap_and_margin(Gam, sv, order, ll)
+    Gam, svs = _observability_estimate(u, y, i, order, M)
+    margins, gaps = _phase_margins(svs, n_base)
+    gap, margin = max(gaps), _shift_margin(Gam, order, ll)
     if not (gap <= SV_GAP_TOL and margin > gap):
         full = full_block_rows(order, M)
         if block_rows is None and i < full:
             _require_samples(N, full, mm, ll, order,
                              f"pattern depth {i} failed the shift check; ")
             i = full
-            Gam, sv = _observability_estimate(u, y, i, order)
-            gap, margin = _gap_and_margin(Gam, sv, order, ll)
+            Gam, svs = _observability_estimate(u, y, i, order, M)
+            margins, gaps = _phase_margins(svs, n_base)
+            gap, margin = max(gaps), _shift_margin(Gam, order, ll)
         elif block_rows is not None and gap <= SV_GAP_TOL:
             raise RankConditionError(
                 f"block_rows={i} is too short for these data: the shifted observability "
@@ -276,12 +361,15 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     exposed = gap <= SV_GAP_TOL
 
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
+    a_offpattern = is_cyclic_matrix(A, n_base, n_base, M).max_offpattern
+    A_phases = read_blocks(A, M, 1)
+    A = place_blocks(A_phases, 1)
     C = Gam[:ll].copy()
 
     # x0, B, D jointly from the input-output equation; an overflowing A stops here.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            Phi = io_regressor(A, C, u)
+            Phi = io_regressor(A_phases, read_blocks(C, M, 0), u)
     except FloatingPointError as e:
         raise DivergentModelError(
             f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
@@ -294,8 +382,10 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     return IdentifiedModel(
         A=A, B=B, C=C, D=D, order=order,
         n=n_base, m=m_base, l=l_base, M=M,
-        x0=x0, singular_values=sv, order_gap=gap, order_exposed=exposed,
+        x0=x0, singular_values=np.sort(np.concatenate(svs))[::-1],
+        order_gap=gap, order_exposed=exposed,
         block_rows=i, pattern_block_rows=pattern, shift_margin=margin,
+        phase_rank_margins=margins, phase_gaps=gaps, a_offpattern=a_offpattern,
     )
 
 

@@ -53,7 +53,7 @@ def dual_rate_run():
     return cfg, model, report
 
 
-def random_plant(rng, n, l, with_d=False):
+def random_plant(rng, n, l, with_d=False, m=1):
     """Random controllable/observable plant with spectral radius 0.9 and rank-n A."""
     while True:
         A = rng.normal(size=(n, n))
@@ -61,9 +61,9 @@ def random_plant(rng, n, l, with_d=False):
         if radius < 1e-6:
             continue
         A *= 0.9 / radius
-        B = rng.normal(size=(n, 1))
+        B = rng.normal(size=(n, m))
         C = rng.normal(size=(l, n))
-        D = 0.5 * rng.normal(size=(l, 1)) if with_d else np.zeros((l, 1))
+        D = 0.5 * rng.normal(size=(l, m)) if with_d else np.zeros((l, m))
         ss = make_state_space(A, B, C, D)
         if (np.linalg.matrix_rank(ctrb(ss)) == n
                 and np.linalg.matrix_rank(obsv(ss)) == n

@@ -29,6 +29,8 @@ from cycsid import (
     verify_markov_structure,
 )
 
+from cycsid.cyclic import read_blocks
+
 from conftest import extract_checked, random_plant
 
 
@@ -181,19 +183,24 @@ def test_criterion_7_single_rate_degeneration():
 
 
 def test_criterion_8_cyclic_form_positive_and_negative_controls(corpus_runs):
+    # identification places each phase in its own state block, so the raw
+    # model already has the cyclic pattern, in a basis of its own per phase:
+    # its A phase blocks disagree until the transform aligns them
     ok = True
     neg_checked = 0
     for run in corpus_runs:
         report = run["report"]
         model = run["model"]
         ok = ok and all(v["passed"] for v in report.cyclic_form.values())
+        ok = ok and max(report.component_spread.values()) <= 1e-6
         cs = run["case"]["cycled"]
         if cs.M >= 2:
             raw = model.source
-            dense_fails = not is_cyclic_matrix(raw.A, cs.n, cs.n, cs.M, tol=1e-6).passed
-            ok = ok and dense_fails
+            ok = ok and is_cyclic_matrix(raw.A, cs.n, cs.n, cs.M, tol=0.0).passed
+            phases = read_blocks(raw.A, cs.M, 1)
+            ok = ok and max(np.abs(X - phases[0]).max() for X in phases) > 1e-6
             neg_checked += 1
-    _report("8 transformed passes, raw dense fails", ok and neg_checked >= 10,
+    _report("8 transformed passes, raw phases disagree", ok and neg_checked >= 10,
             f"positive on 20 runs, negative control on {neg_checked} multirate runs")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,42 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     assert mf.provenance == {"seed": report.seed, "N": report.N}
     assert (mf.model.order_gap, mf.model.order_exposed) == (report.sv_gap, report.order_exposed)
     assert mf.model.depth_evidence() == idm.depth_evidence() == report.block_rows
+
+
+def test_model_roundtrip_keeps_the_per_phase_record(dual_rate_run, tmp_path):
+    # per phase sigma_n/sigma_1 and sigma_(n+1)/sigma_n, and the size of A's
+    # zeroed off-pattern part; the worst phase gap is the model's SV gap
+    _, model, report = dual_rate_run
+    idm = model.source
+    record = idm.phase_evidence()
+    assert len(record["rank_margin"]) == len(record["sv_gap"]) == idm.M
+    assert max(record["sv_gap"]) == idm.order_gap == report.sv_gap
+    assert report.phases == record and 0.0 <= record["a_offpattern"] < 1e-12
+    path = tmp_path / "model.json"
+    save_model(idm, path, build_masks((2, 3)))
+    assert load_model(path).model.phase_evidence() == record
+    # a file written before the record was kept loads without it
+    doc = json.loads(path.read_text())
+    del doc["phases"]
+    path.write_text(json.dumps(doc))
+    assert load_model(path).model.phase_evidence() == dict.fromkeys(record)
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param({"sv_gpa": 0.5}, "unknown model keys ['sv_gpa']", id="top-level"),
+    pytest.param({"blok_rows": {"used": 9}}, "unknown model keys ['blok_rows']", id="blok_rows"),
+    pytest.param({"block_rows": {"used": 9, "patern": 9}}, "unknown block_rows keys ['patern']",
+                 id="block_rows"),
+    pytest.param({"phases": {"rank_margn": None}}, "unknown phases keys ['rank_margn']",
+                 id="phases"),
+])
+def test_model_file_refuses_unknown_keys(dual_rate_run, tmp_path, edit, key):
+    # a misspelt key is an error that names it, not a field that loads as missing
+    path = tmp_path / "model.json"
+    save_model(dual_rate_run[1].source, path, build_masks((2, 3)))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(SchemaError, match=re.escape(key)):
+        load_model(path)
 
 
 def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):

@@ -14,6 +14,7 @@ from cycsid import (
     simulate_multirate,
     subspace_identify,
 )
+from cycsid.cyclic import read_blocks
 
 
 @pytest.fixture
@@ -159,6 +160,32 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     assert np.array_equal(got[:, nb:], want[:, nb:])
 
 
+@pytest.mark.parametrize("n, m, rates, N", [
+    (3, 1, (2, 3), 3 * kernels._CHUNK + 5),
+    (2, 2, (1, 4, 2), 2 * kernels._CHUNK + 7),
+    (3, 2, (3, 4), 250),
+    (2, 1, (1, 3), 5),
+    (1, 2, (1,), kernels._CHUNK + 1),
+])
+def test_phase_regressor_matches_dense_reference(n, m, rates, N):
+    # from the phase blocks of a cyclic A and a block-diagonal C, with some
+    # outputs never sampled at some phases: the same regressor as the dense
+    # per-sample build, including N not a multiple of the chunk or of M
+    rng = np.random.default_rng(100 * n + 10 * m + N)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    plant = make_state_space(A, rng.normal(size=(n, m)), rng.normal(size=(len(rates), n)),
+                             rng.normal(size=(len(rates), m)))
+    spec = build_masks(rates)
+    cs = cyclic_reformulate(plant, spec)
+    u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
+    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
+    assert got.shape == want.shape and got.flags.f_contiguous
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not want[got == 0].any()  # what it leaves out is zero
+
+
 def test_io_regressor_allocates_no_regressor_sized_temporary():
     # chunks are written in place: beyond Phi itself only chunk-sized
     # temporaries live, here under 5% of Phi's 57 MB at rates (2, 3)
@@ -196,6 +223,20 @@ def test_bdx0_fit_matches_dense_lstsq(identified, N):
     A, C, u, y = identified
     u, y = u[:N], y[:N]
     theta, *_ = np.linalg.lstsq(kernels.io_regressor(A, C, u), y.reshape(-1), rcond=None)
+    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
+                               rcond=None)
+    assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [2 * kernels._CHUNK + 45, kernels._CHUNK - 24])
+def test_bdx0_fit_on_phase_blocks_matches_dense_lstsq(identified, N):
+    # the identified A is cyclic and C block diagonal, so the regressor of
+    # their phase blocks gives the dense fit
+    A, C, u, y = identified
+    u, y = u[:N], y[:N]
+    M = u.shape[1]  # one input
+    Phi = kernels.io_regressor(read_blocks(A, M, 1), read_blocks(C, M, 0), u)
+    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
     assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)

@@ -53,3 +53,13 @@ def test_invert_roundtrip_well_conditioned():
         if np.linalg.cond(m) > 1e8:
             continue
         assert np.abs(m @ invert(m) - np.eye(6)).max() <= 1e-8
+
+
+def test_rank_of_a_stack_cuts_at_the_largest_singular_value_of_all():
+    # the blocks of a block-diagonal matrix, ranked at the whole matrix's cutoff
+    blocks = np.array([np.diag([1.0, 1e-3]), np.diag([1e-8, 1e-12])])
+    assert rank_with_tol(blocks, 1e-10).tolist() == [2, 1]
+    assert rank_with_tol(blocks[1], 1e-10) == 2
+    whole = np.zeros((4, 4))
+    whole[:2, :2], whole[2:, 2:] = blocks
+    assert rank_with_tol(blocks, 1e-10).sum() == rank_with_tol(whole, 1e-10)

@@ -110,6 +110,8 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_
         else:
             outcomes.add("failures")
             assert report.failures()
+            # the per-phase margins name the weak phase the global ratio cannot
+            assert min(report.phases["rank_margin"]) < 1e-9 < max(report.phases["rank_margin"])
             cond = report.conventions_tried[0]["cond"]
         assert np.isfinite(cond) and cond >= 1.0
     assert outcomes == {"error", "failures"}
@@ -576,6 +578,12 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"block_rows": {"shift_margin": "x"}},
                  "block_rows.shift_margin must be a number or null, got 'x'", id="shift_margin"),
     pytest.param({"sv_gap": "x"}, "sv_gap must be a number or null, got 'x'", id="sv_gap"),
+    pytest.param({"phases": {"rank_margin": "x"}},
+                 "phases.rank_margin must be a list of numbers or null, got 'x'", id="rank_margin"),
+    pytest.param({"phases": {"sv_gap": [0.1]}}, "phases.sv_gap has 1 entries but M = 6",
+                 id="phase-count"),
+    pytest.param({"phases": 1}, "'phases' must hold a_offpattern, rank_margin, sv_gap",
+                 id="phases"),
     pytest.param({"order_exposed": "yes"}, "order_exposed must be true, false or null, got 'yes'",
                  id="order_exposed"),
     *(pytest.param({"provenance": v}, f"provenance must be an object, got {v!r}",

@@ -132,11 +132,14 @@ def test_explicit_depth_that_fails_the_data_check_raises(blind_sensor):
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_regressor_overflow_is_a_typed_error(blind_sensor, seed, capfd):
-    # block_rows=3 passes the pattern count but exposes no order here, and the
-    # shift fit returns an unstable A whose powers overflow the B/D/x0 regressor
-    uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, seed)
+    # both sensors at every step, and order 6 forced on this 2-state plant at
+    # block_rows=4: the order is not exposed, and the shift fit returns an
+    # unstable A whose powers overflow the B/D/x0 regressor.  (At rates (1,6)
+    # and block_rows=3 the phase-split fit now gives a stable A, radius 0.9,
+    # reported as unexposed; see the next test.)
+    uc, yc = _cycled_data(blind_sensor, (1, 1), 3000, seed)
     with pytest.raises(DivergentModelError, match="overflows the B/D/x0 regressor over 3000 samples"):
-        subspace_identify(uc, yc, order=12, block_rows=3)
+        subspace_identify(uc, yc, order=6, block_rows=4)
     assert capfd.readouterr().err == ""  # no LAPACK complaint about inf input
 
 
@@ -179,18 +182,47 @@ def test_short_record_identifies_at_pattern_depth(plant):
 
 
 def test_lq_operand_built_in_place_matches_stacked_hankels(plant):
+    # the operand is [Uf; Up; Yp; Yf] over the sampled output rows, then the
+    # rows of the never-sampled outputs, all zero.  With those rows last the
+    # LQ factor splits into phase groups: row (b, channel) of a Hankel block
+    # is nonzero only on columns (phase - start - b) mod M, and entries
+    # between groups are round-off.  Each phase's singular values are those
+    # of the projection with the off-group entries dropped
     uc, yc = _cycled_data(plant, (2, 3), 600, 12, noise=1e-3)
-    u, y, i, order = uc.samples, yc.samples, 9, 18
+    u, y, i, order, M = uc.samples, yc.samples, 9, 18, 6
     j = u.shape[0] - 2 * i + 1
-    U, Y = build_block_hankel(u, 2 * i, j), build_block_hankel(y, 2 * i, j)
-    mm, ll = u.shape[1], y.shape[1]
-    stack = np.vstack([U[i * mm:], U[:i * mm], Y[:i * ll], Y[i * ll:]])
+    live = np.flatnonzero(y.any(axis=0))
+    mm, ll, lv = u.shape[1], y.shape[1], live.size
+    U, Y = build_block_hankel(u, 2 * i, j), build_block_hankel(y[:, live], 2 * i, j)
+    stack = np.vstack([U[i * mm:], U[:i * mm], Y[:i * lv], Y[i * lv:],
+                       np.zeros((2 * i * (ll - lv), j))])
     L = np.linalg.qr(stack.T, mode="r").T
-    r_uf, r_past = i * mm, 2 * i * mm + i * ll
-    Uu, sv, _ = np.linalg.svd(L[r_past:, r_uf:r_past], full_matrices=False)
-    Gam, sv_in_place = _observability_estimate(u, y, i, order)
-    assert np.array_equal(sv_in_place, sv)
-    assert np.array_equal(Gam, Uu[:, :order] * np.sqrt(sv[:order]))
+
+    def phases(channels, per_phase, start):
+        return ((channels // per_phase)[None, :] - start - np.arange(i)[:, None]).ravel() % M
+    uch = np.arange(mm)
+    group = np.concatenate([phases(uch, 1, i), phases(uch, 1, 0), phases(live, 2, 0),
+                            phases(live, 2, i)])
+    nz = group.size
+    apart = group[:, None] != group[None, :]
+    assert np.abs(L[:nz, :nz][apart]).max() <= 1e-13 * np.abs(L).max()
+    assert not L[nz:].any()
+
+    r_uf, r_past = i * mm, 2 * i * mm + i * lv
+    proj = L[r_past:nz, r_uf:r_past]
+    proj = np.where(group[r_past:nz, None] == group[None, r_uf:r_past], proj, 0.0)
+    Gam, svs = _observability_estimate(u, y, i, order, M)
+    dense = np.linalg.svd(proj, compute_uv=False)
+    mine = np.sort(np.concatenate(svs))[::-1]
+    assert np.abs(mine - dense[:mine.size]).max() <= 1e-12 * dense[0]
+    assert not dense[mine.size:].any()
+    # Gam row (b, channel) lives in state block (phase - b) mod M only; rows
+    # of never-sampled outputs are exact zeros
+    blocks = np.abs(Gam).reshape(i, M, 2, M, 3).max(axis=(2, 4))
+    b, phase = np.indices((i, M))
+    assert not blocks[(np.arange(M) != ((phase - b) % M)[..., None])].any()
+    dead = np.setdiff1d(np.arange(ll), live)
+    assert not Gam.reshape(i, ll, order)[:, dead].any()
 
 
 def test_identify_scalar_single_rate():
