@@ -91,6 +91,9 @@ def load_signals(path):
             if len(row) != len(names):
                 raise ParseError(f"{path}: expected {len(names)} fields, got {len(row)}",
                                  line=lineno)
+            if row[0].strip() != str(len(us)):
+                raise ParseError(f"{path}: k must count 0, 1, 2, ... over the data rows: "
+                                 f"expected {len(us)}, found '{row[0]}'", line=lineno, column=1)
             try:
                 vals = [float(v) for v in row[1:]]
             except ValueError as e:

@@ -1,20 +1,19 @@
 """Hot kernels: the state simulation and the input-response regressor.
 
-Both are built in fixed-length time chunks with BLAS calls only, from a
-table of state transitions (the powers A^s, or for a periodic system the
-products of its phase matrices, built by doubling) and one gather that lays
-a chunk's lagged inputs out as a Toeplitz block.  ``chunked_trajectory``
-computes each chunk's states from the state entering it, as the free
-response (one product with the power table) plus the forced response (one
-GEMM of the Toeplitz block against the stacked A^q B), so its Python loop
-runs once per chunk, not once per sample.  It agrees with the per-step
-recursion ``trajectory``, its test oracle, to round-off: the chunks sum the
-forced response in another order.  The input-response regressor of a
-cyclic model is computed only where the model's structure lets it be
-nonzero, a 1/M share of its x0 and B columns on each sampled row, and
-written into a column-major array of zeros: LAPACK's least squares works on
-a Fortran-ordered copy of its matrix, and copying a column-major regressor
-reads it in order instead of transposing it with strided access.
+Both run with BLAS calls only and a Python loop over blocks of time, not
+over samples.  ``scan_trajectory`` simulates a plant by a doubling scan:
+O(log K) passes over each block of K samples, each one product with a
+power A^(2^j).  It agrees with the per-step recursion ``trajectory``, its
+test oracle, to round-off: the scan sums the forced response in another
+order.  The input-response regressor of a cyclic model is built per time
+chunk from a table of state transitions (the products of the phase
+matrices, built by doubling) and a gather that lays the chunk's lagged
+inputs out as Toeplitz blocks.  It is computed only where the model's
+structure lets it be nonzero, a 1/M share of its x0 and B columns on each
+sampled row, and written into a column-major array of zeros: LAPACK's
+least squares works on a Fortran-ordered copy of its matrix, and copying a
+column-major regressor reads it in order instead of transposing it with
+strided access.
 """
 
 import numpy as np
@@ -22,8 +21,11 @@ import numpy as np
 #: there is no compiled build; perfbench/worker.py reads this for its environment stamp
 HAS_NUMBA = False
 
-#: time samples per chunk of the simulation and the regressor
+#: time samples per chunk of the input-response regressor
 _CHUNK = 64
+
+#: time samples per block of the doubling scan
+_BLOCK = 1024
 
 
 def _power_table(A, T):
@@ -48,87 +50,55 @@ def _power_table(A, T):
     return G
 
 
-def _chunk_tables(A, K, m):
-    """The powers A^s, s < K, as a (K, n, n) array, and the gather and the
-    (K + 1, m) buffer uz that lay a chunk's lagged inputs out as a Toeplitz
-    block.
-
-    With uz[t + 1] = u(k0 + t) and uz[0] = 0, uz.ravel()[gather][s, j, r] is
-    u_j(k0 + s - 1 - r) for r < s and 0 otherwise: dead lags read uz[0].
-    """
-    Apow = _power_table(A[None], K)[0]
-    lead = np.maximum(np.arange(K)[:, None] - np.arange(K)[None, :], 0)  # s - r
-    gather = lead[:, None, :] * m + np.arange(m)[None, :, None]  # into uz.ravel()
-    return Apow, gather, np.zeros((K + 1, m))
-
-
 def trajectory(A, B, C, D, u, x0):
-    """Run x(k+1) = A x(k) + B u(k), y(k) = C x(k) + D u(k).
+    """Run x(k+1) = A x(k) + B u(k), y(k) = C x(k) + D u(k), one step at a time.
 
     Returns (x, y) with x[k] the state at step k and y the unmasked output.
+    The test oracle of ``scan_trajectory``.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
-    C = np.ascontiguousarray(C, dtype=np.float64)
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    A, B, C, D, u, x0 = (np.asarray(X, dtype=np.float64) for X in (A, B, C, D, u, x0))
     N = u.shape[0]
     x = np.empty((N, A.shape[0]))
     y = np.empty((N, C.shape[0]))
-    x[:1] = x0
-    # x[k+1] holds B u(k) first; adding A x(k) to it in place is bit-equal to
-    # A x(k) + B u(k), since floating-point addition commutes
-    np.matmul(B, u[:-1, :, None], out=x[1:, :, None])
-    Ax = np.empty(A.shape[0])  # A x(k), written by the same gemv as A @ x[k]
-    rows = list(x)
-    for prev, nxt in zip(rows, rows[1:]):
-        A.dot(prev, out=Ax)
-        nxt += Ax
-    np.matmul(C, x[:, :, None], out=y[:, :, None])
-    y += np.matmul(D, u[:, :, None])[:, :, 0]
+    xk = x0
+    for k in range(N):
+        x[k] = xk
+        y[k] = C @ xk + D @ u[k]
+        xk = A @ xk + B @ u[k]
     return x, y
 
 
-def chunked_trajectory(A, B, C, D, u, x0):
-    """``trajectory``'s (x, y), _CHUNK samples at a time.
+def scan_trajectory(A, B, C, D, u, x0):
+    """``trajectory``'s (x, y) by a doubling scan (Hillis & Steele, CACM
+    29(12), 1986) in blocks of _BLOCK samples.
 
-    For a chunk starting at k0, from the state x(k0),
-
-        x(k0 + s) = A^s x(k0) + sum_{q<s} A^q B u(k0 + s - 1 - q),
-
-    the free response as one product with the power table and the forced
-    response as one GEMM of the lagged-input Toeplitz block against the
-    stacked A^q B; y = C x + D u follows per chunk.  Beyond x and y, only
-    chunk-sized arrays are allocated.
+    x[k] starts as B u(k - 1), and each block's first row as its state: x0,
+    or A times the state the previous block ended on plus B u(k - 1).  The
+    pass with offset h = 1, 2, 4, ... adds A^h x[k - h] to every x[k] of the
+    block, so after it x[k] sums A^q times the starting row k - q for q < 2h,
+    back to the block's first row at most; once 2h reaches the block length
+    every row is its state.  y = C x + D u follows per block.  Beyond x and
+    y, only block-sized arrays are allocated.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
-    C = np.ascontiguousarray(C, dtype=np.float64)
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    N, m = u.shape
-    n = A.shape[0]
-    K = max(1, min(_CHUNK, N))
-    Apow, gather, uz = _chunk_tables(A, K, m)
-    A_rows = Apow.reshape(K * n, n)
-    # row j*K + q holds (A^q B)[:, j], matching the gather's (j, r) columns
-    AB = np.ascontiguousarray((Apow @ B).transpose(2, 0, 1)).reshape(m * K, n)
-
-    x = np.empty((N, n))
+    A, B, C, D, u = (np.asarray(X, dtype=np.float64) for X in (A, B, C, D, u))
+    N = u.shape[0]
+    x = np.empty((N, A.shape[0]))
     y = np.empty((N, C.shape[0]))
     x[0] = x0
-    # consecutive chunks share a row: each starts from the state its
-    # predecessor ended on, and rewrites that row as A^0 x + 0 = x
-    for k0 in range(0, max(N - 1, 1), max(K - 1, 1)):
-        Kc = min(K, N - k0)
-        uc, xc, yc = u[k0:k0 + Kc], x[k0:k0 + Kc], y[k0:k0 + Kc]
-        free = A_rows[:Kc * n] @ xc[0]
-        uz[1:Kc + 1] = uc
-        np.matmul(uz.ravel()[gather[:Kc]].reshape(Kc, m * K), AB, out=xc)
-        xc += free.reshape(Kc, n)
-        np.matmul(xc, C.T, out=yc)
-        yc += uc @ D.T
+    np.matmul(u[:-1], B.T, out=x[1:])
+    K = min(N, _BLOCK)
+    powers = [A.T]  # (A^h)^T for h = 1, 2, 4, ... below K
+    while 2 ** len(powers) < K:
+        powers.append(powers[-1] @ powers[-1])
+    for k0 in range(0, N, K):
+        xb, yb = x[k0:k0 + K], y[k0:k0 + K]
+        if k0:
+            xb[0] += x[k0 - 1] @ A.T
+        for j, P in enumerate(powers):
+            h = 2 ** j
+            xb[h:] += xb[:-h] @ P
+        np.matmul(xb, C.T, out=yb)
+        yb += u[k0:k0 + K] @ D.T
     return x, y
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergentPlantError
-from .kernels import chunked_trajectory
+from .kernels import scan_trajectory
 from .numerics import as_matrix, as_vector
 
 
@@ -130,7 +130,7 @@ def simulate(sys, u, x0=None):
     x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            x, y = chunked_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
+            x, y = scan_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
     except FloatingPointError as e:
         raise DivergentPlantError(
             f"the plant's A (spectral radius {np.abs(np.linalg.eigvals(sys.A)).max():.3g}) "

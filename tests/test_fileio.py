@@ -55,6 +55,22 @@ def test_signals_non_numeric_field_reports_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("ks, line, found", [
+    # two rows swapped and one missing: five samples in the wrong order
+    pytest.param((0, 2, 1, 4, 5), 3, "2", id="swap-and-gap"),
+    pytest.param((0, 1, 2, 4, 5), 5, "4", id="gap"),
+    pytest.param((1, 2, 3), 2, "1", id="starts-at-1"),
+    pytest.param((0, "1.5", 2), 3, "1.5", id="non-integer"),
+    pytest.param((0, "x", 2), 3, "x", id="non-numeric"),
+])
+def test_signals_k_must_count_the_data_rows(tmp_path, ks, line, found):
+    path = tmp_path / "bad.csv"
+    path.write_text("k,u_1,y_1,obs_1\n" + "".join(f"{k},1.0,2.0,1\n" for k in ks))
+    with pytest.raises(ParseError, match=f"found '{re.escape(found)}'") as err:
+        load_signals(path)
+    assert err.value.line == line
+
+
 def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     _, model, report = dual_rate_run
     idm = model.source

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cycsid import (
+    DivergentPlantError,
     benchmark_plant,
     build_masks,
     cycle_signal,
     cyclic_reformulate,
     kernels,
     make_state_space,
+    simulate,
     simulate_multirate,
     subspace_identify,
 )
@@ -32,8 +34,7 @@ def workload():
 
 
 def test_trajectory_matches_hand_recursion():
-    # B u, C x and D u run batched; each stacked item is the same gemv as one
-    # per-step product, so the whole record is bit-equal to the recursion
+    # the oracle is the recursion itself, product by product
     for N, m in itertools.product([1, 2, kernels._CHUNK + 1, 200], [1, 3]):
         rng = np.random.default_rng(100 * N + m)
         n, l = 5, 2
@@ -54,11 +55,11 @@ def test_trajectory_matches_hand_recursion():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("m", [1, 3])
-def test_chunked_trajectory_matches_the_per_step_oracle(n, m):
-    # chunks sum the forced response in another order than the recursion,
-    # so the two agree to round-off, not to the bit
-    K = kernels._CHUNK
-    for N in (1, 2, K - 1, K, K + 1, 200, 2000):
+def test_scan_trajectory_matches_the_per_step_oracle(n, m):
+    # the scan sums the forced response in another order than the recursion,
+    # so the two agree to round-off, not to the bit, also across block edges
+    K = kernels._BLOCK
+    for N in (1, 2, K - 1, K, K + 1, 2 * K + 1, 5000):
         rng = np.random.default_rng(1000 * N + 10 * m + n)
         l = 2
         A = rng.normal(size=(n, n))
@@ -67,21 +68,21 @@ def test_chunked_trajectory_matches_the_per_step_oracle(n, m):
         u = rng.uniform(-1, 1, size=(N, m))
         x0 = rng.normal(size=n)
         want_x, want_y = kernels.trajectory(A, B, C, D, u, x0)
-        x, y = kernels.chunked_trajectory(A, B, C, D, u, x0)
+        x, y = kernels.scan_trajectory(A, B, C, D, u, x0)
         assert x.shape == want_x.shape and y.shape == want_y.shape, N
         assert np.abs(x - want_x).max() <= 1e-13 * np.abs(want_x).max(), N
         assert np.abs(y - want_y).max() <= 1e-13 * np.abs(want_y).max(), N
 
 
-def test_chunked_trajectory_of_zero_input_and_state_is_exactly_zero(workload):
+def test_scan_trajectory_of_zero_input_and_state_is_exactly_zero(workload):
     A, B, C, D, u, _ = workload
-    x, y = kernels.chunked_trajectory(A, B, C, D, np.zeros_like(u), np.zeros(A.shape[0]))
+    x, y = kernels.scan_trajectory(A, B, C, D, np.zeros_like(u), np.zeros(A.shape[0]))
     assert not x.any() and not y.any()
 
 
-def test_chunked_trajectory_allocates_only_chunk_sized_temporaries():
-    # beyond x and y only the tables and one chunk's Toeplitz block live
-    # (77 kB here, whatever N); the bound of 262 kB is under a third of the
+def test_scan_trajectory_allocates_only_block_sized_temporaries():
+    # beyond x and y only the powers and one block's products live (28 kB
+    # here, whatever N); the bound of 262 kB is under a third of the
     # smallest N-sized array, the 800 kB of u
     rng = np.random.default_rng(6)
     n, m, l, N = 3, 1, 2, 100000
@@ -91,12 +92,26 @@ def test_chunked_trajectory_allocates_only_chunk_sized_temporaries():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        x, y = kernels.chunked_trajectory(A, B, C, D, u, np.zeros(n))
+        x, y = kernels.scan_trajectory(A, B, C, D, u, np.zeros(n))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     chunk = 2 * kernels._CHUNK ** 2 * (n + m) * 8
     assert peak <= x.nbytes + y.nbytes + chunk
+
+
+@pytest.mark.parametrize("a, finite, diverges", [(2.0, 1000, 1100), (5.0, 400, 500)])
+def test_simulate_overflows_where_the_per_step_recursion_does(a, finite, diverges):
+    # x(k) = (a^k - 1) / (a - 1) under u = 1: the scan's powers and partial sums
+    # stay below the final state, so it overflows exactly when the recursion does
+    plant = make_state_space([[a]], [[1.0]], [[1.0]], [[0.0]])
+    log = simulate(plant, np.ones(finite))
+    want_x, want_y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D,
+                                        np.ones((finite, 1)), np.zeros(1))
+    assert np.isfinite(log.x).all() and np.isfinite(log.y).all()
+    assert np.abs(log.x - want_x).max() <= 1e-13 * np.abs(want_x).max()
+    with pytest.raises(DivergentPlantError, match=f"N = {diverges} samples"):
+        simulate(plant, np.ones(diverges))
 
 
 def test_io_regressor_layout(workload):

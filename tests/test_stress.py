@@ -4,18 +4,23 @@ Every case must end in exactly one of three outcomes: every gate passes
 against the true plant; a typed CycsidError; or a report that owns up, with
 non-empty failures() or order_exposed False.  A bare numpy exception, a
 warning (warnings are errors here), a LAPACK line on stderr and a passing
-report with a wrong model are not outcomes.  The fast tier runs with the
-suite; the long tier is marked slow:
+report with a wrong model are not outcomes.  At a forced Hankel depth the
+explicit-depth ValueError is a fourth outcome, when the depth it advises
+passes the pattern check.  The fast tiers run with the suite; the long
+tiers are marked slow:
 
     python -m pytest tests/test_stress.py -m slow
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cycsid import CycsidError, ExperimentConfig, run_identification
+from cycsid import (CycsidError, ExperimentConfig, cycle_signal, run_identification,
+                    subspace_identify)
+from cycsid.pipeline import collect_data, observable_phases, validate
 from cycsid.statespace import markov
 
 from conftest import random_plant
@@ -51,10 +56,22 @@ def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32):
     return cases
 
 
-def outcome(cfg):
-    """(outcome, detail) of one identification run; anything else raises."""
+def identify_at_depth(cfg, block_rows):
+    """run_identification(cfg) with the Hankel depth forced to block_rows."""
+    spec, log = collect_data(cfg)
+    phases = observable_phases(cfg)
+    idm = subspace_identify(cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M),
+                            spec.M * cfg.plant.n, block_rows=block_rows)
+    return validate(idm, cfg, {"seed": cfg.input["seed"], "N": log.N,
+                               "observable_phases": phases})
+
+
+def outcome(cfg, block_rows=None):
+    """(outcome, detail) of one identification run, at the depth block_rows
+    when it is given; anything else raises."""
     try:
-        model, report = run_identification(cfg)
+        model, report = (run_identification(cfg) if block_rows is None
+                         else identify_at_depth(cfg, block_rows))
     except CycsidError as e:
         return "typed", type(e).__name__
     failed = report.failures() + ([] if report.order_exposed else ["order_exposed"])
@@ -81,12 +98,34 @@ def check_case(cfg, capfd):
     assert capfd.readouterr().err == ""
 
 
+def check_forced_depths(cfg, capfd):
+    # every depth 2 ... order + 1 ends in an outcome or in the ValueError of a
+    # depth too short for the pattern, whose advice is a depth that is not
+    top = cfg.spec.M * cfg.plant.n + 1
+    advised = {}
+    for depth in range(2, top + 1):
+        try:
+            assert outcome(cfg, depth)[0] in OUTCOMES
+        except ValueError as e:
+            found = re.search(r"use block_rows >= (\d+)", str(e))
+            assert found, str(e)
+            advised[depth] = int(found.group(1))
+    # each advised depth was among those run, and it passed the pattern check
+    assert all(depth < x <= top and x not in advised for depth, x in advised.items())
+    assert capfd.readouterr().err == ""
+
+
 FAST = stress_cases(2027, 30)
 
 
 @pytest.mark.parametrize("cfg", FAST, ids=[f"{k:02d}-{_id(c)}" for k, c in enumerate(FAST)])
 def test_fast_stress_case_ends_in_one_outcome(cfg, capfd):
     check_case(cfg, capfd)
+
+
+@pytest.mark.parametrize("cfg", FAST, ids=[f"{k:02d}-{_id(c)}" for k, c in enumerate(FAST)])
+def test_fast_stress_case_ends_in_one_outcome_at_every_depth(cfg, capfd):
+    check_forced_depths(cfg, capfd)
 
 
 LONG = stress_cases(31337, 400, n_max=4, rate_max=5, N_max=3000, regressor_mb=64)
@@ -96,3 +135,12 @@ LONG = stress_cases(31337, 400, n_max=4, rate_max=5, N_max=3000, regressor_mb=64
 @pytest.mark.parametrize("cfg", LONG, ids=[f"{k:03d}-{_id(c)}" for k, c in enumerate(LONG)])
 def test_long_stress_case_ends_in_one_outcome(cfg, capfd):
     check_case(cfg, capfd)
+
+
+DEEP = stress_cases(4099, 100, n_max=4, rate_max=5, N_max=3000, regressor_mb=64)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cfg", DEEP, ids=[f"{k:03d}-{_id(c)}" for k, c in enumerate(DEEP)])
+def test_long_stress_case_ends_in_one_outcome_at_every_depth(cfg, capfd):
+    check_forced_depths(cfg, capfd)
