@@ -62,14 +62,10 @@ from .statespace import (
 from .subspace import IdentifiedModel, build_block_hankel, markov_match, subspace_identify
 from .transform import (
     CyclicModel,
-    SelectorF,
-    SelectorG,
     apply_transform,
     build_transform,
     build_X_check,
     build_Y_check,
-    default_selector_F,
-    default_selector_G,
     extract_components,
     lift_selector,
     model_transfer_check,

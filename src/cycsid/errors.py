@@ -34,8 +34,9 @@ class ExcitationDeficientError(CycsidError):
 
 
 class RankConditionError(CycsidError):
-    """A matrix violates its full-rank condition: a transform selector, or
-    the shifted extended observability estimate at the requested Hankel depth."""
+    """The shifted extended observability estimate cannot reach full rank at
+    the requested Hankel depth: the sampling pattern or the data are too
+    sparse for it."""
 
 
 class DivergentModelError(CycsidError):

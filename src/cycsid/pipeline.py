@@ -43,8 +43,6 @@ from .transform import (
     build_transform,
     build_X_check,
     build_Y_check,
-    default_selector_F,
-    default_selector_G,
     extract_components,
     model_transfer_check,
     verify_cyclic_form,
@@ -255,7 +253,7 @@ def choose_transform(idm, tol):
     attempt, when T is singular or the transformed model is not cyclic at tol.
     """
     n, m, l, M = idm.n, idm.m, idm.l, idm.M
-    tres = build_transform(idm, default_selector_G(n, m))
+    tres = build_transform(idm)
     entry = {"convention": "general", "rank": tres.rank, "regular": tres.regular,
              "cond": tres.cond}
     if tres.regular:
@@ -321,10 +319,8 @@ def validate(idm, cfg, provenance):
     t0 = time.perf_counter()
     cs = cyclic_reformulate(plant, spec)
     rank_c, rank_o = cycled_ranks(cs)
-    Fsel = default_selector_F(n, l)
-    Gsel = default_selector_G(n, m)
-    Xc = build_X_check(cs, Fsel)
-    Yc = build_Y_check(cs, Gsel)
+    Xc = build_X_check(cs)
+    Yc = build_Y_check(cs)
     true_structure = {
         "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, n, m, M, 1e-12)),
         "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
@@ -342,7 +338,7 @@ def validate(idm, cfg, provenance):
     t0 = time.perf_counter()
     model, tres, tried = choose_transform(idm, tol["structure"])
     model.source = idm
-    aggr = aggregate_diagnostics(idm, tres.matrix, Fsel, tol["structure"])
+    aggr = aggregate_diagnostics(idm, tres.matrix, tol["structure"])
     timings["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

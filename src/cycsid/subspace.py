@@ -296,7 +296,7 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
       block rows with cover(h) >= 2n;
     - any depth needs cover(i - 1) >= n, without which the shifted
       observability matrix cannot reach rank `order`; a shorter one raises
-      ValueError naming the smallest depth that passes;
+      RankConditionError naming the smallest depth that passes;
     - a depth is accepted when the data expose the order in every phase
       (the largest phase gap sigma_(n+1)/sigma_n is at most SV_GAP_TOL) and
       the shifted estimate's sigma_min/sigma_max exceeds that gap.  A default
@@ -307,8 +307,9 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     A is fitted by one shift least squares on the phase-placed estimate and
     its off-pattern blocks, of round-off size, are recorded and zeroed, so
     A is cyclic and C block diagonal by construction.  Raises
-    InsufficientDataError or ExcitationDeficientError when the data cannot
-    support the factorization, and DivergentModelError when the fitted A
+    InsufficientDataError when no output sample is nonzero or the record is
+    too short, ExcitationDeficientError when the input does not excite the
+    factorization, and DivergentModelError when the fitted A
     overflows the B/D/x0 regressor; a weak singular-value gap at the forced
     order is reported on the result, not raised.
     """
@@ -327,16 +328,19 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     ll = y.shape[1]
     n_base = order // M
     seen = sampled_rows(y, M)
+    if not seen.any():
+        raise InsufficientDataError(
+            f"no output sample of the {N}-sample record is nonzero: the data carry no output")
     pattern = default_block_rows(order, seen)
     i = pattern if block_rows is None else block_rows
     covered = pattern_cover(seen, i - 1)
     if covered < n_base:
+        # n consecutive periods sample every row seen anywhere, so a shortest depth exists
         shortest = _shortest_cover(seen, n_base, M * n_base)
-        advice = ("no output row carries a sample" if shortest is None
-                  else f"use block_rows >= {shortest + 1}")
-        raise ValueError(
+        raise RankConditionError(
             f"block_rows={i} too small to expose order {order}: some {i - 1} consecutive "
-            f"block rows sample {covered} output rows, fewer than n = {n_base}; {advice}"
+            f"block rows sample {covered} output rows, fewer than n = {n_base}; "
+            f"use block_rows >= {shortest + 1}"
         )
     _require_samples(N, i, mm, ll, order)
 

@@ -2,12 +2,12 @@
 into cyclic-reformulation shape, plus component extraction and validation.
 
 The transform matrix is the identified model's reach sum (build_Y_check):
-powers of its state matrix applied to its input matrix, each rotated by a
-power of the block shift and mapped through the selector block indexed by
-the power mod n.  A shift power never becomes a matrix: it is an np.roll
-over the M-block axis, and a lifted (block-diagonal) selector is one product
-per block.  The transformed model is checked once; its phase blocks keep
-that check as evidence.
+powers of its state matrix applied to input 1's columns, each rotated by a
+power of the block shift and placed in the state column indexed by the
+power mod n.  A shift power never becomes a matrix: it is an np.roll over
+the M-block axis, and the unit selector is a column placement.  The
+transformed model is checked once; its phase blocks keep that check as
+evidence.
 """
 
 from dataclasses import dataclass
@@ -22,50 +22,8 @@ from .cyclic import (
     place_blocks,
     read_blocks,
 )
-from .errors import RankConditionError
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
 from .statespace import StateSpace, tf_distance, transfer_functions
-
-@dataclass(frozen=True)
-class SelectorF:
-    """n row-selector blocks F_0..F_{n-1}, each n x l; [F_0 ... F_{n-1}] has rank n."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        if rank_with_tol(np.hstack(self.blocks)) < self.blocks[0].shape[0]:
-            raise RankConditionError("stacked F blocks must have full row rank")
-
-
-@dataclass(frozen=True)
-class SelectorG:
-    """n input-selector blocks G_0..G_{n-1}, each m x n; stacked rank n."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        if rank_with_tol(np.vstack(self.blocks)) < self.blocks[0].shape[1]:
-            raise RankConditionError("stacked G blocks must have full column rank")
-
-
-def default_selector_F(n, l):
-    """Unit selectors: block j carries a 1 at row j of its first column."""
-    blocks = []
-    for j in range(n):
-        F = np.zeros((n, l))
-        F[j, 0] = 1.0
-        blocks.append(F)
-    return SelectorF(blocks=tuple(blocks))
-
-
-def default_selector_G(n, m):
-    """Unit selectors: block j carries a 1 at column j of its first row."""
-    blocks = []
-    for j in range(n):
-        G = np.zeros((m, n))
-        G[0, j] = 1.0
-        blocks.append(G)
-    return SelectorG(blocks=tuple(blocks))
 
 
 def lift_selector(block, M):
@@ -73,17 +31,17 @@ def lift_selector(block, M):
     return place_blocks([block] * M, 0)
 
 
-def build_X_check(sys, F):
-    """Selector-weighted observability aggregate of a cycled or identified
-    system (any object with A, C, n, l, M).
+def build_X_check(sys):
+    """Observability aggregate of a cycled or identified system (any object
+    with A, C, n, l, M): the sum of F_i S_l^j C A^(Mi+j) over i < n, j < M,
+    where S_l^j moves row block a+j to row block a and F_i puts output 1 of
+    every row block in row i of its state block.
 
-    Sums lifted F_i * S_l^j * C * A^(Mi+j) over i < n, j < M: the inner
-    j-sum pools every observed phase into one row block and the outer i-sum
-    stacks it against powers of A^M, so the aggregate is block diagonal with
-    rank Mn whenever the masked observability holds and the selector is well
-    chosen.  Pairing the selector with j mod n instead collapses the rank
-    when masking leaves one active phase per period.  S_l^j moves row block
-    a+j to row block a, and the lifted F_i maps every row block through F_i.
+    The inner j-sum pools every observed phase into one row block and the
+    outer i-sum stacks it against powers of A^M, so the aggregate is block
+    diagonal with rank Mn whenever the masked observability holds.  Pairing
+    the row with j mod n instead collapses the rank when masking leaves one
+    active phase per period.
     """
     n, l, M = sys.n, sys.l, sys.M
     order = M * n
@@ -91,21 +49,22 @@ def build_X_check(sys, F):
     P = sys.C.copy()  # C A^p, advanced in p
     for p in range(order):
         i, j = divmod(p, M)
-        X += (F.blocks[i] @ np.roll(P.reshape(M, l, order), -j, axis=0)).reshape(order, order)
+        X.reshape(M, n, order)[:, i] += np.roll(P.reshape(M, l, order)[:, 0], -j, axis=0)
         P = P @ sys.A
     return X
 
 
-def build_Y_check(sys, G):
+def build_Y_check(sys):
     """Controllability-side aggregate of a cycled or identified system (any
-    object with A, B, n, m, M): the reach sum of A^p B S_m^(p%M + 1) lifted
-    G_(p mod n) over p < Mn.  On an identified model it is the transform.
+    object with A, B, n, m, M): the reach sum of A^p B S_m^(p%M + 1) G_(p mod n)
+    over p < Mn, where S_m^s moves column block b-s to column block b and G_k
+    puts input 1 of every column block in column k of its state block.  On
+    an identified model it is the transform.
 
-    S_m^s moves column block b-s to column block b, and the lifted G_k maps
-    every column block through G_k.  Indexing the selector by p mod n sweeps
-    every block as the power grows (an index of p mod M alone never reaches
-    blocks beyond G_{M-1} when M < n); each diagonal block then collects
-    consecutive powers of A applied to B, so the aggregate has rank Mn for
+    Indexing the column by p mod n sweeps every state column as the power
+    grows (an index of p mod M alone never reaches columns beyond M - 1 when
+    M < n); each diagonal block then collects consecutive powers of A
+    applied to input 1's reach vectors, so the aggregate has rank Mn for
     controllable plants.
     """
     n, m, M = sys.n, sys.m, sys.M
@@ -113,8 +72,8 @@ def build_Y_check(sys, G):
     T = np.zeros((order, order))
     P = sys.B.copy()  # A^p B, advanced in p; C order, as the rounding of A @ P follows its layout
     for p in range(order):
-        shifted = np.roll(P.reshape(order, M, m), p % M + 1, axis=1)
-        T += (shifted @ G.blocks[p % n]).reshape(order, order)
+        T.reshape(order, M, n)[:, :, p % n] += np.roll(P.reshape(order, M, m)[:, :, 0],
+                                                        p % M + 1, axis=1)
         P = sys.A @ P
     return T
 
@@ -130,10 +89,10 @@ class TransformResult:
         return self.rank == len(self.matrix)
 
 
-def build_transform(idm, G):
-    """The coordinate transform build_Y_check(idm, G), returned with its
+def build_transform(idm):
+    """The coordinate transform build_Y_check(idm), returned with its
     numerical rank and condition number whether or not it is regular."""
-    T = build_Y_check(idm, G)
+    T = build_Y_check(idm)
     return TransformResult(matrix=T, rank=rank_with_tol(T), cond=float(np.linalg.cond(T)))
 
 
@@ -154,15 +113,15 @@ def verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL):
     })
 
 
-def aggregate_diagnostics(idm, T, F, tol=IDENTIFIED_TOL):
+def aggregate_diagnostics(idm, T, tol=IDENTIFIED_TOL):
     """Runtime evidence behind the transform's correctness argument.
 
-    The selector aggregate of the identified model composed with T must be
+    The observability aggregate of the identified model composed with T must be
     block diagonal and regular, and its product with the transformed state
     matrix must be cyclic.
     """
     n, M = idm.n, idm.M
-    X = build_X_check(idm, F) @ T
+    X = build_X_check(idm) @ T
     Am = np.linalg.solve(T, idm.A @ T)
     Z = X @ Am
     return {

@@ -12,8 +12,6 @@ from cycsid import (
     build_X_check,
     build_Y_check,
     cyclic_reformulate,
-    default_selector_F,
-    default_selector_G,
     is_block_diagonal,
     is_cyclic_matrix,
     lift_selector,
@@ -143,8 +141,8 @@ def test_criterion_6_aggregate_structure_on_corpus(corpus):
     for case in corpus:
         cs = case["cycled"]
         order = cs.M * cs.n
-        X = build_X_check(cs, default_selector_F(cs.n, cs.l))
-        Y = build_Y_check(cs, default_selector_G(cs.n, cs.m))
+        X = build_X_check(cs)
+        Y = build_Y_check(cs)
         cyc = is_cyclic_matrix(X @ cs.B, cs.n, cs.m, cs.M, tol=1e-12)
         bd = is_block_diagonal(cs.C @ Y, cs.l, cs.n, cs.M, tol=1e-12)
         rx, ry = rank_with_tol(X), rank_with_tol(Y)

@@ -22,7 +22,7 @@ from cycsid import (
     save_signals,
 )
 from cycsid.cli import build_parser, main
-from cycsid.fileio import load_model
+from cycsid.fileio import load_model, load_signals
 from cycsid.pipeline import (
     DEMO_STUDIES,
     choose_transform,
@@ -376,6 +376,22 @@ def test_cli_data_error_exit_3(tmp_path):
     starved = write_config(tmp_path, N=50)
     assert main(["identify", "--config", str(starved),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_cli_record_without_output_samples_is_a_data_error(tmp_path, capsys):
+    # a (1,3) recording whose sampled outputs are all exactly 0 carries no
+    # output data: exit 3, with no advice on a depth the user never set
+    path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    log = load_signals(tmp_path / "signals.csv")
+    silent = tmp_path / "silent.csv"
+    save_signals(SignalLog(u=log.u, y=np.zeros_like(log.y), x0=log.x0, obs=log.obs), silent)
+    capsys.readouterr()
+    assert main(["identify", "--config", str(path), "--signals", str(silent),
+                 "--out", str(tmp_path / "silent")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: no output sample ") and "block_rows" not in err
+    assert not (tmp_path / "silent" / "report.json").exists()
 
 
 def test_cli_identify_shows_a_depth_fallback(tmp_path, capsys):

@@ -4,8 +4,8 @@ Every case must end in exactly one of three outcomes: every gate passes
 against the true plant; a typed CycsidError; or a report that owns up, with
 non-empty failures() or order_exposed False.  A bare numpy exception, a
 warning (warnings are errors here), a LAPACK line on stderr and a passing
-report with a wrong model are not outcomes.  At a forced Hankel depth the
-explicit-depth ValueError is a fourth outcome, when the depth it advises
+report with a wrong model are not outcomes.  At a forced Hankel depth too
+short for the sampling pattern the typed error must advise a depth that
 passes the pattern check.  The fast tiers run with the suite; the long
 tiers are marked slow:
 
@@ -68,12 +68,13 @@ def identify_at_depth(cfg, block_rows):
 
 def outcome(cfg, block_rows=None):
     """(outcome, detail) of one identification run, at the depth block_rows
-    when it is given; anything else raises."""
+    when it is given; a typed error's detail is its type name and message,
+    and anything else raises."""
     try:
         model, report = (run_identification(cfg) if block_rows is None
                          else identify_at_depth(cfg, block_rows))
     except CycsidError as e:
-        return "typed", type(e).__name__
+        return "typed", f"{type(e).__name__}: {e}"
     failed = report.failures() + ([] if report.order_exposed else ["order_exposed"])
     if failed:
         return "flagged", ",".join(failed)
@@ -94,21 +95,22 @@ def check_case(cfg, capfd):
     kind, detail = outcome(cfg)
     assert kind in OUTCOMES
     # clean data are identified exactly unless the record is too short
-    assert cfg.noise or kind == "pass" or detail == "InsufficientDataError", (kind, detail)
+    assert cfg.noise or kind == "pass" or detail.startswith("InsufficientDataError:"), (
+        kind, detail)
     assert capfd.readouterr().err == ""
 
 
 def check_forced_depths(cfg, capfd):
-    # every depth 2 ... order + 1 ends in an outcome or in the ValueError of a
-    # depth too short for the pattern, whose advice is a depth that is not
+    # every depth 2 ... order + 1 ends in an outcome; a depth too short for
+    # the pattern is a RankConditionError whose advice is a depth that is not
     top = cfg.spec.M * cfg.plant.n + 1
     advised = {}
     for depth in range(2, top + 1):
-        try:
-            assert outcome(cfg, depth)[0] in OUTCOMES
-        except ValueError as e:
-            found = re.search(r"use block_rows >= (\d+)", str(e))
-            assert found, str(e)
+        kind, detail = outcome(cfg, depth)
+        assert kind in OUTCOMES
+        found = re.search(r"use block_rows >= (\d+)", detail)
+        if found:
+            assert detail.startswith("RankConditionError:"), detail
             advised[depth] = int(found.group(1))
     # each advised depth was among those run, and it passed the pattern check
     assert all(depth < x <= top and x not in advised for depth, x in advised.items())

@@ -111,8 +111,18 @@ def test_identify_refuses_depth_the_pattern_cannot_support(plant):
     # shifted observability matrix cannot reach rank 9, however clean the data.
     # Every plant-free check passed on the wrong model this depth gave before.
     uc, yc = _cycled_data(plant, (1, 3), 3000, 99)
-    with pytest.raises(ValueError, match="use block_rows >= 4"):
+    with pytest.raises(RankConditionError, match="use block_rows >= 4"):
         subspace_identify(uc, yc, order=9, block_rows=3)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 10])
+def test_identify_refuses_a_record_without_output_samples(plant, block_rows):
+    # every sampled output is exactly 0: a data error before any depth logic,
+    # whichever depth is asked for
+    uc, _ = _cycled_data(plant, (1, 3), 3000, 99)
+    yc = cycle_signal(np.zeros((3000, plant.l)), 3)
+    with pytest.raises(InsufficientDataError, match="no output sample .* is nonzero"):
+        subspace_identify(uc, yc, order=9, block_rows=block_rows)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cycsid import (
-    RankConditionError,
     SingularMatrixError,
     StructureViolationError,
     apply_transform,
@@ -11,8 +12,6 @@ from cycsid import (
     build_X_check,
     build_Y_check,
     cyclic_reformulate,
-    default_selector_F,
-    default_selector_G,
     extract_components,
     lift_selector,
     make_state_space,
@@ -27,7 +26,6 @@ from cycsid import (
 from cycsid.cyclic import is_block_diagonal, is_cyclic_matrix
 from cycsid.pipeline import choose_transform
 from cycsid.subspace import IdentifiedModel
-from cycsid.transform import SelectorF, SelectorG
 
 from conftest import extract_checked
 
@@ -40,33 +38,48 @@ def as_identified(cs):
                            x0=np.zeros(order), singular_values=np.zeros(0))
 
 
-def test_default_selector_F_single_output():
-    F = default_selector_F(3, 1)
-    assert np.array_equal(np.hstack(F.blocks), np.eye(3))
+def unit_F_blocks(n, l):
+    """F_i, n x l: output 1 of a row block into row i of a state block."""
+    blocks = [np.zeros((n, l)) for _ in range(n)]
+    for i, F in enumerate(blocks):
+        F[i, 0] = 1.0
+    return blocks
 
 
-def test_default_selector_F_two_outputs():
-    F = default_selector_F(3, 2)
-    stacked_first_cols = np.column_stack([b[:, 0] for b in F.blocks])
-    assert np.array_equal(stacked_first_cols, np.eye(3))
-    assert rank_with_tol(np.hstack(F.blocks)) == 3
+def unit_G_blocks(n, m):
+    """G_k, m x n: input 1 of a column block into column k of a state block."""
+    blocks = [np.zeros((m, n)) for _ in range(n)]
+    for k, G in enumerate(blocks):
+        G[0, k] = 1.0
+    return blocks
 
 
-def test_default_selector_G_single_input():
-    G = default_selector_G(3, 1)
-    assert np.array_equal(np.vstack(G.blocks), np.eye(3))
+@pytest.fixture(scope="module")
+def two_by_two_cycled(plant):
+    """The benchmark dynamics with two inputs and two outputs, cycled at rates (1,3)."""
+    rng = np.random.default_rng(5)
+    wide = make_state_space(plant.A, rng.normal(size=(3, 2)), plant.C, rng.normal(size=(2, 2)))
+    return cyclic_reformulate(wide, build_masks((1, 3)))
 
 
-def test_default_selector_G_two_inputs():
-    G = default_selector_G(2, 2)
-    assert rank_with_tol(np.vstack(G.blocks)) == 2
+def test_reach_sum_reads_only_input_one(two_by_two_cycled):
+    cs = two_by_two_cycled
+    B = cs.B.copy()
+    B.reshape(9, 3, 2)[:, :, 1] = np.random.default_rng(6).normal(size=(9, 3))
+    other = dataclasses.replace(cs, B=B)
+    assert not np.array_equal(other.B, cs.B)
+    assert np.array_equal(build_Y_check(other), build_Y_check(cs))
+    assert rank_with_tol(build_Y_check(cs)) == 9
 
 
-def test_selectors_reject_rank_deficiency():
-    with pytest.raises(RankConditionError):
-        SelectorF(blocks=(np.zeros((2, 1)), np.zeros((2, 1))))
-    with pytest.raises(RankConditionError):
-        SelectorG(blocks=(np.ones((1, 2)), np.ones((1, 2))))
+def test_observability_aggregate_reads_only_output_one(two_by_two_cycled):
+    cs = two_by_two_cycled
+    C = cs.C.copy()
+    C.reshape(3, 2, 9)[:, 1] = np.random.default_rng(7).normal(size=(3, 9))
+    other = dataclasses.replace(cs, C=C)
+    assert not np.array_equal(other.C, cs.C)
+    assert np.array_equal(build_X_check(other), build_X_check(cs))
+    assert rank_with_tol(build_X_check(cs)) == 9
 
 
 def test_lift_selector():
@@ -77,29 +90,29 @@ def test_lift_selector():
     assert np.array_equal(lift_selector(block, 1), block)
 
 
-def dense_X_check(sys, F):
+def dense_X_check(sys):
     """sum_{i<n, j<M} lift(F_i) S_l^j C A^(Mi+j), with the shift and the
-    lifted selector as dense matrices."""
+    lifted unit selector as dense matrices."""
     n, l, M = sys.n, sys.l, sys.M
-    S = shift_matrix(l, M)
+    S, F = shift_matrix(l, M), unit_F_blocks(n, l)
     X = np.zeros((M * n, M * n))
     P = sys.C.copy()
     for p in range(M * n):
         i, j = divmod(p, M)
-        X += lift_selector(F.blocks[i], M) @ np.linalg.matrix_power(S, j) @ P
+        X += lift_selector(F[i], M) @ np.linalg.matrix_power(S, j) @ P
         P = P @ sys.A
     return X
 
 
-def dense_reach_sum(sys, G):
+def dense_reach_sum(sys):
     """sum_{p<Mn} A^p B S_m^(p%M + 1) lift(G_(p mod n)), with dense shift and
-    lifted-selector matrices."""
+    lifted unit-selector matrices."""
     n, m, M = sys.n, sys.m, sys.M
-    S = shift_matrix(m, M)
+    S, G = shift_matrix(m, M), unit_G_blocks(n, m)
     T = np.zeros((M * n, M * n))
     P = sys.B.copy()
     for p in range(M * n):
-        T += P @ np.linalg.matrix_power(S, p % M + 1) @ lift_selector(G.blocks[p % n], M)
+        T += P @ np.linalg.matrix_power(S, p % M + 1) @ lift_selector(G[p % n], M)
         P = sys.A @ P
     return T
 
@@ -120,25 +133,21 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
     if M in (3, 6):
         run = request.getfixturevalue("mixed_rate_run" if M == 3 else "dual_rate_run")
         systems.append(run[1].source)
-    selectors = [(default_selector_F(3, 2), default_selector_G(3, 1)),
-                 (SelectorF(tuple(rng.normal(size=(3, 2)) for _ in range(3))),
-                  SelectorG(tuple(rng.normal(size=(1, 3)) for _ in range(3))))]
 
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     for sys in systems:
-        for F, G in selectors:
-            close(build_X_check(sys, F), dense_X_check(sys, F))
-            close(build_Y_check(sys, G), dense_reach_sum(sys, G))
-            assert np.array_equal(build_transform(sys, G).matrix, build_Y_check(sys, G))
+        close(build_X_check(sys), dense_X_check(sys))
+        close(build_Y_check(sys), dense_reach_sum(sys))
+        assert np.array_equal(build_transform(sys).matrix, build_Y_check(sys))
 
 
 def test_aggregates_full_rank_and_structured(plant):
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(plant, spec)
-    X = build_X_check(cs, default_selector_F(3, 2))
-    Y = build_Y_check(cs, default_selector_G(3, 1))
+    X = build_X_check(cs)
+    Y = build_Y_check(cs)
     assert rank_with_tol(X) == 18
     assert rank_with_tol(Y) == 18
     assert is_cyclic_matrix(X @ cs.B, 3, 1, 6, tol=0.0).passed
@@ -149,17 +158,17 @@ def test_aggregates_degenerate_ranks(plant):
     spec = build_masks((2, 3))
     blind = make_state_space(plant.A, plant.B, np.zeros((2, 3)), plant.D)
     cs = cyclic_reformulate(blind, spec)
-    assert rank_with_tol(build_X_check(cs, default_selector_F(3, 2))) == 0
+    assert rank_with_tol(build_X_check(cs)) == 0
     dead = make_state_space(plant.A, np.zeros((3, 1)), plant.C, plant.D)
     cs2 = cyclic_reformulate(dead, spec)
-    assert rank_with_tol(build_Y_check(cs2, default_selector_G(3, 1))) == 0
+    assert rank_with_tol(build_Y_check(cs2)) == 0
 
 
 def test_transform_regular_both_conventions_true_system(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
-    tres = build_transform(idm, default_selector_G(3, 1))
+    tres = build_transform(idm)
     assert tres.regular
     Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
     rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-10)
@@ -171,7 +180,7 @@ def test_transform_period_one_conventions_coincide():
                           [[1.0, 0.0]], [[0.0]])
     cs = cyclic_reformulate(ss, build_masks((1,)))
     idm = as_identified(cs)
-    Ta = build_transform(idm, default_selector_G(2, 1)).matrix
+    Ta = build_transform(idm).matrix
     # M = 1 collapses to sum_i A^i B G_i, the controllability matrix here
     expect = np.column_stack([ss.B.ravel(), (ss.A @ ss.B).ravel()])
     assert np.abs(Ta - expect).max() <= 1e-14
@@ -189,7 +198,7 @@ def test_apply_transform_preserves_markov(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
-    T = build_transform(idm, default_selector_G(3, 1)).matrix
+    T = build_transform(idm).matrix
     Am, Bm, Cm, Dm = apply_transform(idm, T)
     tr = IdentifiedModel(A=Am, B=Bm, C=Cm, D=Dm, order=9, n=3, m=1, l=2, M=3,
                          x0=np.zeros(9), singular_values=np.zeros(0))
@@ -213,8 +222,7 @@ def test_true_system_transform_is_exact(corpus):
     for case in corpus[:8]:
         cs = case["cycled"]
         idm = as_identified(cs)
-        G = default_selector_G(cs.n, cs.m)
-        tres = build_transform(idm, G)
+        tres = build_transform(idm)
         assert tres.regular
         Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
         rep = verify_cyclic_form(Am, Bm, Cm, Dm, cs.n, cs.m, cs.l, cs.M, tol=1e-10)
@@ -303,8 +311,7 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
-    G = default_selector_G(3, 1)
-    T = build_transform(idm, G).matrix
+    T = build_transform(idm).matrix
     rng = np.random.default_rng(40)
 
     hetero = np.zeros((18, 18))
@@ -330,7 +337,7 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
 def test_both_conventions_validate_on_identified_mixed_rate(mixed_rate_run):
     _, model, _ = mixed_rate_run
     idm = model.source
-    tres = build_transform(idm, default_selector_G(3, 1))
+    tres = build_transform(idm)
     assert tres.regular
     Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
     rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-6)
@@ -341,8 +348,7 @@ def test_aggregate_diagnostics_on_identified_model(dual_rate_run):
     from cycsid.transform import aggregate_diagnostics
 
     _, model, _ = dual_rate_run
-    diag = aggregate_diagnostics(model.source, model.T,
-                                 default_selector_F(3, 2), tol=1e-6)
+    diag = aggregate_diagnostics(model.source, model.T, tol=1e-6)
     assert diag["selector_aggregate_blockdiag"].passed
     assert diag["selector_aggregate_rank"] == 18
     assert diag["aggregate_dynamics_cyclic"].passed
