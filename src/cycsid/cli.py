@@ -105,10 +105,9 @@ def _load_config(args):
 
 
 def _outdir(args, cfg=None):
-    out = Path(args.out if args.out is not None
-               else (cfg.out_dir if cfg is not None and cfg.out_dir else "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the writers make it with the first file they write."""
+    return Path(args.out if args.out is not None
+                else (cfg.out_dir if cfg is not None and cfg.out_dir else "."))
 
 
 def cmd_simulate(args):
@@ -137,7 +136,11 @@ def _verdict(report):
 def cmd_identify(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    model, report = pipeline.run_identification(cfg)
+    try:
+        model, report = pipeline.run_identification(cfg)
+    except STRUCTURE_ERRORS as e:
+        write_json(pipeline.refusal(e), out / "report.json")
+        raise
     save_model(model.source, out / "model.json", cfg.spec, {"seed": report.seed, "N": report.N})
     write_json(report.to_dict(), out / "report.json")
     print(f"order {report.order} model identified; {_verdict(report)}")

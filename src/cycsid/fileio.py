@@ -22,6 +22,8 @@ FLOAT_FMT = "{:.17g}"
 
 
 def write_json(obj, path):
+    """Write obj as indented JSON, making the parent directory when it is missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
@@ -46,11 +48,13 @@ def require(mapping, field, path):
 # ---------------------------------------------------------------- signals ---
 
 def save_signals(log, path):
-    """CSV with header k,u_1..u_m,y_1..y_l,obs_1..obs_l, one row per step."""
+    """CSV with header k,u_1..u_m,y_1..y_l,obs_1..obs_l, one row per step,
+    making the parent directory when it is missing."""
     m = log.u.shape[1]
     l = log.y.shape[1]
     header = (["k"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(l)]
               + [f"obs_{i+1}" for i in range(l)])
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -127,39 +131,41 @@ class ModelFile:
 
 
 def save_model(model, path, spec, provenance=None):
-    """Persist an IdentifiedModel with dims, the rates and offsets of its
-    MultirateSpec, and provenance."""
+    """Persist an IdentifiedModel with the rates and offsets of the
+    MultirateSpec it was identified under and the data's seed and N (null
+    when not given): the MODEL_KEYS, each written once."""
     write_json({
         "kind": "identified",
         "n": model.n, "m": model.m, "l": model.l, "M": model.M,
-        "order": model.order,
         "rates": list(spec.rates), "offsets": list(spec.offsets),
         "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
         "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
+        "x0": [float(v) for v in model.x0],
         "block_rows": model.depth_evidence(),
-        "sv_gap": model.order_gap, "order_exposed": model.order_exposed,
         "phases": model.phase_evidence(),
-        "provenance": provenance or {},
+        "provenance": {key: (provenance or {}).get(key) for key in RECORD_KEYS["provenance"]},
     }, path)
 
 
-#: the keys a model file may hold, and those of its depth and per-phase records
-MODEL_KEYS = {"kind", "n", "m", "l", "M", "order", "rates", "offsets", "A", "B", "C", "D",
-              "block_rows", "sv_gap", "order_exposed", "phases", "provenance"}
-DEPTH_KEYS = {"used", "pattern", "shift_margin"}
-PHASE_KEYS = {"rank_margin", "sv_gap", "a_offpattern"}
+#: the keys a model file holds, and those of its depth, per-phase and provenance records
+MODEL_KEYS = ("kind", "n", "m", "l", "M", "rates", "offsets", "A", "B", "C", "D", "x0",
+              "block_rows", "phases", "provenance")
+RECORD_KEYS = {"block_rows": ("used", "pattern", "shift_margin"),
+               "phases": ("rank_margin", "sv_gap", "a_offpattern"),
+               "provenance": ("seed", "N")}
 
 
-def _record(doc, key, known):
-    """doc[key] as an object of known keys, {} when absent; anything else is a
-    ValueError that names the key."""
-    rec = doc.get(key, {})
-    if not isinstance(rec, dict):
-        raise ValueError(f"'{key}' must hold {', '.join(sorted(known))}")
-    unknown = sorted(set(rec) - known)
+def _exactly(doc, name, keys):
+    """doc as an object holding exactly keys; anything else is a ValueError
+    that names the key.  name is the record's key, or "model" for the file."""
+    doc = convert(name, doc, of_type(dict), "an object")
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ValueError(f"unknown {key} keys {unknown}; expected {sorted(known)}")
-    return rec
+        raise ValueError(f"unknown {name} keys {unknown}; expected {sorted(keys)}")
+    missing = [key if name == "model" else f"{name}.{key}" for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"missing required field '{missing[0]}'")
+    return doc
 
 
 def _numbers(value):
@@ -170,68 +176,37 @@ def _numbers(value):
 
 
 def load_model(path):
-    """Load an identified model file; validates dims against the declared
-    rates.  A missing or malformed field is a SchemaError that names it."""
-    doc = read_json(path)
-    kind = require(doc, "kind", path)
-    if kind == "cyclic":
-        raise SchemaError(f"{path}: cyclic model files are no longer read; verify the "
-                          "model.json written beside it, whose cyclic form verify rebuilds")
-    if kind != "identified":
-        raise SchemaError(f"{path}: unknown model kind '{kind}'")
-    unknown = sorted(set(doc) - MODEL_KEYS)
-    if unknown:
-        raise SchemaError(f"{path}: unknown model keys {unknown}; expected {sorted(MODEL_KEYS)}")
+    """Load a model file written by save_model: every one of MODEL_KEYS and
+    of the RECORD_KEYS, and no other.  A missing, unknown or malformed field
+    is a SchemaError that names it."""
     try:
-        n, m, l, M = (convert(key, require(doc, key, path), integer, "an integer")
-                      for key in ("n", "m", "l", "M"))
+        doc = _exactly(read_json(path), "model", MODEL_KEYS)
+        if doc["kind"] != "identified":
+            raise ValueError(f"unknown model kind '{doc['kind']}'")
+        n, m, l, M = (convert(key, doc[key], integer, "an integer") for key in ("n", "m", "l", "M"))
         if min(n, m, l, M) < 1:
             raise ValueError("dimensions must be positive")
-        # files written before offsets were kept read as zero offsets; a bad
-        # rate or offset is a ValueError that names it
-        spec = build_masks(require(doc, "rates", path), doc.get("offsets"))
-        if spec.l != l:
-            raise ValueError(f"{l} outputs declared but {spec.l} rates")
-        if spec.M != M:
-            raise ValueError(f"declared M={M} but lcm(rates)={spec.M}")
-        A, B, C, D = (convert(key, require(doc, key, path),
-                              lambda v: np.array(v, dtype=np.float64), "a matrix of numbers")
-                      for key in ("A", "B", "C", "D"))
-        order = convert("order", doc.get("order", M * n), integer, "an integer")
-        if A.shape != (M * n, M * n) or order != M * n:
-            raise ValueError(f"A is {A.shape} but M*n = {M * n} from the declared rates")
-        for key, X, shape in (("B", B, (M * n, M * m)), ("C", C, (M * l, M * n)),
-                              ("D", D, (M * l, M * m))):
-            if X.shape != shape:
-                raise ValueError(f"{key} is {X.shape} but the declared (n, m, l, M) "
-                                 f"make it {shape}")
-        # files written before the depth, SV-gap or per-phase records were
-        # kept load them as 0 or None
-        depth = _record(doc, "block_rows", DEPTH_KEYS)
-        used, pattern = (convert(f"block_rows.{key}", depth.get(key, 0), integer, "an integer")
+        # a bad rate or offset is a ValueError that names it
+        spec = build_masks(doc["rates"], doc["offsets"])
+        if (spec.l, spec.M) != (l, M):
+            raise ValueError(f"declared l={l}, M={M} but rates {list(spec.rates)} give "
+                             f"l={spec.l}, M={spec.M}")
+        A, B, C, D, x0 = (convert(key, doc[key], lambda v: np.array(v, dtype=np.float64),
+                                  "a list of numbers" if key == "x0" else "a matrix of numbers")
+                          for key in ("A", "B", "C", "D", "x0"))
+        depth, phases, provenance = (_exactly(doc[key], key, keys)
+                                     for key, keys in RECORD_KEYS.items())
+        used, pattern = (convert(f"block_rows.{key}", depth[key], integer, "an integer")
                          for key in ("used", "pattern"))
-        margin, gap = (convert(key, value, optional(float), "a number or null")
-                       for key, value in (("block_rows.shift_margin", depth.get("shift_margin")),
-                                          ("sv_gap", doc.get("sv_gap"))))
-        exposed = convert("order_exposed", doc.get("order_exposed"), optional(of_type(bool)),
-                          "true, false or null")
-        phases = _record(doc, "phases", PHASE_KEYS)
-        rank_margins, gaps = (convert(f"phases.{key}", phases.get(key), optional(_numbers),
-                                      "a list of numbers or null")
+        rank_margins, gaps = (convert(f"phases.{key}", phases[key], _numbers, "a list of numbers")
                               for key in ("rank_margin", "sv_gap"))
-        for key, values in (("rank_margin", rank_margins), ("sv_gap", gaps)):
-            if values is not None and len(values) != M:
-                raise ValueError(f"phases.{key} has {len(values)} entries but M = {M}")
-        a_off = convert("phases.a_offpattern", phases.get("a_offpattern"), optional(float),
-                        "a number or null")
-        provenance = convert("provenance", doc.get("provenance", {}), of_type(dict),
-                             "an object")
-        for key in ("seed", "N"):
-            convert(f"provenance.{key}", provenance.get(key), optional(integer),
-                    "an integer or null")
-        model = IdentifiedModel(A=A, B=B, C=C, D=D, order=order, n=n, m=m, l=l, M=M,
-                                x0=np.zeros(order), singular_values=np.zeros(0),
-                                order_gap=gap, order_exposed=exposed,
+        margin, a_off = (convert(f"{name}.{key}", record[key], float, "a number")
+                         for name, record, key in (("block_rows", depth, "shift_margin"),
+                                                   ("phases", phases, "a_offpattern")))
+        provenance = {key: convert(f"provenance.{key}", value, optional(integer),
+                                   "an integer or null") for key, value in provenance.items()}
+        # IdentifiedModel checks every shape against the declared (n, m, l, M)
+        model = IdentifiedModel(A=A, B=B, C=C, D=D, n=n, m=m, l=l, M=M, x0=x0,
                                 block_rows=used, pattern_block_rows=pattern,
                                 shift_margin=margin, phase_rank_margins=rank_margins,
                                 phase_gaps=gaps, a_offpattern=a_off)

@@ -11,7 +11,7 @@ method's justification is a chain of rank/structure facts.
 """
 
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -179,9 +179,8 @@ class RunReport:
     tf_passed: bool
     components: dict
     timings: dict
-    #: per-phase rank margins and gaps and A's zeroed off-pattern size
-    #: (IdentifiedModel.phase_evidence); None on reports written before them
-    phases: dict | None = None
+    #: per-phase rank margins, gaps and A's zeroed off-pattern size (phase_evidence)
+    phases: dict
 
     def __post_init__(self):
         self.rates = tuple(self.rates)
@@ -205,8 +204,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in fields(cls)
-                      if f.name in d or f.default is MISSING})
+        """The report to_dict gave d; a missing or unknown key is a TypeError."""
+        return cls(**d)
 
 
 def generate_input(cfg):

@@ -49,56 +49,65 @@ from .errors import (
 from .kernels import io_regressor
 from .numerics import rank_with_tol
 
-#: the forced order counts as exposed when sv[order] / sv[order-1] is at most this
+#: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
 SV_GAP_TOL = 0.1
 
 
 @dataclass
 class IdentifiedModel:
-    """State-space model of the forced order returned by identification.
+    """State-space model of order M*n returned by identification, with the
+    evidence it was accepted on.
 
     block_rows is the Hankel depth used, pattern_block_rows the depth the
     sampling pattern chose (they differ after a fallback or an explicit
     depth), and shift_margin sigma_min/sigma_max of the shifted observability
     estimate at the depth used.  phase_rank_margins and phase_gaps hold, per
     state phase p, sigma_n/sigma_1 and sigma_(n+1)/sigma_n of that phase's
-    projection; order_gap is the largest phase gap and order_exposed whether
-    it passed SV_GAP_TOL.  a_offpattern is the largest entry of the shift
-    fit's A outside the cyclic pattern, which identification then zeroes.
-    Each is None when not recorded.
+    projection.  a_offpattern is the largest entry of the shift fit's A
+    outside the cyclic pattern, which identification then zeroes.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    order: int
     n: int
     m: int
     l: int
     M: int
     x0: np.ndarray = field(repr=False)
-    singular_values: np.ndarray = field(repr=False)
-    order_gap: float | None = None
-    order_exposed: bool | None = None
-    block_rows: int = 0
-    pattern_block_rows: int = 0
-    shift_margin: float | None = None
-    phase_rank_margins: list | None = None
-    phase_gaps: list | None = None
-    a_offpattern: float | None = None
+    block_rows: int
+    pattern_block_rows: int
+    shift_margin: float
+    phase_rank_margins: list
+    phase_gaps: list
+    a_offpattern: float
 
     def __post_init__(self):
-        if self.A.shape != (self.order, self.order):
-            raise DimensionMismatchError("A must be order x order")
-        if (self.B.shape != (self.order, self.M * self.m)
-                or self.C.shape != (self.M * self.l, self.order)
-                or self.D.shape != (self.M * self.l, self.M * self.m)):
-            raise DimensionMismatchError(
-                "B/C/D shapes inconsistent with the declared (n, m, l, M)"
-            )
-        if not all(np.all(np.isfinite(X)) for X in (self.A, self.B, self.C, self.D)):
+        n, m, l, M = self.n, self.m, self.l, self.M
+        for name, want in (("A", (M * n, M * n)), ("B", (M * n, M * m)), ("C", (M * l, M * n)),
+                           ("D", (M * l, M * m)), ("x0", (M * n,)),
+                           ("phase_rank_margins", (M,)), ("phase_gaps", (M,))):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise DimensionMismatchError(
+                    f"{name} is {got} but the declared (n, m, l, M) make it {want}")
+        if not all(np.all(np.isfinite(X)) for X in (self.A, self.B, self.C, self.D, self.x0)):
             raise DimensionMismatchError("identified matrices contain non-finite entries")
+
+    @property
+    def order(self):
+        return self.M * self.n
+
+    @property
+    def order_gap(self):
+        """The SV gap: the largest phase gap."""
+        return max(self.phase_gaps)
+
+    @property
+    def order_exposed(self):
+        """Whether every phase exposes its order: the SV gap is at most SV_GAP_TOL."""
+        return self.order_gap <= SV_GAP_TOL
 
     def depth_evidence(self):
         """{used, pattern, shift_margin}: the depth record kept in reports and model files."""
@@ -106,8 +115,7 @@ class IdentifiedModel:
                 "shift_margin": self.shift_margin}
 
     def phase_evidence(self):
-        """{rank_margin, sv_gap, a_offpattern}: the per-phase record kept in
-        reports and model files."""
+        """{rank_margin, sv_gap, a_offpattern}: the per-phase record of reports and model files."""
         return {"rank_margin": self.phase_rank_margins, "sv_gap": self.phase_gaps,
                 "a_offpattern": self.a_offpattern}
 
@@ -362,7 +370,6 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
                 f"estimate has margin {margin:.3g} <= SV gap {gap:.3g}, so it does not reach "
                 f"rank {order}" + (f"; use block_rows={full}" if i < full else "")
             )
-    exposed = gap <= SV_GAP_TOL
 
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
     a_offpattern = is_cyclic_matrix(A, n_base, n_base, M).max_offpattern
@@ -384,10 +391,7 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     D = theta[order + order * mm:].reshape((ll, mm), order="F")
 
     return IdentifiedModel(
-        A=A, B=B, C=C, D=D, order=order,
-        n=n_base, m=m_base, l=l_base, M=M,
-        x0=x0, singular_values=np.sort(np.concatenate(svs))[::-1],
-        order_gap=gap, order_exposed=exposed,
+        A=A, B=B, C=C, D=D, n=n_base, m=m_base, l=l_base, M=M, x0=x0,
         block_rows=i, pattern_block_rows=pattern, shift_margin=margin,
         phase_rank_margins=margins, phase_gaps=gaps, a_offpattern=a_offpattern,
     )

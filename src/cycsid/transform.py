@@ -135,8 +135,7 @@ def aggregate_diagnostics(idm, T, tol=IDENTIFIED_TOL):
 class CyclicModel:
     """Per-phase components read off a transformed model, plus evidence.
 
-    Raw on-pattern blocks are stored untouched; assemble() gives the cleaned
-    view with everything off-pattern forced to exact zero.
+    Raw on-pattern blocks are stored untouched.
     """
 
     A_phases: list
@@ -158,11 +157,6 @@ class CyclicModel:
         C, D = (np.array([X[i][r] for r, i in enumerate(first)])
                 for X in (self.C_phases, self.D_phases))
         return StateSpace(self.A_phases[0], self.B_phases[0], C, D)
-
-    def assemble(self):
-        """Rebuild (A, B, C, D) in exact cyclic-reformulation shape."""
-        return (place_blocks(self.A_phases, 1), place_blocks(self.B_phases, 1),
-                place_blocks(self.C_phases, 0), place_blocks(self.D_phases, 0))
 
     def component_spread(self):
         """Max pairwise deviation among the A phases and among the B phases."""

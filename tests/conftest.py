@@ -18,6 +18,7 @@ from cycsid import (
     verify_cyclic_form,
 )
 from cycsid.statespace import ctrb, obsv
+from cycsid.subspace import IdentifiedModel
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 20
@@ -30,6 +31,15 @@ def extract_checked(Am, Bm, Cm, Dm, n, m, l, M, tol):
     form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
     assert form.passed, form.failing()
     return extract_components(Am, Bm, Cm, Dm, n, m, l, M, form)
+
+
+def identified_model(A, B, C, D, n, m, l, M):
+    """An IdentifiedModel of the given matrices, with a zero initial state and
+    zero evidence in place of an identification's depth and phase records."""
+    return IdentifiedModel(A=A, B=B, C=C, D=D, n=n, m=m, l=l, M=M, x0=np.zeros(M * n),
+                           block_rows=0, pattern_block_rows=0, shift_margin=0.0,
+                           phase_rank_margins=[0.0] * M, phase_gaps=[0.0] * M,
+                           a_offpattern=0.0)
 
 
 @pytest.fixture(scope="session")

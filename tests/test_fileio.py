@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -15,10 +16,11 @@ from cycsid import (
     save_signals,
     simulate_multirate,
 )
-from cycsid.fileio import ModelFile
-from cycsid.pipeline import load_config
-from cycsid.subspace import IdentifiedModel
+from cycsid.fileio import MODEL_KEYS, ModelFile
+from cycsid.pipeline import load_config, run_identification
 from cycsid import cyclic_reformulate
+
+from conftest import identified_model
 
 
 def test_signals_roundtrip_bit_exact(plant, tmp_path):
@@ -87,6 +89,22 @@ def test_model_roundtrip_identified(plant, dual_rate_run, tmp_path):
     assert mf.model.depth_evidence() == idm.depth_evidence() == report.block_rows
 
 
+@pytest.mark.parametrize("offsets", [(0, 0), (1, 0)])
+def test_model_file_round_trip_is_lossless(dual_rate_run, tmp_path, offsets):
+    # every field of the identified record comes back bit for bit, x0 and the
+    # evidence included, and the file holds exactly the model keys
+    cfg = dataclasses.replace(dual_rate_run[0], offsets=offsets)
+    idm = run_identification(cfg)[0].source if any(offsets) else dual_rate_run[1].source
+    path = tmp_path / "model.json"
+    save_model(idm, path, cfg.spec, {"seed": 5, "N": cfg.N})
+    assert list(json.loads(path.read_text())) == list(MODEL_KEYS)
+    mf = load_model(path)
+    assert (mf.spec, mf.provenance) == (cfg.spec, {"seed": 5, "N": cfg.N})
+    for f in dataclasses.fields(idm):
+        assert np.array_equal(getattr(mf.model, f.name), getattr(idm, f.name)), f.name
+    assert (mf.model.order_gap, mf.model.order_exposed) == (idm.order_gap, idm.order_exposed)
+
+
 def test_model_roundtrip_keeps_the_per_phase_record(dual_rate_run, tmp_path):
     # per phase sigma_n/sigma_1 and sigma_(n+1)/sigma_n, and the size of A's
     # zeroed off-pattern part; the worst phase gap is the model's SV gap
@@ -99,11 +117,6 @@ def test_model_roundtrip_keeps_the_per_phase_record(dual_rate_run, tmp_path):
     path = tmp_path / "model.json"
     save_model(idm, path, build_masks((2, 3)))
     assert load_model(path).model.phase_evidence() == record
-    # a file written before the record was kept loads without it
-    doc = json.loads(path.read_text())
-    del doc["phases"]
-    path.write_text(json.dumps(doc))
-    assert load_model(path).model.phase_evidence() == dict.fromkeys(record)
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -123,22 +136,6 @@ def test_model_file_refuses_unknown_keys(dual_rate_run, tmp_path, edit, key):
         load_model(path)
 
 
-def test_model_saved_without_depth_record_loads(dual_rate_run, tmp_path):
-    idm = dual_rate_run[1].source
-    path = tmp_path / "model.json"
-    save_model(idm, path, build_masks((2, 3)))
-    doc = json.loads(path.read_text())
-    del doc["block_rows"]
-    path.write_text(json.dumps(doc))
-    mf = load_model(path)
-    assert np.array_equal(mf.model.A, idm.A)
-    assert mf.model.depth_evidence() == {"used": 0, "pattern": 0, "shift_margin": None}
-    doc["block_rows"] = 9
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="block_rows"):
-        load_model(path)
-
-
 def test_model_file_records_offsets(dual_rate_run, tmp_path):
     idm = dual_rate_run[1].source
     path = tmp_path / "model.json"
@@ -146,10 +143,6 @@ def test_model_file_records_offsets(dual_rate_run, tmp_path):
     doc = json.loads(path.read_text())
     assert list(doc)[list(doc).index("rates") + 1] == "offsets"
     assert load_model(path).spec == build_masks((2, 3), (1, 0))
-    # files written before offsets were kept read as zero offsets
-    del doc["offsets"]
-    path.write_text(json.dumps(doc))
-    assert load_model(path).spec == build_masks((2, 3))
     doc["offsets"] = [1]
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="offsets"):
@@ -158,9 +151,7 @@ def test_model_file_records_offsets(dual_rate_run, tmp_path):
 
 def test_model_rate_dimension_mismatch(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    idm = IdentifiedModel(A=cs.A, B=cs.B, C=cs.C, D=cs.D, order=9,
-                          n=3, m=1, l=2, M=3,
-                          x0=np.zeros(9), singular_values=np.zeros(0))
+    idm = identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3)
     path = tmp_path / "model.json"
     save_model(idm, path, build_masks((1, 3)))
     doc = json.loads(path.read_text())

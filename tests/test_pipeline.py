@@ -8,7 +8,6 @@ import pytest
 from cycsid import (
     AssumptionFailedError,
     ExperimentConfig,
-    IdentifiedModel,
     RunReport,
     SignalLog,
     StructureViolationError,
@@ -22,7 +21,7 @@ from cycsid import (
     save_signals,
 )
 from cycsid.cli import build_parser, main
-from cycsid.fileio import load_model, load_signals
+from cycsid.fileio import MODEL_KEYS, RECORD_KEYS, load_model, load_signals
 from cycsid.pipeline import (
     DEMO_STUDIES,
     choose_transform,
@@ -31,6 +30,8 @@ from cycsid.pipeline import (
     load_config,
     poly_str,
 )
+
+from conftest import identified_model
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -60,7 +61,7 @@ def test_run_rejects_unobservable_plant():
         run_identification(cfg)
 
 
-def test_convention_fallback_on_eigenvalue_paired_plant():
+def test_eigenvalue_paired_plant_passes_the_transfer_check():
     # with eigenvalues 0.9 and -0.9 under period 2, A^2 B is parallel to B;
     # the transform's selector index p mod n still sweeps every block
     plant = make_state_space(np.diag([0.9, -0.9]), [[1.0], [1.0]],
@@ -135,8 +136,9 @@ def test_run_report_round_trips(dual_rate_run):
     back = RunReport.from_dict(doc)
     assert back.to_dict() == report.to_dict()
     assert back.components["A_phases"] == report.components["A_phases"]
-    # a report written while it still carried the transform's convention loads
-    assert RunReport.from_dict({**doc, "convention": "general"}).to_dict() == report.to_dict()
+    # a key the report does not hold is refused, not dropped
+    with pytest.raises(TypeError, match="convention"):
+        RunReport.from_dict({**doc, "convention": "general"})
 
 
 def test_runs_are_deterministic(plant):
@@ -391,7 +393,7 @@ def test_cli_record_without_output_samples_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "silent")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: no output sample ") and "block_rows" not in err
-    assert not (tmp_path / "silent" / "report.json").exists()
+    assert not (tmp_path / "silent").exists()
 
 
 def test_cli_identify_shows_a_depth_fallback(tmp_path, capsys):
@@ -539,22 +541,19 @@ def test_verify_writes_the_identify_report_and_verdict(tmp_path, capsys):
     assert (verdict["seed"], verdict["N"]) == (12345, 3000)
 
 
-def test_verify_reports_null_for_facts_an_older_model_file_lacks(tmp_path, dual_rate_run):
-    # a model file written before sv_gap, order_exposed and provenance were
-    # kept verifies, and its report says null for each rather than a default
-    from cycsid.fileio import save_model
-
-    cfg, model, report = dual_rate_run
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec, {"seed": 1, "N": 2})
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps({k: v for k, v in doc.items()
-                                if k not in ("sv_gap", "order_exposed", "provenance")}))
-    assert main(["verify", "--model", str(path), "--config",
-                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 0
-    verdict = json.loads((tmp_path / "verify_report.json").read_text())
-    assert [verdict[k] for k in ("sv_gap", "order_exposed", "seed", "N")] == [None] * 4
-    assert verdict["components"] == report.components
+def test_identify_keeps_the_record_of_a_structure_refusal(tmp_path, capsys):
+    # the config of the README walk-through at a structure tolerance no model
+    # meets: identify writes the refusal verify and demo-paper keep, and no model
+    path = write_config(tmp_path, rates=[2, 3], N=3000, input={"seed": 12345})
+    out = tmp_path / "run"
+    assert main(["identify", "--config", str(path), "--out", str(out),
+                 "--tol-structure", "1e-20"]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report == {"error": report["error"], "kind": "structure",
+                      "attempt": report["attempt"]}
+    assert report["attempt"]["applied"] and not report["attempt"]["structure_passed"]
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert capsys.readouterr().err == f"verification failure: {report['error']}\n"
 
 
 def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual_rate_run,
@@ -592,15 +591,16 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"block_rows": {"used": "x"}}, "block_rows.used must be an integer, got 'x'",
                  id="block_rows"),
     pytest.param({"block_rows": {"shift_margin": "x"}},
-                 "block_rows.shift_margin must be a number or null, got 'x'", id="shift_margin"),
-    pytest.param({"sv_gap": "x"}, "sv_gap must be a number or null, got 'x'", id="sv_gap"),
+                 "block_rows.shift_margin must be a number, got 'x'", id="shift_margin"),
+    # the SV gap and the order's exposure derive from the per-phase record
+    pytest.param({"sv_gap": 0.1}, "unknown model keys ['sv_gap']", id="sv_gap"),
     pytest.param({"phases": {"rank_margin": "x"}},
-                 "phases.rank_margin must be a list of numbers or null, got 'x'", id="rank_margin"),
-    pytest.param({"phases": {"sv_gap": [0.1]}}, "phases.sv_gap has 1 entries but M = 6",
+                 "phases.rank_margin must be a list of numbers, got 'x'", id="rank_margin"),
+    pytest.param({"phases": {"sv_gap": [0.1]}},
+                 "phase_gaps is (1,) but the declared (n, m, l, M) make it (6,)",
                  id="phase-count"),
-    pytest.param({"phases": 1}, "'phases' must hold a_offpattern, rank_margin, sv_gap",
-                 id="phases"),
-    pytest.param({"order_exposed": "yes"}, "order_exposed must be true, false or null, got 'yes'",
+    pytest.param({"phases": 1}, "phases must be an object, got 1", id="phases"),
+    pytest.param({"order_exposed": True}, "unknown model keys ['order_exposed']",
                  id="order_exposed"),
     *(pytest.param({"provenance": v}, f"provenance must be an object, got {v!r}",
                    id=f"provenance-{type(v).__name__}") for v in ([1, 2], "seed", None)),
@@ -616,6 +616,8 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
                    id=f"shape-{key}")
       for key, rows, cols, want in (("B", 17, 6, (18, 6)), ("C", 12, 17, (12, 18)),
                                     ("D", 11, 6, (12, 6)))),
+    pytest.param({"x0": [0.0] * 17}, "x0 is (17,) but the declared (n, m, l, M) make it (18,)",
+                 id="shape-x0"),
 ])
 def test_verify_names_a_malformed_model_field(tmp_path, dual_rate_run, capsys, edit, message):
     # the model file is data: a bad field is a data error (exit 3) that names it
@@ -624,7 +626,39 @@ def test_verify_names_a_malformed_model_field(tmp_path, dual_rate_run, capsys, e
     cfg, model, _ = dual_rate_run
     path = tmp_path / "model.json"
     save_model(model.source, path, cfg.spec)
-    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    doc = json.loads(path.read_text())
+    # an edit of a nested record changes only the keys it names
+    path.write_text(json.dumps({**doc, **{
+        key: {**doc[key], **value} if isinstance(doc.get(key), dict) and isinstance(value, dict)
+        else value for key, value in edit.items()}}))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config",
+                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("key", [
+    *MODEL_KEYS, *(f"{name}.{key}" for name, keys in RECORD_KEYS.items() for key in keys),
+    "extra", *(f"{name}.extra" for name in RECORD_KEYS)])
+def test_verify_needs_exactly_the_model_file_keys(tmp_path, dual_rate_run, capsys, key):
+    # the model file holds every key of the identified record and no other:
+    # dropping one, or adding one ("extra"), is a data error that names it
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec, {"seed": 12345, "N": 3000})
+    doc = json.loads(path.read_text())
+    *outer, name = key.split(".")
+    record = doc[outer[0]] if outer else doc
+    if name == "extra":
+        record[name] = 0
+        message = f"unknown {outer[0] if outer else 'model'} keys ['extra']"
+    else:
+        del record[name]
+        message = f"missing required field '{key}'"
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--model", str(path), "--config",
                  str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 3
@@ -669,9 +703,7 @@ def test_verify_refuses_a_cyclic_model_file(tmp_path, dual_rate_run, capsys):
     capsys.readouterr()
     assert main(["verify", "--model", str(path), "--config",
                  str(write_config(tmp_path, rates=[2, 3])), "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == (
-        f"data error: {path}: cyclic model files are no longer read; verify the model.json "
-        "written beside it, whose cyclic form verify rebuilds\n")
+    assert capsys.readouterr().err == f"data error: {path}: unknown model kind 'cyclic'\n"
     assert not (tmp_path / "verify_report.json").exists()
 
 
@@ -683,8 +715,7 @@ def test_verify_reports_the_attempt_of_a_model_that_fails_the_structure_check(
     # the transform applies and the cyclic-form check refuses it
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    dense = IdentifiedModel(A=cs.A + 0.01, B=cs.B, C=cs.C, D=cs.D, order=9, n=3, m=1, l=2,
-                            M=3, x0=np.zeros(9), singular_values=np.zeros(0))
+    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3, 1, 2, 3)
     path = tmp_path / "model.json"
     save_model(dense, path, spec)
     assert main(["verify", "--model", str(path), "--config", str(write_config(tmp_path)),

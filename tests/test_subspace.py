@@ -179,7 +179,7 @@ def test_fallback_is_the_full_depth_result(blind_sensor, noise):
     fell_back = subspace_identify(uc, yc, order=12)
     full = subspace_identify(uc, yc, order=12, block_rows=13)
     assert (fell_back.block_rows, fell_back.pattern_block_rows) == (13, 6)
-    for name in ("A", "B", "C", "D", "x0", "singular_values"):
+    for name in ("A", "B", "C", "D", "x0", "phase_rank_margins", "phase_gaps"):
         assert np.array_equal(getattr(fell_back, name), getattr(full, name)), name
 
 

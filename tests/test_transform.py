@@ -23,19 +23,15 @@ from cycsid import (
     transfer_functions,
     verify_cyclic_form,
 )
-from cycsid.cyclic import is_block_diagonal, is_cyclic_matrix
+from cycsid.cyclic import is_block_diagonal, is_cyclic_matrix, place_blocks
 from cycsid.pipeline import choose_transform
-from cycsid.subspace import IdentifiedModel
 
-from conftest import extract_checked
+from conftest import extract_checked, identified_model
 
 
 def as_identified(cs):
     """Wrap a true cycled system as an identification result."""
-    order = cs.M * cs.n
-    return IdentifiedModel(A=cs.A, B=cs.B, C=cs.C, D=cs.D, order=order,
-                           n=cs.n, m=cs.m, l=cs.l, M=cs.M,
-                           x0=np.zeros(order), singular_values=np.zeros(0))
+    return identified_model(cs.A, cs.B, cs.C, cs.D, cs.n, cs.m, cs.l, cs.M)
 
 
 def unit_F_blocks(n, l):
@@ -126,9 +122,7 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
     rng = np.random.default_rng(M)
     P = rng.normal(size=(M * 3, M * 3)) + 3 * np.eye(M * 3)
     Pi = np.linalg.inv(P)
-    dense = IdentifiedModel(A=Pi @ cs.A @ P, B=Pi @ cs.B, C=cs.C @ P, D=cs.D, order=M * 3,
-                            n=3, m=1, l=2, M=M, x0=np.zeros(M * 3),
-                            singular_values=np.zeros(0))
+    dense = identified_model(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D, 3, 1, 2, M)
     systems = [as_identified(cs), dense]
     if M in (3, 6):
         run = request.getfixturevalue("mixed_rate_run" if M == 3 else "dual_rate_run")
@@ -164,7 +158,7 @@ def test_aggregates_degenerate_ranks(plant):
     assert rank_with_tol(build_Y_check(cs2)) == 0
 
 
-def test_transform_regular_both_conventions_true_system(plant):
+def test_transform_of_the_true_cycled_system_is_regular_and_restores_cyclic_form(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs)
@@ -175,7 +169,7 @@ def test_transform_regular_both_conventions_true_system(plant):
     assert rep.passed, rep.max_offpattern
 
 
-def test_transform_period_one_conventions_coincide():
+def test_transform_at_period_one_is_the_controllability_matrix():
     ss = make_state_space([[0.6, 0.1], [0.0, 0.3]], [[1.0], [1.0]],
                           [[1.0, 0.0]], [[0.0]])
     cs = cyclic_reformulate(ss, build_masks((1,)))
@@ -200,8 +194,7 @@ def test_apply_transform_preserves_markov(plant):
     idm = as_identified(cs)
     T = build_transform(idm).matrix
     Am, Bm, Cm, Dm = apply_transform(idm, T)
-    tr = IdentifiedModel(A=Am, B=Bm, C=Cm, D=Dm, order=9, n=3, m=1, l=2, M=3,
-                         x0=np.zeros(9), singular_values=np.zeros(0))
+    tr = identified_model(Am, Bm, Cm, Dm, 3, 1, 2, 3)
     H0 = markov(idm, 19)
     H1 = markov(tr, 19)
     assert max(np.abs(a - b).max() for a, b in zip(H0, H1)) <= 1e-9
@@ -250,9 +243,8 @@ def test_extract_components_reads_blocks(plant):
         assert np.array_equal(cm.A_phases[i], plant.A)
         assert np.array_equal(cm.B_phases[i], plant.B)
         assert np.array_equal(cm.C_phases[i], spec.masks[i] @ plant.C)
-    asm = cm.assemble()
-    assert np.array_equal(asm[0], cs.A)
-    assert np.array_equal(asm[2], cs.C)
+    assert np.array_equal(place_blocks(cm.A_phases, 1), cs.A)
+    assert np.array_equal(place_blocks(cm.C_phases, 0), cs.C)
 
 
 def test_choose_transform_rejects_dense(plant):
@@ -260,8 +252,7 @@ def test_choose_transform_rejects_dense(plant):
     # transform is regular, and the transformed model fails the one
     # cyclic-form check, so the one attempt raises with its record
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    dense = IdentifiedModel(A=cs.A + 0.01, B=cs.B, C=cs.C, D=cs.D, order=9, n=3, m=1, l=2,
-                            M=3, x0=np.zeros(9), singular_values=np.zeros(0))
+    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3, 1, 2, 3)
     with pytest.raises(StructureViolationError) as err:
         choose_transform(dense, 1e-6)
     message = str(err.value)
@@ -334,7 +325,7 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     assert passed
 
 
-def test_both_conventions_validate_on_identified_mixed_rate(mixed_rate_run):
+def test_transform_restores_cyclic_form_on_identified_mixed_rate(mixed_rate_run):
     _, model, _ = mixed_rate_run
     idm = model.source
     tres = build_transform(idm)
