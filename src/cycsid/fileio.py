@@ -186,8 +186,10 @@ def load_model(path):
         n, m, l, M = (convert(key, doc[key], integer, "an integer") for key in ("n", "m", "l", "M"))
         if min(n, m, l, M) < 1:
             raise ValueError("dimensions must be positive")
-        # a bad rate or offset is a ValueError that names it
-        spec = build_masks(doc["rates"], doc["offsets"])
+        # a bad rate or offset is a ValueError that names it; null offsets are
+        # not the config default of zero offsets, but a malformed field
+        spec = build_masks(doc["rates"], convert("offsets", doc["offsets"], of_type(list),
+                                                 "a list of integers"))
         if (spec.l, spec.M) != (l, M):
             raise ValueError(f"declared l={l}, M={M} but rates {list(spec.rates)} give "
                              f"l={spec.l}, M={spec.M}")

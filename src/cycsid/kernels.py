@@ -5,13 +5,16 @@ over samples.  ``scan_trajectory`` simulates a plant by a doubling scan:
 O(log K) passes over each block of K samples, each one product with a
 power A^(2^j).  It agrees with the per-step recursion ``trajectory``, its
 test oracle, to round-off: the scan sums the forced response in another
-order.  The input-response regressor of a cyclic model is built per time
-chunk from a table of state transitions (the products of the phase
-matrices, built by doubling) and a gather that lays the chunk's lagged
-inputs out as Toeplitz blocks.  It is computed only where the model's
-structure lets it be nonzero, a 1/M share of its x0 and B columns on each
-sampled row, and written into a column-major array of zeros: LAPACK's
-least squares works on a Fortran-ordered copy of its matrix, and copying a
+order.  The input-response regressor of a cyclic model fits x0, B and D on
+the cyclic reformulation's pattern: it is nonzero only on the output rows
+(k, q, c) with q = k mod M, the only rows a cycled output can fill, and
+there only in the columns of x0 block 0, of B's cyclic blocks and of D's
+diagonal block q.  Those entries are built per time chunk from a table of
+state transitions (the products of the phase matrices, built by doubling),
+the phase-0 state's sensitivities at the chunk start, and a gather that lays
+the chunk's lagged inputs out as Toeplitz blocks.  They are written into a
+column-major array of zeros of the full regressor's shape: LAPACK's least
+squares works on a Fortran-ordered copy of its matrix, and copying a
 column-major regressor reads it in order instead of transposing it with
 strided access.
 """
@@ -128,8 +131,9 @@ def _io_regressor_dense(A, C, u):
 
 
 def io_regressor(A, C, u):
-    """Regressor Phi for the joint (x0, vec B, vec D) least squares of a
-    cyclic model, an (N*M*l) x (M*n + M*n*M*m + M*l*M*m) column-major array.
+    """Regressor Phi of the pattern-constrained (x0, vec B, vec D) least
+    squares of a cyclic model, an (N*M*l) x (M*n + M*n*M*m + M*l*M*m)
+    column-major array.
 
     A and C are the phase blocks of a cyclic state matrix and a block
     diagonal output matrix, stacked (M, n, n) and (M, l, n): A[p] is block
@@ -138,25 +142,38 @@ def io_regressor(A, C, u):
     Plain (n, n) and (l, n) matrices are one phase, M = 1, where A, C and u
     may be anything.
 
-    Row block k of Phi is [C A^k, C Z(k), u(k)^T (x) I] in the cycled
-    matrices, with Z(k+1) = A Z(k) + u(k)^T (x) I, Z(0) = 0 and column-major
-    vecs; ``_io_regressor_dense`` builds it sample by sample.  Most of it is
-    zero by structure.  On step k, output row (phase q, channel c) is zero in
-    the x0 and B columns where C's row is, and otherwise nonzero there only
-    in the n + M*n*m columns of its chain p = q - k mod M: x0 block p, where
-    it holds C_q[c] G[p, k], and for each sigma < M the block of B that maps
-    input phase sigma - 1 to state block p + sigma, where it holds the sum
-    over tau < k, tau = sigma - 1 mod M, of u(tau)^T (x) C_q[c] G[p + sigma,
-    k - 1 - tau], G the transition table of `_power_table`.
+    Row block k of the full regressor is [C A^k, C Z(k), u(k)^T (x) I] in
+    the cycled matrices, with Z(k+1) = A Z(k) + u(k)^T (x) I, Z(0) = 0 and
+    column-major vecs; ``_io_regressor_dense`` builds it sample by sample.
+    A cycled output holds data only on the rows (k, q, c) with q = k mod M,
+    and there the full regressor is nonzero only in the columns of x0 block
+    0, of the B blocks (p+1, p) and of D block (q, q): the phase-0 initial
+    state, cyclic B and block-diagonal D of the cyclic reformulation.  Phi
+    holds exactly those entries and is zero everywhere else, so its least
+    squares fits x0, B and D on that pattern; the solution there is the full
+    regressor's, whose other rows have a zero right-hand side.  At M = 1
+    every row is such a row and Phi is the full regressor.
 
-    Those blocks are made per chunk of K samples, a multiple of M so that
-    every chunk starts at phase 0, from each chain's [A^k0, Z(k0)] columns
+    The zero rows and columns stay only because the benchmark's tracer
+    (perfbench/tracing.py) pins this shape, until it bounds the shape
+    instead (ROADMAP item 1); the fit needs only the nonzero block.
+    Solving on that block alone (its N*l rows, 33 columns at rates (2,3) and
+    63 at (3,4)) took 4.3 ms against 0.14 s on the full shape at (2,3), and
+    11 ms against 1.95 s at (3,4) (benchmark plant, N = 3000, 2 vCPUs,
+    OpenBLAS 0.3.31).
+
+    Output row (q, c) at step k = q mod M holds C_q[c] G[0, k] in the x0
+    columns and, for each sigma < M, the sum over tau < k, tau = sigma - 1
+    mod M, of u(tau)^T (x) C_q[c] G[sigma, k - 1 - tau] in the columns of B
+    block (sigma, sigma - 1), G the transition table of `_power_table`.
+    These are made per chunk of K samples, a multiple of M so that every
+    chunk starts at phase 0, from the phase-0 state's [A^k0, Z(k0)] columns
     at the chunk start: the free response as one batched product, the input
-    sum as one Toeplitz GEMM per pair (step mod M, sigma), whose lags share
+    sum as one Toeplitz GEMM per sigma over every live row, whose lags share
     one residue mod M.  Several chunks are gathered, within about 1/64 of
     Phi's size, and written into a Phi made by np.zeros in one call: a
-    strided copy down each column for every (step phase, live row).  The D
-    columns get only the live inputs.
+    strided copy down each column for every live row.  The D columns get
+    only the input of each step.
     """
     A = np.asarray(A, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -169,76 +186,81 @@ def io_regressor(A, C, u):
     m = mm // M
     order, ll = M * n, M * l
     nb = order + order * mm  # x0 and B columns
-    nc = n + M * m * n  # x0 and B columns of one chain
+    nc = n + M * m * n  # the x0 and B columns a sampled row can touch
     P = -(-_CHUNK // M)  # periods per chunk
-    K, T = M * P, M * (P + 1)  # chunk length; table length, lags below K and K itself
+    K = M * P  # chunk length
     chunks = -(-N // K)
     raw = np.zeros((chunks * K, m))  # the live input of each step, zero past N
     raw[:N] = u.reshape(N, M, m)[np.arange(N), np.arange(N) % M]
 
-    q, c = np.nonzero(np.any(C != 0, axis=2))  # live output rows
-    live = q.size
-    G = _power_table(A, T)
-    lag = np.arange(T)
+    q, c = np.nonzero(np.any(C != 0, axis=2))  # live output rows; row r is read on steps q[r] mod M
+    G = _power_table(A, K + 1)
+    lag = np.arange(K)
     # CG[r, lag] = C_q[c] G[q - lag, lag]: the lag-step response arriving at row r
     CG = (C[q, c][:, None, None, :] @ G[(q[:, None] - lag) % M, lag])[:, :, 0]
-    t0, sigma, period = np.arange(M)[:, None], np.arange(M), np.arange(P)
-    # row r on steps t0 mod M: its chain, its free-response table, its row in a period
-    chain = (q - t0) % M
-    free = np.ascontiguousarray(CG[:, :K].reshape(live, P, M, n).transpose(2, 0, 3, 1))
-    within = t0 * ll + q * l + c
-    # one Toeplitz GEMM per (t0, sigma), over the lags rho + M*mu, rho = t0 - sigma mod M
-    rho = (t0 - sigma) % M
-    tables = CG.reshape(live, P + 1, M, n).transpose(2, 0, 3, 1).reshape(M, -1, P + 1)[rho]
-    lead = np.maximum((t0 + M * period)[:, None, None, :]
-                      - (rho[:, :, None, None] + M * np.arange(P + 1)[:, None]), 0)
-    gather = (lead[..., None] * m + np.arange(m)).reshape(M, M, P + 1, P * m)  # into uz.ravel()
+    sigma, period = np.arange(M), np.arange(P)
+    # free response of row r on steps q + M*mu, (r, x, mu)
+    free = np.ascontiguousarray(CG.reshape(-1, P, M, n)[np.arange(q.size), :, q].transpose(0, 2, 1))
+    within = q * ll + q * l + c  # row r's row in a period
+    # one Toeplitz GEMM per sigma over every live row: step q + M*mu sees the
+    # input in uz row sigma + M*(mu - lam) at lag rho + M*(lam - wrap), with
+    # rho = q - sigma mod M and wrap = 1 where q < sigma; lags from K on reach
+    # no input of the chunk
+    rho, wrap = (q[:, None] - sigma) % M, q[:, None] < sigma
+    lam = period - wrap[..., None]  # (r, sigma, lam), -1 for no lag
+    tables = np.where((lam >= 0)[..., None],
+                      CG.reshape(-1, P, M, n)[np.arange(q.size)[:, None, None], lam, rho[..., None]],
+                      0.0).transpose(1, 0, 3, 2).reshape(M, -1, P)
+    lead = np.maximum(sigma[:, None, None] + M * (period - period[:, None]), 0)  # (sigma, lam, mu)
+    gather = (lead[..., None] * m + np.arange(m)).reshape(M, P, P * m)  # into uz.ravel()
     uz = np.zeros((K + 1, m))  # uz[1 + t] = u(k0 + t), uz[0] = 0 for lags past the chunk start
-    # chain state advance: input u(k0 + tau) enters chain p's B pair sigma = tau + 1
-    # mod M and reaches the next chunk start through G[p + sigma, K - 1 - tau]
-    tau = np.arange(K)
-    advance = G[(t0[:, :, None] + sigma[:, None]) % M, K - 1 - tau]  # (p, sigma, tau, x, a)
-    advance *= ((tau + 1 - sigma[:, None]) % M == 0)[None, :, :, None, None]
-    advance = advance.transpose(0, 3, 1, 4, 2).reshape(-1, K)  # rows (p, x, sigma, a)
-    GK = G[:, K]
+    # input u(k0 + tau), tau = sigma - 1 mod M, enters B pair sigma and reaches
+    # the next chunk start through G[sigma, K - 1 - tau]; entering[k0 // K, sigma]
+    # holds those inputs
+    tau = (sigma[:, None] - 1) % M + M * period
+    advance = G[sigma[:, None], K - 1 - tau].transpose(0, 2, 3, 1).reshape(M, n * n, P)
+    entering = np.ascontiguousarray(raw.reshape(chunks, K, m)[:, tau])
+    GK = G[0, K]
 
-    # the Phi column of chain p's compact column (x0 a | sigma, j, a)
-    pairs = order + ((((sigma - 1) % M)[:, None] * m + np.arange(m)) * order)[None, :, :, None] \
-        + (((t0 + sigma) % M) * n)[:, :, None, None] + np.arange(n)
-    cols = np.concatenate([t0 * n + np.arange(n), pairs.reshape(M, -1)], axis=1)[chain]
+    # the Phi column of compact column (x0 a | sigma, j, a): x0 block 0, B block (sigma, sigma - 1)
+    pairs = order + (((sigma - 1) % M)[:, None] * m + np.arange(m))[:, :, None] * order \
+        + (sigma * n)[:, None, None] + np.arange(n)
+    cols = np.concatenate([np.arange(n), pairs.ravel()])
 
     Phi = np.zeros((N * ll, nb + ll * mm), order="F")
     PhiT = Phi.T  # C-contiguous: row i is column i of Phi
     # rows by (period, row within it), and the rows of the steps past the last whole period
     periods = PhiT[:, :N // M * M * ll].reshape(len(PhiT), N // M, M * ll)
     rest, tail = N % M, N // M * M * ll
-    span = P * max(1, Phi.nbytes // 64 // max(1, M * live * nc * P * 8))
-    out = np.empty((M, live, nc, span))  # (t0, r, compact column, period)
-    state = np.zeros((M, n, nc))  # each chain's compact [A^k0, Z(k0)] columns
-    state[:, :, :n] = np.eye(n)
+    span = P * max(1, Phi.nbytes // 64 // max(1, q.size * nc * P * 8))
+    out = np.empty((q.size, nc, span))  # (r, compact column, period)
+    state = np.zeros((n, nc))  # the compact [A^k0, Z(k0)] columns
+    state[:, :n] = np.eye(n)
     for k0 in range(0, N, K):
         uz[1:] = raw[k0:k0 + K]
         at = k0 // M % span
         block = out[..., at:at + P]
-        np.matmul(state[chain].transpose(0, 1, 3, 2), free, out=block)
-        forced = (tables @ uz.ravel()[gather]).reshape(M, M, live, n, P, m)
-        block[:, :, n:].reshape(M, live, M, m, n, P)[...] += forced.transpose(0, 2, 1, 5, 3, 4)
+        np.matmul(state.T, free, out=block)
+        forced = (tables @ uz.ravel()[gather]).reshape(M, q.size, n, P, m)
+        block[:, n:].reshape(q.size, M, m, n, P)[...] += forced.transpose(1, 0, 4, 2, 3)
         if at + P == span or k0 + K >= N:
-            # one strided copy per (t0, r, column): the whole periods, then any rest
+            # one strided copy per (r, column): the whole periods, then any rest
             first = k0 // M - at
             whole = min(at + P, N // M - first)
-            periods[cols, first:first + whole, within[..., None]] = out[..., :whole]
+            periods[cols, first:first + whole, within[:, None]] = out[..., :whole]
             if k0 + K >= N and rest:
-                PhiT[cols[:rest], tail + within[:rest, :, None]] = out[:rest, ..., whole]
+                part = q < rest
+                PhiT[cols, tail + within[part, None]] = out[part, :, whole]
         if k0 + K < N:
-            inc = (advance @ raw[k0:k0 + K]).reshape(M, n, M, n, m)
+            inc = (advance @ entering[k0 // K]).reshape(M, n, n, m)
             state = GK @ state
-            state[:, :, n:].reshape(M, n, M, m, n)[...] += inc.transpose(0, 1, 2, 4, 3)
+            state[:, n:].reshape(n, M, m, n)[...] += inc.transpose(1, 0, 3, 2)
 
-    # column nb + (k mod M, j)*ll + i of output row (k, i) holds u_j(k); the other
-    # D entries are 0
-    dcols = nb + (np.arange(mm)[:, None] * ll + np.arange(ll)).reshape(M, m, ll)
-    drows = (np.arange(M) * ll)[:, None, None] + np.arange(ll)
+    # column nb + (q*m + j)*ll + q*l + c of output row (k, q*l + c), q = k mod M,
+    # holds u_j(k): D block (q, q)
+    dcols = nb + ((sigma[:, None, None] * m + np.arange(m)[:, None]) * ll
+                  + (sigma * l)[:, None, None] + np.arange(l))
+    drows = (sigma * ll + sigma * l)[:, None, None] + np.arange(l)
     steps = raw[:N // M * M].reshape(N // M, M, m).transpose(1, 2, 0)[:, :, None]
     periods[dcols, :, drows] = steps
     PhiT[dcols[:rest], tail + drows[:rest]] = raw[N - rest:N, :, None]

@@ -30,8 +30,13 @@ projection SVD are taken apart, and each phase's top n left singular
 vectors fill its own state block of the observability estimate: the shift
 fit then gives a cyclic A (its round-off off-pattern part is recorded and
 zeroed) and the first block row a block-diagonal C, whose never-sampled
-rows are exact zeros.  The B/D/x0 regressor (``kernels.io_regressor``)
-computes only the blocks such a model leaves nonzero.
+rows are exact zeros.  x0, B and D follow the same pattern: the B/D/x0
+regressor (``kernels.io_regressor``) fills only the output rows a cycled
+output samples, (k, q, c) with q = k mod M, and on them only the columns of
+x0's phase-0 block, B's cyclic blocks and D's diagonal blocks.  The one least
+squares on it gives those blocks, and the model takes them alone, so B is
+cyclic, D block diagonal and x0 zero outside phase 0 by construction.  The
+regressor keeps the full (N*M*l)-row shape, its other entries zero.
 """
 
 from dataclasses import dataclass, field
@@ -314,7 +319,9 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
 
     A is fitted by one shift least squares on the phase-placed estimate and
     its off-pattern blocks, of round-off size, are recorded and zeroed, so
-    A is cyclic and C block diagonal by construction.  Raises
+    A is cyclic and C block diagonal by construction.  x0, B and D come from
+    one least squares on the pattern (see the module docstring), so B is
+    cyclic, D block diagonal and x0 zero outside phase 0.  Raises
     InsufficientDataError when no output sample is nonzero or the record is
     too short, ExcitationDeficientError when the input does not excite the
     factorization, and DivergentModelError when the fitted A
@@ -386,9 +393,12 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
             f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
     theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
-    x0 = theta[:order]
-    B = theta[order:order + order * mm].reshape((order, mm), order="F")
-    D = theta[order + order * mm:].reshape((ll, mm), order="F")
+    # only x0 block 0, B's cyclic blocks and D's diagonal blocks have columns
+    x0 = np.zeros(order)
+    x0[:n_base] = theta[:n_base]
+    B = place_blocks(read_blocks(theta[order:order + order * mm].reshape((order, mm), order="F"),
+                                 M, 1), 1)
+    D = place_blocks(read_blocks(theta[order + order * mm:].reshape((ll, mm), order="F"), M, 0), 0)
 
     return IdentifiedModel(
         A=A, B=B, C=C, D=D, n=n_base, m=m_base, l=l_base, M=M, x0=x0,

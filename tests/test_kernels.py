@@ -153,11 +153,19 @@ def test_io_regressor_matches_dense_reference(workload, N, m):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _data_rows(N, M, l):
+    """The regressor rows (k, q, c) with q = k mod M: the only rows of a cycled
+    output that can hold a sample."""
+    k, q = np.divmod(np.arange(N * M * l) // l, M)
+    return q == k % M
+
+
 @pytest.mark.parametrize("m, M", [(1, 3), (1, 6), (2, 3), (2, 6)])
 def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     # the pipeline feeds cycled inputs, mostly exact zeros, and a cycled model
-    # whose masked output rows are zero; the D block holds exact zeros and
-    # exact copies of u
+    # whose masked output rows are zero; on the rows a cycled output fills the
+    # regressor is the dense one, its D block exact zeros and exact copies of
+    # u, and every other row is zero
     rng = np.random.default_rng(10 * m + M)
     n, l = 3, 2
     A = rng.normal(size=(n, n))
@@ -168,11 +176,13 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     N = 2 * kernels._CHUNK + 7
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), M).samples
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
-    got = kernels.io_regressor(cs.A, cs.C, u)
+    got = kernels.io_regressor(read_blocks(cs.A, M, 1), read_blocks(cs.C, M, 0), u)
     nb = M * n * (1 + M * m)  # x0 and B columns
+    rows = _data_rows(N, M, l)
     assert got.shape == want.shape and got.shape[1] == nb + M * l * M * m
-    assert np.abs(got[:, :nb] - want[:, :nb]).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(got[:, nb:], want[:, nb:])
+    assert np.abs(got[rows, :nb] - want[rows, :nb]).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got[rows, nb:], want[rows, nb:])
+    assert not got[~rows].any()
 
 
 @pytest.mark.parametrize("n, m, rates, N", [
@@ -184,8 +194,9 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
 ])
 def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     # from the phase blocks of a cyclic A and a block-diagonal C, with some
-    # outputs never sampled at some phases: the same regressor as the dense
-    # per-sample build, including N not a multiple of the chunk or of M
+    # outputs never sampled at some phases: on the rows a cycled output fills,
+    # the same regressor as the dense per-sample build, including N not a
+    # multiple of the chunk or of M; zero on every other row
     rng = np.random.default_rng(100 * n + 10 * m + N)
     A = rng.normal(size=(n, n))
     A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
@@ -196,9 +207,11 @@ def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
+    rows = _data_rows(N, spec.M, len(rates))
     assert got.shape == want.shape and got.flags.f_contiguous
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert not want[got == 0].any()  # what it leaves out is zero
+    assert np.abs(got[rows] - want[rows]).max() <= 1e-13 * np.abs(want).max()
+    assert not want[rows][got[rows] == 0].any()  # what it leaves out of those rows is zero
+    assert not got[~rows].any()
 
 
 def test_io_regressor_allocates_no_regressor_sized_temporary():

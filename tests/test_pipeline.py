@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,15 +73,24 @@ def test_eigenvalue_paired_plant_passes_the_transfer_check():
     assert report.tf_passed
 
 
+def input_one_blind_config(rates):
+    """A plant that input 1 alone does not control: A = diag(0.5, -0.3),
+    B = I.  The transform's reach sum is built from input 1, so its T is
+    singular although the identified model is sound."""
+    plant = make_state_space(np.diag([0.5, -0.3]), np.eye(2), [[1.0, 1.0], [1.0, -1.0]],
+                             np.zeros((2, 2)))
+    return ExperimentConfig(plant=plant, rates=rates, N=3000)
+
+
 def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_path):
     # one output at rate 4 sees A^4, whose modes (-0.052)^4 and 0.033^4 sit
-    # near the rank cutoff.  Some draws' structure off-pattern lands near the
-    # 1e-6 gate, so which way they go turns on round-off; both ways are
-    # reached on purpose through tolerances.structure instead.  At 1e-300 every
-    # run raises StructureViolationError, and the built-in study runner stores
-    # the first one's attempt record as it is; at 1e-2 every run returns a report
-    # that names its failures.  Neither way leaves a warning (warnings are
-    # errors here) or a LAPACK line, and cond(T) is finite in either record
+    # near the rank cutoff.  The identified model is cyclic by construction,
+    # so its transformed model has no off-pattern part for a structure
+    # tolerance to refuse: every run returns a report that names its failures.
+    # A structure refusal comes from a singular transform instead; the
+    # built-in study runner stores its attempt record as it is.  Neither way
+    # leaves a warning (warnings are errors here) or a LAPACK line, and cond(T)
+    # is finite in either record
     rng = np.random.default_rng(1)
     runs = 0
     while runs < 6:
@@ -98,24 +108,38 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_
         save_signals(SignalLog(u=u, y=y * obs, x0=np.zeros(0), obs=obs), signals)
         cfg = dataclasses.replace(cfg, input={"file": str(signals)})
 
-        strict = dataclasses.replace(cfg, tolerances={"structure": 1e-300})
-        with pytest.raises(StructureViolationError) as info:
-            run_identification(strict)
-        e = info.value
-        if runs == 1:
-            status, reports = demo_paper([("rate 4", strict)], printer=lambda line: None)
-            assert status == 4 and reports == {"rate 4": {
-                "error": str(e), "kind": "structure", "attempt": e.attempt}}
-        assert str(e).endswith(str(e.attempt))
-        assert e.attempt["applied"] and not e.attempt["structure_passed"]
-        assert np.isfinite(e.attempt["cond"]) and e.attempt["cond"] >= 1.0
-
-        _, report = run_identification(dataclasses.replace(cfg, tolerances={"structure": 1e-2}))
+        _, report = run_identification(cfg)
         assert {"rank.observability", "tf"} <= set(report.failures())
+        assert "cyclic_form" not in report.failures()
         # the per-phase margins name the weak phase the global ratio cannot
         assert min(report.phases["rank_margin"]) < 1e-9 < max(report.phases["rank_margin"])
         cond = report.conventions_tried[0]["cond"]
         assert np.isfinite(cond) and cond >= 1.0
+        if runs == 1:
+            blind = input_one_blind_config((1, 2))
+            with pytest.raises(StructureViolationError) as info:
+                run_identification(blind)
+            e = info.value
+            status, reports = demo_paper([("rate 4", cfg), ("input 1 blind", blind)],
+                                         printer=lambda line: None)
+            assert status == 4 and reports["input 1 blind"] == {
+                "error": str(e), "kind": "structure", "attempt": e.attempt}
+            assert reports["rate 4"].failures() == report.failures()
+            assert np.isfinite(e.attempt["cond"]) and e.attempt["cond"] >= 1.0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("rates", [(1, 2), (2, 3)])
+def test_plant_input_one_does_not_control_ends_in_a_typed_refusal(rates, capfd):
+    # the identified model is sound, but the reach sum of input 1 alone is
+    # singular: a typed refusal whose attempt record holds the rank and a
+    # finite cond(T), with no warning (warnings are errors here)
+    with pytest.raises(StructureViolationError) as info:
+        run_identification(input_one_blind_config(rates))
+    attempt = info.value.attempt
+    assert attempt["regular"] is False and attempt["rank"] < 2 * math.lcm(*rates)
+    assert np.isfinite(attempt["cond"]) and attempt["cond"] > 1e12
+    assert "applied" not in attempt and str(info.value).endswith(str(attempt))
     assert capfd.readouterr().err == ""
 
 
@@ -245,9 +269,7 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
                  "--config", str(cfg), "--out", str(out)]) == 0
     verdict = json.loads((out / "verify_report.json").read_text())
     assert verdict["tf_passed"] and RunReport.from_dict(verdict).failures() == []
-    # the margin measured on the transformed model, not on its clean rebuild
     assert verdict["cyclic_form"] == report["cyclic_form"]
-    assert max(v["max_offpattern"] for v in verdict["cyclic_form"].values()) > 0.0
 
     # the transform, rebuilt from the saved model, repeats the identify run's
     # attempt, cyclic form and components exactly
@@ -259,6 +281,14 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     assert tried[0]["convention"] == "general"
     assert {k: [X.tolist() for X in getattr(cm, k)] for k in report["components"]} \
         == report["components"]
+
+    # the margin is measured on the transformed model, not on its clean
+    # rebuild: a B entry edited off the pattern shows in it
+    off_pattern_b(out / "model.json", 1e-9)
+    assert main(["verify", "--model", str(out / "model.json"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verify_report.json").read_text())
+    assert max(v["max_offpattern"] for v in verdict["cyclic_form"].values()) > 0.0
     capsys.readouterr()
 
 
@@ -542,18 +572,27 @@ def test_verify_writes_the_identify_report_and_verdict(tmp_path, capsys):
 
 
 def test_identify_keeps_the_record_of_a_structure_refusal(tmp_path, capsys):
-    # the config of the README walk-through at a structure tolerance no model
-    # meets: identify writes the refusal verify and demo-paper keep, and no model
-    path = write_config(tmp_path, rates=[2, 3], N=3000, input={"seed": 12345})
+    # a plant that input 1 alone does not control gives a singular transform:
+    # identify writes the refusal verify and demo-paper keep, and no model
+    blind = input_one_blind_config((2, 3)).plant
+    path = write_config(tmp_path, rates=[2, 3], N=3000, input={"seed": 12345},
+                        plant={key: getattr(blind, key).tolist() for key in "ABCD"})
     out = tmp_path / "run"
-    assert main(["identify", "--config", str(path), "--out", str(out),
-                 "--tol-structure", "1e-20"]) == 4
+    assert main(["identify", "--config", str(path), "--out", str(out)]) == 4
     report = json.loads((out / "report.json").read_text())
     assert report == {"error": report["error"], "kind": "structure",
                       "attempt": report["attempt"]}
-    assert report["attempt"]["applied"] and not report["attempt"]["structure_passed"]
+    assert report["attempt"]["regular"] is False and "applied" not in report["attempt"]
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
     assert capsys.readouterr().err == f"verification failure: {report['error']}\n"
+
+
+def off_pattern_b(path, value):
+    """Edit value into the model file's B at block (0, 0), off its cyclic
+    pattern when M > 1."""
+    doc = json.loads(path.read_text())
+    doc["B"][0][0] = value
+    path.write_text(json.dumps(doc))
 
 
 def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual_rate_run,
@@ -568,11 +607,16 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     assert main(verify) == 0
     cyclic_form = json.loads((tmp_path / "verify_report.json").read_text())["cyclic_form"]
     assert cyclic_form == report.cyclic_form
+    # the identified model is cyclic by construction, and so is its transform
+    assert max(v["max_offpattern"] for v in cyclic_form.values()) == 0.0
+
+    # a model file edited off the pattern is judged against the given
+    # tolerance; the refusal is the record demo-paper keeps for a refused study
+    off_pattern_b(path, 1e-9)
+    assert main(verify) == 0
+    cyclic_form = json.loads((tmp_path / "verify_report.json").read_text())["cyclic_form"]
     margin = max(v["max_offpattern"] for v in cyclic_form.values())
     assert 0.0 < margin <= 1e-6
-
-    # the rebuilt cyclic form is judged against the given tolerance; the
-    # refusal is the record demo-paper keeps for a refused study
     capsys.readouterr()
     assert main(verify + ["--tol-structure", "1e-20"]) == 4
     verdict = json.loads((tmp_path / "verify_report.json").read_text())
@@ -588,6 +632,8 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"rates": 3}, "rates must be a list of integers, got 3", id="rates"),
     pytest.param({"offsets": "ab"}, "offsets must be a list of integers, got 'ab'",
                  id="offsets"),
+    pytest.param({"offsets": None}, "offsets must be a list of integers, got None",
+                 id="offsets-null"),
     pytest.param({"block_rows": {"used": "x"}}, "block_rows.used must be an integer, got 'x'",
                  id="block_rows"),
     pytest.param({"block_rows": {"shift_margin": "x"}},

@@ -24,6 +24,7 @@ from cycsid import (
     simulate_multirate,
     subspace_identify,
 )
+from cycsid.cyclic import place_blocks, read_blocks
 from cycsid.subspace import (
     _observability_estimate,
     default_block_rows,
@@ -336,6 +337,27 @@ def test_identify_frees_factorization_before_fit(plant):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * regressor_bytes, peak / regressor_bytes
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-2])
+@pytest.mark.parametrize("rates", [(1, 1), (1, 3), (2, 3)], ids=["M1", "M3", "M6"])
+def test_bdx0_fit_is_the_dense_fit_on_the_pattern(plant, rates, noise):
+    # x0, B and D are fitted on the cyclic pattern: on it they are the dense
+    # regressor's least squares, which has the same solution there because
+    # the rows the data fill touch no other column; off it they are exact zeros
+    uc, yc = _cycled_data(plant, rates, 800, 4, noise)
+    idm = subspace_identify(uc, yc, order=plant.n * uc.M)
+    M, n = idm.M, idm.n
+    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(idm.A, idm.C, uc.samples),
+                               yc.samples.reshape(-1), rcond=None)
+    got = np.concatenate([idm.x0, idm.B.ravel(order="F"), idm.D.ravel(order="F")])
+    on = np.concatenate([np.arange(M * n) < n,
+                         place_blocks(np.ones((M, n, idm.m)), 1).ravel(order="F") > 0,
+                         place_blocks(np.ones((M, idm.l, idm.m)), 0).ravel(order="F") > 0])
+    assert np.linalg.norm(got[on] - want[on]) <= 1e-12 * np.linalg.norm(want[on])
+    assert not got[~on].any()
+    assert np.array_equal(idm.B, place_blocks(read_blocks(idm.B, M, 1), 1))
+    assert np.array_equal(idm.D, place_blocks(read_blocks(idm.D, M, 0), 0))
 
 
 def test_identify_rejects_mismatched_lengths(plant):
