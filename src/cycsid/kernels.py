@@ -256,12 +256,8 @@ def io_regressor(A, C, u):
             state = GK @ state
             state[:, n:].reshape(n, M, m, n)[...] += inc.transpose(1, 0, 3, 2)
 
-    # column nb + (q*m + j)*ll + q*l + c of output row (k, q*l + c), q = k mod M,
-    # holds u_j(k): D block (q, q)
-    dcols = nb + ((sigma[:, None, None] * m + np.arange(m)[:, None]) * ll
-                  + (sigma * l)[:, None, None] + np.arange(l))
-    drows = (sigma * ll + sigma * l)[:, None, None] + np.arange(l)
-    steps = raw[:N // M * M].reshape(N // M, M, m).transpose(1, 2, 0)[:, :, None]
-    periods[dcols, :, drows] = steps
-    PhiT[dcols[:rest], tail + drows[:rest]] = raw[N - rest:N, :, None]
+    # column nb + (p*m + j)*ll + p*l + i of output row (k, p*l + i), p = k mod M,
+    # holds u_j(k): D block (p, p), one strided copy per (p, j, i)
+    for p, j, i in np.ndindex(M, m, l):
+        PhiT[nb + (p * m + j) * ll + p * l + i, p * ll + p * l + i::M * ll] = raw[p:N:M, j]
     return Phi

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
-from .numerics import convert, integer, of_type, optional, rank_with_tol
+from .numerics import blas_threads, convert, integer, of_type, optional, rank_with_tol
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
@@ -281,6 +281,7 @@ def observable_phases(cfg):
     return phases
 
 
+@blas_threads()
 def run_identification(cfg):
     """Identify a model from cfg's data and validate it: (CyclicModel, RunReport)."""
     t_all = time.perf_counter()
@@ -302,6 +303,7 @@ def run_identification(cfg):
     return model, report
 
 
+@blas_threads()
 def validate(idm, cfg, provenance):
     """Judge idm against cfg's plant, sampling and tolerances: (CyclicModel,
     RunReport), timed from the reference stage to verify.  provenance holds

@@ -52,7 +52,7 @@ from .errors import (
     RankConditionError,
 )
 from .kernels import io_regressor
-from .numerics import rank_with_tol
+from .numerics import blas_threads, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
 SV_GAP_TOL = 0.1
@@ -232,7 +232,8 @@ def _observability_estimate(u, y, i, order, M):
     build_block_hankel(y[:, live], i, j, out=stack[r_up:r_past])
     build_block_hankel(y[:, live], i, j, start=i, out=stack[r_past:r_live])
     stack[r_live:] = 0.0
-    L = np.linalg.qr(stack.T, mode="r").T
+    with blas_threads(j * stack.shape[0] ** 2):
+        L = np.linalg.qr(stack.T, mode="r").T
 
     inputs = np.arange(mm)
     group_up = _hankel_phases(inputs, mm // M, M, 0, i)
@@ -292,6 +293,7 @@ def _shift_margin(Gam, order, ll):
     return float(s[order - 1] / s[0]) if s.size >= order and s[0] > 0 else 0.0
 
 
+@blas_threads()
 def subspace_identify(ucheck, ycheck, order, block_rows=None):
     """Identify an order-`order` model from input/output data.
 
@@ -392,7 +394,8 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
         raise DivergentModelError(
             f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
             f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
-    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
+    with blas_threads(Phi.shape[0] * Phi.shape[1] ** 2):
+        theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     # only x0 block 0, B's cyclic blocks and D's diagonal blocks have columns
     x0 = np.zeros(order)
     x0[:n_base] = theta[:n_base]
