@@ -12,11 +12,13 @@ there only in the columns of x0 block 0, of B's cyclic blocks and of D's
 diagonal block q.  Those entries are built per time chunk from a table of
 state transitions (the products of the phase matrices, built by doubling),
 the phase-0 state's sensitivities at the chunk start, and a gather that lays
-the chunk's lagged inputs out as Toeplitz blocks.  They are written into a
-column-major array of zeros of the full regressor's shape: LAPACK's least
-squares works on a Fortran-ordered copy of its matrix, and copying a
-column-major regressor reads it in order instead of transposing it with
-strided access.
+the chunk's lagged inputs out as Toeplitz blocks.  They are written into
+the leading columns of a column-major array of zeros of the full
+regressor's shape, x0 block 0 first, then B's cyclic blocks, then D's
+diagonal blocks (``regressor_columns`` names each), and every later column
+is zero padding whose pages are never written.  LAPACK's least squares
+works on a Fortran-ordered copy of its matrix, and copying a column-major
+regressor reads it in order instead of transposing it with strided access.
 """
 
 import numpy as np
@@ -130,6 +132,21 @@ def _io_regressor_dense(A, C, u):
     return Phi
 
 
+def regressor_columns(M, n, m, l):
+    """Index in the full [x0, vec B, vec D] of each leading column of
+    ``io_regressor``, vecs column-major as in ``_io_regressor_dense``: x0
+    block 0 (n columns), then B block (sigma, sigma - 1) by (sigma, j, a)
+    (M*m*n), then D block (p, p) by (p, j, i) (M*m*l).  At M = 1 these are
+    0, 1, ..., n + n*m + l*m - 1.
+    """
+    order, ll, phase = M * n, M * l, np.arange(M)
+    B = order + (((phase - 1) % M)[:, None] * m + np.arange(m))[:, :, None] * order \
+        + (phase * n)[:, None, None] + np.arange(n)
+    D = order + order * M * m + (phase[:, None] * m + np.arange(m))[:, :, None] * ll \
+        + (phase * l)[:, None, None] + np.arange(l)
+    return np.concatenate([np.arange(n), B.ravel(), D.ravel()])
+
+
 def io_regressor(A, C, u):
     """Regressor Phi of the pattern-constrained (x0, vec B, vec D) least
     squares of a cyclic model, an (N*M*l) x (M*n + M*n*M*m + M*l*M*m)
@@ -149,14 +166,19 @@ def io_regressor(A, C, u):
     and there the full regressor is nonzero only in the columns of x0 block
     0, of the B blocks (p+1, p) and of D block (q, q): the phase-0 initial
     state, cyclic B and block-diagonal D of the cyclic reformulation.  Phi
-    holds exactly those entries and is zero everywhere else, so its least
-    squares fits x0, B and D on that pattern; the solution there is the full
-    regressor's, whose other rows have a zero right-hand side.  At M = 1
-    every row is such a row and Phi is the full regressor.
+    holds exactly those entries, on those rows, in its leading
+    w = n + M*m*n + M*m*l columns, whose index in the full [x0, vec B, vec D]
+    ``regressor_columns`` gives; every other entry is zero.  So theta[:w] of
+    its least squares fits x0, B and D on that pattern, and the solution
+    there is the full regressor's, whose other rows have a zero right-hand
+    side.  At M = 1 every row is such a row, the leading columns are all
+    columns in their full order, and Phi is the full regressor.
 
-    The zero rows and columns stay only because the benchmark's tracer
-    (perfbench/tracing.py) pins this shape, until it bounds the shape
-    instead (ROADMAP item 1); the fit needs only the nonzero block.
+    The zero rows and the padding columns from w on stay only because the
+    benchmark's tracer (perfbench/tracing.py) pins this shape, until it
+    bounds the shape instead (ROADMAP item 1); the fit needs only the
+    nonzero block.  With that block first, only its pages are ever written
+    (9.5 of 57 MB at rates (2,3), N = 3000); the padding's stay unmapped.
     Solving on that block alone (its N*l rows, 33 columns at rates (2,3) and
     63 at (3,4)) took 4.3 ms against 0.14 s on the full shape at (2,3), and
     11 ms against 1.95 s at (3,4) (benchmark plant, N = 3000, 2 vCPUs,
@@ -172,8 +194,8 @@ def io_regressor(A, C, u):
     sum as one Toeplitz GEMM per sigma over every live row, whose lags share
     one residue mod M.  Several chunks are gathered, within about 1/64 of
     Phi's size, and written into a Phi made by np.zeros in one call: a
-    strided copy down each column for every live row.  The D columns get
-    only the input of each step.
+    strided copy down each leading column for every live row.  The D
+    columns get only the input of each step.
     """
     A = np.asarray(A, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -222,10 +244,7 @@ def io_regressor(A, C, u):
     entering = np.ascontiguousarray(raw.reshape(chunks, K, m)[:, tau])
     GK = G[0, K]
 
-    # the Phi column of compact column (x0 a | sigma, j, a): x0 block 0, B block (sigma, sigma - 1)
-    pairs = order + (((sigma - 1) % M)[:, None] * m + np.arange(m))[:, :, None] * order \
-        + (sigma * n)[:, None, None] + np.arange(n)
-    cols = np.concatenate([np.arange(n), pairs.ravel()])
+    cols = np.arange(nc)  # the compact columns lead Phi
 
     Phi = np.zeros((N * ll, nb + ll * mm), order="F")
     PhiT = Phi.T  # C-contiguous: row i is column i of Phi
@@ -256,8 +275,8 @@ def io_regressor(A, C, u):
             state = GK @ state
             state[:, n:].reshape(n, M, m, n)[...] += inc.transpose(1, 0, 3, 2)
 
-    # column nb + (p*m + j)*ll + p*l + i of output row (k, p*l + i), p = k mod M,
+    # column nc + (p*m + j)*l + i of output row (k, p*l + i), p = k mod M,
     # holds u_j(k): D block (p, p), one strided copy per (p, j, i)
     for p, j, i in np.ndindex(M, m, l):
-        PhiT[nb + (p * m + j) * ll + p * l + i, p * ll + p * l + i::M * ll] = raw[p:N:M, j]
+        PhiT[nc + (p * m + j) * l + i, p * ll + p * l + i::M * ll] = raw[p:N:M, j]
     return Phi

@@ -26,7 +26,11 @@ DEFAULT_RANK_TOL = 1e-9
 #: rows * cols^2 from which a QR-based factorization gains from OpenBLAS's
 #: threads (OpenBLAS 0.3.31, 2 vCPUs): a (24000 x 114) least squares (3.1e8)
 #: ran in 0.63 of its one-thread time on two threads, a (1983 x 324) LQ
-#: (2.1e8) in 1.33 of it and a (1993 x 48) one in 1.5
+#: (2.1e8) in 1.33 of it and a (1993 x 48) one in 1.5.  A rule on the row
+#: count alone (one thread below about 8000 rows) would lose: the paper_m6 LQ
+#: (2983 x 324, 3.1e8) took 29.9 ms on one thread and 29.4 on two, the
+#: wide_m12 LQ (2975 x 936, 2.6e9) 135.8 ms on one and 105.4 on two (medians
+#: of 9 alternating rounds), so it would cost wide_m12 about 30 ms a run
 _THREADED_WORK = 2.5e8
 
 #: (prefix, suffix) of OpenBLAS's thread-count functions, as numpy's wheels

@@ -36,7 +36,8 @@ output samples, (k, q, c) with q = k mod M, and on them only the columns of
 x0's phase-0 block, B's cyclic blocks and D's diagonal blocks.  The one least
 squares on it gives those blocks, and the model takes them alone, so B is
 cyclic, D block diagonal and x0 zero outside phase 0 by construction.  The
-regressor keeps the full (N*M*l)-row shape, its other entries zero.
+regressor keeps the full (N*M*l)-row shape: that block first, in its leading
+columns, then zero padding that ROADMAP item 2 drops.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ from .errors import (
     InsufficientDataError,
     RankConditionError,
 )
-from .kernels import io_regressor
+from .kernels import io_regressor, regressor_columns
 from .numerics import blas_threads, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
@@ -396,12 +397,14 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
     with blas_threads(Phi.shape[0] * Phi.shape[1] ** 2):
         theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
-    # only x0 block 0, B's cyclic blocks and D's diagonal blocks have columns
-    x0 = np.zeros(order)
-    x0[:n_base] = theta[:n_base]
-    B = place_blocks(read_blocks(theta[order:order + order * mm].reshape((order, mm), order="F"),
-                                 M, 1), 1)
-    D = place_blocks(read_blocks(theta[order + order * mm:].reshape((ll, mm), order="F"), M, 0), 0)
+    # only the leading columns, x0 block 0, B's cyclic blocks and D's
+    # diagonal blocks, hold data; every other entry of [x0, vec B, vec D] is 0
+    cols = regressor_columns(M, n_base, m_base, l_base)
+    full = np.zeros(Phi.shape[1])
+    full[cols] = theta[:cols.size]
+    x0 = full[:order]
+    B = full[order:order + order * mm].reshape((order, mm), order="F")
+    D = full[order + order * mm:].reshape((ll, mm), order="F")
 
     return IdentifiedModel(
         A=A, B=B, C=C, D=D, n=n_base, m=m_base, l=l_base, M=M, x0=x0,

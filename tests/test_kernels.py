@@ -1,4 +1,6 @@
 import itertools
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -164,8 +166,9 @@ def _data_rows(N, M, l):
 def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     # the pipeline feeds cycled inputs, mostly exact zeros, and a cycled model
     # whose masked output rows are zero; on the rows a cycled output fills the
-    # regressor is the dense one, its D block exact zeros and exact copies of
-    # u, and every other row is zero
+    # leading columns are the dense regressor's pattern columns, its D columns
+    # exact zeros and exact copies of u, and the dense regressor is zero off
+    # them; every other row and every padding column is zero
     rng = np.random.default_rng(10 * m + M)
     n, l = 3, 2
     A = rng.normal(size=(n, n))
@@ -177,12 +180,15 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), M).samples
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, M, 1), read_blocks(cs.C, M, 0), u)
-    nb = M * n * (1 + M * m)  # x0 and B columns
+    cols = kernels.regressor_columns(M, n, m, l)
+    nc, w = n + M * m * n, cols.size  # x0 and B columns, all leading columns
     rows = _data_rows(N, M, l)
-    assert got.shape == want.shape and got.shape[1] == nb + M * l * M * m
-    assert np.abs(got[rows, :nb] - want[rows, :nb]).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(got[rows, nb:], want[rows, nb:])
-    assert not got[~rows].any()
+    assert got.shape == want.shape and got.shape[1] == M * n * (1 + M * m) + M * l * M * m
+    lead = want[rows][:, cols]
+    assert np.abs(got[rows, :nc] - lead[:, :nc]).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got[rows, nc:w], lead[:, nc:])
+    assert not np.delete(want[rows], cols, axis=1).any()
+    assert not got[~rows].any() and not got[:, w:].any()
 
 
 @pytest.mark.parametrize("n, m, rates, N", [
@@ -195,8 +201,9 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
 def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     # from the phase blocks of a cyclic A and a block-diagonal C, with some
     # outputs never sampled at some phases: on the rows a cycled output fills,
-    # the same regressor as the dense per-sample build, including N not a
-    # multiple of the chunk or of M; zero on every other row
+    # the leading columns are the dense per-sample build's pattern columns,
+    # including N not a multiple of the chunk or of M; zero on every other
+    # row and in every padding column
     rng = np.random.default_rng(100 * n + 10 * m + N)
     A = rng.normal(size=(n, n))
     A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
@@ -208,10 +215,14 @@ def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
     rows = _data_rows(N, spec.M, len(rates))
+    cols = kernels.regressor_columns(spec.M, n, m, len(rates))
+    w = cols.size
     assert got.shape == want.shape and got.flags.f_contiguous
-    assert np.abs(got[rows] - want[rows]).max() <= 1e-13 * np.abs(want).max()
-    assert not want[rows][got[rows] == 0].any()  # what it leaves out of those rows is zero
-    assert not got[~rows].any()
+    lead = want[rows][:, cols]
+    assert np.abs(got[rows, :w] - lead).max() <= 1e-13 * np.abs(want).max()
+    # what it leaves out of those rows is zero
+    assert not lead[got[rows, :w] == 0].any() and not np.delete(want[rows], cols, axis=1).any()
+    assert not got[~rows].any() and not got[:, w:].any()
 
 
 def test_io_regressor_allocates_no_regressor_sized_temporary():
@@ -229,6 +240,30 @@ def test_io_regressor_allocates_no_regressor_sized_temporary():
         tracemalloc.stop()
     assert Phi.shape == (3000 * 12, 18 + 18 * 6 + 12 * 6)
     assert peak <= 1.05 * Phi.nbytes
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc/self/statm")
+def test_io_regressor_maps_only_its_leading_block():
+    # the filled columns lead the column-major Phi, so the pages of the zero
+    # padding after them are never written and stay unmapped: across one call
+    # the resident set grows by the 9.1 MiB leading block, not by the 54.4 MiB
+    # array, plus 6 MiB for huge-page rounding and the chunk temporaries
+    spec = build_masks((2, 3))
+    cs = cyclic_reformulate(benchmark_plant(), spec)
+    A, C = read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0)
+    u = cycle_signal(np.random.default_rng(5).uniform(-1, 1, size=(3000, 1)), spec.M).samples
+    kernels.io_regressor(A, C, u[:spec.M])  # lazy set-up outside the reading
+    before = _resident_bytes()
+    Phi = kernels.io_regressor(A, C, u)
+    grown = _resident_bytes() - before
+    lead = Phi.shape[0] * kernels.regressor_columns(spec.M, 3, 1, 2).size * 8
+    assert Phi.shape == (3000 * 12, 198) and lead < Phi.nbytes / 5
+    assert grown <= lead + 6 * 2 ** 20, (grown / 2 ** 20, lead / 2 ** 20)
 
 
 @pytest.fixture(scope="module", params=[((1, 1), 0.0), ((1, 3), 0.0), ((2, 3), 0.0),
@@ -259,12 +294,17 @@ def test_bdx0_fit_matches_dense_lstsq(identified, N):
 @pytest.mark.parametrize("N", [2 * kernels._CHUNK + 45, kernels._CHUNK - 24])
 def test_bdx0_fit_on_phase_blocks_matches_dense_lstsq(identified, N):
     # the identified A is cyclic and C block diagonal, so the regressor of
-    # their phase blocks gives the dense fit
+    # their phase blocks, its leading block scattered back to [x0, vec B,
+    # vec D], gives the dense fit
     A, C, u, y = identified
     u, y = u[:N], y[:N]
     M = u.shape[1]  # one input
     Phi = kernels.io_regressor(read_blocks(A, M, 1), read_blocks(C, M, 0), u)
+    cols = kernels.regressor_columns(M, A.shape[0] // M, 1, C.shape[0] // M)
+    assert not Phi[:, cols.size:].any()
     theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
+    got = np.zeros(Phi.shape[1])
+    got[cols] = theta[:cols.size]
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
-    assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
