@@ -1,24 +1,18 @@
 """Hot kernels: the state simulation and the input-response regressor.
 
-Both run with BLAS calls only and a Python loop over blocks of time, not
-over samples.  ``scan_trajectory`` simulates a plant by a doubling scan:
-O(log K) passes over each block of K samples, each one product with a
-power A^(2^j).  It agrees with the per-step recursion ``trajectory``, its
-test oracle, to round-off: the scan sums the forced response in another
-order.  The input-response regressor of a cyclic model fits x0, B and D on
-the cyclic reformulation's pattern: it is nonzero only on the output rows
-(k, q, c) with q = k mod M, the only rows a cycled output can fill, and
-there only in the columns of x0 block 0, of B's cyclic blocks and of D's
-diagonal block q.  Those entries are built per time chunk from a table of
-state transitions (the products of the phase matrices, built by doubling),
-the phase-0 state's sensitivities at the chunk start, and a gather that lays
-the chunk's lagged inputs out as Toeplitz blocks.  They are written into
-the leading columns of a column-major array of zeros of the full
-regressor's shape, x0 block 0 first, then B's cyclic blocks, then D's
-diagonal blocks (``regressor_columns`` names each), and every later column
-is zero padding whose pages are never written.  LAPACK's least squares
-works on a Fortran-ordered copy of its matrix, and copying a column-major
-regressor reads it in order instead of transposing it with strided access.
+Both solve a linear recursion x(k+1) = A x(k) + f(k) by one doubling scan,
+``_doubling_scan``: BLAS calls in a Python loop over blocks of K rows and
+O(log K) passes per block, not over samples.  ``scan_trajectory`` simulates
+a plant; it agrees with the per-step recursion ``trajectory``, its test
+oracle, to round-off, since the scan sums the forced response in another
+order.  ``io_regressor`` builds the output-error regressor of a cyclic
+model's x0, B and D with the periodic system's recursion run over periods:
+the scan gives the phase-0 state's sensitivity at each period start, and
+each sampled output row reads it through the phase matrices.  The regressor
+keeps the full shape the benchmark's tracer pins (ROADMAP item 1), with its
+nonzero block in the leading columns of a column-major array of zeros whose
+padding is never written.  LAPACK's least squares works on a Fortran-ordered
+copy of its matrix, and copying a column-major regressor reads it in order.
 """
 
 import numpy as np
@@ -26,10 +20,8 @@ import numpy as np
 #: there is no compiled build; perfbench/worker.py reads this for its environment stamp
 HAS_NUMBA = False
 
-#: time samples per chunk of the input-response regressor
-_CHUNK = 64
-
-#: time samples per block of the doubling scan
+#: rows per block of the doubling scan: samples of the simulation, at most
+#: periods of the regressor
 _BLOCK = 1024
 
 
@@ -73,17 +65,28 @@ def trajectory(A, B, C, D, u, x0):
     return x, y
 
 
-def scan_trajectory(A, B, C, D, u, x0):
-    """``trajectory``'s (x, y) by a doubling scan (Hillis & Steele, CACM
-    29(12), 1986) in blocks of _BLOCK samples.
+def _doubling_scan(x, A):
+    """Solve x[k] = A x[k-1] + x[k] down the rows of x in place (Hillis &
+    Steele, CACM 29(12), 1986): the pass with offset h = 1, 2, 4, ... adds
+    A^h x[k-h] to every x[k], so after it x[k] sums A^q times the starting
+    row k - q for q < 2h.  The powers A^(2^j) are formed only below the row
+    count.  A row may be a stack of states, viewed 2-D: one GEMM per pass.
+    """
+    n, h, P = A.shape[0], 1, A.T  # P = (A^h)^T
+    while h < len(x):
+        if h > 1:
+            P = P @ P
+        rows = x[h:].reshape(-1, n)
+        rows += x[:-h].reshape(-1, n) @ P
+        h *= 2
 
-    x[k] starts as B u(k - 1), and each block's first row as its state: x0,
-    or A times the state the previous block ended on plus B u(k - 1).  The
-    pass with offset h = 1, 2, 4, ... adds A^h x[k - h] to every x[k] of the
-    block, so after it x[k] sums A^q times the starting row k - q for q < 2h,
-    back to the block's first row at most; once 2h reaches the block length
-    every row is its state.  y = C x + D u follows per block.  Beyond x and
-    y, only block-sized arrays are allocated.
+
+def scan_trajectory(A, B, C, D, u, x0):
+    """``trajectory``'s (x, y) by ``_doubling_scan``, per block of _BLOCK
+    samples: x[k] starts as B u(k - 1), and each block's first row as its
+    state, x0 or A times the state the previous block ended on plus
+    B u(k - 1).  y = C x + D u follows per block.  Beyond x and y, only
+    block-sized arrays are allocated.
     """
     A, B, C, D, u = (np.asarray(X, dtype=np.float64) for X in (A, B, C, D, u))
     N = u.shape[0]
@@ -91,19 +94,13 @@ def scan_trajectory(A, B, C, D, u, x0):
     y = np.empty((N, C.shape[0]))
     x[0] = x0
     np.matmul(u[:-1], B.T, out=x[1:])
-    K = min(N, _BLOCK)
-    powers = [A.T]  # (A^h)^T for h = 1, 2, 4, ... below K
-    while 2 ** len(powers) < K:
-        powers.append(powers[-1] @ powers[-1])
-    for k0 in range(0, N, K):
-        xb, yb = x[k0:k0 + K], y[k0:k0 + K]
+    for k0 in range(0, N, _BLOCK):
+        xb, yb = x[k0:k0 + _BLOCK], y[k0:k0 + _BLOCK]
         if k0:
             xb[0] += x[k0 - 1] @ A.T
-        for j, P in enumerate(powers):
-            h = 2 ** j
-            xb[h:] += xb[:-h] @ P
+        _doubling_scan(xb, A)
         np.matmul(xb, C.T, out=yb)
-        yb += u[k0:k0 + K] @ D.T
+        yb += u[k0:k0 + _BLOCK] @ D.T
     return x, y
 
 
@@ -184,96 +181,64 @@ def io_regressor(A, C, u):
     11 ms against 1.95 s at (3,4) (benchmark plant, N = 3000, 2 vCPUs,
     OpenBLAS 0.3.31).
 
-    Output row (q, c) at step k = q mod M holds C_q[c] G[0, k] in the x0
-    columns and, for each sigma < M, the sum over tau < k, tau = sigma - 1
-    mod M, of u(tau)^T (x) C_q[c] G[sigma, k - 1 - tau] in the columns of B
-    block (sigma, sigma - 1), G the transition table of `_power_table`.
-    These are made per chunk of K samples, a multiple of M so that every
-    chunk starts at phase 0, from the phase-0 state's [A^k0, Z(k0)] columns
-    at the chunk start: the free response as one batched product, the input
-    sum as one Toeplitz GEMM per sigma over every live row, whose lags share
-    one residue mod M.  Several chunks are gathered, within about 1/64 of
-    Phi's size, and written into a Phi made by np.zeros in one call: a
-    strided copy down each leading column for every live row.  The D
-    columns get only the input of each step.
+    The x0 and B columns come from the sensitivity S(mu), n x (n + M*m*n),
+    of the phase-0 state at step M*mu to x0 block 0 and the B pairs: S(0) =
+    [I 0], S(mu+1) = G[0, M] S(mu) + F(mu) with G from `_power_table`, and
+    F(mu) takes the input at step M*mu + sigma - 1 through B pair sigma
+    (pair 0 at sigma = M) and G[sigma, M - sigma] to the period's end.
+    ``_doubling_scan`` solves it in blocks of periods, each continuing from
+    the last state of the one before, up to the first period start past the
+    record.  Output row (q, c) at step M*mu + q reads C_q[c] G[0, q] S(mu),
+    plus C_q[c] G[t+1, q-1-t] u(M*mu + t) in B pair t + 1's columns, t < q.
+    A block's temporaries stay within max(1/64 of Phi's bytes, 1 MiB).
     """
     A = np.asarray(A, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if A.ndim == 2:
         A, C = A[None], C[None]
-    u = np.ascontiguousarray(u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     M, n, _ = A.shape
     l = C.shape[1]
     N, mm = u.shape
     m = mm // M
-    order, ll = M * n, M * l
-    nb = order + order * mm  # x0 and B columns
+    ll = M * l
     nc = n + M * m * n  # the x0 and B columns a sampled row can touch
-    P = -(-_CHUNK // M)  # periods per chunk
-    K = M * P  # chunk length
-    chunks = -(-N // K)
-    raw = np.zeros((chunks * K, m))  # the live input of each step, zero past N
+    periods = -(-N // M)
+    raw = np.zeros((periods * M, m))  # the live input of each step, zero past N
     raw[:N] = u.reshape(N, M, m)[np.arange(N), np.arange(N) % M]
+    phase = np.arange(M)
+    entering = raw.reshape(periods, M, m)[:, phase - 1]  # (mu, sigma): the input B pair sigma takes
 
+    G = _power_table(A, M + 1)
+    reach = G[phase, -phase % M].transpose(0, 2, 1)  # G[sigma, M - sigma]^T, G[0, 0] = I
     q, c = np.nonzero(np.any(C != 0, axis=2))  # live output rows; row r is read on steps q[r] mod M
-    G = _power_table(A, K + 1)
-    lag = np.arange(K)
-    # CG[r, lag] = C_q[c] G[q - lag, lag]: the lag-step response arriving at row r
-    CG = (C[q, c][:, None, None, :] @ G[(q[:, None] - lag) % M, lag])[:, :, 0]
-    sigma, period = np.arange(M), np.arange(P)
-    # free response of row r on steps q + M*mu, (r, x, mu)
-    free = np.ascontiguousarray(CG.reshape(-1, P, M, n)[np.arange(q.size), :, q].transpose(0, 2, 1))
+    R, Cr = q.size, C[q, c][:, None]
+    free = (Cr @ G[0, q])[:, 0]  # C_q[c] G[0, q], (r, x)
+    # C_q[c] G[sigma, q - sigma] for sigma <= q, else 0, (sigma - 1, x, r): pair
+    # 0 takes the period's last input, which no row of the period reads
+    lag = q - phase[1:, None]
+    forced = np.where((lag >= 0)[..., None],
+                      (Cr @ G[phase[1:, None], np.maximum(lag, 0)])[..., 0, :], 0.0).transpose(0, 2, 1)
     within = q * ll + q * l + c  # row r's row in a period
-    # one Toeplitz GEMM per sigma over every live row: step q + M*mu sees the
-    # input in uz row sigma + M*(mu - lam) at lag rho + M*(lam - wrap), with
-    # rho = q - sigma mod M and wrap = 1 where q < sigma; lags from K on reach
-    # no input of the chunk
-    rho, wrap = (q[:, None] - sigma) % M, q[:, None] < sigma
-    lam = period - wrap[..., None]  # (r, sigma, lam), -1 for no lag
-    tables = np.where((lam >= 0)[..., None],
-                      CG.reshape(-1, P, M, n)[np.arange(q.size)[:, None, None], lam, rho[..., None]],
-                      0.0).transpose(1, 0, 3, 2).reshape(M, -1, P)
-    lead = np.maximum(sigma[:, None, None] + M * (period - period[:, None]), 0)  # (sigma, lam, mu)
-    gather = (lead[..., None] * m + np.arange(m)).reshape(M, P, P * m)  # into uz.ravel()
-    uz = np.zeros((K + 1, m))  # uz[1 + t] = u(k0 + t), uz[0] = 0 for lags past the chunk start
-    # input u(k0 + tau), tau = sigma - 1 mod M, enters B pair sigma and reaches
-    # the next chunk start through G[sigma, K - 1 - tau]; entering[k0 // K, sigma]
-    # holds those inputs
-    tau = (sigma[:, None] - 1) % M + M * period
-    advance = G[sigma[:, None], K - 1 - tau].transpose(0, 2, 3, 1).reshape(M, n * n, P)
-    entering = np.ascontiguousarray(raw.reshape(chunks, K, m)[:, tau])
-    GK = G[0, K]
 
-    cols = np.arange(nc)  # the compact columns lead Phi
-
-    Phi = np.zeros((N * ll, nb + ll * mm), order="F")
+    Phi = np.zeros((N * ll, M * n + M * n * mm + ll * mm), order="F")
     PhiT = Phi.T  # C-contiguous: row i is column i of Phi
-    # rows by (period, row within it), and the rows of the steps past the last whole period
-    periods = PhiT[:, :N // M * M * ll].reshape(len(PhiT), N // M, M * ll)
-    rest, tail = N % M, N // M * M * ll
-    span = P * max(1, Phi.nbytes // 64 // max(1, q.size * nc * P * 8))
-    out = np.empty((q.size, nc, span))  # (r, compact column, period)
-    state = np.zeros((n, nc))  # the compact [A^k0, Z(k0)] columns
-    state[:, :n] = np.eye(n)
-    for k0 in range(0, N, K):
-        uz[1:] = raw[k0:k0 + K]
-        at = k0 // M % span
-        block = out[..., at:at + P]
-        np.matmul(state.T, free, out=block)
-        forced = (tables @ uz.ravel()[gather]).reshape(M, q.size, n, P, m)
-        block[:, n:].reshape(q.size, M, m, n, P)[...] += forced.transpose(1, 0, 4, 2, 3)
-        if at + P == span or k0 + K >= N:
-            # one strided copy per (r, column): the whole periods, then any rest
-            first = k0 // M - at
-            whole = min(at + P, N // M - first)
-            periods[cols, first:first + whole, within[:, None]] = out[..., :whole]
-            if k0 + K >= N and rest:
-                part = q < rest
-                PhiT[cols, tail + within[part, None]] = out[part, :, whole]
-        if k0 + K < N:
-            inc = (advance @ entering[k0 // K]).reshape(M, n, n, m)
-            state = GK @ state
-            state[:, n:].reshape(n, M, m, n)[...] += inc.transpose(1, 0, 3, 2)
+    # a period's bytes: its row of S, and of Y, Y's input term and Y's gathered copy
+    K = max(1, min(_BLOCK, periods, max(Phi.nbytes // 64, 2 ** 20) // (8 * nc * (n + 3 * R))))
+    S = np.zeros((K + 1, nc, n))  # S[i] = S(mu0 + i)^T over a block of periods
+    S[0, :n] = np.eye(n)
+    for mu0 in range(0, periods, K):
+        k = min(K, periods - mu0)
+        Sb, entered = S[:k + 1], entering[mu0:mu0 + k, :, :, None, None]
+        Sb[1:, :n] = 0
+        np.multiply(entered, reach[:, None], out=Sb[1:, n:].reshape(k, M, m, n, n))
+        _doubling_scan(Sb, G[0, M])
+        Y = (Sb[:k].reshape(-1, n) @ free.T).reshape(k, nc, R)
+        Y[:, n + m * n:].reshape(k, M - 1, m, n, R)[...] += entered[:, 1:] * forced[:, None]
+        rows = (mu0 + np.arange(k))[:, None] * (M * ll) + within
+        live = rows < len(Phi)  # the steps of the record
+        PhiT[:nc, rows[live]] = Y.transpose(1, 0, 2)[:, live]
+        S[0] = S[k]  # the next block starts from the state this one ended on
 
     # column nc + (p*m + j)*l + i of output row (k, p*l + i), p = k mod M,
     # holds u_j(k): D block (p, p), one strided copy per (p, j, i)

@@ -37,7 +37,7 @@ def workload():
 
 def test_trajectory_matches_hand_recursion():
     # the oracle is the recursion itself, product by product
-    for N, m in itertools.product([1, 2, kernels._CHUNK + 1, 200], [1, 3]):
+    for N, m in itertools.product([1, 2, 65, 200], [1, 3]):
         rng = np.random.default_rng(100 * N + m)
         n, l = 5, 2
         A = rng.normal(size=(n, n))
@@ -98,8 +98,7 @@ def test_scan_trajectory_allocates_only_block_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    chunk = 2 * kernels._CHUNK ** 2 * (n + m) * 8
-    assert peak <= x.nbytes + y.nbytes + chunk
+    assert peak <= x.nbytes + y.nbytes + 262144
 
 
 @pytest.mark.parametrize("a, finite, diverges", [(2.0, 1000, 1100), (5.0, 400, 500)])
@@ -140,11 +139,10 @@ def test_io_regressor_is_column_major(workload):
 
 
 @pytest.mark.parametrize("N, m", [
-    *(pytest.param(N, 2, id=str(N)) for N in (200, 3 * kernels._CHUNK,
-                                               2 * kernels._CHUNK + 1, kernels._CHUNK - 5, 1)),
-    # the Toeplitz gather interleaves the inputs, so its layout depends on m
+    *(pytest.param(N, 2, id=str(N)) for N in (200, 192, 129, 59, 1)),
+    # the B columns run by (pair, input, state), so their layout depends on m
     pytest.param(200, 3, id="m3-200"),
-    pytest.param(kernels._CHUNK + 1, 3, id="m3-65"),
+    pytest.param(65, 3, id="m3-65"),
 ])
 def test_io_regressor_matches_dense_reference(workload, N, m):
     A, B, C, D, u, x0 = workload
@@ -153,6 +151,54 @@ def test_io_regressor_matches_dense_reference(workload, N, m):
     got = kernels.io_regressor(A, C, u)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("a, diverges", [(1.5, 1749), (2.0, 1024), (3.0, 647), (5.0, 442),
+                                         (10.0, 309)])
+def test_io_regressor_overflows_where_the_per_sample_oracle_does(a, diverges):
+    # Z(k) = (a^k - 1) / (a - 1) under u = 1, and the oracle forms A^N and
+    # Z(N), one step past its last row: the scan stops at the same state, and
+    # its powers and partial sums stay below it
+    A, C = np.array([[a]]), np.array([[1.0]])
+    with np.errstate(over="raise"):
+        for f in (kernels._io_regressor_dense, kernels.io_regressor):
+            with pytest.raises(FloatingPointError):
+                f(A, C, np.ones((diverges, 1)))
+        got = kernels.io_regressor(A, C, np.ones((diverges - 1, 1)))
+        want = kernels._io_regressor_dense(A, C, np.ones((diverges - 1, 1)))
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rates, N", [((1,), 2 * kernels._BLOCK + 1),
+                                      ((1, 3), 3 * 2 * kernels._BLOCK + 2)])
+def test_io_regressor_carries_the_state_across_blocks(monkeypatch, rates, N):
+    # at these shapes a block is _BLOCK periods, so the record spans two whole
+    # blocks and a last one of one period (at M = 3 a part period): each
+    # block's scan starts from the state the one before ended on
+    scans = []
+
+    def scan(x, A):
+        scans.append(len(x))
+        return doubling_scan(x, A)
+
+    doubling_scan = kernels._doubling_scan
+    monkeypatch.setattr(kernels, "_doubling_scan", scan)
+    rng = np.random.default_rng(N)
+    n, m = 2, 1
+    A = rng.normal(size=(n, n))
+    A *= 0.99 / np.abs(np.linalg.eigvals(A)).max()
+    plant = make_state_space(A, rng.normal(size=(n, m)), rng.normal(size=(len(rates), n)),
+                             rng.normal(size=(len(rates), m)))
+    spec = build_masks(rates)
+    cs = cyclic_reformulate(plant, spec)
+    u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
+    got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
+    assert scans == [kernels._BLOCK + 1, kernels._BLOCK + 1, 2]
+    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    rows = _data_rows(N, spec.M, len(rates))
+    cols = kernels.regressor_columns(spec.M, n, m, len(rates))
+    assert np.abs(got[rows, :cols.size] - want[rows][:, cols]).max() <= 1e-13 * np.abs(want).max()
 
 
 def _data_rows(N, M, l):
@@ -176,7 +222,7 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     plant = make_state_space(A, rng.normal(size=(n, m)), rng.normal(size=(l, n)),
                              rng.normal(size=(l, m)))
     cs = cyclic_reformulate(plant, build_masks((1, M)))
-    N = 2 * kernels._CHUNK + 7
+    N = 135
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), M).samples
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, M, 1), read_blocks(cs.C, M, 0), u)
@@ -192,17 +238,17 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
 
 
 @pytest.mark.parametrize("n, m, rates, N", [
-    (3, 1, (2, 3), 3 * kernels._CHUNK + 5),
-    (2, 2, (1, 4, 2), 2 * kernels._CHUNK + 7),
+    (3, 1, (2, 3), 197),
+    (2, 2, (1, 4, 2), 135),
     (3, 2, (3, 4), 250),
     (2, 1, (1, 3), 5),
-    (1, 2, (1,), kernels._CHUNK + 1),
+    (1, 2, (1,), 65),
 ])
 def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     # from the phase blocks of a cyclic A and a block-diagonal C, with some
     # outputs never sampled at some phases: on the rows a cycled output fills,
     # the leading columns are the dense per-sample build's pattern columns,
-    # including N not a multiple of the chunk or of M; zero on every other
+    # including N not a multiple of M; zero on every other
     # row and in every padding column
     rng = np.random.default_rng(100 * n + 10 * m + N)
     A = rng.normal(size=(n, n))
@@ -226,8 +272,8 @@ def test_phase_regressor_matches_dense_reference(n, m, rates, N):
 
 
 def test_io_regressor_allocates_no_regressor_sized_temporary():
-    # chunks are written in place: beyond Phi itself only chunk-sized
-    # temporaries live, here under 5% of Phi's 57 MB at rates (2, 3)
+    # blocks of periods are written in place: beyond Phi itself only
+    # block-sized temporaries live, here under 5% of Phi's 57 MB at rates (2, 3)
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(benchmark_plant(), spec)
     u = cycle_signal(np.random.default_rng(5).uniform(-1, 1, size=(3000, 1)), spec.M).samples
@@ -252,7 +298,7 @@ def test_io_regressor_maps_only_its_leading_block():
     # the filled columns lead the column-major Phi, so the pages of the zero
     # padding after them are never written and stay unmapped: across one call
     # the resident set grows by the 9.1 MiB leading block, not by the 54.4 MiB
-    # array, plus 6 MiB for huge-page rounding and the chunk temporaries
+    # array, plus 6 MiB for huge-page rounding and the block temporaries
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(benchmark_plant(), spec)
     A, C = read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0)
@@ -281,7 +327,7 @@ def identified(request, plant):
     return idm.A, idm.C, u.samples, y.samples
 
 
-@pytest.mark.parametrize("N", [2 * kernels._CHUNK + 45, kernels._CHUNK - 24])
+@pytest.mark.parametrize("N", [173, 40])
 def test_bdx0_fit_matches_dense_lstsq(identified, N):
     A, C, u, y = identified
     u, y = u[:N], y[:N]
@@ -291,7 +337,7 @@ def test_bdx0_fit_matches_dense_lstsq(identified, N):
     assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("N", [2 * kernels._CHUNK + 45, kernels._CHUNK - 24])
+@pytest.mark.parametrize("N", [173, 40])
 def test_bdx0_fit_on_phase_blocks_matches_dense_lstsq(identified, N):
     # the identified A is cyclic and C block diagonal, so the regressor of
     # their phase blocks, its leading block scattered back to [x0, vec B,
