@@ -10,9 +10,11 @@ model's x0, B and D with the periodic system's recursion run over periods:
 the scan gives the phase-0 state's sensitivity at each period start, and
 each sampled output row reads it through the phase matrices.  The regressor
 keeps the full shape the benchmark's tracer pins (ROADMAP item 1), with its
-nonzero block in the leading columns of a column-major array of zeros whose
-padding is never written.  LAPACK's least squares works on a Fortran-ordered
-copy of its matrix, and copying a column-major regressor reads it in order.
+nonzero block in the top-left corner of a column-major array of zeros whose
+padding is never written: one row per output sample in time order
+(``regressor_rows``), and the leading columns (``regressor_columns``).
+LAPACK's least squares works on a Fortran-ordered copy of its matrix, and
+copying a column-major regressor reads it in order.
 """
 
 import numpy as np
@@ -144,6 +146,24 @@ def regressor_columns(M, n, m, l):
     return np.concatenate([np.arange(n), B.ravel(), D.ravel()])
 
 
+def regressor_rows(C, N):
+    """Index in the flattened (N, M*l) cycled output, and so in the full
+    regressor's rows, of each output sample in time order: per period mu,
+    the output rows (q, c) whose row c of C_q is nonzero, q-major, at the
+    steps M*mu + q < N.  Sample s is row s of ``io_regressor``.
+
+    C is stacked phase blocks (M, l, n) or one (l, n) matrix.  The rows of C
+    that are zero are the outputs no sensor samples at that phase.
+    """
+    C = np.asarray(C)
+    if C.ndim == 2:
+        C = C[None]
+    M, l, _ = C.shape
+    q, c = np.nonzero(np.any(C != 0, axis=2))
+    steps = np.arange(0, N, M)[:, None] + q
+    return (steps * (M * l) + q * l + c)[steps < N]
+
+
 def io_regressor(A, C, u):
     """Regressor Phi of the pattern-constrained (x0, vec B, vec D) least
     squares of a cyclic model, an (N*M*l) x (M*n + M*n*M*m + M*l*M*m)
@@ -159,27 +179,35 @@ def io_regressor(A, C, u):
     Row block k of the full regressor is [C A^k, C Z(k), u(k)^T (x) I] in
     the cycled matrices, with Z(k+1) = A Z(k) + u(k)^T (x) I, Z(0) = 0 and
     column-major vecs; ``_io_regressor_dense`` builds it sample by sample.
-    A cycled output holds data only on the rows (k, q, c) with q = k mod M,
-    and there the full regressor is nonzero only in the columns of x0 block
-    0, of the B blocks (p+1, p) and of D block (q, q): the phase-0 initial
-    state, cyclic B and block-diagonal D of the cyclic reformulation.  Phi
-    holds exactly those entries, on those rows, in its leading
-    w = n + M*m*n + M*m*l columns, whose index in the full [x0, vec B, vec D]
-    ``regressor_columns`` gives; every other entry is zero.  So theta[:w] of
-    its least squares fits x0, B and D on that pattern, and the solution
-    there is the full regressor's, whose other rows have a zero right-hand
-    side.  At M = 1 every row is such a row, the leading columns are all
-    columns in their full order, and Phi is the full regressor.
+    A cycled output holds data only on the rows (k, q, c) with q = k mod M
+    and row c of C_q nonzero, the output samples, and there the full
+    regressor is nonzero only in the columns of x0 block 0, of the B blocks
+    (p+1, p) and of D block (q, q): the phase-0 initial state, cyclic B and
+    block-diagonal D of the cyclic reformulation.  Phi holds exactly those
+    entries in its top-left corner: row s is the s-th output sample, whose
+    row in the full regressor ``regressor_rows`` gives, and the leading
+    w = n + M*m*n + M*m*l columns are those whose index in the full
+    [x0, vec B, vec D] ``regressor_columns`` gives; every other entry is
+    zero.  So with the samples first in the right-hand side and zeros after
+    them, theta[:w] of its least squares fits x0, B and D on that pattern,
+    and the solution there is the full regressor's on the samples.  The D
+    columns of an output that phase q never samples are zero.  At M = 1
+    with no zero row in C every row is a sample, in its full order, the
+    leading columns are all columns in their full order, and Phi is the
+    full regressor.
 
-    The zero rows and the padding columns from w on stay only because the
-    benchmark's tracer (perfbench/tracing.py) pins this shape, until it
-    bounds the shape instead (ROADMAP item 1); the fit needs only the
-    nonzero block.  With that block first, only its pages are ever written
-    (9.5 of 57 MB at rates (2,3), N = 3000); the padding's stay unmapped.
-    Solving on that block alone (its N*l rows, 33 columns at rates (2,3) and
-    63 at (3,4)) took 4.3 ms against 0.14 s on the full shape at (2,3), and
-    11 ms against 1.95 s at (3,4) (benchmark plant, N = 3000, 2 vCPUs,
-    OpenBLAS 0.3.31).
+    The rows past the samples and the padding columns from w on stay only
+    because the benchmark's tracer (perfbench/tracing.py) pins this shape,
+    until it bounds the shape instead (ROADMAP item 1); the fit needs only
+    the corner.  Only the leading columns' pages are ever written (9.5 of
+    57 MB at rates (2,3), N = 3000); the padding's stay unmapped.  Below 129
+    columns LAPACK's QR is unblocked and ends each reflector at the last
+    sample, so the full-shape least squares of a rates (3,2), n = 1 plant
+    (24,000 x 114, N = 2000) took 30-36 ms against 87-97 ms with the samples
+    spread over the rows.  Solving on the corner alone took 0.7 ms for that
+    plant, 2.2 ms against 0.15 s on the full shape at (2,3) (2,500 x 33 of
+    36,000 x 198), and 4.7 ms against 2.4 s at (3,4) (1,750 x 63 of
+    72,000 x 756) (benchmark plant, N = 3000, 2 vCPUs, OpenBLAS 0.3.31).
 
     The x0 and B columns come from the sensitivity S(mu), n x (n + M*m*n),
     of the phase-0 state at step M*mu to x0 block 0 and the B pairs: S(0) =
@@ -209,22 +237,23 @@ def io_regressor(A, C, u):
     phase = np.arange(M)
     entering = raw.reshape(periods, M, m)[:, phase - 1]  # (mu, sigma): the input B pair sigma takes
 
+    q, c = np.divmod(regressor_rows(C, M) % ll, l)  # (q, c) of a period's samples, in order
+    R, samples = q.size, regressor_rows(C, N).size  # sample mu*R + r is Phi's row
     G = _power_table(A, M + 1)
     reach = G[phase, -phase % M].transpose(0, 2, 1)  # G[sigma, M - sigma]^T, G[0, 0] = I
-    q, c = np.nonzero(np.any(C != 0, axis=2))  # live output rows; row r is read on steps q[r] mod M
-    R, Cr = q.size, C[q, c][:, None]
+    Cr = C[q, c][:, None]
     free = (Cr @ G[0, q])[:, 0]  # C_q[c] G[0, q], (r, x)
     # C_q[c] G[sigma, q - sigma] for sigma <= q, else 0, (sigma - 1, x, r): pair
     # 0 takes the period's last input, which no row of the period reads
     lag = q - phase[1:, None]
     forced = np.where((lag >= 0)[..., None],
                       (Cr @ G[phase[1:, None], np.maximum(lag, 0)])[..., 0, :], 0.0).transpose(0, 2, 1)
-    within = q * ll + q * l + c  # row r's row in a period
 
     Phi = np.zeros((N * ll, M * n + M * n * mm + ll * mm), order="F")
     PhiT = Phi.T  # C-contiguous: row i is column i of Phi
-    # a period's bytes: its row of S, and of Y, Y's input term and Y's gathered copy
-    K = max(1, min(_BLOCK, periods, max(Phi.nbytes // 64, 2 ** 20) // (8 * nc * (n + 3 * R))))
+    grid = PhiT[:nc, :periods * R].reshape(nc, periods, R)  # (column, mu, r), a view
+    # a period's bytes: its row of S, and of Y and Y's input term
+    K = max(1, min(_BLOCK, periods, max(Phi.nbytes // 64, 2 ** 20) // (8 * nc * (n + 2 * R))))
     S = np.zeros((K + 1, nc, n))  # S[i] = S(mu0 + i)^T over a block of periods
     S[0, :n] = np.eye(n)
     for mu0 in range(0, periods, K):
@@ -235,13 +264,12 @@ def io_regressor(A, C, u):
         _doubling_scan(Sb, G[0, M])
         Y = (Sb[:k].reshape(-1, n) @ free.T).reshape(k, nc, R)
         Y[:, n + m * n:].reshape(k, M - 1, m, n, R)[...] += entered[:, 1:] * forced[:, None]
-        rows = (mu0 + np.arange(k))[:, None] * (M * ll) + within
-        live = rows < len(Phi)  # the steps of the record
-        PhiT[:nc, rows[live]] = Y.transpose(1, 0, 2)[:, live]
+        grid[:, mu0:mu0 + k] = Y.transpose(1, 0, 2)
         S[0] = S[k]  # the next block starts from the state this one ended on
+    PhiT[:nc, samples:periods * R] = 0  # the last period's rows past the record
 
-    # column nc + (p*m + j)*l + i of output row (k, p*l + i), p = k mod M,
-    # holds u_j(k): D block (p, p), one strided copy per (p, j, i)
-    for p, j, i in np.ndindex(M, m, l):
-        PhiT[nc + (p * m + j) * l + i, p * ll + p * l + i::M * ll] = raw[p:N:M, j]
+    # sample mu*R + r, of output (q[r], c[r]) at step M*mu + q[r], holds u_j
+    # of that step in column nc + (q[r]*m + j)*l + c[r]: D block (q, q)
+    for r, j in np.ndindex(R, m):
+        PhiT[nc + (q[r] * m + j) * l + c[r], r:samples:R] = raw[q[r]:N:M, j]
     return Phi

@@ -432,7 +432,10 @@ def poly_str(coeffs, var="z"):
 
 
 def _fmt_matrix(X, indent="    "):
-    rows = ["[" + "  ".join(f"{v: .6f}" for v in row) + "]" for row in np.atleast_2d(X)]
+    # rounded to the printed digits, and + 0.0 turns -0.0 into 0.0, so
+    # round-off prints as 0.000000 whatever its sign
+    X = np.round(np.atleast_2d(X), 6) + 0.0
+    rows = ["[" + "  ".join(f"{v: .6f}" for v in row) + "]" for row in X]
     return "\n".join(indent + r for r in rows)
 
 

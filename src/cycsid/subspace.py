@@ -31,13 +31,16 @@ vectors fill its own state block of the observability estimate: the shift
 fit then gives a cyclic A (its round-off off-pattern part is recorded and
 zeroed) and the first block row a block-diagonal C, whose never-sampled
 rows are exact zeros.  x0, B and D follow the same pattern: the B/D/x0
-regressor (``kernels.io_regressor``) fills only the output rows a cycled
-output samples, (k, q, c) with q = k mod M, and on them only the columns of
-x0's phase-0 block, B's cyclic blocks and D's diagonal blocks.  The one least
-squares on it gives those blocks, and the model takes them alone, so B is
-cyclic, D block diagonal and x0 zero outside phase 0 by construction.  The
-regressor keeps the full (N*M*l)-row shape: that block first, in its leading
-columns, then zero padding that ROADMAP item 2 drops.
+regressor (``kernels.io_regressor``) has one row per output sample, (k, q, c)
+with q = k mod M and row c of C_q nonzero, in time order
+(``kernels.regressor_rows``), and on them only the columns of x0's phase-0
+block, B's cyclic blocks and D's diagonal blocks.  The right-hand side holds
+the samples in the same order.  The one least squares on it gives those
+blocks, and the model takes those that a sample reaches, so B is cyclic, D
+block diagonal and zero on never-sampled outputs, and x0 zero outside phase
+0 by construction.  The regressor keeps the full (N*M*l)-row shape the
+benchmark's tracer pins: that block is its top-left corner, and the zero
+rows and columns after it are padding that ROADMAP item 2 drops.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +55,7 @@ from .errors import (
     InsufficientDataError,
     RankConditionError,
 )
-from .kernels import io_regressor, regressor_columns
+from .kernels import io_regressor, regressor_columns, regressor_rows
 from .numerics import blas_threads, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
@@ -324,7 +327,8 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     its off-pattern blocks, of round-off size, are recorded and zeroed, so
     A is cyclic and C block diagonal by construction.  x0, B and D come from
     one least squares on the pattern (see the module docstring), so B is
-    cyclic, D block diagonal and x0 zero outside phase 0.  Raises
+    cyclic, D block diagonal and zero on never-sampled outputs, and x0 zero
+    outside phase 0.  Raises
     InsufficientDataError when no output sample is nonzero or the record is
     too short, ExcitationDeficientError when the input does not excite the
     factorization, and DivergentModelError when the fitted A
@@ -388,20 +392,27 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     C = Gam[:ll].copy()
 
     # x0, B, D jointly from the input-output equation; an overflowing A stops here.
+    C_phases = read_blocks(C, M, 0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            Phi = io_regressor(A_phases, read_blocks(C, M, 0), u)
+            Phi = io_regressor(A_phases, C_phases, u)
     except FloatingPointError as e:
         raise DivergentModelError(
             f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
             f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
+    # Phi's rows are the output samples, then zeros: the right-hand side too
+    rows = regressor_rows(C_phases, N)
+    rhs = np.zeros(Phi.shape[0])
+    rhs[:rows.size] = y.reshape(-1)[rows]
     with blas_threads(Phi.shape[0] * Phi.shape[1] ** 2):
-        theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
+        theta, *_ = np.linalg.lstsq(Phi, rhs, rcond=None)
     # only the leading columns, x0 block 0, B's cyclic blocks and D's
-    # diagonal blocks, hold data; every other entry of [x0, vec B, vec D] is 0
+    # diagonal blocks, hold data; a never-sampled output's D columns are
+    # zero, and every entry of [x0, vec B, vec D] that no sample reaches is 0
     cols = regressor_columns(M, n_base, m_base, l_base)
+    fitted = Phi[:rows.size, :cols.size].any(axis=0)
     full = np.zeros(Phi.shape[1])
-    full[cols] = theta[:cols.size]
+    full[cols[fitted]] = theta[:cols.size][fitted]
     x0 = full[:order]
     B = full[order:order + order * mm].reshape((order, mm), order="F")
     D = full[order + order * mm:].reshape((ll, mm), order="F")

@@ -196,25 +196,28 @@ def test_io_regressor_carries_the_state_across_blocks(monkeypatch, rates, N):
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
     assert scans == [kernels._BLOCK + 1, kernels._BLOCK + 1, 2]
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
-    rows = _data_rows(N, spec.M, len(rates))
+    rows = kernels.regressor_rows(read_blocks(cs.C, spec.M, 0), N)
     cols = kernels.regressor_columns(spec.M, n, m, len(rates))
-    assert np.abs(got[rows, :cols.size] - want[rows][:, cols]).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got[:rows.size, :cols.size] - want[rows][:, cols]).max() \
+        <= 1e-13 * np.abs(want).max()
 
 
-def _data_rows(N, M, l):
-    """The regressor rows (k, q, c) with q = k mod M: the only rows of a cycled
-    output that can hold a sample."""
-    k, q = np.divmod(np.arange(N * M * l) // l, M)
-    return q == k % M
+def _samples_first(C, y):
+    """The cycled output y flattened in ``io_regressor``'s row order: its
+    output samples, then zeros."""
+    rows = kernels.regressor_rows(C, len(y))
+    rhs = np.zeros(y.size)
+    rhs[:rows.size] = y.reshape(-1)[rows]
+    return rhs
 
 
 @pytest.mark.parametrize("m, M", [(1, 3), (1, 6), (2, 3), (2, 6)])
 def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     # the pipeline feeds cycled inputs, mostly exact zeros, and a cycled model
-    # whose masked output rows are zero; on the rows a cycled output fills the
-    # leading columns are the dense regressor's pattern columns, its D columns
-    # exact zeros and exact copies of u, and the dense regressor is zero off
-    # them; every other row and every padding column is zero
+    # whose masked output rows are zero; the top-left corner, one row per
+    # output sample, is the dense regressor's pattern columns on its sampled
+    # rows, its D columns exact zeros and exact copies of u, and the dense
+    # regressor is zero off them; every other entry is zero
     rng = np.random.default_rng(10 * m + M)
     n, l = 3, 2
     A = rng.normal(size=(n, n))
@@ -228,13 +231,14 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     got = kernels.io_regressor(read_blocks(cs.A, M, 1), read_blocks(cs.C, M, 0), u)
     cols = kernels.regressor_columns(M, n, m, l)
     nc, w = n + M * m * n, cols.size  # x0 and B columns, all leading columns
-    rows = _data_rows(N, M, l)
+    rows = kernels.regressor_rows(read_blocks(cs.C, M, 0), N)
+    S = rows.size
     assert got.shape == want.shape and got.shape[1] == M * n * (1 + M * m) + M * l * M * m
     lead = want[rows][:, cols]
-    assert np.abs(got[rows, :nc] - lead[:, :nc]).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(got[rows, nc:w], lead[:, nc:])
+    assert np.abs(got[:S, :nc] - lead[:, :nc]).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got[:S, nc:w], lead[:, nc:])
     assert not np.delete(want[rows], cols, axis=1).any()
-    assert not got[~rows].any() and not got[:, w:].any()
+    assert not got[S:].any() and not got[:, w:].any()
 
 
 @pytest.mark.parametrize("n, m, rates, N", [
@@ -246,10 +250,9 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
 ])
 def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     # from the phase blocks of a cyclic A and a block-diagonal C, with some
-    # outputs never sampled at some phases: on the rows a cycled output fills,
-    # the leading columns are the dense per-sample build's pattern columns,
-    # including N not a multiple of M; zero on every other
-    # row and in every padding column
+    # outputs never sampled at some phases: the top-left corner is the dense
+    # per-sample build's pattern columns on its output samples, including N
+    # not a multiple of M; every other entry is zero
     rng = np.random.default_rng(100 * n + 10 * m + N)
     A = rng.normal(size=(n, n))
     A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
@@ -260,15 +263,44 @@ def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
     want = kernels._io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
-    rows = _data_rows(N, spec.M, len(rates))
+    rows = kernels.regressor_rows(read_blocks(cs.C, spec.M, 0), N)
     cols = kernels.regressor_columns(spec.M, n, m, len(rates))
-    w = cols.size
+    S, w = rows.size, cols.size
     assert got.shape == want.shape and got.flags.f_contiguous
     lead = want[rows][:, cols]
-    assert np.abs(got[rows, :w] - lead).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got[:S, :w] - lead).max() <= 1e-13 * np.abs(want).max()
     # what it leaves out of those rows is zero
-    assert not lead[got[rows, :w] == 0].any() and not np.delete(want[rows], cols, axis=1).any()
-    assert not got[~rows].any() and not got[:, w:].any()
+    assert not lead[got[:S, :w] == 0].any() and not np.delete(want[rows], cols, axis=1).any()
+    assert not got[S:].any() and not got[:, w:].any()
+
+
+@pytest.mark.parametrize("n, m, rates, N", [
+    (3, 1, (2, 3), 600),
+    (2, 2, (1, 4, 2), 135),  # N mod M = 3: a part last period
+    (2, 1, (3, 2), 1),
+    (1, 2, (1,), 40),
+])
+def test_io_regressor_is_zero_outside_its_sample_corner(n, m, rates, N):
+    # one row per output sample in time order, the nonzero entries of the
+    # cycled sampling pattern; every one of them reads data, and outside the
+    # top-left corner of those rows and the leading columns Phi is zero
+    rng = np.random.default_rng(10 * n + N)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    plant = make_state_space(A, rng.normal(size=(n, m)), rng.normal(size=(len(rates), n)),
+                             rng.normal(size=(len(rates), m)))
+    spec = build_masks(rates)
+    cs = cyclic_reformulate(plant, spec)
+    C = read_blocks(cs.C, spec.M, 0)
+    rows = kernels.regressor_rows(C, N)
+    assert np.array_equal(rows, np.flatnonzero(cycle_signal(spec.pattern(N), spec.M).samples))
+    u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
+    Phi = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), C, u)
+    S, w = rows.size, kernels.regressor_columns(spec.M, n, m, len(rates)).size
+    assert Phi[:S, :w].any(axis=1).all()
+    rest = Phi.copy()
+    rest[:S, :w] = 0
+    assert not rest.any()
 
 
 def test_io_regressor_allocates_no_regressor_sized_temporary():
@@ -329,9 +361,12 @@ def identified(request, plant):
 
 @pytest.mark.parametrize("N", [173, 40])
 def test_bdx0_fit_matches_dense_lstsq(identified, N):
+    # the identified matrices as one phase: every sample of the cycled output
+    # is a sample of the one-phase regressor, whose rows put them first
     A, C, u, y = identified
     u, y = u[:N], y[:N]
-    theta, *_ = np.linalg.lstsq(kernels.io_regressor(A, C, u), y.reshape(-1), rcond=None)
+    theta, *_ = np.linalg.lstsq(kernels.io_regressor(A, C, u), _samples_first(C, y),
+                                rcond=None)
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
     assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
@@ -340,17 +375,35 @@ def test_bdx0_fit_matches_dense_lstsq(identified, N):
 @pytest.mark.parametrize("N", [173, 40])
 def test_bdx0_fit_on_phase_blocks_matches_dense_lstsq(identified, N):
     # the identified A is cyclic and C block diagonal, so the regressor of
-    # their phase blocks, its leading block scattered back to [x0, vec B,
-    # vec D], gives the dense fit
+    # their phase blocks, fitted on the samples and its leading columns
+    # scattered back to [x0, vec B, vec D], gives the dense fit
     A, C, u, y = identified
     u, y = u[:N], y[:N]
     M = u.shape[1]  # one input
     Phi = kernels.io_regressor(read_blocks(A, M, 1), read_blocks(C, M, 0), u)
     cols = kernels.regressor_columns(M, A.shape[0] // M, 1, C.shape[0] // M)
     assert not Phi[:, cols.size:].any()
-    theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
+    theta, *_ = np.linalg.lstsq(Phi, _samples_first(read_blocks(C, M, 0), y), rcond=None)
     got = np.zeros(Phi.shape[1])
     got[cols] = theta[:cols.size]
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [173, 40])
+def test_full_shape_fit_equals_the_corner_fit(identified, N):
+    # the rows past the samples and the padding columns are zero, and so is
+    # the right-hand side there: the full-shape least squares is the corner's
+    A, C, u, y = identified
+    u, y = u[:N], y[:N]
+    M = u.shape[1]  # one input
+    C = read_blocks(C, M, 0)
+    Phi = kernels.io_regressor(read_blocks(A, M, 1), C, u)
+    rhs = _samples_first(C, y)
+    S = kernels.regressor_rows(C, N).size
+    w = kernels.regressor_columns(M, A.shape[0] // M, 1, C.shape[1]).size
+    theta, *_ = np.linalg.lstsq(Phi, rhs, rcond=None)
+    want, *_ = np.linalg.lstsq(Phi[:S, :w], rhs[:S], rcond=None)
+    assert np.linalg.norm(theta[:w] - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(theta[w:]) <= 1e-12 * np.linalg.norm(want)

@@ -25,6 +25,7 @@ from cycsid.cli import build_parser, main
 from cycsid.fileio import MODEL_KEYS, RECORD_KEYS, load_model, load_signals
 from cycsid.pipeline import (
     DEMO_STUDIES,
+    _fmt_matrix,
     choose_transform,
     demo_paper,
     generate_input,
@@ -831,6 +832,13 @@ def test_demo_paper_pins_its_round_off_free_lines():
         *tfs,
         "study result: PASS",
     ]
+
+
+def test_fmt_matrix_prints_round_off_as_unsigned_zero():
+    # the demo's matrix text must not move when only the last bits of a fit do
+    assert _fmt_matrix([-1e-12, -0.0, 0.0, 0.8]) == \
+        "    [ 0.000000   0.000000   0.000000   0.800000]"
+    assert _fmt_matrix([[-4e-7], [-6e-7]], indent="") == "[ 0.000000]\n[-0.000001]"
 
 
 def test_demo_starved_data_reports_cleanly(tmp_path, capsys):

@@ -360,6 +360,17 @@ def test_bdx0_fit_is_the_dense_fit_on_the_pattern(plant, rates, noise):
     assert np.array_equal(idm.D, place_blocks(read_blocks(idm.D, M, 0), 0))
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-2])
+@pytest.mark.parametrize("rates", [(1, 3), (2, 3)], ids=["M3", "M6"])
+def test_never_sampled_outputs_have_exactly_zero_d(plant, rates, noise):
+    # an output (q, c) that no sensor samples at phase q has no regressor
+    # row, so its D entries leave the fit and are exact zeros
+    uc, yc = _cycled_data(plant, rates, 800, 4, noise)
+    idm = subspace_identify(uc, yc, order=plant.n * uc.M)
+    never = build_masks(rates).pattern(uc.M) == 0
+    assert never.any() and not read_blocks(idm.D, uc.M, 0)[never].any()
+
+
 def test_identify_rejects_mismatched_lengths(plant):
     with pytest.raises(DimensionMismatchError):
         subspace_identify(np.ones((100, 1)), np.ones((90, 2)), order=2)
