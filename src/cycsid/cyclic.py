@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import DEFAULT_RANK_TOL, rank_with_tol
+from .numerics import DEFAULT_RANK_TOL, as_signal, rank_with_tol
 from .statespace import ctrb, obsv
 
 #: off-pattern tolerance for analytically constructed matrices
@@ -43,11 +43,7 @@ class CycledSignal:
 
 def cycle_signal(raw, M):
     """Pack sample k into block k mod M of a length-Mq vector."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw.reshape(-1, 1)
-    if raw.ndim != 2:
-        raise DimensionMismatchError("signal must be (N, q)")
+    raw = as_signal(raw)
     if M < 1:
         raise ValueError("M must be positive")
     N, q = raw.shape
@@ -170,7 +166,7 @@ class StructureChecks:
         return {k: asdict(r) for k, r in self.reports.items()}
 
 
-def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, maxdepth=None):
+def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, *, maxdepth):
     """Check S_l^i H(i+j) S_m^j block diagonal and S_l^i H(i+j) S_m^{j-1}
     cyclic for all i, j >= 0 with i + j <= maxdepth; one report per lag.
 
@@ -180,8 +176,6 @@ def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, maxdepth=None):
     (i, j) on it, and reports[s] holds it.  H must supply at least
     maxdepth+1 matrices of size Ml x Mm.
     """
-    if maxdepth is None:
-        maxdepth = len(H) - 1
     if len(H) <= maxdepth:
         raise DimensionMismatchError(
             f"need {maxdepth + 1} Markov matrices, got {len(H)}"

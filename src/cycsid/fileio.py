@@ -7,6 +7,7 @@ with line/column; missing or inconsistent fields as SchemaError.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,10 @@ def matrix_to_lists(a):
 
 
 def require(mapping, field, path):
+    """mapping[field]; a mapping that is not an object, or lacks field, is a SchemaError."""
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{path}: expected an object holding '{field}', "
+                          f"got {type(mapping).__name__}")
     if field not in mapping:
         raise SchemaError(f"{path}: missing required field '{field}'")
     return mapping[field]
@@ -47,17 +52,19 @@ def require(mapping, field, path):
 
 # ---------------------------------------------------------------- signals ---
 
+def signals_header(m, l):
+    """The signals CSV header k,u_1..u_m,y_1..y_l,obs_1..obs_l."""
+    return (["k"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(l)]
+            + [f"obs_{i+1}" for i in range(l)])
+
+
 def save_signals(log, path):
-    """CSV with header k,u_1..u_m,y_1..y_l,obs_1..obs_l, one row per step,
-    making the parent directory when it is missing."""
-    m = log.u.shape[1]
-    l = log.y.shape[1]
-    header = (["k"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(l)]
-              + [f"obs_{i+1}" for i in range(l)])
+    """CSV with the signals_header, one row per step, making the parent
+    directory when it is missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(signals_header(log.u.shape[1], log.y.shape[1]))
         for k in range(log.N):
             row = ([str(k)]
                    + [FLOAT_FMT.format(v) for v in log.u[k]]
@@ -74,18 +81,13 @@ def load_signals(path):
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file", line=1) from None
+        # the u_ and y_ counts fix the one header the file may have
         names = [h.strip() for h in header]
-        if not names or names[0] != "k":
-            raise SchemaError(f"{path}: first column must be 'k'")
         m = sum(1 for h in names if h.startswith("u_"))
         l = sum(1 for h in names if h.startswith("y_"))
-        n_obs = sum(1 for h in names if h.startswith("obs_"))
         if m < 1 or l < 1:
             raise SchemaError(f"{path}: need at least one u_ and one y_ column")
-        if n_obs != l:
-            raise SchemaError(f"{path}: expected {l} obs_ columns, found {n_obs}")
-        expect = (["k"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(l)]
-                  + [f"obs_{i+1}" for i in range(l)])
+        expect = signals_header(m, l)
         if names != expect:
             raise SchemaError(f"{path}: header must be {','.join(expect)}")
         us, ys, obs = [], [], []
@@ -98,12 +100,11 @@ def load_signals(path):
             if row[0].strip() != str(len(us)):
                 raise ParseError(f"{path}: k must count 0, 1, 2, ... over the data rows: "
                                  f"expected {len(us)}, found '{row[0]}'", line=lineno, column=1)
-            try:
-                vals = [float(v) for v in row[1:]]
-            except ValueError as e:
-                bad = next(i for i, v in enumerate(row) if not _is_float(v))
-                raise ParseError(f"{path}: non-numeric field '{row[bad]}'",
-                                 line=lineno, column=bad + 1) from e
+            bad = next((i for i, v in enumerate(row) if not _is_finite(v)), None)
+            if bad is not None:
+                raise ParseError(f"{path}: field '{row[bad]}' is not a finite number",
+                                 line=lineno, column=bad + 1)
+            vals = [float(v) for v in row[1:]]
             us.append(vals[:m])
             ys.append(vals[m:m + l])
             obs.append(vals[m + l:])
@@ -113,10 +114,9 @@ def load_signals(path):
                      x0=np.zeros(0), obs=np.array(obs))
 
 
-def _is_float(s):
+def _is_finite(s):
     try:
-        float(s)
-        return True
+        return math.isfinite(float(s))
     except ValueError:
         return False
 

@@ -1,5 +1,6 @@
-"""Dense linear-algebra services: validated matrices and values, tolerant
-rank, inverse, and the BLAS thread count each factorization runs on.
+"""Dense linear-algebra services: validated matrices, values and signal
+records, tolerant rank, inverse, and the BLAS thread count each
+factorization runs on.
 
 OpenBLAS splits each LAPACK call over its threads, and waking them costs
 more than it saves on the small factorizations an identification makes by
@@ -62,6 +63,17 @@ def as_vector(v, length=None, name="vector"):
     if not np.all(np.isfinite(x)):
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return x
+
+
+def as_signal(a, name="signal"):
+    """a as an (N, q) float64 record, a 1-D one as one column; any other
+    rank is a DimensionMismatchError naming it."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be (N, q), got shape {arr.shape}")
+    return arr
 
 
 def convert(key, value, to, what):

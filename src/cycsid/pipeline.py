@@ -29,6 +29,7 @@ from .errors import (
     EXIT_STRUCTURE,
     STRUCTURE_ERRORS,
     AssumptionFailedError,
+    DimensionMismatchError,
     SchemaError,
     StructureViolationError,
 )
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("N must be positive")
         if not self.noise >= 0:  # NaN too
             raise ValueError("noise must be nonnegative")
+        if not np.isfinite(self.noise):
+            raise ValueError(f"noise must be finite, got {self.noise}")
         if self.noise > 0 and set(self.input) == {"file"}:
             raise ValueError("noise applies to simulated data, not to a signals file")
         if set(self.input) != {"file"}:
@@ -141,7 +144,7 @@ def _seed(value):
 
 def load_config(path):
     """Build an ExperimentConfig from a JSON file whose keys are its fields;
-    a key that is not a field is a SchemaError."""
+    a key that is not a field, or a malformed plant, is a SchemaError."""
     doc = read_json(path)
     plant_doc = require(doc, "plant", path)
     for key in ("A", "B", "C", "D"):
@@ -150,7 +153,7 @@ def load_config(path):
     try:
         plant = make_state_space(plant_doc["A"], plant_doc["B"], plant_doc["C"], plant_doc["D"])
         return ExperimentConfig(**{**doc, "plant": plant})
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, DimensionMismatchError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 
@@ -322,6 +325,7 @@ def validate(idm, cfg, provenance):
     rank_c, rank_o = cycled_ranks(cs)
     Xc = build_X_check(cs)
     Yc = build_Y_check(cs)
+    rank_x, rank_y = rank_with_tol(Xc), rank_with_tol(Yc)
     true_structure = {
         "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, n, m, M, 1e-12)),
         "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
@@ -358,8 +362,8 @@ def validate(idm, cfg, provenance):
         ranks={
             "controllability": rank_c,
             "observability": rank_o,
-            "obs_aggregate": rank_with_tol(Xc),
-            "ctrl_aggregate": rank_with_tol(Yc),
+            "obs_aggregate": rank_x,
+            "ctrl_aggregate": rank_y,
             "transform": tres.rank,
             "selector_aggregate": aggr["selector_aggregate_rank"],
             "expected": order,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergentPlantError
 from .kernels import scan_trajectory
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_signal, as_vector
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,6 @@ def make_state_space(A, B, C, D):
     return StateSpace(A, B, C, D)
 
 
-def _as_signal(a):
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
-
-
 @dataclass
 class SignalLog:
     """Input/output record of a simulation run.
@@ -85,8 +78,8 @@ class SignalLog:
     x: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.u = _as_signal(self.u)
-        self.y = _as_signal(self.y)
+        self.u = as_signal(self.u, "u")
+        self.y = as_signal(self.y, "y")
         if self.u.shape[0] != self.y.shape[0] or self.u.shape[0] < 1:
             raise DimensionMismatchError(
                 f"u and y must share a positive sample count, got {self.u.shape[0]} and {self.y.shape[0]}"
@@ -107,11 +100,9 @@ class SignalLog:
 
 
 def as_input_sequence(u, m):
-    """Coerce a scalar/vector/array input record to shape (N, m)."""
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != m:
+    """Coerce a vector/array input record to shape (N, m)."""
+    arr = as_signal(u, "input")
+    if arr.shape[1] != m:
         raise DimensionMismatchError(f"input must be (N, {m}), got {arr.shape}")
     if arr.shape[0] < 1:
         raise DimensionMismatchError("input must be nonempty")
@@ -138,38 +129,35 @@ def simulate(sys, u, x0=None):
     return SignalLog(u=u, y=y, x0=x0, x=x)
 
 
+def powers(A, X, count, right=False):
+    """[X, A X, ..., A^(count-1) X], or [X, X A, ...] when right is set.
+
+    The first term is a C-ordered copy of X and each later one the product
+    of A with the term before it, so every term is C-ordered: the rounding
+    of A @ P follows P's layout, and an F-ordered X (an identified B) gives
+    the same terms as its C-ordered copy.
+    """
+    terms = [np.array(X, order="C")][:count]
+    for _ in range(1, count):
+        terms.append(terms[-1] @ A if right else A @ terms[-1])
+    return terms
+
+
 def markov(sys, count):
     """Impulse-response coefficients H(0)=D, H(i)=C A^{i-1} B, i >= 1."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    H = [sys.D.copy()]
-    P = sys.B.copy()
-    for _ in range(1, count):
-        H.append(sys.C @ P)
-        P = sys.A @ P
-    return H
+    return [sys.D.copy()] + [sys.C @ P for P in powers(sys.A, sys.B, count - 1)]
 
 
 def ctrb(sys):
     """[B, AB, ..., A^{n-1}B] at the system's own state horizon."""
-    n = sys.A.shape[0]
-    blocks = []
-    P = sys.B.copy()
-    for _ in range(n):
-        blocks.append(P)
-        P = sys.A @ P
-    return np.hstack(blocks)
+    return np.hstack(powers(sys.A, sys.B, sys.A.shape[0]))
 
 
 def obsv(sys):
     """[C; CA; ...; CA^{n-1}] at the system's own state horizon."""
-    n = sys.A.shape[0]
-    blocks = []
-    P = sys.C.copy()
-    for _ in range(n):
-        blocks.append(P)
-        P = P @ sys.A
-    return np.vstack(blocks)
+    return np.vstack(powers(sys.A, sys.C, sys.A.shape[0], right=True))
 
 
 @dataclass(frozen=True)

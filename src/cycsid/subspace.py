@@ -56,7 +56,7 @@ from .errors import (
     RankConditionError,
 )
 from .kernels import io_regressor, regressor_columns, regressor_rows
-from .numerics import blas_threads, rank_with_tol
+from .numerics import as_signal, blas_threads, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
 SV_GAP_TOL = 0.1
@@ -132,9 +132,7 @@ class IdentifiedModel:
 def build_block_hankel(signal, rows, cols, start=0, out=None):
     """(q*rows) x cols matrix with block entry (i, j) = signal[start+i+j],
     written into out when given."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim == 1:
-        signal = signal.reshape(-1, 1)
+    signal = as_signal(signal)
     N, q = signal.shape
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
@@ -190,9 +188,7 @@ def _signal_array(sig):
             raise DimensionMismatchError(
                 "a cycled signal must hold sample k in phase block k mod M only")
         return sig.samples, sig.q, sig.M
-    arr = np.asarray(sig, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    arr = as_signal(sig)
     return arr, arr.shape[1], 1
 
 

@@ -23,7 +23,7 @@ from .cyclic import (
     read_blocks,
 )
 from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
-from .statespace import StateSpace, tf_distance, transfer_functions
+from .statespace import StateSpace, powers, tf_distance, transfer_functions
 
 
 def lift_selector(block, M):
@@ -46,11 +46,9 @@ def build_X_check(sys):
     n, l, M = sys.n, sys.l, sys.M
     order = M * n
     X = np.zeros((order, order))
-    P = sys.C.copy()  # C A^p, advanced in p
-    for p in range(order):
+    for p, P in enumerate(powers(sys.A, sys.C, order, right=True)):  # P = C A^p
         i, j = divmod(p, M)
         X.reshape(M, n, order)[:, i] += np.roll(P.reshape(M, l, order)[:, 0], -j, axis=0)
-        P = P @ sys.A
     return X
 
 
@@ -70,11 +68,9 @@ def build_Y_check(sys):
     n, m, M = sys.n, sys.m, sys.M
     order = M * n
     T = np.zeros((order, order))
-    P = sys.B.copy()  # A^p B, advanced in p; C order, as the rounding of A @ P follows its layout
-    for p in range(order):
+    for p, P in enumerate(powers(sys.A, sys.B, order)):  # P = A^p B
         T.reshape(order, M, n)[:, :, p % n] += np.roll(P.reshape(order, M, m)[:, :, 0],
                                                         p % M + 1, axis=1)
-        P = sys.A @ P
     return T
 
 
@@ -153,7 +149,7 @@ class CyclicModel:
     def recovered_plant(self, spec):
         """The plant behind data sampled under the MultirateSpec spec: A and B
         from phase 0, output row r of C and D from the first phase sampling r."""
-        first = [next(i for i, V in enumerate(spec.masks) if V[r, r]) for r in range(self.l)]
+        first = spec.sampled.argmax(axis=0)  # every sensor samples some phase
         C, D = (np.array([X[i][r] for r, i in enumerate(first)])
                 for X in (self.C_phases, self.D_phases))
         return StateSpace(self.A_phases[0], self.B_phases[0], C, D)

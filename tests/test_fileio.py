@@ -57,6 +57,17 @@ def test_signals_non_numeric_field_reports_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
+def test_signals_non_finite_field_reports_line_and_column(tmp_path, field):
+    # a field that parses as a float but is not finite is a parse error where
+    # it stands, not a failure of the record built from the file
+    path = tmp_path / "bad.csv"
+    path.write_text("k,u_1,y_1,obs_1\n0,1.0,2.0,1\n" f"1,1.0,{field},1\n")
+    with pytest.raises(ParseError, match=f"field '{field}' is not a finite number") as err:
+        load_signals(path)
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
 @pytest.mark.parametrize("ks, line, found", [
     # two rows swapped and one missing: five samples in the wrong order
     pytest.param((0, 2, 1, 4, 5), 3, "2", id="swap-and-gap"),
@@ -250,6 +261,12 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
     pytest.param({"N": 200.7}, "N must be an integer, got 200.7", id="N-fraction"),
     pytest.param({"noise": "x"}, "noise must be a number, got 'x'", id="noise"),
     pytest.param({"noise": float("nan")}, "noise must be nonnegative", id="noise-nan"),
+    pytest.param({"noise": float("inf")}, "noise must be finite, got inf", id="noise-inf"),
+    pytest.param({"plant": 5}, "expected an object holding 'A', got int", id="plant-number"),
+    pytest.param({"plant": {"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
+                 "A must be square, got (1, 2)", id="plant-non-square"),
+    pytest.param({"plant": {"A": [[0.5]], "B": [[float("nan")]], "C": [[1.0]], "D": [[0.0]]}},
+                 "B contains non-finite entries", id="plant-nan"),
     pytest.param({"rates": 3}, "rates must be a list of integers, got 3", id="rates-scalar"),
     pytest.param({"rates": ["q"]}, "rates must be a list of integers, got ['q']",
                  id="rates-text"),

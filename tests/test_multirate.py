@@ -56,6 +56,19 @@ def test_masks_offsets():
     assert np.diag(spec.masks[1])[0] == 1
 
 
+def test_sampled_table_gives_the_masks_and_the_pattern_with_offsets():
+    rates, offsets = (2, 3, 4), (1, 2, 0)
+    spec = build_masks(rates, offsets)
+    assert spec.sampled.shape == (spec.M, spec.l) == (12, 3)
+    for k in range(spec.M):
+        want = [float((k - o) % r == 0) for r, o in zip(rates, offsets)]
+        assert spec.sampled[k].tolist() == want, f"phase {k}"
+        assert np.array_equal(spec.masks[k], np.diag(want))
+    assert np.array_equal(spec.pattern(29), spec.sampled[np.arange(29) % 12])
+    # specs compare by rates and offsets only
+    assert spec == build_masks(rates, offsets) != build_masks(rates)
+
+
 def test_masks_equal_rates_share_pattern():
     one = build_masks((3,))
     two = build_masks((3, 3))

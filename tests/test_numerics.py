@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cycsid import (
+    DimensionMismatchError,
     ExperimentConfig,
     InsufficientDataError,
     SingularMatrixError,
@@ -19,7 +21,7 @@ from cycsid import (
     subspace_identify,
 )
 from cycsid.cyclic import shift_matrix
-from cycsid.numerics import blas_threads
+from cycsid.numerics import as_signal, blas_threads
 
 from conftest import random_plant
 
@@ -47,6 +49,22 @@ def test_rank_permutation_invariant():
         pr = rng.permutation(5)
         pc = rng.permutation(4)
         assert rank_with_tol(m[pr][:, pc]) == r
+
+
+def test_as_signal_makes_a_vector_one_column_and_keeps_a_record():
+    column = as_signal([1, 2, 3])
+    assert column.shape == (3, 1) and column.dtype == np.float64
+    assert column[:, 0].tolist() == [1.0, 2.0, 3.0]
+    record = np.arange(6).reshape(3, 2)
+    got = as_signal(record)
+    assert got.dtype == np.float64 and np.array_equal(got, record)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), ()])
+def test_as_signal_refuses_any_other_rank(shape):
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"u must be \(N, q\), got shape {re.escape(str(shape))}"):
+        as_signal(np.zeros(shape), "u")
 
 
 def test_invert_identity():

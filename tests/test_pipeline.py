@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cycsid import (
     cyclic_reformulate,
     kernels,
     make_state_space,
+    pipeline,
     run_identification,
     save_signals,
 )
@@ -363,6 +365,7 @@ def test_cli_config_error_exit_2(tmp_path):
     pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
     pytest.param("--n", "0", "N must be positive", id="n"),
     pytest.param("--noise", "-0.5", "noise must be nonnegative", id="noise"),
+    pytest.param("--noise", "inf", "noise must be finite, got inf", id="noise-inf"),
     pytest.param("--seed", "-3", "input.seed must be a nonnegative integer or null, got -3",
                  id="seed"),
 ])
@@ -409,6 +412,50 @@ def test_cli_data_error_exit_3(tmp_path):
     starved = write_config(tmp_path, N=50)
     assert main(["identify", "--config", str(starved),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_cli_non_finite_signals_field_is_a_data_error_naming_its_place(tmp_path, capsys):
+    # a nan on line 5 of the recording: exit 3 with the line and column, not
+    # a failure of the signal record
+    path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    signals = tmp_path / "signals.csv"
+    lines = signals.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[2] = "nan"  # y_1 of step 3
+    lines[4] = ",".join(fields)
+    signals.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["identify", "--config", str(path), "--signals", str(signals),
+                 "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err == (f"data error: {signals}: field 'nan' is not a finite "
+                                       "number (line 5, column 3)\n")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_cli_malformed_config_plant_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, plant={"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
+                                         "D": [[0.0]]}, rates=[1])
+    for command in ("simulate", "identify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == (f"config error: {path}: "
+                                           "A must be square, got (1, 2)\n")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_reference_stage_times_the_aggregate_ranks(monkeypatch):
+    # validate's two aggregate ranks belong to the reference stage, so a
+    # slower rank shows in its time
+    delay = 0.05
+
+    def slow_rank(*args, **kwargs):
+        time.sleep(delay)
+        return rank(*args, **kwargs)
+
+    rank = pipeline.rank_with_tol
+    monkeypatch.setattr(pipeline, "rank_with_tol", slow_rank)
+    _, report = run_identification(builtin_config((1, 3)))
+    assert report.timings["reference"] >= 2 * delay
 
 
 def test_cli_record_without_output_samples_is_a_data_error(tmp_path, capsys):

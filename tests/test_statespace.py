@@ -12,6 +12,7 @@ from cycsid import (
     tf_distance,
     transfer_functions,
 )
+from cycsid.statespace import powers
 
 
 @pytest.fixture
@@ -67,6 +68,31 @@ def test_simulate_rejects_non_finite_input(plant, bad):
     u[2, 0] = bad
     with pytest.raises(DimensionMismatchError, match="input contains non-finite entries"):
         simulate(plant, u)
+
+
+def _power_loop(A, X, count, right):
+    # the reference: a C-ordered copy of X, then one product per term
+    terms, P = [], X.copy()
+    for _ in range(count):
+        terms.append(P)
+        P = P @ A if right else A @ P
+    return terms
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_powers_equal_the_loop_bit_for_bit(right, order, count):
+    rng = np.random.default_rng(count)
+    A = rng.normal(size=(6, 6))
+    X = np.array(rng.normal(size=(2, 6) if right else (6, 2)), order=order)
+    got = powers(A, X, count, right=right)
+    want = _power_loop(A, X, count, right)
+    assert len(got) == count
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous and np.array_equal(g, w)
+    if count:
+        assert got[0] is not X  # a copy, so a caller may not alter X through it
 
 
 def test_markov_zero_feedthrough(plant):
