@@ -96,11 +96,12 @@ def _override(cfg, args):
 
 
 def _load_config(args):
+    """The config file with the command-line overrides applied; a file that
+    cannot be read or parsed is a config error, so it raises ValueError."""
     try:
         cfg = pipeline.load_config(args.config)
     except (ParseError, SchemaError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG) from e
+        raise ValueError(str(e)) from e
     return _override(cfg, args)
 
 
@@ -113,16 +114,16 @@ def _outdir(args, cfg=None):
 def cmd_simulate(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    spec, log = pipeline.collect_data(cfg)
+    log = pipeline.collect_data(cfg)
     sig_path = out / "signals.csv"
     save_signals(log, sig_path)
     meta = {
-        "N": log.N, "rates": list(cfg.rates), "M": spec.M,
+        "N": log.N, "rates": list(cfg.rates), "M": cfg.spec.M,
         "seed": cfg.input.get("seed"), "noise": cfg.noise,
         "signals": str(sig_path),
     }
     write_json(meta, out / "simulate_report.json")
-    print(f"wrote {sig_path} ({log.N} steps, rates {list(cfg.rates)}, M={spec.M})")
+    print(f"wrote {sig_path} ({log.N} steps, rates {list(cfg.rates)}, M={cfg.spec.M})")
     return EXIT_OK
 
 
@@ -159,28 +160,23 @@ def cmd_verify(args):
     out = _outdir(args, cfg)
     try:
         mf = load_model(args.model)
-    except (ParseError, SchemaError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    except OSError as e:
+        raise ParseError(str(e)) from e
     spec = cfg.spec
     plant = cfg.plant
     # a model of another sampling pattern or plant size came from other data
     if mf.spec != spec:
-        print(f"data error: model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
-              f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
+                          f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}")
     if (mf.model.n, mf.model.m) != (plant.n, plant.m):
-        print(f"data error: model (n, m) = ({mf.model.n}, {mf.model.m}) != config plant "
-              f"(n, m) = ({plant.n}, {plant.m})", file=sys.stderr)
-        return EXIT_DATA
+        raise SchemaError(f"model (n, m) = ({mf.model.n}, {mf.model.m}) != config plant "
+                          f"(n, m) = ({plant.n}, {plant.m})")
     try:
         provenance = {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}
         _, report = pipeline.validate(mf.model, cfg, provenance)
     except STRUCTURE_ERRORS as e:
         write_json(pipeline.refusal(e), out / "verify_report.json")
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_STRUCTURE
+        raise
     write_json(report.to_dict(), out / "verify_report.json")
     print(f"order {report.order} model verified; {_verdict(report)}")
     return EXIT_STRUCTURE if report.failures() else EXIT_OK
@@ -210,10 +206,9 @@ def main(argv=None):
         "verify": cmd_verify,
         "demo-paper": cmd_demo,
     }
+    # the commands raise, and only here is an error printed and given its exit code
     try:
         return handlers[args.command](args)
-    except SystemExit as e:
-        return e.code
     except DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

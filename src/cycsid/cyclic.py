@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import DEFAULT_RANK_TOL, as_signal, rank_with_tol
+from .numerics import as_signal, rank_with_tol
 from .statespace import ctrb, obsv
 
 #: off-pattern tolerance for analytically constructed matrices
@@ -184,7 +184,7 @@ def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, *, maxdepth):
                             for s in range(maxdepth + 1)})
 
 
-def cycled_ranks(cs, tol=DEFAULT_RANK_TOL):
+def cycled_ranks(cs):
     """(rank of the controllability matrix, rank of the observability matrix)
     at horizon Mn."""
-    return rank_with_tol(ctrb(cs), tol), rank_with_tol(obsv(cs), tol)
+    return rank_with_tol(ctrb(cs)), rank_with_tol(obsv(cs))

@@ -19,8 +19,6 @@ from .numerics import convert, integer, of_type, optional
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
 
-FLOAT_FMT = "{:.17g}"
-
 
 def write_json(obj, path):
     """Write obj as indented JSON, making the parent directory when it is missing."""
@@ -34,10 +32,6 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno) from e
-
-
-def matrix_to_lists(a):
-    return [[float(x) for x in row] for row in np.atleast_2d(a)]
 
 
 def require(mapping, field, path):
@@ -59,18 +53,15 @@ def signals_header(m, l):
 
 
 def save_signals(log, path):
-    """CSV with the signals_header, one row per step, making the parent
-    directory when it is missing."""
+    """CSV with the signals_header and one row per step: k, then u and y with
+    17 significant digits, then obs as 0/1, each line ended by CRLF.  The
+    parent directory is made when it is missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    m, l = log.u.shape[1], log.y.shape[1]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(signals_header(log.u.shape[1], log.y.shape[1]))
-        for k in range(log.N):
-            row = ([str(k)]
-                   + [FLOAT_FMT.format(v) for v in log.u[k]]
-                   + [FLOAT_FMT.format(v) for v in log.y[k]]
-                   + [str(int(v)) for v in log.obs[k]])
-            w.writerow(row)
+        np.savetxt(fh, np.column_stack([np.arange(log.N), log.u, log.y, log.obs]),
+                   fmt=["%d"] + ["%.17g"] * (m + l) + ["%d"] * l, delimiter=",",
+                   newline="\r\n", header=",".join(signals_header(m, l)), comments="")
 
 
 def load_signals(path):
@@ -138,9 +129,8 @@ def save_model(model, path, spec, provenance=None):
         "kind": "identified",
         "n": model.n, "m": model.m, "l": model.l, "M": model.M,
         "rates": list(spec.rates), "offsets": list(spec.offsets),
-        "A": matrix_to_lists(model.A), "B": matrix_to_lists(model.B),
-        "C": matrix_to_lists(model.C), "D": matrix_to_lists(model.D),
-        "x0": [float(v) for v in model.x0],
+        "A": model.A.tolist(), "B": model.B.tolist(), "C": model.C.tolist(),
+        "D": model.D.tolist(), "x0": model.x0.tolist(),
         "block_rows": model.depth_evidence(),
         "phases": model.phase_evidence(),
         "provenance": {key: (provenance or {}).get(key) for key in RECORD_KEYS["provenance"]},

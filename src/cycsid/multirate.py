@@ -72,7 +72,7 @@ def simulate_multirate(ss, spec, u, x0=None):
     return SignalLog(u=log.u, y=log.y * obs, x0=log.x0, obs=obs, x=log.x)
 
 
-def check_observability_assumption(ss, spec, tol=DEFAULT_RANK_TOL):
+def check_observability_assumption(ss, spec):
     """Phases j whose masked pair (V_j C, A^M) is observable at horizon n.
 
     An empty set means no sampling phase pins down the full state.  The
@@ -82,12 +82,12 @@ def check_observability_assumption(ss, spec, tol=DEFAULT_RANK_TOL):
     gives every phase's rank at rank_with_tol's relative cutoff.
     """
     n = ss.n
-    if rank_with_tol(ss.A, tol) < n:
+    if rank_with_tol(ss.A) < n:
         raise RankDeficientAError("state matrix must have rank n for the multirate analysis")
     AM = np.linalg.matrix_power(ss.A, spec.M)
     obs = as_matrix(np.vstack(powers(AM, ss.C, n, right=True)),
                     "observability matrix")  # row k*l + i: C_i A^(Mk)
     keep = np.tile(spec.sampled, n)  # (M, n*l), the sampled rows of each phase
     sv = np.linalg.svd(obs * keep[:, :, None], compute_uv=False)  # (M, n), descending
-    ranks = np.count_nonzero(sv > tol * sv[:, :1], axis=1)
+    ranks = np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1], axis=1)
     return {j for j in range(spec.M) if ranks[j] == n}

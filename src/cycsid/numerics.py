@@ -125,14 +125,15 @@ def rank_with_tol(m, tol=DEFAULT_RANK_TOL):
     return ranks if stacked else int(ranks[0])
 
 
-def invert(m, tol=DEFAULT_RANK_TOL):
-    """Inverse via factorized solve; raises SingularMatrixError below full rank."""
+def invert(m):
+    """Inverse via factorized solve; raises SingularMatrixError when the rank
+    at DEFAULT_RANK_TOL is below full."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"inverse needs a square matrix, got {m.shape}")
-    if rank_with_tol(m, tol) < m.shape[0]:
+    if rank_with_tol(m) < m.shape[0]:
         raise SingularMatrixError(
-            f"matrix of size {m.shape[0]} is numerically singular at tol {tol:g}"
+            f"matrix of size {m.shape[0]} is numerically singular at tol {DEFAULT_RANK_TOL:g}"
         )
     return np.linalg.solve(m, np.eye(m.shape[0]))
 

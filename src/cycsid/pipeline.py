@@ -218,7 +218,9 @@ def generate_input(cfg):
 
 
 def collect_data(cfg):
-    """Simulate the masked plant (or load signals) for one run."""
+    """The SignalLog of one run: cfg's signals file, checked against cfg's
+    plant size and sampling pattern, or else cfg's plant simulated under
+    cfg.spec with cfg's seeded input and output noise."""
     if "file" in cfg.input:
         log = load_signals(cfg.input["file"])
         if log.u.shape[1] != cfg.plant.m or log.y.shape[1] != cfg.plant.l:
@@ -235,14 +237,14 @@ def collect_data(cfg):
                 f"{cfg.input['file']}: step {k}, output {i + 1} has obs {log.obs[k, i]:g} and "
                 f"y {log.y[k, i]:g}, but rates {list(cfg.spec.rates)}, offsets "
                 f"{list(cfg.spec.offsets)} {'sample' if pattern[k, i] else 'skip'} it")
-        return cfg.spec, log
+        return log
     u = generate_input(cfg)
     log = simulate_multirate(cfg.plant, cfg.spec, u, cfg.x0)
     if cfg.noise > 0.0:
         seed = cfg.input["seed"]
         noise_rng = np.random.default_rng(None if seed is None else seed + 1)
         log.y = log.y + cfg.noise * noise_rng.uniform(-1.0, 1.0, log.y.shape) * log.obs
-    return cfg.spec, log
+    return log
 
 
 def choose_transform(idm, tol):
@@ -289,14 +291,14 @@ def run_identification(cfg):
     """Identify a model from cfg's data and validate it: (CyclicModel, RunReport)."""
     t_all = time.perf_counter()
     t0 = time.perf_counter()
-    spec, log = collect_data(cfg)
+    log = collect_data(cfg)
     phases = observable_phases(cfg)
-    uc = cycle_signal(log.u, spec.M)
-    yc = cycle_signal(log.y, spec.M)
+    uc = cycle_signal(log.u, cfg.spec.M)
+    yc = cycle_signal(log.y, cfg.spec.M)
     t_data = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, spec.M * cfg.plant.n)
+    idm = subspace_identify(uc, yc, cfg.spec.M * cfg.plant.n)
     t_identify = time.perf_counter() - t0
 
     model, report = validate(idm, cfg, {"seed": cfg.input.get("seed"), "N": log.N,

@@ -105,10 +105,6 @@ class IdentifiedModel:
             raise DimensionMismatchError("identified matrices contain non-finite entries")
 
     @property
-    def order(self):
-        return self.M * self.n
-
-    @property
     def order_gap(self):
         """The SV gap: the largest phase gap."""
         return max(self.phase_gaps)
@@ -360,21 +356,19 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             f"block rows sample {covered} output rows, fewer than n = {n_base}; "
             f"use block_rows >= {shortest + 1}"
         )
-    _require_samples(N, i, mm, ll, order)
-
-    Gam, svs = _observability_estimate(u, y, i, order, M)
-    margins, gaps = _phase_margins(svs, n_base)
-    gap, margin = max(gaps), _shift_margin(Gam, order, ll)
-    if not (gap <= SV_GAP_TOL and margin > gap):
-        full = full_block_rows(order, M)
-        if block_rows is None and i < full:
-            _require_samples(N, full, mm, ll, order,
-                             f"pattern depth {i} failed the shift check; ")
-            i = full
-            Gam, svs = _observability_estimate(u, y, i, order, M)
-            margins, gaps = _phase_margins(svs, n_base)
-            gap, margin = max(gaps), _shift_margin(Gam, order, ll)
-        elif block_rows is not None and gap <= SV_GAP_TOL:
+    # the pattern depth, then once the one that needs no pattern count
+    full = full_block_rows(order, M)
+    depths = [i] if block_rows is not None or pattern >= full else [pattern, full]
+    for i in depths:
+        why = "" if i == depths[0] else f"pattern depth {pattern} failed the shift check; "
+        _require_samples(N, i, mm, ll, order, why)
+        Gam, svs = _observability_estimate(u, y, i, order, M)
+        margins, gaps = _phase_margins(svs, n_base)
+        gap, margin = max(gaps), _shift_margin(Gam, order, ll)
+        if gap <= SV_GAP_TOL and margin > gap:
+            break
+    else:
+        if block_rows is not None and gap <= SV_GAP_TOL:
             raise RankConditionError(
                 f"block_rows={i} is too short for these data: the shifted observability "
                 f"estimate has margin {margin:.3g} <= SV gap {gap:.3g}, so it does not reach "

@@ -22,7 +22,7 @@ from .cyclic import (
     place_blocks,
     read_blocks,
 )
-from .numerics import DEFAULT_RANK_TOL, invert, rank_with_tol
+from .numerics import invert, rank_with_tol
 from .statespace import StateSpace, powers, tf_distance, transfer_functions
 
 
@@ -92,9 +92,9 @@ def build_transform(idm):
     return TransformResult(matrix=T, rank=rank_with_tol(T), cond=float(np.linalg.cond(T)))
 
 
-def apply_transform(idm, T, tol=DEFAULT_RANK_TOL):
+def apply_transform(idm, T):
     """(T^-1 A T, T^-1 B, C T, D); raises SingularMatrixError if T is not regular."""
-    Ti = invert(T, tol)
+    Ti = invert(T)
     return Ti @ idm.A @ T, Ti @ idm.B, idm.C @ T, idm.D.copy()
 
 

@@ -58,7 +58,7 @@ def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32):
 
 def identify_at_depth(cfg, block_rows):
     """run_identification(cfg) with the Hankel depth forced to block_rows."""
-    spec, log = collect_data(cfg)
+    spec, log = cfg.spec, collect_data(cfg)
     phases = observable_phases(cfg)
     idm = subspace_identify(cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M),
                             spec.M * cfg.plant.n, block_rows=block_rows)
