@@ -26,6 +26,7 @@ from .errors import (
     ExcitationDeficientError,
     InsufficientDataError,
     InvalidRateError,
+    MemoryBudgetError,
     NonSquareError,
     ParseError,
     RankConditionError,

@@ -48,6 +48,12 @@ class DivergentPlantError(CycsidError, ValueError):
     the sample count come from the configuration."""
 
 
+class MemoryBudgetError(CycsidError, ValueError):
+    """An array the run would build exceeds numerics.MEMORY_BUDGET: the
+    configuration's period and sample count ask for more memory than a run
+    may take."""
+
+
 class StructureViolationError(CycsidError):
     """A matrix failed a required structural check.  When the coordinate
     transform failed, attempt holds its record (rank, regular, cond, applied,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SchemaError
 from .multirate import MultirateSpec, build_masks
-from .numerics import convert, integer, of_type, optional
+from .numerics import convert, integer, number, numbers, of_type, optional
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
 
@@ -162,7 +162,7 @@ def _numbers(value):
     """A list of numbers as floats; Infinity stands for a phase without a gap."""
     if not isinstance(value, list):
         raise TypeError(value)
-    return [float(v) for v in value]
+    return [number(v) for v in value]
 
 
 def load_model(path):
@@ -183,7 +183,7 @@ def load_model(path):
         if (spec.l, spec.M) != (l, M):
             raise ValueError(f"declared l={l}, M={M} but rates {list(spec.rates)} give "
                              f"l={spec.l}, M={spec.M}")
-        A, B, C, D, x0 = (convert(key, doc[key], lambda v: np.array(v, dtype=np.float64),
+        A, B, C, D, x0 = (convert(key, doc[key], numbers,
                                   "a list of numbers" if key == "x0" else "a matrix of numbers")
                           for key in ("A", "B", "C", "D", "x0"))
         depth, phases, provenance = (_exactly(doc[key], key, keys)
@@ -192,7 +192,7 @@ def load_model(path):
                          for key in ("used", "pattern"))
         rank_margins, gaps = (convert(f"phases.{key}", phases[key], _numbers, "a list of numbers")
                               for key in ("rank_margin", "sv_gap"))
-        margin, a_off = (convert(f"{name}.{key}", record[key], float, "a number")
+        margin, a_off = (convert(f"{name}.{key}", record[key], number, "a number")
                          for name, record, key in (("block_rows", depth, "shift_margin"),
                                                    ("phases", phases, "a_offpattern")))
         provenance = {key: convert(f"provenance.{key}", value, optional(integer),

@@ -1,6 +1,6 @@
 """Dense linear-algebra services: validated matrices, values and signal
-records, tolerant rank, inverse, and the BLAS thread count each
-factorization runs on.
+records, the memory budget every large array is sized against, tolerant
+rank, inverse, and the BLAS thread count each factorization runs on.
 
 OpenBLAS splits each LAPACK call over its threads, and waking them costs
 more than it saves on the small factorizations an identification makes by
@@ -13,16 +13,29 @@ change nothing.
 """
 
 import ctypes
+import math
 import reprlib
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonSquareError, SingularMatrixError
+from .errors import (
+    DimensionMismatchError,
+    MemoryBudgetError,
+    NonSquareError,
+    SingularMatrixError,
+)
 
 #: Relative singular-value cutoff separating signal from round-off.
 DEFAULT_RANK_TOL = 1e-9
+
+#: Bytes that one array of a run may take: the simulated record, the LQ
+#: operand and the B/D/x0 regressor are each sized against it before they are
+#: built.  It admits the largest benchmark or stress operand, the 1.98 GB
+#: regressor of the paper plant at rates (4,5) with N = 3000, and refuses
+#: the 12.3 GiB one at rates (5,6) with N = 6000.
+MEMORY_BUDGET = 2**31
 
 #: rows * cols^2 from which a QR-based factorization gains from OpenBLAS's
 #: threads (OpenBLAS 0.3.31, 2 vCPUs): a (24000 x 114) least squares (3.1e8)
@@ -91,6 +104,22 @@ def integer(value):
     return int(value)
 
 
+def number(value):
+    """value as a float; a string or a bool raises ValueError."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(value)
+    return float(value)
+
+
+def numbers(value):
+    """value, a number or nested lists of them, as a float64 array; a string
+    or a bool anywhere in it raises ValueError."""
+    arr = np.array(value, dtype=object)
+    if any(isinstance(v, (str, bool)) for v in arr.flat):
+        raise ValueError(value)
+    return arr.astype(np.float64)
+
+
 def of_type(*types):
     """A conversion that passes a value of one of types through and refuses any other."""
     def check(value):
@@ -103,6 +132,16 @@ def of_type(*types):
 def optional(to):
     """The conversion to, with None passed through."""
     return lambda value: None if value is None else to(value)
+
+
+def check_budget(name, shape):
+    """Raise MemoryBudgetError, naming name, shape and size, when a float64
+    array of shape would take more than MEMORY_BUDGET bytes."""
+    size = 8 * math.prod(shape)
+    if size > MEMORY_BUDGET:
+        raise MemoryBudgetError(f"the {name}, shape {tuple(shape)}, would take "
+                                f"{size / 2**30:.3g} GiB, over the "
+                                f"{MEMORY_BUDGET / 2**30:g} GiB memory budget")
 
 
 def rank_with_tol(m, tol=DEFAULT_RANK_TOL):

@@ -35,7 +35,17 @@ from .errors import (
 )
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
-from .numerics import blas_threads, convert, integer, of_type, optional, rank_with_tol
+from .numerics import (
+    blas_threads,
+    check_budget,
+    convert,
+    integer,
+    number,
+    numbers,
+    of_type,
+    optional,
+    rank_with_tol,
+)
 from .statespace import StateSpace, make_state_space, markov, transfer_functions
 from .subspace import markov_match, subspace_identify
 from .transform import (
@@ -81,7 +91,7 @@ class ExperimentConfig:
         self.out_dir = convert("out_dir", self.out_dir, optional(of_type(str)),
                                "a string or null")
         self.N = convert("N", self.N, integer, "an integer")
-        self.noise = convert("noise", self.noise, float, "a number")
+        self.noise = convert("noise", self.noise, number, "a number")
         if self.N <= 0:
             raise ValueError("N must be positive")
         if not self.noise >= 0:  # NaN too
@@ -97,7 +107,7 @@ class ExperimentConfig:
                                  "or any of 'kind', 'amplitude', 'seed'")
             self.input = {**DEFAULT_INPUT, **self.input}
             self.input["amplitude"] = convert("input.amplitude", self.input["amplitude"],
-                                              float, "a number")
+                                              number, "a number")
             if not np.isfinite(self.input["amplitude"]):
                 raise ValueError(f"input.amplitude must be finite, got {self.input['amplitude']}")
             self.input["seed"] = convert("input.seed", self.input["seed"], optional(_seed),
@@ -107,7 +117,7 @@ class ExperimentConfig:
         if self.x0 is not None:
             if set(self.input) == {"file"}:
                 raise ValueError("x0 applies to simulated data, not to a signals file")
-            self.x0 = convert("x0", self.x0, lambda v: np.asarray(v, dtype=float).reshape(-1),
+            self.x0 = convert("x0", self.x0, lambda v: numbers(v).reshape(-1),
                               "a list of numbers")
             if self.x0.shape != (self.plant.n,):
                 raise ValueError(f"x0 must have length {self.plant.n} (the plant order), "
@@ -121,6 +131,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
             )
+        if set(self.input) != {"file"}:
+            # u, the states, y and obs of the simulation, and the cycled u and y
+            p = self.plant
+            check_budget(f"simulated record of N = {self.N} samples",
+                         (self.N, p.m + p.n + 2 * p.l + self.spec.M * (p.m + p.l)))
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(convert("tolerances", self.tolerances, optional(of_type(dict)),
                            "an object or null") or {})
@@ -128,7 +143,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; "
                              f"expected keys {sorted(DEFAULT_TOLERANCES)}")
-        tol = {k: convert(f"tolerances.{k}", v, float, "a number") for k, v in tol.items()}
+        tol = {k: convert(f"tolerances.{k}", v, number, "a number") for k, v in tol.items()}
         if not all(v > 0 for v in tol.values()):  # NaN too
             raise ValueError("tolerances must be positive")
         self.tolerances = tol
@@ -151,7 +166,8 @@ def load_config(path):
         require(plant_doc, key, path)
     require(doc, "rates", path)
     try:
-        plant = make_state_space(plant_doc["A"], plant_doc["B"], plant_doc["C"], plant_doc["D"])
+        plant = make_state_space(*(convert(f"plant.{key}", plant_doc[key], numbers,
+                                           "a matrix of numbers") for key in "ABCD"))
         return ExperimentConfig(**{**doc, "plant": plant})
     except (ValueError, TypeError, DimensionMismatchError) as e:
         raise SchemaError(f"{path}: {e}") from e

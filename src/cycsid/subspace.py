@@ -56,7 +56,7 @@ from .errors import (
     RankConditionError,
 )
 from .kernels import io_regressor, regressor_columns, regressor_rows
-from .numerics import as_signal, blas_threads, rank_with_tol
+from .numerics import as_signal, blas_threads, check_budget, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
 SV_GAP_TOL = 0.1
@@ -323,9 +323,11 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     outside phase 0.  Raises
     InsufficientDataError when no output sample is nonzero or the record is
     too short, ExcitationDeficientError when the input does not excite the
-    factorization, and DivergentModelError when the fitted A
-    overflows the B/D/x0 regressor; a weak singular-value gap at the forced
-    order is reported on the result, not raised.
+    factorization, MemoryBudgetError, before either is built, when the B/D/x0
+    regressor or the LQ operand would exceed numerics.MEMORY_BUDGET, and
+    DivergentModelError when the fitted A overflows the B/D/x0 regressor; a
+    weak singular-value gap at the forced order is reported on the result,
+    not raised.
     """
     u, m_base, M = _signal_array(ucheck)
     y, l_base, My = _signal_array(ycheck)
@@ -356,12 +358,16 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             f"block rows sample {covered} output rows, fewer than n = {n_base}; "
             f"use block_rows >= {shortest + 1}"
         )
+    # io_regressor's shape: one row per cycled output entry, one column per
+    # entry of [x0, vec B, vec D]
+    check_budget("B/D/x0 regressor", (N * ll, order + order * mm + ll * mm))
     # the pattern depth, then once the one that needs no pattern count
     full = full_block_rows(order, M)
     depths = [i] if block_rows is not None or pattern >= full else [pattern, full]
     for i in depths:
         why = "" if i == depths[0] else f"pattern depth {pattern} failed the shift check; "
         _require_samples(N, i, mm, ll, order, why)
+        check_budget(f"LQ operand at block_rows={i}", (2 * i * (mm + ll), N - 2 * i + 1))
         Gam, svs = _observability_estimate(u, y, i, order, M)
         margins, gaps = _phase_margins(svs, n_base)
         gap, margin = max(gaps), _shift_margin(Gam, order, ll)

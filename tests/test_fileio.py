@@ -68,6 +68,23 @@ def test_signals_non_finite_field_reports_line_and_column(tmp_path, field):
     assert (err.value.line, err.value.column) == (3, 3)
 
 
+@pytest.mark.parametrize("text, error, message, line", [
+    pytest.param("", ParseError, "empty file", 1, id="empty"),
+    pytest.param("k,a_1,b_1\n0,1.0,2.0\n", SchemaError, "need at least one u_ and one y_ column",
+                 None, id="no-u-or-y"),
+    pytest.param("k,u_1,y_1,obs_1\n0,1.0,2.0,1\n1,1.0\n", ParseError,
+                 "expected 4 fields, got 2", 3, id="short-row"),
+    pytest.param("k,u_1,y_1,obs_1\n", ParseError, "no data rows", 2, id="header-only"),
+])
+def test_signals_file_without_a_record_is_refused(tmp_path, text, error, message, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        load_signals(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+    assert getattr(err.value, "line", None) == line
+
+
 @pytest.mark.parametrize("ks, line, found", [
     # two rows swapped and one missing: five samples in the wrong order
     pytest.param((0, 2, 1, 4, 5), 3, "2", id="swap-and-gap"),
@@ -170,6 +187,39 @@ def test_model_rate_dimension_mismatch(plant, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(path)
+
+
+@pytest.mark.parametrize("key", ["n", "m", "l", "M"])
+def test_model_dimension_must_be_positive(plant, tmp_path, key):
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    path = tmp_path / "model.json"
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    doc = json.loads(path.read_text())
+    doc[key] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: dimensions must be positive$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({"A": [["0.5"] * 9] * 9}, "A must be a matrix of numbers, got [['0.5', ",
+                 id="A-text"),
+    pytest.param({"x0": [True] * 9}, "x0 must be a list of numbers, got [True, ", id="x0-bool"),
+    pytest.param({"block_rows": {"used": 0, "pattern": 0, "shift_margin": True}},
+                 "block_rows.shift_margin must be a number, got True", id="margin-bool"),
+    pytest.param({"phases": {"rank_margin": ["1"] * 3, "sv_gap": [0.0] * 3,
+                             "a_offpattern": 0.0}},
+                 "phases.rank_margin must be a list of numbers, got ['1', ", id="margins-text"),
+])
+def test_model_numbers_are_json_numbers(plant, tmp_path, edit, message):
+    # a string or a boolean where a number belongs is refused, not converted
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    path = tmp_path / "model.json"
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(SchemaError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 def test_model_bad_json_reports_position(tmp_path):
@@ -289,6 +339,21 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
     pytest.param({"input": {"seed": -1}},
                  "input.seed must be a nonnegative integer or null, got -1", id="seed-negative"),
     pytest.param({"input": None}, "input must be an object, got None", id="input-null"),
+    # numbers are JSON numbers: a string or a boolean is refused, not converted
+    pytest.param({"noise": True}, "noise must be a number, got True", id="noise-bool"),
+    pytest.param({"tolerances": {"tf": True}}, "tolerances.tf must be a number, got True",
+                 id="tolerances-bool"),
+    pytest.param({"tolerances": {"tf": "1e-3"}}, "tolerances.tf must be a number, got '1e-3'",
+                 id="tolerances-text"),
+    pytest.param({"input": {"amplitude": "2"}}, "input.amplitude must be a number, got '2'",
+                 id="amplitude-text"),
+    pytest.param({"input": {"amplitude": False}}, "input.amplitude must be a number, got False",
+                 id="amplitude-bool"),
+    pytest.param({"plant": {"A": [["0.5"]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
+                 "plant.A must be a matrix of numbers, got [['0.5']]", id="plant-text"),
+    pytest.param({"plant": {"A": [[0.5]], "B": [[True]], "C": [[1.0]], "D": [[0.0]]}},
+                 "plant.B must be a matrix of numbers, got [[True]]", id="plant-bool"),
+    pytest.param({"x0": [True]}, "x0 must be a list of numbers, got [True]", id="x0-bool"),
     pytest.param({"tolerances": [1]}, "tolerances must be an object or null, got [1]",
                  id="tolerances-list"),
     pytest.param({"out_dir": 5}, "out_dir must be a string or null, got 5", id="out_dir"),

@@ -12,6 +12,7 @@ from cycsid import (
     DimensionMismatchError,
     ExperimentConfig,
     InsufficientDataError,
+    MemoryBudgetError,
     SingularMatrixError,
     cycle_signal,
     invert,
@@ -21,7 +22,7 @@ from cycsid import (
     subspace_identify,
 )
 from cycsid.cyclic import shift_matrix
-from cycsid.numerics import as_signal, blas_threads
+from cycsid.numerics import MEMORY_BUDGET, as_signal, blas_threads, check_budget, number, numbers
 
 from conftest import random_plant
 
@@ -65,6 +66,33 @@ def test_as_signal_refuses_any_other_rank(shape):
     with pytest.raises(DimensionMismatchError,
                        match=rf"u must be \(N, q\), got shape {re.escape(str(shape))}"):
         as_signal(np.zeros(shape), "u")
+
+
+def test_number_takes_numbers_and_refuses_text_and_booleans():
+    assert [number(v) for v in (2, 0.5, np.float64(3.0), float("inf"))] == [2.0, 0.5, 3.0,
+                                                                             float("inf")]
+    assert all(type(number(v)) is float for v in (2, np.int64(2)))
+    for value in ("1e-3", "2", True, False, None, [1.0]):
+        with pytest.raises((ValueError, TypeError)):
+            number(value)
+
+
+def test_numbers_refuse_text_or_a_boolean_anywhere():
+    out = numbers([[1, 0.5], [2, -3.0]])
+    assert out.dtype == np.float64 and np.array_equal(out, [[1.0, 0.5], [2.0, -3.0]])
+    assert numbers(np.eye(2)).dtype == np.float64
+    for value in ([["0.5"]], [[0.5, True]], [1.0, "x"], "1", [[1.0], [2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            numbers(value)
+
+
+def test_check_budget_names_the_operand_its_shape_and_size():
+    check_budget("operand", (MEMORY_BUDGET // 8,))  # exactly the budget fits
+    with pytest.raises(MemoryBudgetError) as err:
+        check_budget("operand", (360000, 4590))
+    assert str(err.value) == ("the operand, shape (360000, 4590), would take 12.3 GiB, "
+                              "over the 2 GiB memory budget")
+    assert isinstance(err.value, ValueError)  # exit 2, as a config error
 
 
 def test_invert_identity():

@@ -11,6 +11,7 @@ from cycsid import (
     AssumptionFailedError,
     ExperimentConfig,
     RunReport,
+    SchemaError,
     SignalLog,
     StructureViolationError,
     build_masks,
@@ -353,12 +354,68 @@ def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, c
     assert not (tmp_path / "verify_report.json").exists()
 
 
+def test_a_simulated_record_over_the_memory_budget_is_a_config_error(tmp_path):
+    # N = 10**9 at rates (2,3) would simulate 194 GiB: the config refuses it
+    # and names N, before anything is simulated
+    plant = builtin_config((2, 3)).plant
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the simulated record of N = 1000000000 samples, "
+                                         r"shape \(1000000000, 26\), would take 194 GiB"):
+        ExperimentConfig(plant=plant, rates=(2, 3), N=10**9)
+    path = write_config(tmp_path, rates=[2, 3], N=10**9)
+    with pytest.raises(SchemaError, match="N = 1000000000"):
+        load_config(path)
+    assert time.perf_counter() - start < 0.5
+    # a signals file is already in memory, and the record check leaves it alone
+    assert ExperimentConfig(plant=plant, rates=(2, 3), N=10**9,
+                            input={"file": "signals.csv"}).N == 10**9
+
+
+def test_cli_operand_over_the_memory_budget_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, rates=[5, 6], N=6000)
+    assert main(["identify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("config error: the B/D/x0 regressor, shape (360000, "
+                                       "4590), would take 12.3 GiB, over the 2 GiB memory "
+                                       "budget\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_error_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["identify", "--config", str(missing)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("case", ["missing-model", "missing-config", "malformed-config"])
+def test_verify_refusal_prints_one_line_and_exits_with_its_code(tmp_path, dual_rate_run,
+                                                                 capsys, case):
+    # a missing model file is a data error (3) and a config that cannot be
+    # read a config error (2); neither leaves a verdict.  A model of another
+    # spec or size and a structure refusal are pinned by the tests above and below
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
+    config = write_config(tmp_path, rates=[2, 3])
+    missing = tmp_path / "missing.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    path, config, code, line = {
+        "missing-model": (missing, config, 3,
+                          f"data error: [Errno 2] No such file or directory: '{missing}'"),
+        "missing-config": (path, missing, 2,
+                           f"config error: [Errno 2] No such file or directory: '{missing}'"),
+        "malformed-config": (path, bad, 2, f"config error: {bad}: Expecting property name "
+                                           "enclosed in double quotes (line 1, column 2)"),
+    }[case]
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,14 @@ from cycsid import (
     ExcitationDeficientError,
     ExperimentConfig,
     InsufficientDataError,
+    MemoryBudgetError,
     RankConditionError,
     build_block_hankel,
     build_masks,
     cycle_signal,
     cyclic_reformulate,
     kernels,
+    benchmark_plant,
     make_state_space,
     markov,
     markov_match,
@@ -24,6 +27,7 @@ from cycsid import (
     simulate_multirate,
     subspace_identify,
 )
+from cycsid import subspace
 from cycsid.cyclic import place_blocks, read_blocks
 from cycsid.subspace import (
     _observability_estimate,
@@ -337,6 +341,38 @@ def test_identify_frees_factorization_before_fit(plant):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * regressor_bytes, peak / regressor_bytes
+
+
+def test_a_regressor_over_the_memory_budget_is_refused_before_anything_is_built():
+    # rates (5,6), N = 6000 ask for a 12.3 GiB B/D/x0 regressor: the run ends
+    # in a typed error that names it, fast and without allocating it or the LQ operand
+    cfg = ExperimentConfig(plant=benchmark_plant(), rates=(5, 6), N=6000)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(MemoryBudgetError) as err:
+            run_identification(cfg)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("the B/D/x0 regressor, shape (360000, 4590), would take "
+                              "12.3 GiB, over the 2 GiB memory budget")
+    assert seconds < 0.5 and peak < 2**25, (seconds, peak)
+
+
+def test_the_memory_budget_admits_the_largest_benchmark_operand(monkeypatch):
+    # rates (4,5), N = 3000: the 1.98 GB regressor and the LQ operand pass
+    # the budget, and the run goes on to the factorization
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr(subspace, "_observability_estimate", stop)
+    with pytest.raises(Reached):
+        run_identification(ExperimentConfig(plant=benchmark_plant(), rates=(4, 5), N=3000))
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-2])
