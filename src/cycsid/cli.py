@@ -100,7 +100,7 @@ def _load_config(args):
     cannot be read or parsed is a config error, so it raises ValueError."""
     try:
         cfg = pipeline.load_config(args.config)
-    except (ParseError, SchemaError, OSError) as e:
+    except (ParseError, SchemaError) as e:
         raise ValueError(str(e)) from e
     return _override(cfg, args)
 
@@ -158,10 +158,7 @@ def cmd_identify(args):
 def cmd_verify(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    try:
-        mf = load_model(args.model)
-    except OSError as e:
-        raise ParseError(str(e)) from e
+    mf = load_model(args.model)
     spec = cfg.spec
     plant = cfg.plant
     # a model of another sampling pattern or plant size came from other data

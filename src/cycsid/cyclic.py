@@ -16,8 +16,6 @@ from .statespace import ctrb, obsv
 
 #: off-pattern tolerance for analytically constructed matrices
 EXACT_TOL = 1e-12
-#: off-pattern tolerance for models produced by identification
-IDENTIFIED_TOL = 1e-6
 
 
 def shift_matrix(q, M):
@@ -34,11 +32,17 @@ def shift_matrix(q, M):
 
 @dataclass(frozen=True)
 class CycledSignal:
-    """Length-Mq samples whose only nonzero block rotates with k mod M."""
+    """Length-Mq samples whose only nonzero block rotates with k mod M.  The
+    channels per phase block, q, are the width of samples over M; a width
+    that is not a multiple of M is a DimensionMismatchError."""
 
     samples: np.ndarray  # (N, M*q)
-    q: int
     M: int
+
+    def __post_init__(self):
+        if self.samples.shape[1] % self.M:
+            raise DimensionMismatchError(f"a cycled signal of period {self.M} cannot be "
+                                         f"{self.samples.shape[1]} channels wide")
 
 
 def cycle_signal(raw, M):
@@ -50,7 +54,7 @@ def cycle_signal(raw, M):
     out = np.zeros((N, M * q))
     k = np.arange(N)
     out.reshape(N, M, q)[k, k % M] = raw
-    return CycledSignal(samples=out, q=q, M=M)
+    return CycledSignal(samples=out, M=M)
 
 
 def _pattern_index(M, off):
@@ -115,16 +119,16 @@ class StructureReport:
     tol: float
 
 
-def _offpattern(mat, block_rows, block_cols, M, offset):
-    """Largest |entry| outside the blocks (r, c) with r - c = offset mod M."""
+def _offpattern(mat, M, offset):
+    """Largest |entry| of an M x M block matrix outside the blocks (r, c) with
+    r - c = offset mod M.  The block sizes are its shape over M, as in
+    `read_blocks`; a shape that M does not divide is a DimensionMismatchError."""
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape != (M * block_rows, M * block_cols):
-        raise DimensionMismatchError(
-            f"expected {(M * block_rows, M * block_cols)}, got {mat.shape}"
-        )
+    if mat.ndim != 2 or mat.shape[0] % M or mat.shape[1] % M:
+        raise DimensionMismatchError(f"expected {M} x {M} blocks, got shape {mat.shape}")
     if mat.size == 0:
         return 0.0
-    peaks = np.abs(mat).reshape(M, block_rows, M, block_cols).max(axis=(1, 3))
+    peaks = np.abs(mat).reshape(M, mat.shape[0] // M, M, -1).max(axis=(1, 3))
     r, c = np.indices((M, M))
     return float(peaks[(r - c - offset) % M != 0].max(initial=0.0))
 
@@ -133,14 +137,15 @@ def _report(kind, worst, tol):
     return StructureReport(kind=kind, max_offpattern=worst, passed=worst <= tol, tol=tol)
 
 
-def is_block_diagonal(mat, block_rows, block_cols, M, tol=EXACT_TOL):
-    """All mass outside the M diagonal blocks must be below tol."""
-    return _report("block_diagonal", _offpattern(mat, block_rows, block_cols, M, 0), tol)
+def is_block_diagonal(mat, M, tol=EXACT_TOL):
+    """All mass of the M x M block matrix mat outside its M diagonal blocks
+    must be below tol."""
+    return _report("block_diagonal", _offpattern(mat, M, 0), tol)
 
 
-def is_cyclic_matrix(mat, block_rows, block_cols, M, tol=EXACT_TOL):
+def is_cyclic_matrix(mat, M, tol=EXACT_TOL):
     """Only blocks (i+1 mod M, i) may carry mass (subdiagonal + corner)."""
-    return _report("cyclic", _offpattern(mat, block_rows, block_cols, M, 1), tol)
+    return _report("cyclic", _offpattern(mat, M, 1), tol)
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class StructureChecks:
         return {k: asdict(r) for k, r in self.reports.items()}
 
 
-def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, *, maxdepth):
+def verify_markov_structure(H, M, tol, *, maxdepth):
     """Check S_l^i H(i+j) S_m^j block diagonal and S_l^i H(i+j) S_m^{j-1}
     cyclic for all i, j >= 0 with i + j <= maxdepth; one report per lag.
 
@@ -174,13 +179,14 @@ def verify_markov_structure(H, l, m, M, tol=EXACT_TOL, *, maxdepth):
     s = i + j both checks keep exactly the blocks (a, b) of H(s) with
     a - b = s mod M: one masked block maximum per lag s decides every
     (i, j) on it, and reports[s] holds it.  H must supply at least
-    maxdepth+1 matrices of size Ml x Mm.
+    maxdepth+1 M x M block matrices; their block sizes are read from their
+    shape.
     """
     if len(H) <= maxdepth:
         raise DimensionMismatchError(
             f"need {maxdepth + 1} Markov matrices, got {len(H)}"
         )
-    return StructureChecks({s: _report("block_diagonal", _offpattern(H[s], l, m, M, s), tol)
+    return StructureChecks({s: _report("block_diagonal", _offpattern(H[s], M, s), tol)
                             for s in range(maxdepth + 1)})
 
 

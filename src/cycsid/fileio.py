@@ -1,13 +1,15 @@
 """Signal CSV and model/report/config JSON persistence.
 
 Floats are written with 17 significant digits so that load(save(x)) is
-bit-exact for finite doubles.  JSON parse failures surface as ParseError
-with line/column; missing or inconsistent fields as SchemaError.
+bit-exact for finite doubles.  A file that cannot be opened or is not
+UTF-8 text, and JSON parse failures, surface as ParseError naming the file
+(JSON ones with line/column); missing or inconsistent fields as SchemaError.
 """
 
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +28,22 @@ def write_json(obj, path):
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+@contextmanager
+def _reading(path, newline=None):
+    """path opened as UTF-8 text; a file that cannot be opened or decoded is
+    a ParseError naming it (an OSError's message already does)."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as e:
+        raise ParseError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
 def read_json(path):
-    text = Path(path).read_text()
+    with _reading(path) as fh:
+        text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -65,8 +81,8 @@ def save_signals(log, path):
 
 
 def load_signals(path):
-    """Read a signals CSV back into a SignalLog (x0 is not stored: zeros)."""
-    with open(path, newline="") as fh:
+    """Read a signals CSV back into a SignalLog; blank lines are skipped."""
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -101,8 +117,7 @@ def load_signals(path):
             obs.append(vals[m + l:])
     if not us:
         raise ParseError(f"{path}: no data rows", line=2)
-    return SignalLog(u=np.array(us), y=np.array(ys),
-                     x0=np.zeros(0), obs=np.array(obs))
+    return SignalLog(u=np.array(us), y=np.array(ys), obs=np.array(obs))
 
 
 def _is_finite(s):
@@ -168,7 +183,8 @@ def _numbers(value):
 def load_model(path):
     """Load a model file written by save_model: every one of MODEL_KEYS and
     of the RECORD_KEYS, and no other.  A missing, unknown or malformed field
-    is a SchemaError that names it."""
+    is a SchemaError that names it; so is a NaN anywhere, and an infinite
+    entry anywhere but sv_gap, where Infinity marks a phase without a gap."""
     try:
         doc = _exactly(read_json(path), "model", MODEL_KEYS)
         if doc["kind"] != "identified":
@@ -195,9 +211,17 @@ def load_model(path):
         margin, a_off = (convert(f"{name}.{key}", record[key], number, "a number")
                          for name, record, key in (("block_rows", depth, "shift_margin"),
                                                    ("phases", phases, "a_offpattern")))
+        for key, value in (("block_rows.shift_margin", margin),
+                           ("phases.rank_margin", rank_margins), ("phases.a_offpattern", a_off)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} contains non-finite entries")
+        # Infinity in sv_gap marks a phase without a gap
+        if np.isnan(gaps).any():
+            raise ValueError("phases.sv_gap contains NaN")
         provenance = {key: convert(f"provenance.{key}", value, optional(integer),
                                    "an integer or null") for key, value in provenance.items()}
-        # IdentifiedModel checks every shape against the declared (n, m, l, M)
+        # IdentifiedModel checks every shape against the declared (n, m, l, M),
+        # and refuses a non-finite entry in A, B, C, D or x0
         model = IdentifiedModel(A=A, B=B, C=C, D=D, n=n, m=m, l=l, M=M, x0=x0,
                                 block_rows=used, pattern_block_rows=pattern,
                                 shift_margin=margin, phase_rank_margins=rank_margins,

@@ -164,6 +164,13 @@ def regressor_rows(C, N):
     return (steps * (M * l) + q * l + c)[steps < N]
 
 
+def regressor_shape(N, M, n, m, l):
+    """``io_regressor``'s shape over N steps of a period-M model with n
+    states, m inputs and l outputs per phase: one row per cycled output
+    entry, one column per entry of [x0, vec B, vec D]."""
+    return N * M * l, M * n + M * n * M * m + M * l * M * m
+
+
 def io_regressor(A, C, u):
     """Regressor Phi of the pattern-constrained (x0, vec B, vec D) least
     squares of a cyclic model, an (N*M*l) x (M*n + M*n*M*m + M*l*M*m)
@@ -198,16 +205,11 @@ def io_regressor(A, C, u):
 
     The rows past the samples and the padding columns from w on stay only
     because the benchmark's tracer (perfbench/tracing.py) pins this shape,
-    until it bounds the shape instead (ROADMAP item 1); the fit needs only
-    the corner.  Only the leading columns' pages are ever written (9.5 of
-    57 MB at rates (2,3), N = 3000); the padding's stay unmapped.  Below 129
-    columns LAPACK's QR is unblocked and ends each reflector at the last
-    sample, so the full-shape least squares of a rates (3,2), n = 1 plant
-    (24,000 x 114, N = 2000) took 30-36 ms against 87-97 ms with the samples
-    spread over the rows.  Solving on the corner alone took 0.7 ms for that
-    plant, 2.2 ms against 0.15 s on the full shape at (2,3) (2,500 x 33 of
-    36,000 x 198), and 4.7 ms against 2.4 s at (3,4) (1,750 x 63 of
-    72,000 x 756) (benchmark plant, N = 3000, 2 vCPUs, OpenBLAS 0.3.31).
+    ``regressor_shape``, until it bounds the shape instead (ROADMAP item 1);
+    the fit needs only the corner.  Only the leading columns' pages are ever
+    written, and the padding's stay unmapped.  README "Memory" gives the
+    pages written and the least-squares times on the full shape and on the
+    corner.
 
     The x0 and B columns come from the sensitivity S(mu), n x (n + M*m*n),
     of the phase-0 state at step M*mu to x0 block 0 and the B pairs: S(0) =
@@ -249,7 +251,7 @@ def io_regressor(A, C, u):
     forced = np.where((lag >= 0)[..., None],
                       (Cr @ G[phase[1:, None], np.maximum(lag, 0)])[..., 0, :], 0.0).transpose(0, 2, 1)
 
-    Phi = np.zeros((N * ll, M * n + M * n * mm + ll * mm), order="F")
+    Phi = np.zeros(regressor_shape(N, M, n, m, l), order="F")
     PhiT = Phi.T  # C-contiguous: row i is column i of Phi
     grid = PhiT[:nc, :periods * R].reshape(nc, periods, R)  # (column, mu, r), a view
     # a period's bytes: its row of S, and of Y and Y's input term

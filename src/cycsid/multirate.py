@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRateError, RankDeficientAError
 from .numerics import DEFAULT_RANK_TOL, as_matrix, convert, integer, rank_with_tol
-from .statespace import SignalLog, powers, simulate
+from .statespace import powers, simulate
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ def simulate_multirate(ss, spec, u, x0=None):
             f"spec has {spec.l} rates but the plant has {ss.l} outputs"
         )
     log = simulate(ss, u, x0)
-    obs = spec.pattern(log.N)
-    return SignalLog(u=log.u, y=log.y * obs, x0=log.x0, obs=obs, x=log.x)
+    log.obs = spec.pattern(log.N)
+    log.y *= log.obs
+    return log
 
 
 def check_observability_assumption(ss, spec):

@@ -265,24 +265,23 @@ def collect_data(cfg):
 
 def choose_transform(idm, tol):
     """Build the transform from idm's reachability data, apply it and check
-    the cyclic form once, with n, m, l and M read from idm.
+    the cyclic form once, with the period read from idm.
 
     Returns (CyclicModel, TransformResult, tried), where tried holds the one
     attempt: its rank, cond(T) and, once applied, the cyclic-form margin.
     Raises StructureViolationError, with the attempt's record as its
     attempt, when T is singular or the transformed model is not cyclic at tol.
     """
-    n, m, l, M = idm.n, idm.m, idm.l, idm.M
     tres = build_transform(idm)
     entry = {"convention": "general", "rank": tres.rank, "regular": tres.regular,
              "cond": tres.cond}
     if tres.regular:
         Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
+        form = verify_cyclic_form(Am, Bm, Cm, Dm, idm.M, tol)
         entry.update(applied=True, structure_passed=form.passed,
                      max_offpattern=form.max_offpattern)
         if form.passed:
-            model = extract_components(Am, Bm, Cm, Dm, n, m, l, M, form, T=tres.matrix)
+            model = extract_components(Am, Bm, Cm, Dm, idm.M, form, T=tres.matrix)
             return model, tres, [entry]
     raise StructureViolationError(
         f"the transform gives no regular matrix with cyclic structure: {entry}", attempt=entry)
@@ -314,7 +313,7 @@ def run_identification(cfg):
     t_data = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, cfg.spec.M * cfg.plant.n)
+    idm = subspace_identify(uc, yc, cfg.plant.n)
     t_identify = time.perf_counter() - t0
 
     model, report = validate(idm, cfg, {"seed": cfg.input.get("seed"), "N": log.N,
@@ -333,9 +332,8 @@ def validate(idm, cfg, provenance):
     """
     timings = {}
     plant, spec, tol = cfg.plant, cfg.spec, cfg.tolerances
-    n, m, l = plant.n, plant.m, plant.l
     M = spec.M
-    order = M * n
+    order = M * plant.n
 
     # True-system reference facts.
     t0 = time.perf_counter()
@@ -345,8 +343,8 @@ def validate(idm, cfg, provenance):
     Yc = build_Y_check(cs)
     rank_x, rank_y = rank_with_tol(Xc), rank_with_tol(Yc)
     true_structure = {
-        "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, n, m, M, 1e-12)),
-        "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, l, n, M, 1e-12)),
+        "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, M, 1e-12)),
+        "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, M, 1e-12)),
     }
     timings["reference"] = time.perf_counter() - t0
 
@@ -355,7 +353,7 @@ def validate(idm, cfg, provenance):
     H_true = markov(cs, MARKOV_MATCH_DEPTH + 1)
     H_id = markov(idm, max(MARKOV_MATCH_DEPTH, maxdepth) + 1)
     mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, MARKOV_MATCH_DEPTH, tol["markov"])
-    markov_form = verify_markov_structure(H_id, l, m, M, tol["structure"], maxdepth=maxdepth)
+    markov_form = verify_markov_structure(H_id, M, tol["structure"], maxdepth=maxdepth)
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

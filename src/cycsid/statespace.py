@@ -64,16 +64,16 @@ def make_state_space(A, B, C, D):
 
 @dataclass
 class SignalLog:
-    """Input/output record of a simulation run.
+    """Input/output record of a simulation run or a signals file.
 
     u is (N, m), y is (N, l); obs is an (N, l) 0/1 array marking which
     output entries were actually observed (all ones for single-rate runs).
-    States x are kept for testing only and are never serialized.
+    States x are kept for testing only and are never serialized; the
+    initial state is x[0] of a simulation and is not recorded otherwise.
     """
 
     u: np.ndarray
     y: np.ndarray
-    x0: np.ndarray
     obs: np.ndarray | None = None
     x: np.ndarray | None = field(default=None, repr=False)
 
@@ -86,7 +86,6 @@ class SignalLog:
             )
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.y))):
             raise DimensionMismatchError("signals contain non-finite entries")
-        self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
         if self.obs is None:
             self.obs = np.ones_like(self.y)
         else:
@@ -126,7 +125,7 @@ def simulate(sys, u, x0=None):
         raise DivergentPlantError(
             f"the plant's A (spectral radius {np.abs(np.linalg.eigvals(sys.A)).max():.3g}) "
             f"overflows the simulation over N = {u.shape[0]} samples") from e
-    return SignalLog(u=u, y=y, x0=x0, x=x)
+    return SignalLog(u=u, y=y, x=x)
 
 
 def powers(A, X, count, right=False):

@@ -55,7 +55,7 @@ from .errors import (
     InsufficientDataError,
     RankConditionError,
 )
-from .kernels import io_regressor, regressor_columns, regressor_rows
+from .kernels import io_regressor, regressor_columns, regressor_rows, regressor_shape
 from .numerics import as_signal, blas_threads, check_budget, rank_with_tol
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
@@ -101,8 +101,9 @@ class IdentifiedModel:
             if got != want:
                 raise DimensionMismatchError(
                     f"{name} is {got} but the declared (n, m, l, M) make it {want}")
-        if not all(np.all(np.isfinite(X)) for X in (self.A, self.B, self.C, self.D, self.x0)):
-            raise DimensionMismatchError("identified matrices contain non-finite entries")
+        for name in ("A", "B", "C", "D", "x0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DimensionMismatchError(f"{name} contains non-finite entries")
 
     @property
     def order_gap(self):
@@ -160,32 +161,34 @@ def _shortest_cover(seen, rows, limit):
     return next((h for h in range(1, limit + 1) if pattern_cover(seen, h) >= rows), None)
 
 
-def full_block_rows(order, M):
-    """max(2n + 2, order + 1): a depth that needs no pattern count.  Under the
-    observability assumption every phase reaches an observable phase within
-    M - 1 steps and then takes n samples spaced M apart, so the shifted
-    observability matrix of order block rows has full column rank."""
-    return max(2 * (order // M) + 2, order + 1)
+def full_block_rows(n, M):
+    """max(2n + 2, order + 1), order = M*n: a depth that needs no pattern
+    count.  Under the observability assumption every phase reaches an
+    observable phase within M - 1 steps and then takes n samples spaced M
+    apart, so the shifted observability matrix of order block rows has full
+    column rank."""
+    return max(2 * n + 2, M * n + 1)
 
 
-def default_block_rows(order, seen):
-    """max(2n + 2, min(order + 1, h + 1)), h the fewest block rows whose every
-    window samples at least 2n output rows (seen from `sampled_rows`)."""
-    n = order // len(seen)
+def default_block_rows(n, seen):
+    """max(2n + 2, min(order + 1, h + 1)), order = M*n with M = len(seen), h
+    the fewest block rows whose every window samples at least 2n output rows
+    (seen from `sampled_rows`)."""
+    order = len(seen) * n
     h = _shortest_cover(seen, 2 * n, order - 1)
     return max(2 * n + 2, order + 1 if h is None else h + 1)
 
 
 def _signal_array(sig):
+    """(samples, M) of a CycledSignal, or of a plain (N, channels) array, one phase."""
     if isinstance(sig, CycledSignal):
         N = sig.samples.shape[0]
-        held = sig.samples.reshape(N, sig.M, sig.q)[np.arange(N), np.arange(N) % sig.M]
+        held = sig.samples.reshape(N, sig.M, -1)[np.arange(N), np.arange(N) % sig.M]
         if np.count_nonzero(held) != np.count_nonzero(sig.samples):
             raise DimensionMismatchError(
                 "a cycled signal must hold sample k in phase block k mod M only")
-        return sig.samples, sig.q, sig.M
-    arr = as_signal(sig)
-    return arr, arr.shape[1], 1
+        return sig.samples, sig.M
+    return as_signal(sig), 1
 
 
 def _hankel_phases(channels, q, M, start, rows):
@@ -196,21 +199,21 @@ def _hankel_phases(channels, q, M, start, rows):
     return ((channels // q)[None, :] - start - np.arange(rows)[:, None]).ravel() % M
 
 
-def _observability_estimate(u, y, i, order, M):
-    """(Gam, svs): the order-`order` extended observability estimate from
+def _observability_estimate(u, y, i, n, M):
+    """(Gam, svs): the order-M*n extended observability estimate from
     block-Hankel data with i block rows, and the singular values of each
     phase's projection, svs[p] for the state at phases k = p mod M.
 
     The LQ operand [Uf; Up; Yp; Yf] keeps its full shape with the rows of
     never-sampled outputs last; each phase group's input rank and projection
     SVD are taken apart, and each phase's top n left singular vectors fill
-    its state block of Gam (see the module docstring).  The Hankel blocks,
+    its state block of Gam (see the module docstring).  The operand is sized
+    against the memory budget before it is built.  The Hankel blocks,
     their LQ factor and the SVD factors are locals here, so they are freed
     before the caller builds the much larger B/D/x0 regressor.
     """
     N, mm = u.shape
     ll = y.shape[1]
-    n = order // M
     j = N - 2 * i + 1
     live = np.flatnonzero(y.any(axis=0))
     r_uf = i * mm
@@ -222,7 +225,9 @@ def _observability_estimate(u, y, i, order, M):
     # the span of future outputs explained by past data after future inputs.
     # The Hankel blocks are written straight into the stack.  Only L is used,
     # so mode "r" skips forming the j-row orthogonal factor.
-    stack = np.empty((2 * i * (mm + ll), j))
+    shape = (2 * i * (mm + ll), j)
+    check_budget(f"LQ operand at block_rows={i}", shape)
+    stack = np.empty(shape)
     build_block_hankel(u, i, j, start=i, out=stack[:r_uf])
     build_block_hankel(u, i, j, out=stack[r_uf:r_up])
     build_block_hankel(y[:, live], i, j, out=stack[r_up:r_past])
@@ -246,7 +251,7 @@ def _observability_estimate(u, y, i, order, M):
     group_f = _hankel_phases(live, ll // M, M, i, i)
     group_past = np.concatenate([group_up, _hankel_phases(live, ll // M, M, 0, i)])
     gam_rows = (np.arange(i)[:, None] * ll + live).ravel()  # Yf row -> row of Gam
-    Gam = np.zeros((i * ll, order))
+    Gam = np.zeros((i * ll, M * n))
     svs = [None] * M
     for g in range(M):
         rows = np.flatnonzero(group_f == g)
@@ -290,18 +295,20 @@ def _shift_margin(Gam, order, ll):
 
 
 @blas_threads()
-def subspace_identify(ucheck, ycheck, order, block_rows=None):
-    """Identify an order-`order` model from input/output data.
+def subspace_identify(ucheck, ycheck, n, block_rows=None):
+    """Identify a model with n states per phase, of order M*n, from
+    input/output data.
 
-    Accepts CycledSignal values (their base dimension and period are kept
-    on the result; sample k must sit in phase block k mod M and order must
-    be a multiple of M) or plain (N, channels) arrays treated as single-rate.
+    Accepts CycledSignal values, whose period M is read from them and kept
+    on the result with the channels per phase block (sample k must sit in
+    phase block k mod M), or plain (N, channels) arrays treated as
+    single-rate, M = 1.
 
     The depth i (block rows) follows the sampling pattern.  seen[p] counts
     the output rows of phase block p that carry a nonzero sample (for a
     plain array M = 1 and these are the nonzero columns), and cover(h) is
     the fewest sampled rows in any h consecutive block rows.  With
-    n = order // M:
+    order = M*n:
 
     - block_rows None picks max(2n + 2, min(order + 1, h + 1)), h the fewest
       block rows with cover(h) >= 2n;
@@ -329,47 +336,42 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     weak singular-value gap at the forced order is reported on the result,
     not raised.
     """
-    u, m_base, M = _signal_array(ucheck)
-    y, l_base, My = _signal_array(ycheck)
+    u, M = _signal_array(ucheck)
+    y, My = _signal_array(ycheck)
     if My != M:
         raise DimensionMismatchError(f"input period {M} != output period {My}")
     if u.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"signals must share length, got {u.shape[0]} and {y.shape[0]}"
         )
-    if order % M:
-        raise DimensionMismatchError(f"order {order} is not a multiple of the period {M}")
-    N = u.shape[0]
-    mm = u.shape[1]
+    N, mm = u.shape
     ll = y.shape[1]
-    n_base = order // M
+    m_base, l_base = mm // M, ll // M
+    order = M * n
     seen = sampled_rows(y, M)
     if not seen.any():
         raise InsufficientDataError(
             f"no output sample of the {N}-sample record is nonzero: the data carry no output")
-    pattern = default_block_rows(order, seen)
+    pattern = default_block_rows(n, seen)
     i = pattern if block_rows is None else block_rows
     covered = pattern_cover(seen, i - 1)
-    if covered < n_base:
+    if covered < n:
         # n consecutive periods sample every row seen anywhere, so a shortest depth exists
-        shortest = _shortest_cover(seen, n_base, M * n_base)
+        shortest = _shortest_cover(seen, n, order)
         raise RankConditionError(
             f"block_rows={i} too small to expose order {order}: some {i - 1} consecutive "
-            f"block rows sample {covered} output rows, fewer than n = {n_base}; "
+            f"block rows sample {covered} output rows, fewer than n = {n}; "
             f"use block_rows >= {shortest + 1}"
         )
-    # io_regressor's shape: one row per cycled output entry, one column per
-    # entry of [x0, vec B, vec D]
-    check_budget("B/D/x0 regressor", (N * ll, order + order * mm + ll * mm))
+    check_budget("B/D/x0 regressor", regressor_shape(N, M, n, m_base, l_base))
     # the pattern depth, then once the one that needs no pattern count
-    full = full_block_rows(order, M)
+    full = full_block_rows(n, M)
     depths = [i] if block_rows is not None or pattern >= full else [pattern, full]
     for i in depths:
         why = "" if i == depths[0] else f"pattern depth {pattern} failed the shift check; "
         _require_samples(N, i, mm, ll, order, why)
-        check_budget(f"LQ operand at block_rows={i}", (2 * i * (mm + ll), N - 2 * i + 1))
-        Gam, svs = _observability_estimate(u, y, i, order, M)
-        margins, gaps = _phase_margins(svs, n_base)
+        Gam, svs = _observability_estimate(u, y, i, n, M)
+        margins, gaps = _phase_margins(svs, n)
         gap, margin = max(gaps), _shift_margin(Gam, order, ll)
         if gap <= SV_GAP_TOL and margin > gap:
             break
@@ -382,7 +384,7 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
             )
 
     A, *_ = np.linalg.lstsq(Gam[:-ll], Gam[ll:], rcond=None)
-    a_offpattern = is_cyclic_matrix(A, n_base, n_base, M).max_offpattern
+    a_offpattern = is_cyclic_matrix(A, M).max_offpattern
     A_phases = read_blocks(A, M, 1)
     A = place_blocks(A_phases, 1)
     C = Gam[:ll].copy()
@@ -405,7 +407,7 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     # only the leading columns, x0 block 0, B's cyclic blocks and D's
     # diagonal blocks, hold data; a never-sampled output's D columns are
     # zero, and every entry of [x0, vec B, vec D] that no sample reaches is 0
-    cols = regressor_columns(M, n_base, m_base, l_base)
+    cols = regressor_columns(M, n, m_base, l_base)
     fitted = Phi[:rows.size, :cols.size].any(axis=0)
     full = np.zeros(Phi.shape[1])
     full[cols[fitted]] = theta[:cols.size][fitted]
@@ -414,7 +416,7 @@ def subspace_identify(ucheck, ycheck, order, block_rows=None):
     D = full[order + order * mm:].reshape((ll, mm), order="F")
 
     return IdentifiedModel(
-        A=A, B=B, C=C, D=D, n=n_base, m=m_base, l=l_base, M=M, x0=x0,
+        A=A, B=B, C=C, D=D, n=n, m=m_base, l=l_base, M=M, x0=x0,
         block_rows=i, pattern_block_rows=pattern, shift_margin=margin,
         phase_rank_margins=margins, phase_gaps=gaps, a_offpattern=a_offpattern,
     )

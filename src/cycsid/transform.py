@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import (
-    IDENTIFIED_TOL,
     StructureChecks,
     is_block_diagonal,
     is_cyclic_matrix,
@@ -98,32 +97,32 @@ def apply_transform(idm, T):
     return Ti @ idm.A @ T, Ti @ idm.B, idm.C @ T, idm.D.copy()
 
 
-def verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol=IDENTIFIED_TOL):
-    """Check the four transformed matrices against the cyclic-reformulation
+def verify_cyclic_form(Am, Bm, Cm, Dm, M, tol):
+    """Check the four transformed matrices, M x M block matrices whose block
+    sizes are read from their shapes, against the cyclic-reformulation
     pattern: dynamics and input cyclic, output and feedthrough block diagonal."""
     return StructureChecks({
-        "A_cyclic": is_cyclic_matrix(Am, n, n, M, tol),
-        "B_cyclic": is_cyclic_matrix(Bm, n, m, M, tol),
-        "C_block_diagonal": is_block_diagonal(Cm, l, n, M, tol),
-        "D_block_diagonal": is_block_diagonal(Dm, l, m, M, tol),
+        "A_cyclic": is_cyclic_matrix(Am, M, tol),
+        "B_cyclic": is_cyclic_matrix(Bm, M, tol),
+        "C_block_diagonal": is_block_diagonal(Cm, M, tol),
+        "D_block_diagonal": is_block_diagonal(Dm, M, tol),
     })
 
 
-def aggregate_diagnostics(idm, T, tol=IDENTIFIED_TOL):
+def aggregate_diagnostics(idm, T, tol):
     """Runtime evidence behind the transform's correctness argument.
 
     The observability aggregate of the identified model composed with T must be
     block diagonal and regular, and its product with the transformed state
     matrix must be cyclic.
     """
-    n, M = idm.n, idm.M
     X = build_X_check(idm) @ T
     Am = np.linalg.solve(T, idm.A @ T)
     Z = X @ Am
     return {
-        "selector_aggregate_blockdiag": is_block_diagonal(X, n, n, M, tol),
+        "selector_aggregate_blockdiag": is_block_diagonal(X, idm.M, tol),
         "selector_aggregate_rank": rank_with_tol(X),
-        "aggregate_dynamics_cyclic": is_cyclic_matrix(Z, n, n, M, tol),
+        "aggregate_dynamics_cyclic": is_cyclic_matrix(Z, idm.M, tol),
     }
 
 
@@ -131,7 +130,8 @@ def aggregate_diagnostics(idm, T, tol=IDENTIFIED_TOL):
 class CyclicModel:
     """Per-phase components read off a transformed model, plus evidence.
 
-    Raw on-pattern blocks are stored untouched.
+    Raw on-pattern blocks are stored untouched; the sizes and the period
+    are those of the block lists.
     """
 
     A_phases: list
@@ -140,10 +140,6 @@ class CyclicModel:
     D_phases: list
     T: np.ndarray | None
     structure: StructureChecks
-    n: int
-    m: int
-    l: int
-    M: int
     source: object | None = None  # identified model the components came from
 
     def recovered_plant(self, spec):
@@ -161,8 +157,9 @@ class CyclicModel:
         return devA, devB
 
 
-def extract_components(Am, Bm, Cm, Dm, n, m, l, M, structure, T=None):
-    """Read the per-phase blocks out of a transformed model.
+def extract_components(Am, Bm, Cm, Dm, M, structure, T=None):
+    """Read the per-phase blocks out of a transformed model, whose M x M
+    block matrices give the block sizes by their shapes.
 
     Phase i of the dynamics and input sits at block (i+1 mod M, i); output
     and feedthrough phases sit on the diagonal.  structure, the
@@ -170,7 +167,7 @@ def extract_components(Am, Bm, Cm, Dm, n, m, l, M, structure, T=None):
     """
     return CyclicModel(A_phases=list(read_blocks(Am, M, 1)), B_phases=list(read_blocks(Bm, M, 1)),
                        C_phases=list(read_blocks(Cm, M, 0)), D_phases=list(read_blocks(Dm, M, 0)),
-                       T=T, structure=structure, n=n, m=m, l=l, M=M)
+                       T=T, structure=structure)
 
 
 def model_transfer_check(cm, reference, spec, tol):

@@ -24,13 +24,13 @@ CORPUS_SEED = 271828
 CORPUS_SIZE = 20
 
 
-def extract_checked(Am, Bm, Cm, Dm, n, m, l, M, tol):
+def extract_checked(Am, Bm, Cm, Dm, M, tol):
     """extract_components with the cyclic-form check measured on the same
     matrices, as the pipeline's convention search hands it over; like the
     pipeline, it extracts only a model that passes the check at tol."""
-    form = verify_cyclic_form(Am, Bm, Cm, Dm, n, m, l, M, tol)
+    form = verify_cyclic_form(Am, Bm, Cm, Dm, M, tol)
     assert form.passed, form.failing()
-    return extract_components(Am, Bm, Cm, Dm, n, m, l, M, form)
+    return extract_components(Am, Bm, Cm, Dm, M, form)
 
 
 def identified_model(A, B, C, D, n, m, l, M):

@@ -128,7 +128,7 @@ def test_criterion_5_markov_structure_on_corpus(corpus):
         cs = case["cycled"]
         depth = 2 * cs.M * cs.n
         H = markov(cs, depth + 1)
-        rep = verify_markov_structure(H, cs.l, cs.m, cs.M, tol=1e-12, maxdepth=depth)
+        rep = verify_markov_structure(H, cs.M, tol=1e-12, maxdepth=depth)
         worst = max(worst, rep.max_offpattern)
         assert rep.passed, (case["rates"], rep.failing()[:3])
     _report("5 shift-adjusted Markov structure on corpus", worst <= 1e-12,
@@ -143,8 +143,8 @@ def test_criterion_6_aggregate_structure_on_corpus(corpus):
         order = cs.M * cs.n
         X = build_X_check(cs)
         Y = build_Y_check(cs)
-        cyc = is_cyclic_matrix(X @ cs.B, cs.n, cs.m, cs.M, tol=1e-12)
-        bd = is_block_diagonal(cs.C @ Y, cs.l, cs.n, cs.M, tol=1e-12)
+        cyc = is_cyclic_matrix(X @ cs.B, cs.M, tol=1e-12)
+        bd = is_block_diagonal(cs.C @ Y, cs.M, tol=1e-12)
         rx, ry = rank_with_tol(X), rank_with_tol(Y)
         case_ok = cyc.passed and bd.passed and rx == order and ry == order
         if not case_ok:
@@ -172,7 +172,7 @@ def test_criterion_7_single_rate_degeneration():
 
         u = generate_input(cfg)
         log = simulate(ss, u)
-        plain = subspace_identify(u, log.y, order=n)
+        plain = subspace_identify(u, log.y, n=n)
         H_plain = markov(plain, 21)
         agree = max(np.linalg.norm(a - b) for a, b in zip(H_pipe, H_plain))
         assert agree <= 1e-12, agree
@@ -194,7 +194,7 @@ def test_criterion_8_cyclic_form_positive_and_negative_controls(corpus_runs):
         cs = run["case"]["cycled"]
         if cs.M >= 2:
             raw = model.source
-            ok = ok and is_cyclic_matrix(raw.A, cs.n, cs.n, cs.M, tol=0.0).passed
+            ok = ok and is_cyclic_matrix(raw.A, cs.M, tol=0.0).passed
             phases = read_blocks(raw.A, cs.M, 1)
             ok = ok and max(np.abs(X - phases[0]).max() for X in phases) > 1e-6
             neg_checked += 1
@@ -212,7 +212,7 @@ def test_criterion_9_coordinate_freedom(dual_rate_run, plant):
         block = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         phi = lift_selector(block, 6)
         Am, Bm, Cm, Dm = apply_transform(idm, model.T @ phi)
-        cm = extract_checked(Am, Bm, Cm, Dm, 3, 1, 2, 6, 1e-6)
+        cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-6)
         devA, _ = cm.component_spread()
         c_blank = max(np.abs(cm.C_phases[1]).max(), np.abs(cm.C_phases[5]).max())
         passed, dists = model_transfer_check(cm, plant, build_masks((2, 3)), 1e-6)

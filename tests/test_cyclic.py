@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cycsid import (
+    CycledSignal,
     DimensionMismatchError,
     build_masks,
     cycle_signal,
@@ -51,7 +52,7 @@ def test_shift_matrix_has_period_M():
 
 def test_shift_inverse_is_cyclic():
     S = shift_matrix(2, 4)
-    rep = is_cyclic_matrix(S.T, 2, 2, 4, tol=0.0)
+    rep = is_cyclic_matrix(S.T, 4, tol=0.0)
     assert rep.passed and rep.max_offpattern == 0.0
 
 
@@ -76,6 +77,13 @@ def test_cycle_uncycle_roundtrip():
     assert np.array_equal(uncycle_signal(c.samples, c.M), raw)
 
 
+def test_cycled_signal_width_must_be_a_multiple_of_its_period():
+    # the channels per phase block are the width over M
+    assert cycle_signal(np.ones((4, 2)), 3).samples.shape == (4, 6)
+    with pytest.raises(DimensionMismatchError, match="period 3 cannot be 4 channels wide"):
+        CycledSignal(samples=np.zeros((5, 4)), M=3)
+
+
 def test_cyclic_reformulate_mixed_rates(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
@@ -88,8 +96,8 @@ def test_cyclic_reformulate_mixed_rates(plant):
         assert np.array_equal(cs.B[3 * r:3 * r + 3, i:i + 1], plant.B)
         assert np.array_equal(cs.C[2 * i:2 * i + 2, 3 * i:3 * i + 3],
                               spec.masks[i] @ plant.C)
-    assert is_cyclic_matrix(cs.A, 3, 3, 3, tol=0.0).passed
-    assert is_block_diagonal(cs.C, 2, 3, 3, tol=0.0).passed
+    assert is_cyclic_matrix(cs.A, 3, tol=0.0).passed
+    assert is_block_diagonal(cs.C, 3, tol=0.0).passed
 
 
 def test_cyclic_reformulate_period_one_collapse(plant):
@@ -142,31 +150,35 @@ def test_is_block_diagonal_accepts_blockdiag():
     mat = np.zeros((8, 12))
     for i, b in enumerate(blocks):
         mat[2 * i:2 * i + 2, 3 * i:3 * i + 3] = b
-    rep = is_block_diagonal(mat, 2, 3, 4, tol=0.0)
+    rep = is_block_diagonal(mat, 4, tol=0.0)
     assert rep.passed and rep.max_offpattern == 0.0
 
 
 def test_is_block_diagonal_rejects_shift():
-    rep = is_block_diagonal(shift_matrix(1, 3), 1, 1, 3, tol=1e-9)
+    rep = is_block_diagonal(shift_matrix(1, 3), 3, tol=1e-9)
     assert not rep.passed and rep.max_offpattern == 1.0
 
 
 def test_is_cyclic_rejects_identity():
-    assert not is_cyclic_matrix(np.eye(6), 2, 2, 3, tol=1e-9).passed
+    assert not is_cyclic_matrix(np.eye(6), 3, tol=1e-9).passed
 
 
 def test_structure_checks_reject_bad_shape():
     with pytest.raises(DimensionMismatchError):
-        is_block_diagonal(np.eye(5), 2, 2, 3)
+        is_block_diagonal(np.eye(5), 3)
     with pytest.raises(DimensionMismatchError):
-        is_cyclic_matrix(np.eye(5), 2, 2, 3)
+        is_cyclic_matrix(np.eye(5), 3)
+    # the block sizes are the shape over M, so a 6 x 4 matrix at M = 3 has none
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected 3 x 3 blocks, got shape \(6, 4\)$"):
+        is_block_diagonal(np.zeros((6, 4)), 3)
 
 
 def test_shift_adjusted_first_markov_is_block_diagonal(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     H1 = markov(cs, 2)[1]
-    rep = is_block_diagonal(H1 @ shift_matrix(1, 3), 2, 1, 3, tol=0.0)
+    rep = is_block_diagonal(H1 @ shift_matrix(1, 3), 3, tol=0.0)
     assert rep.passed
 
 
@@ -174,7 +186,7 @@ def test_verify_markov_structure_exact_on_true_system(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     H = markov(cs, 10)
-    rep = verify_markov_structure(H, 2, 1, 3, tol=0.0, maxdepth=8)
+    rep = verify_markov_structure(H, 3, tol=0.0, maxdepth=8)
     assert rep.passed and rep.max_offpattern == 0.0
 
 
@@ -183,7 +195,7 @@ def test_verify_markov_structure_flags_injected_defect(plant):
     cs = cyclic_reformulate(plant, spec)
     H = [h.copy() for h in markov(cs, 10)]
     H[2][3, 0] += 0.1  # off-diagonal-block position for the (0, 2) check
-    rep = verify_markov_structure(H, 2, 1, 3, tol=1e-9, maxdepth=8)
+    rep = verify_markov_structure(H, 3, tol=1e-9, maxdepth=8)
     assert not rep.passed
     assert [lag for lag, _ in rep.failing()] == [2]
     assert rep.reports[2].max_offpattern == rep.max_offpattern == pytest.approx(0.1)
@@ -203,8 +215,8 @@ def test_markov_exchange_forms_agree_up_to_phase_rotation(corpus):
         for i in range(1, 9):
             lhs = np.linalg.matrix_power(Sl, i % M) @ H[i]
             rhs = H[i] @ np.linalg.matrix_power(Sm, i % M)
-            assert is_block_diagonal(lhs, l, m, M, tol=0.0).passed
-            assert is_block_diagonal(rhs, l, m, M, tol=0.0).passed
+            assert is_block_diagonal(lhs, M, tol=0.0).passed
+            assert is_block_diagonal(rhs, M, tol=0.0).passed
             for c in range(M):
                 p = (c + i) % M
                 lb = lhs[l * c:l * c + l, m * c:m * c + m]
@@ -223,7 +235,7 @@ def test_blockdiag_conjugation_shifts_blocks():
         E[q * i:q * i + q, q * i:q * i + q] = b
     S = shift_matrix(q, M)
     conj = S.T @ E @ S  # S^-1 E S
-    rep = is_block_diagonal(conj, q, q, M, tol=0.0)
+    rep = is_block_diagonal(conj, M, tol=0.0)
     assert rep.passed
     for i in range(M):
         assert np.array_equal(conj[q * i:q * i + q, q * i:q * i + q],
@@ -280,7 +292,7 @@ def test_verify_markov_structure_matches_shift_matrix_oracle(M):
             H[s][((a + 1) * l) % (M * l), ((a - s) % M) * m] += size  # block (a+1, a-s)
 
     tol = 1e-6
-    rep = verify_markov_structure(H, l, m, M, tol=tol, maxdepth=depth)
+    rep = verify_markov_structure(H, M, tol=tol, maxdepth=depth)
     want = _shift_adjusted_oracle(H, l, m, M, tol, depth)
     assert sorted(rep.reports) == list(range(depth + 1))
     for (i, j, name), v in want.items():

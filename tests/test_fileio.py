@@ -36,7 +36,7 @@ def test_signals_roundtrip_bit_exact(plant, tmp_path):
 
 
 def test_signals_header(tmp_path):
-    log = SignalLog(u=np.ones((3, 1)), y=np.ones((3, 2)), x0=np.zeros(1))
+    log = SignalLog(u=np.ones((3, 1)), y=np.ones((3, 2)))
     path = tmp_path / "s.csv"
     save_signals(log, path)
     assert path.read_text().splitlines()[0] == "k,u_1,y_1,y_2,obs_1,obs_2"
@@ -83,6 +83,14 @@ def test_signals_file_without_a_record_is_refused(tmp_path, text, error, message
         load_signals(path)
     assert str(err.value).startswith(f"{path}: {message}")
     assert getattr(err.value, "line", None) == line
+
+
+def test_signals_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("k,u_1,y_1,obs_1\n\n0,1.0,2.0,1\n\n\n1,3.0,4.0,1\n\n")
+    log = load_signals(path)
+    assert log.u.tolist() == [[1.0], [3.0]] and log.y.tolist() == [[2.0], [4.0]]
+    assert log.obs.tolist() == [[1.0], [1.0]]
 
 
 @pytest.mark.parametrize("ks, line, found", [
@@ -220,6 +228,62 @@ def test_model_numbers_are_json_numbers(plant, tmp_path, edit, message):
     with pytest.raises(SchemaError) as err:
         load_model(path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({"A": [[float("nan")] * 9] * 9}, "A contains non-finite entries", id="A-nan"),
+    pytest.param({"D": [[float("inf")] * 3] * 6}, "D contains non-finite entries", id="D-inf"),
+    pytest.param({"x0": [0.0] * 8 + [-float("inf")]}, "x0 contains non-finite entries",
+                 id="x0-inf"),
+    pytest.param({"phases": {"rank_margin": [1.0, float("nan"), 1.0], "sv_gap": [0.0] * 3,
+                             "a_offpattern": 0.0}},
+                 "phases.rank_margin contains non-finite entries", id="margins-nan"),
+    pytest.param({"phases": {"rank_margin": [1.0] * 3, "sv_gap": [0.0, float("nan"), 0.0],
+                             "a_offpattern": 0.0}},
+                 "phases.sv_gap contains NaN", id="gap-nan"),
+    pytest.param({"phases": {"rank_margin": [1.0] * 3, "sv_gap": [0.0] * 3,
+                             "a_offpattern": float("nan")}},
+                 "phases.a_offpattern contains non-finite entries", id="offpattern-nan"),
+    pytest.param({"block_rows": {"used": 0, "pattern": 0, "shift_margin": float("inf")}},
+                 "block_rows.shift_margin contains non-finite entries", id="margin-inf"),
+])
+def test_model_numbers_must_be_finite(plant, tmp_path, edit, message):
+    # json writes NaN and Infinity, which RFC 8259 does not: a model file that
+    # holds one is refused naming the key, so no report repeats it
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    path = tmp_path / "model.json"
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(SchemaError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_model_sv_gap_may_be_infinite(plant, tmp_path):
+    # Infinity marks a phase whose n-th singular value is zero: it has no gap
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    path = tmp_path / "model.json"
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    doc = json.loads(path.read_text())
+    doc["phases"]["sv_gap"] = [0.0, float("inf"), 0.0]
+    path.write_text(json.dumps(doc))
+    assert load_model(path).model.order_gap == float("inf")
+
+
+def test_an_unreadable_file_is_a_parse_error_naming_it(tmp_path):
+    # a missing file keeps the OSError's text, which names it; bytes that are
+    # not UTF-8 name the file they are in
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ParseError, match=re.escape(f"No such file or directory: '{missing}'")):
+        load_signals(missing)
+    signals = tmp_path / "binary.csv"
+    signals.write_bytes(b"k,u_1,y_1,obs_1\n0,1.0,\xff,1\n")
+    model = tmp_path / "binary.json"
+    model.write_bytes(b'{"kind": "\xff"}')
+    for path, load in ((signals, load_signals), (model, load_model), (model, load_config)):
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_model_bad_json_reports_position(tmp_path):

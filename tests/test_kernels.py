@@ -355,7 +355,7 @@ def identified(request, plant):
     log = simulate_multirate(plant, spec, rng.uniform(-1, 1, (3000, 1)))
     u = cycle_signal(log.u, spec.M)
     y = cycle_signal(log.y + noise * rng.uniform(-1, 1, log.y.shape), spec.M)
-    idm = subspace_identify(u, y, order=plant.n * spec.M)
+    idm = subspace_identify(u, y, n=plant.n)
     return idm.A, idm.C, u.samples, y.samples
 
 

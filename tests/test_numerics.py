@@ -208,7 +208,7 @@ def test_the_count_is_restored_after_an_error_inside_the_cap(openblas):
     u = cycle_signal(np.random.default_rng(1).uniform(-1, 1, (400, 1)), 3)
     y = cycle_signal(np.zeros((400, 2)), 3)
     with pytest.raises(InsufficientDataError):
-        subspace_identify(u, y, order=6)
+        subspace_identify(u, y, n=2)
     assert openblas() == 3
     with pytest.raises(ZeroDivisionError), blas_threads():
         1 / 0

@@ -109,7 +109,7 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_
         _, y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(3))
         obs = cfg.spec.pattern(cfg.N)
         signals = tmp_path / f"signals{runs}.csv"
-        save_signals(SignalLog(u=u, y=y * obs, x0=np.zeros(0), obs=obs), signals)
+        save_signals(SignalLog(u=u, y=y * obs, obs=obs), signals)
         cfg = dataclasses.replace(cfg, input={"file": str(signals)})
 
         _, report = run_identification(cfg)
@@ -418,6 +418,58 @@ def test_verify_refusal_prints_one_line_and_exits_with_its_code(tmp_path, dual_r
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["missing-signals", "binary-signals", "binary-config",
+                                  "binary-model"])
+def test_a_file_that_cannot_be_read_is_named_with_its_exit_code(tmp_path, dual_rate_run,
+                                                               capsys, case):
+    # signals and model files are data (exit 3) and a config is a config
+    # error (exit 2), whether the file is missing or not UTF-8 text
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    config = write_config(tmp_path, rates=[2, 3])
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"k,u_1,y_1,y_2,obs_1,obs_2\r\n0,1\xff,0,0,1,1\r\n")
+    decode = "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte"
+    missing = tmp_path / "missing.csv"
+    args, code, line = {
+        "missing-signals": (["identify", "--config", config, "--signals", missing], 3,
+                            f"data error: [Errno 2] No such file or directory: '{missing}'"),
+        "binary-signals": (["identify", "--config", config, "--signals", binary], 3,
+                           f"data error: {binary}: {decode}"),
+        "binary-config": (["identify", "--config", binary], 2,
+                          f"config error: {binary}: {decode}"),
+        "binary-model": (["verify", "--model", binary, "--config", config], 3,
+                         f"data error: {binary}: {decode}"),
+    }[case]
+    capsys.readouterr()
+    assert main([str(a) for a in args] + ["--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refuses_a_model_file_holding_nan(tmp_path, dual_rate_run, capsys):
+    # a NaN SV gap loaded before and was written back into verify_report.json,
+    # which is then not JSON
+    from cycsid.fileio import save_model
+
+    cfg, model, _ = dual_rate_run
+    config = write_config(tmp_path, rates=[2, 3])
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
+    doc = json.loads(path.read_text())
+    doc["phases"]["sv_gap"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {path}: phases.sv_gap contains NaN\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
     pytest.param("--n", "0", "N must be positive", id="n"),
@@ -471,6 +523,21 @@ def test_cli_data_error_exit_3(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_cli_signals_of_another_plant_size_are_a_data_error(tmp_path, capsys):
+    # a two-output recording given with a one-output plant: exit 3, no output
+    path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    (tmp_path / "one").mkdir()
+    one = write_config(tmp_path / "one", rates=[1], plant={
+        "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]})
+    capsys.readouterr()
+    assert main(["identify", "--config", str(one), "--signals", str(tmp_path / "signals.csv"),
+                 "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err == ("data error: signals are (1 in, 2 out) but the plant "
+                                       "is (1 in, 1 out)\n")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_cli_non_finite_signals_field_is_a_data_error_naming_its_place(tmp_path, capsys):
     # a nan on line 5 of the recording: exit 3 with the line and column, not
     # a failure of the signal record
@@ -522,7 +589,7 @@ def test_cli_record_without_output_samples_is_a_data_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     log = load_signals(tmp_path / "signals.csv")
     silent = tmp_path / "silent.csv"
-    save_signals(SignalLog(u=log.u, y=np.zeros_like(log.y), x0=log.x0, obs=log.obs), silent)
+    save_signals(SignalLog(u=log.u, y=np.zeros_like(log.y), obs=log.obs), silent)
     capsys.readouterr()
     assert main(["identify", "--config", str(path), "--signals", str(silent),
                  "--out", str(tmp_path / "silent")]) == 3

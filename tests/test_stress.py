@@ -61,7 +61,7 @@ def identify_at_depth(cfg, block_rows):
     spec, log = cfg.spec, collect_data(cfg)
     phases = observable_phases(cfg)
     idm = subspace_identify(cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M),
-                            spec.M * cfg.plant.n, block_rows=block_rows)
+                            cfg.plant.n, block_rows=block_rows)
     return validate(idm, cfg, {"seed": cfg.input["seed"], "N": log.N,
                                "observable_phases": phases})
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -27,7 +28,7 @@ from cycsid import (
     simulate_multirate,
     subspace_identify,
 )
-from cycsid import subspace
+from cycsid import numerics, subspace
 from cycsid.cyclic import place_blocks, read_blocks
 from cycsid.subspace import (
     _observability_estimate,
@@ -92,7 +93,7 @@ def test_pattern_cover_counts_sampled_rows():
 
 
 def test_default_depth_follows_the_pattern():
-    assert [default_block_rows(3 * math.lcm(*r), _pattern_rows(r))
+    assert [default_block_rows(3, _pattern_rows(r))
             for r in ((2, 3), (3, 4), (4, 5))] == [9, 13, 16]
     # never deeper than max(ceil(2 order / rows), 2n + 2, order + 1), which it
     # equals wherever 2n sampled rows per window take order block rows
@@ -103,8 +104,8 @@ def test_default_depth_follows_the_pattern():
             M, seen = math.lcm(*rates), _pattern_rows(rates)
             order = M * n
             before = max(math.ceil(2 * order / (M * len(rates))), 2 * n + 2, order + 1)
-            assert full_block_rows(order, M) == before
-            i = default_block_rows(order, seen)
+            assert full_block_rows(n, M) == before
+            i = default_block_rows(n, seen)
             assert i <= before
             if all(pattern_cover(seen, h) < 2 * n for h in range(1, order)):
                 assert i == before, (n, rates)
@@ -117,7 +118,7 @@ def test_identify_refuses_depth_the_pattern_cannot_support(plant):
     # Every plant-free check passed on the wrong model this depth gave before.
     uc, yc = _cycled_data(plant, (1, 3), 3000, 99)
     with pytest.raises(RankConditionError, match="use block_rows >= 4"):
-        subspace_identify(uc, yc, order=9, block_rows=3)
+        subspace_identify(uc, yc, n=3, block_rows=3)
 
 
 @pytest.mark.parametrize("block_rows", [None, 3, 10])
@@ -127,7 +128,7 @@ def test_identify_refuses_a_record_without_output_samples(plant, block_rows):
     uc, _ = _cycled_data(plant, (1, 3), 3000, 99)
     yc = cycle_signal(np.zeros((3000, plant.l)), 3)
     with pytest.raises(InsufficientDataError, match="no output sample .* is nonzero"):
-        subspace_identify(uc, yc, order=9, block_rows=block_rows)
+        subspace_identify(uc, yc, n=3, block_rows=block_rows)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ def blind_sensor():
 def test_explicit_depth_that_fails_the_data_check_raises(blind_sensor):
     uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, 4)
     with pytest.raises(RankConditionError, match="use block_rows=13"):
-        subspace_identify(uc, yc, order=12, block_rows=6)
+        subspace_identify(uc, yc, n=2, block_rows=6)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
@@ -154,7 +155,7 @@ def test_regressor_overflow_is_a_typed_error(blind_sensor, seed, capfd):
     # reported as unexposed; see the next test.)
     uc, yc = _cycled_data(blind_sensor, (1, 1), 3000, seed)
     with pytest.raises(DivergentModelError, match="overflows the B/D/x0 regressor over 3000 samples"):
-        subspace_identify(uc, yc, order=6, block_rows=4)
+        subspace_identify(uc, yc, n=6, block_rows=4)
     assert capfd.readouterr().err == ""  # no LAPACK complaint about inf input
 
 
@@ -168,7 +169,7 @@ def test_unexposed_depth_ends_typed_or_unexposed_on_simulated_data(blind_sensor,
         log = simulate_multirate(blind_sensor, spec, u)
         uc, yc = cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M)
         try:
-            idm = subspace_identify(uc, yc, order=12, block_rows=3)
+            idm = subspace_identify(uc, yc, n=2, block_rows=3)
         except DivergentModelError:
             assert capfd.readouterr().err == "", seed
         else:
@@ -181,8 +182,8 @@ def test_fallback_is_the_full_depth_result(blind_sensor, noise):
     # the default depth 6 fails the data check, and the rerun at
     # max(2n + 2, order + 1) = 13 is that depth's result to the bit
     uc, yc = _cycled_data(blind_sensor, (1, 6), 3000, 8, noise)
-    fell_back = subspace_identify(uc, yc, order=12)
-    full = subspace_identify(uc, yc, order=12, block_rows=13)
+    fell_back = subspace_identify(uc, yc, n=2)
+    full = subspace_identify(uc, yc, n=2, block_rows=13)
     assert (fell_back.block_rows, fell_back.pattern_block_rows) == (13, 6)
     for name in ("A", "B", "C", "D", "x0", "phase_rank_margins", "phase_gaps"):
         assert np.array_equal(getattr(fell_back, name), getattr(full, name)), name
@@ -204,7 +205,7 @@ def test_lq_operand_built_in_place_matches_stacked_hankels(plant):
     # between groups are round-off.  Each phase's singular values are those
     # of the projection with the off-group entries dropped
     uc, yc = _cycled_data(plant, (2, 3), 600, 12, noise=1e-3)
-    u, y, i, order, M = uc.samples, yc.samples, 9, 18, 6
+    u, y, i, n, M = uc.samples, yc.samples, 9, 3, 6
     j = u.shape[0] - 2 * i + 1
     live = np.flatnonzero(y.any(axis=0))
     mm, ll, lv = u.shape[1], y.shape[1], live.size
@@ -226,7 +227,7 @@ def test_lq_operand_built_in_place_matches_stacked_hankels(plant):
     r_uf, r_past = i * mm, 2 * i * mm + i * lv
     proj = L[r_past:nz, r_uf:r_past]
     proj = np.where(group[r_past:nz, None] == group[None, r_uf:r_past], proj, 0.0)
-    Gam, svs = _observability_estimate(u, y, i, order, M)
+    Gam, svs = _observability_estimate(u, y, i, n, M)
     dense = np.linalg.svd(proj, compute_uv=False)
     mine = np.sort(np.concatenate(svs))[::-1]
     assert np.abs(mine - dense[:mine.size]).max() <= 1e-12 * dense[0]
@@ -237,7 +238,7 @@ def test_lq_operand_built_in_place_matches_stacked_hankels(plant):
     b, phase = np.indices((i, M))
     assert not blocks[(np.arange(M) != ((phase - b) % M)[..., None])].any()
     dead = np.setdiff1d(np.arange(ll), live)
-    assert not Gam.reshape(i, ll, order)[:, dead].any()
+    assert not Gam.reshape(i, ll, M * n)[:, dead].any()
 
 
 def test_identify_scalar_single_rate():
@@ -245,7 +246,7 @@ def test_identify_scalar_single_rate():
     rng = np.random.default_rng(17)
     u = rng.uniform(-1, 1, (500, 1))
     log = simulate(ss, u)
-    idm = subspace_identify(u, log.y, order=1)
+    idm = subspace_identify(u, log.y, n=1)
     H_true = markov(ss, 11)
     H_id = markov(idm, 11)
     passed, worst, _ = markov_match(H_true, H_id, 10, 1e-8)
@@ -259,7 +260,7 @@ def test_identify_mixed_rates_matches_display(plant):
     u = rng.uniform(-1, 1, (3000, 1))
     log = simulate_multirate(plant, spec, u)
     idm = subspace_identify(cycle_signal(log.u, 3), cycle_signal(log.y, 3),
-                            order=9)
+                            n=3)
     S1 = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])
     got = (idm.C @ idm.B) @ S1
     want = np.array([
@@ -277,8 +278,8 @@ def test_identify_block_rows_invariance(plant):
     u = rng.uniform(-1, 1, (3000, 1))
     log = simulate_multirate(plant, spec, u)
     uc, yc = cycle_signal(log.u, 6), cycle_signal(log.y, 6)
-    a = subspace_identify(uc, yc, order=18, block_rows=19)
-    b = subspace_identify(uc, yc, order=18, block_rows=23)
+    a = subspace_identify(uc, yc, n=3, block_rows=19)
+    b = subspace_identify(uc, yc, n=3, block_rows=23)
     Ha, Hb = markov(a, 13), markov(b, 13)
     assert max(np.linalg.norm(x - y) for x, y in zip(Ha, Hb)) <= 1e-6
 
@@ -289,7 +290,7 @@ def test_identify_insufficient_data(plant):
     log = simulate_multirate(plant, spec, u)
     with pytest.raises(InsufficientDataError):
         subspace_identify(cycle_signal(log.u, 6), cycle_signal(log.y, 6),
-                          order=18)
+                          n=3)
 
 
 def test_identify_flat_input_not_exciting(plant):
@@ -298,7 +299,7 @@ def test_identify_flat_input_not_exciting(plant):
     log = simulate_multirate(plant, spec, u)
     with pytest.raises(ExcitationDeficientError):
         subspace_identify(cycle_signal(log.u, 3), cycle_signal(log.y, 3),
-                          order=9)
+                          n=3)
 
 
 def test_identify_overstated_order_is_flagged():
@@ -306,7 +307,7 @@ def test_identify_overstated_order_is_flagged():
     rng = np.random.default_rng(23)
     u = rng.uniform(-1, 1, (800, 1))
     log = simulate(ss, u)
-    idm = subspace_identify(u, log.y, order=3, block_rows=8)
+    idm = subspace_identify(u, log.y, n=3, block_rows=8)
     assert not idm.order_exposed
     assert idm.order_gap > 0.1
 
@@ -317,8 +318,8 @@ def test_identify_deterministic(plant):
     u = rng.uniform(-1, 1, (1500, 1))
     log = simulate_multirate(plant, spec, u)
     uc, yc = cycle_signal(log.u, 3), cycle_signal(log.y, 3)
-    a = subspace_identify(uc, yc, order=9)
-    b = subspace_identify(uc, yc, order=9)
+    a = subspace_identify(uc, yc, n=3)
+    b = subspace_identify(uc, yc, n=3)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert np.array_equal(a.C, b.C) and np.array_equal(a.D, b.D)
 
@@ -336,7 +337,7 @@ def test_identify_frees_factorization_before_fit(plant):
     regressor_bytes = 8 * N * ll * (order + order * mm + ll * mm)
     tracemalloc.start()
     try:
-        subspace_identify(uc, yc, order=order)
+        subspace_identify(uc, yc, n=plant.n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -363,16 +364,32 @@ def test_a_regressor_over_the_memory_budget_is_refused_before_anything_is_built(
 
 def test_the_memory_budget_admits_the_largest_benchmark_operand(monkeypatch):
     # rates (4,5), N = 3000: the 1.98 GB regressor and the LQ operand pass
-    # the budget, and the run goes on to the factorization
+    # the budget, and the run goes on to fill the LQ operand's Hankel blocks
     class Reached(Exception):
         pass
 
-    def stop(*args):
+    def stop(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(subspace, "_observability_estimate", stop)
+    monkeypatch.setattr(subspace, "build_block_hankel", stop)
     with pytest.raises(Reached):
         run_identification(ExperimentConfig(plant=benchmark_plant(), rates=(4, 5), N=3000))
+
+
+def test_the_lq_operand_is_sized_against_the_budget_before_it_is_built(plant, monkeypatch):
+    # [Uf; Up; Yp; Yf] at block_rows = 9 over 600 samples at rates (2,3):
+    # 2 * 9 * (6 + 12) rows by 600 - 18 + 1 columns, 1.5 MB over a 1 MiB budget
+    uc, yc = _cycled_data(plant, (2, 3), 600, 12)
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match=r"^the LQ operand at block_rows=9, "
+                                                    r"shape \(324, 583\), would take "):
+            _observability_estimate(uc.samples, yc.samples, 9, 3, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-2])
@@ -382,7 +399,7 @@ def test_bdx0_fit_is_the_dense_fit_on_the_pattern(plant, rates, noise):
     # regressor's least squares, which has the same solution there because
     # the rows the data fill touch no other column; off it they are exact zeros
     uc, yc = _cycled_data(plant, rates, 800, 4, noise)
-    idm = subspace_identify(uc, yc, order=plant.n * uc.M)
+    idm = subspace_identify(uc, yc, n=plant.n)
     M, n = idm.M, idm.n
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(idm.A, idm.C, uc.samples),
                                yc.samples.reshape(-1), rcond=None)
@@ -402,14 +419,29 @@ def test_never_sampled_outputs_have_exactly_zero_d(plant, rates, noise):
     # an output (q, c) that no sensor samples at phase q has no regressor
     # row, so its D entries leave the fit and are exact zeros
     uc, yc = _cycled_data(plant, rates, 800, 4, noise)
-    idm = subspace_identify(uc, yc, order=plant.n * uc.M)
+    idm = subspace_identify(uc, yc, n=plant.n)
     never = build_masks(rates).pattern(uc.M) == 0
     assert never.any() and not read_blocks(idm.D, uc.M, 0)[never].any()
 
 
 def test_identify_rejects_mismatched_lengths(plant):
     with pytest.raises(DimensionMismatchError):
-        subspace_identify(np.ones((100, 1)), np.ones((90, 2)), order=2)
+        subspace_identify(np.ones((100, 1)), np.ones((90, 2)), n=2)
+
+
+def test_identify_refuses_signals_of_different_periods(plant):
+    uc, _ = _cycled_data(plant, (1, 3), 300, 1)
+    yc = cycle_signal(np.ones((300, 2)), 2)
+    with pytest.raises(DimensionMismatchError, match="^input period 3 != output period 2$"):
+        subspace_identify(uc, yc, 3)
+
+
+def test_identify_refuses_a_cycled_signal_outside_its_phase_block(plant):
+    # sample k moved to step k + 1 sits in phase block k mod M, not (k + 1) mod M
+    uc, yc = _cycled_data(plant, (1, 3), 300, 1)
+    moved = dataclasses.replace(yc, samples=np.roll(yc.samples, 1, axis=0))
+    with pytest.raises(DimensionMismatchError, match="phase block k mod M only"):
+        subspace_identify(uc, moved, 3)
 
 
 def test_markov_match_identical(plant):

@@ -82,7 +82,7 @@ def test_lift_selector():
     block = np.arange(6.0).reshape(3, 2)
     lifted = lift_selector(block, 3)
     assert lifted.shape == (9, 6)
-    assert is_block_diagonal(lifted, 3, 2, 3, tol=0.0).passed
+    assert is_block_diagonal(lifted, 3, tol=0.0).passed
     assert np.array_equal(lift_selector(block, 1), block)
 
 
@@ -144,8 +144,8 @@ def test_aggregates_full_rank_and_structured(plant):
     Y = build_Y_check(cs)
     assert rank_with_tol(X) == 18
     assert rank_with_tol(Y) == 18
-    assert is_cyclic_matrix(X @ cs.B, 3, 1, 6, tol=0.0).passed
-    assert is_block_diagonal(cs.C @ Y, 2, 3, 6, tol=0.0).passed
+    assert is_cyclic_matrix(X @ cs.B, 6, tol=0.0).passed
+    assert is_block_diagonal(cs.C @ Y, 6, tol=0.0).passed
 
 
 def test_aggregates_degenerate_ranks(plant):
@@ -165,7 +165,7 @@ def test_transform_of_the_true_cycled_system_is_regular_and_restores_cyclic_form
     tres = build_transform(idm)
     assert tres.regular
     Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-10)
+    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, tol=1e-10)
     assert rep.passed, rep.max_offpattern
 
 
@@ -218,7 +218,7 @@ def test_true_system_transform_is_exact(corpus):
         tres = build_transform(idm)
         assert tres.regular
         Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        rep = verify_cyclic_form(Am, Bm, Cm, Dm, cs.n, cs.m, cs.l, cs.M, tol=1e-10)
+        rep = verify_cyclic_form(Am, Bm, Cm, Dm, cs.M, tol=1e-10)
         assert rep.passed
 
 
@@ -229,15 +229,15 @@ def test_verify_cyclic_form_dense_fails(plant):
     P = rng.normal(size=(9, 9)) + 3 * np.eye(9)
     Pi = np.linalg.inv(P)
     rep = verify_cyclic_form(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D,
-                             3, 1, 2, 3, tol=1e-6)
+                             3, tol=1e-6)
     assert not rep.reports["A_cyclic"].passed
 
 
 def test_extract_components_reads_blocks(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    form = verify_cyclic_form(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, tol=0.0)
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, form)
+    form = verify_cyclic_form(cs.A, cs.B, cs.C, cs.D, 3, tol=0.0)
+    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, form)
     assert cm.structure is form  # kept as evidence, not measured again
     for i in range(3):
         assert np.array_equal(cm.A_phases[i], plant.A)
@@ -264,7 +264,7 @@ def test_choose_transform_rejects_dense(plant):
 def test_model_transfer_check_true_components(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 0.0)
     passed, dists = model_transfer_check(cm, plant, spec, 1e-10)
     assert passed and dists.shape == (2, 1)
 
@@ -275,7 +275,7 @@ def test_recovered_plant_reads_each_output_where_it_is_sampled(plant, offsets):
     # recovered plant reads that row from the first phase that samples it
     spec = build_masks((2, 3), offsets)
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 6, 0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 6, 0.0)
     blind = offsets.index(1)
     assert not cm.C_phases[0][blind].any()
     rec = cm.recovered_plant(spec)
@@ -288,7 +288,7 @@ def test_recovered_plant_reads_each_output_where_it_is_sampled(plant, offsets):
 def test_model_transfer_check_detects_perturbed_reference(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3, 0.0)
+    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 0.0)
     A2 = plant.A.copy()
     A2[0, 2] += 0.05
     other = make_state_space(A2, plant.B, plant.C, plant.D)
@@ -309,16 +309,16 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     for i in range(6):
         hetero[3 * i:3 * i + 3, 3 * i:3 * i + 3] = rng.normal(size=(3, 3)) + 2 * np.eye(3)
     Am, Bm, Cm, Dm = apply_transform(idm, T @ hetero)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 6, tol=1e-9)
+    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 6, tol=1e-9)
     assert rep.passed
-    cm = extract_checked(Am, Bm, Cm, Dm, 3, 1, 2, 6, 1e-9)
+    cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-9)
     devA, _ = cm.component_spread()
     assert devA > 1e-3  # phases genuinely differ now
 
     block = rng.normal(size=(3, 3)) + 2 * np.eye(3)
     equal = lift_selector(block, 6)
     Am, Bm, Cm, Dm = apply_transform(idm, T @ equal)
-    cm = extract_checked(Am, Bm, Cm, Dm, 3, 1, 2, 6, 1e-9)
+    cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-9)
     devA, devB = cm.component_spread()
     assert devA <= 1e-9 and devB <= 1e-9
     passed, _ = model_transfer_check(cm, plant, spec, 1e-8)
@@ -331,7 +331,7 @@ def test_transform_restores_cyclic_form_on_identified_mixed_rate(mixed_rate_run)
     tres = build_transform(idm)
     assert tres.regular
     Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, 1, 2, 3, tol=1e-6)
+    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, tol=1e-6)
     assert rep.passed, rep.max_offpattern
 
 
