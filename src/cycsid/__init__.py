@@ -7,7 +7,6 @@ underlying plant through a structured coordinate transform.
 
 from .cyclic import (
     CycledSignal,
-    CycledSystem,
     StructureReport,
     cycle_signal,
     cycled_ranks,

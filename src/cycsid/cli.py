@@ -165,8 +165,9 @@ def cmd_verify(args):
     if mf.spec != spec:
         raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
                           f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}")
-    if (mf.model.n, mf.model.m) != (plant.n, plant.m):
-        raise SchemaError(f"model (n, m) = ({mf.model.n}, {mf.model.m}) != config plant "
+    n, m = mf.model.n // spec.M, mf.model.m // spec.M
+    if (n, m) != (plant.n, plant.m):
+        raise SchemaError(f"model (n, m) = ({n}, {m}) != config plant "
                           f"(n, m) = ({plant.n}, {plant.m})")
     try:
         provenance = {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}

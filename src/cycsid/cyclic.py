@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .numerics import as_signal, rank_with_tol
-from .statespace import ctrb, obsv
+from .statespace import StateSpace, ctrb, obsv
 
 #: off-pattern tolerance for analytically constructed matrices
 EXACT_TOL = 1e-12
@@ -82,31 +82,18 @@ def read_blocks(mat, M, off):
     return mat.reshape(M, rows // M, M, cols // M)[_pattern_index(M, off)]
 
 
-@dataclass(frozen=True)
-class CycledSystem:
-    """M-fold cyclic reformulation; A/B cyclic, C/D block diagonal."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    n: int
-    m: int
-    l: int
-    M: int
-
-
 def cyclic_reformulate(ss, spec):
-    """Build the cycled system for a plant under a multirate spec."""
+    """The M-fold cyclic reformulation of a plant under a multirate spec: a
+    StateSpace of M x M block matrices, A and B cyclic, C and D block
+    diagonal, whose period is spec.M."""
     if spec.l != ss.l:
         raise DimensionMismatchError(
             f"spec has {spec.l} rates but the plant has {ss.l} outputs"
         )
     M = spec.M
-    return CycledSystem(A=place_blocks([ss.A] * M, 1), B=place_blocks([ss.B] * M, 1),
-                        C=place_blocks([mask @ ss.C for mask in spec.masks], 0),
-                        D=place_blocks([mask @ ss.D for mask in spec.masks], 0),
-                        n=ss.n, m=ss.m, l=ss.l, M=M)
+    return StateSpace(A=place_blocks([ss.A] * M, 1), B=place_blocks([ss.B] * M, 1),
+                      C=place_blocks([mask @ ss.C for mask in spec.masks], 0),
+                      D=place_blocks([mask @ ss.D for mask in spec.masks], 0))
 
 
 @dataclass(frozen=True)

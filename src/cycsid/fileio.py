@@ -1,9 +1,10 @@
 """Signal CSV and model/report/config JSON persistence.
 
 Floats are written with 17 significant digits so that load(save(x)) is
-bit-exact for finite doubles.  A file that cannot be opened or is not
-UTF-8 text, and JSON parse failures, surface as ParseError naming the file
-(JSON ones with line/column); missing or inconsistent fields as SchemaError.
+bit-exact for finite doubles.  Files are read as UTF-8, with or without a
+leading byte-order mark.  A file that cannot be opened or is not UTF-8
+text, and JSON parse failures, surface as ParseError naming the file (JSON
+ones with line/column); missing or inconsistent fields as SchemaError.
 """
 
 import csv
@@ -30,10 +31,11 @@ def write_json(obj, path):
 
 @contextmanager
 def _reading(path, newline=None):
-    """path opened as UTF-8 text; a file that cannot be opened or decoded is
-    a ParseError naming it (an OSError's message already does)."""
+    """path opened as UTF-8 text, a leading byte-order mark dropped; a file
+    that cannot be opened or decoded is a ParseError naming it (an OSError's
+    message already does)."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except OSError as e:
         raise ParseError(str(e)) from e
@@ -139,10 +141,12 @@ class ModelFile:
 def save_model(model, path, spec, provenance=None):
     """Persist an IdentifiedModel with the rates and offsets of the
     MultirateSpec it was identified under and the data's seed and N (null
-    when not given): the MODEL_KEYS, each written once."""
+    when not given): the MODEL_KEYS, each written once, with the per-phase
+    sizes n, m and l, the model's own sizes over M."""
     write_json({
         "kind": "identified",
-        "n": model.n, "m": model.m, "l": model.l, "M": model.M,
+        "n": model.n // model.M, "m": model.m // model.M, "l": model.l // model.M,
+        "M": model.M,
         "rates": list(spec.rates), "offsets": list(spec.offsets),
         "A": model.A.tolist(), "B": model.B.tolist(), "C": model.C.tolist(),
         "D": model.D.tolist(), "x0": model.x0.tolist(),
@@ -220,9 +224,15 @@ def load_model(path):
             raise ValueError("phases.sv_gap contains NaN")
         provenance = {key: convert(f"provenance.{key}", value, optional(integer),
                                    "an integer or null") for key, value in provenance.items()}
-        # IdentifiedModel checks every shape against the declared (n, m, l, M),
-        # and refuses a non-finite entry in A, B, C, D or x0
-        model = IdentifiedModel(A=A, B=B, C=C, D=D, n=n, m=m, l=l, M=M, x0=x0,
+        for key, value, want in (("A", A, (M * n, M * n)), ("B", B, (M * n, M * m)),
+                                 ("C", C, (M * l, M * n)), ("D", D, (M * l, M * m)),
+                                 ("x0", x0, (M * n,)), ("phase_rank_margins", rank_margins, (M,)),
+                                 ("phase_gaps", gaps, (M,))):
+            if np.shape(value) != want:
+                raise ValueError(f"{key} is {np.shape(value)} but the declared (n, m, l, M) "
+                                 f"make it {want}")
+        # IdentifiedModel refuses a non-finite entry in A, B, C, D or x0
+        model = IdentifiedModel(A=A, B=B, C=C, D=D, M=M, x0=x0,
                                 block_rows=used, pattern_block_rows=pattern,
                                 shift_margin=margin, phase_rank_margins=rank_margins,
                                 phase_gaps=gaps, a_offpattern=a_off)

@@ -146,6 +146,9 @@ class ExperimentConfig:
         tol = {k: convert(f"tolerances.{k}", v, number, "a number") for k, v in tol.items()}
         if not all(v > 0 for v in tol.values()):  # NaN too
             raise ValueError("tolerances must be positive")
+        for k, v in tol.items():
+            if v == np.inf:  # a gate that nothing fails, and no JSON number
+                raise ValueError(f"tolerances.{k} must be finite, got {v}")
         self.tolerances = tol
 
 
@@ -276,12 +279,12 @@ def choose_transform(idm, tol):
     entry = {"convention": "general", "rank": tres.rank, "regular": tres.regular,
              "cond": tres.cond}
     if tres.regular:
-        Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        form = verify_cyclic_form(Am, Bm, Cm, Dm, idm.M, tol)
+        transformed = apply_transform(idm, tres.matrix)
+        form = verify_cyclic_form(transformed, idm.M, tol)
         entry.update(applied=True, structure_passed=form.passed,
                      max_offpattern=form.max_offpattern)
         if form.passed:
-            model = extract_components(Am, Bm, Cm, Dm, idm.M, form, T=tres.matrix)
+            model = extract_components(transformed, idm.M, form, T=tres.matrix)
             return model, tres, [entry]
     raise StructureViolationError(
         f"the transform gives no regular matrix with cyclic structure: {entry}", attempt=entry)
@@ -339,8 +342,8 @@ def validate(idm, cfg, provenance):
     t0 = time.perf_counter()
     cs = cyclic_reformulate(plant, spec)
     rank_c, rank_o = cycled_ranks(cs)
-    Xc = build_X_check(cs)
-    Yc = build_Y_check(cs)
+    Xc = build_X_check(cs, M)
+    Yc = build_Y_check(cs, M)
     rank_x, rank_y = rank_with_tol(Xc), rank_with_tol(Yc)
     true_structure = {
         "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, M, 1e-12)),

@@ -1,8 +1,10 @@
 """Discrete-time LTI core: construction, simulation, Markov parameters,
 controllability/observability matrices, transfer-function extraction.
 
-Every operation here also accepts any object exposing A, B, C, D arrays
-(the cycled and identified models reuse them unchanged).
+Every linear model is a StateSpace, whose sizes are read from its
+matrices: the plant, its cyclic reformulation, the identified model (a
+subclass that adds the period and the evidence it was accepted on) and the
+transformed model.  The operations here act on each of them unchanged.
 """
 
 from dataclasses import dataclass, field

@@ -56,16 +56,19 @@ from .errors import (
     RankConditionError,
 )
 from .kernels import io_regressor, regressor_columns, regressor_rows, regressor_shape
-from .numerics import as_signal, blas_threads, check_budget, rank_with_tol
+from .numerics import as_signal, as_vector, blas_threads, check_budget, rank_with_tol
+from .statespace import StateSpace
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
 SV_GAP_TOL = 0.1
 
 
-@dataclass
-class IdentifiedModel:
-    """State-space model of order M*n returned by identification, with the
-    evidence it was accepted on.
+@dataclass(frozen=True)
+class IdentifiedModel(StateSpace):
+    """State-space model returned by identification, with the period M and
+    the evidence it was accepted on.  Its n, m and l are the StateSpace
+    sizes read from its matrices: the order M*n and the cycled widths M*m
+    and M*l, for n states, m inputs and l outputs per phase.
 
     block_rows is the Hankel depth used, pattern_block_rows the depth the
     sampling pattern chose (they differ after a fallback or an explicit
@@ -76,13 +79,6 @@ class IdentifiedModel:
     outside the cyclic pattern, which identification then zeroes.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    n: int
-    m: int
-    l: int
     M: int
     x0: np.ndarray = field(repr=False)
     block_rows: int
@@ -93,17 +89,14 @@ class IdentifiedModel:
     a_offpattern: float
 
     def __post_init__(self):
-        n, m, l, M = self.n, self.m, self.l, self.M
-        for name, want in (("A", (M * n, M * n)), ("B", (M * n, M * m)), ("C", (M * l, M * n)),
-                           ("D", (M * l, M * m)), ("x0", (M * n,)),
-                           ("phase_rank_margins", (M,)), ("phase_gaps", (M,))):
-            got = np.shape(getattr(self, name))
-            if got != want:
-                raise DimensionMismatchError(
-                    f"{name} is {got} but the declared (n, m, l, M) make it {want}")
-        for name in ("A", "B", "C", "D", "x0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DimensionMismatchError(f"{name} contains non-finite entries")
+        super().__post_init__()
+        object.__setattr__(self, "x0", as_vector(self.x0, self.n, "x0"))
+        if self.n % self.M or self.m % self.M or self.l % self.M:
+            raise DimensionMismatchError(f"period {self.M} does not divide the model's "
+                                         f"(n, m, l) = ({self.n}, {self.m}, {self.l})")
+        for name in ("phase_rank_margins", "phase_gaps"):
+            if np.shape(getattr(self, name)) != (self.M,):
+                raise DimensionMismatchError(f"{name} must hold {self.M} entries, one per phase")
 
     @property
     def order_gap(self):
@@ -287,9 +280,11 @@ def _phase_margins(svs, n):
     return margins, gaps
 
 
-def _shift_margin(Gam, order, ll):
+def _shift_margin(Gam, ll):
     """sigma_min/sigma_max of the shifted estimate Gam[:-ll], which has full
-    column rank exactly when the depth is long enough for the shift fit."""
+    column rank, the order Gam.shape[1], exactly when the depth is long
+    enough for the shift fit."""
+    order = Gam.shape[1]
     s = np.linalg.svd(Gam[:-ll], compute_uv=False)
     return float(s[order - 1] / s[0]) if s.size >= order and s[0] > 0 else 0.0
 
@@ -372,7 +367,7 @@ def subspace_identify(ucheck, ycheck, n, block_rows=None):
         _require_samples(N, i, mm, ll, order, why)
         Gam, svs = _observability_estimate(u, y, i, n, M)
         margins, gaps = _phase_margins(svs, n)
-        gap, margin = max(gaps), _shift_margin(Gam, order, ll)
+        gap, margin = max(gaps), _shift_margin(Gam, ll)
         if gap <= SV_GAP_TOL and margin > gap:
             break
     else:
@@ -416,7 +411,7 @@ def subspace_identify(ucheck, ycheck, n, block_rows=None):
     D = full[order + order * mm:].reshape((ll, mm), order="F")
 
     return IdentifiedModel(
-        A=A, B=B, C=C, D=D, n=n, m=m_base, l=l_base, M=M, x0=x0,
+        A=A, B=B, C=C, D=D, M=M, x0=x0,
         block_rows=i, pattern_block_rows=pattern, shift_margin=margin,
         phase_rank_margins=margins, phase_gaps=gaps, a_offpattern=a_offpattern,
     )

@@ -30,9 +30,10 @@ def lift_selector(block, M):
     return place_blocks([block] * M, 0)
 
 
-def build_X_check(sys):
-    """Observability aggregate of a cycled or identified system (any object
-    with A, C, n, l, M): the sum of F_i S_l^j C A^(Mi+j) over i < n, j < M,
+def build_X_check(sys, M):
+    """Observability aggregate of a cycled or identified StateSpace of
+    period M, whose per-phase n and l are its sizes over M: the sum of
+    F_i S_l^j C A^(Mi+j) over i < n, j < M,
     where S_l^j moves row block a+j to row block a and F_i puts output 1 of
     every row block in row i of its state block.
 
@@ -42,8 +43,8 @@ def build_X_check(sys):
     the row with j mod n instead collapses the rank when masking leaves one
     active phase per period.
     """
-    n, l, M = sys.n, sys.l, sys.M
-    order = M * n
+    order = sys.n
+    n, l = order // M, sys.l // M
     X = np.zeros((order, order))
     for p, P in enumerate(powers(sys.A, sys.C, order, right=True)):  # P = C A^p
         i, j = divmod(p, M)
@@ -51,9 +52,10 @@ def build_X_check(sys):
     return X
 
 
-def build_Y_check(sys):
-    """Controllability-side aggregate of a cycled or identified system (any
-    object with A, B, n, m, M): the reach sum of A^p B S_m^(p%M + 1) G_(p mod n)
+def build_Y_check(sys, M):
+    """Controllability-side aggregate of a cycled or identified StateSpace
+    of period M, whose per-phase n and m are its sizes over M: the reach sum
+    of A^p B S_m^(p%M + 1) G_(p mod n)
     over p < Mn, where S_m^s moves column block b-s to column block b and G_k
     puts input 1 of every column block in column k of its state block.  On
     an identified model it is the transform.
@@ -64,8 +66,8 @@ def build_Y_check(sys):
     applied to input 1's reach vectors, so the aggregate has rank Mn for
     controllable plants.
     """
-    n, m, M = sys.n, sys.m, sys.M
-    order = M * n
+    order = sys.n
+    n, m = order // M, sys.m // M
     T = np.zeros((order, order))
     for p, P in enumerate(powers(sys.A, sys.B, order)):  # P = A^p B
         T.reshape(order, M, n)[:, :, p % n] += np.roll(P.reshape(order, M, m)[:, :, 0],
@@ -85,27 +87,28 @@ class TransformResult:
 
 
 def build_transform(idm):
-    """The coordinate transform build_Y_check(idm), returned with its
+    """The coordinate transform build_Y_check(idm, idm.M), returned with its
     numerical rank and condition number whether or not it is regular."""
-    T = build_Y_check(idm)
+    T = build_Y_check(idm, idm.M)
     return TransformResult(matrix=T, rank=rank_with_tol(T), cond=float(np.linalg.cond(T)))
 
 
 def apply_transform(idm, T):
-    """(T^-1 A T, T^-1 B, C T, D); raises SingularMatrixError if T is not regular."""
+    """The transformed model StateSpace(T^-1 A T, T^-1 B, C T, D); raises
+    SingularMatrixError if T is not regular."""
     Ti = invert(T)
-    return Ti @ idm.A @ T, Ti @ idm.B, idm.C @ T, idm.D.copy()
+    return StateSpace(Ti @ idm.A @ T, Ti @ idm.B, idm.C @ T, idm.D.copy())
 
 
-def verify_cyclic_form(Am, Bm, Cm, Dm, M, tol):
-    """Check the four transformed matrices, M x M block matrices whose block
-    sizes are read from their shapes, against the cyclic-reformulation
-    pattern: dynamics and input cyclic, output and feedthrough block diagonal."""
+def verify_cyclic_form(sys, M, tol):
+    """Check a transformed model, whose M x M block matrices give the block
+    sizes by their shapes, against the cyclic-reformulation pattern:
+    dynamics and input cyclic, output and feedthrough block diagonal."""
     return StructureChecks({
-        "A_cyclic": is_cyclic_matrix(Am, M, tol),
-        "B_cyclic": is_cyclic_matrix(Bm, M, tol),
-        "C_block_diagonal": is_block_diagonal(Cm, M, tol),
-        "D_block_diagonal": is_block_diagonal(Dm, M, tol),
+        "A_cyclic": is_cyclic_matrix(sys.A, M, tol),
+        "B_cyclic": is_cyclic_matrix(sys.B, M, tol),
+        "C_block_diagonal": is_block_diagonal(sys.C, M, tol),
+        "D_block_diagonal": is_block_diagonal(sys.D, M, tol),
     })
 
 
@@ -116,7 +119,7 @@ def aggregate_diagnostics(idm, T, tol):
     block diagonal and regular, and its product with the transformed state
     matrix must be cyclic.
     """
-    X = build_X_check(idm) @ T
+    X = build_X_check(idm, idm.M) @ T
     Am = np.linalg.solve(T, idm.A @ T)
     Z = X @ Am
     return {
@@ -157,17 +160,19 @@ class CyclicModel:
         return devA, devB
 
 
-def extract_components(Am, Bm, Cm, Dm, M, structure, T=None):
-    """Read the per-phase blocks out of a transformed model, whose M x M
-    block matrices give the block sizes by their shapes.
+def extract_components(sys, M, structure, T=None):
+    """Read the per-phase blocks out of a transformed model, the StateSpace
+    apply_transform gives, whose M x M block matrices give the block sizes
+    by their shapes.
 
     Phase i of the dynamics and input sits at block (i+1 mod M, i); output
     and feedthrough phases sit on the diagonal.  structure, the
-    verify_cyclic_form result already measured on them, is kept as evidence.
+    verify_cyclic_form result already measured on sys, is kept as evidence.
     """
-    return CyclicModel(A_phases=list(read_blocks(Am, M, 1)), B_phases=list(read_blocks(Bm, M, 1)),
-                       C_phases=list(read_blocks(Cm, M, 0)), D_phases=list(read_blocks(Dm, M, 0)),
-                       T=T, structure=structure)
+    return CyclicModel(A_phases=list(read_blocks(sys.A, M, 1)),
+                       B_phases=list(read_blocks(sys.B, M, 1)),
+                       C_phases=list(read_blocks(sys.C, M, 0)),
+                       D_phases=list(read_blocks(sys.D, M, 0)), T=T, structure=structure)
 
 
 def model_transfer_check(cm, reference, spec, tol):

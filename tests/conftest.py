@@ -24,19 +24,20 @@ CORPUS_SEED = 271828
 CORPUS_SIZE = 20
 
 
-def extract_checked(Am, Bm, Cm, Dm, M, tol):
+def extract_checked(sys, M, tol):
     """extract_components with the cyclic-form check measured on the same
-    matrices, as the pipeline's convention search hands it over; like the
+    model, as the pipeline's convention search hands it over; like the
     pipeline, it extracts only a model that passes the check at tol."""
-    form = verify_cyclic_form(Am, Bm, Cm, Dm, M, tol)
+    form = verify_cyclic_form(sys, M, tol)
     assert form.passed, form.failing()
-    return extract_components(Am, Bm, Cm, Dm, M, form)
+    return extract_components(sys, M, form)
 
 
-def identified_model(A, B, C, D, n, m, l, M):
-    """An IdentifiedModel of the given matrices, with a zero initial state and
-    zero evidence in place of an identification's depth and phase records."""
-    return IdentifiedModel(A=A, B=B, C=C, D=D, n=n, m=m, l=l, M=M, x0=np.zeros(M * n),
+def identified_model(A, B, C, D, M):
+    """An IdentifiedModel of period M with the given matrices, a zero initial
+    state and zero evidence in place of an identification's depth and phase
+    records."""
+    return IdentifiedModel(A=A, B=B, C=C, D=D, M=M, x0=np.zeros(len(A)),
                            block_rows=0, pattern_block_rows=0, shift_margin=0.0,
                            phase_rank_margins=[0.0] * M, phase_gaps=[0.0] * M,
                            a_offpattern=0.0)

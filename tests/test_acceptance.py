@@ -125,10 +125,10 @@ def test_criterion_4_mixed_rate_markov_reproduction(plant, mixed_rate_run):
 def test_criterion_5_markov_structure_on_corpus(corpus):
     worst = 0.0
     for case in corpus:
-        cs = case["cycled"]
-        depth = 2 * cs.M * cs.n
+        cs, M = case["cycled"], case["spec"].M
+        depth = 2 * cs.n
         H = markov(cs, depth + 1)
-        rep = verify_markov_structure(H, cs.M, tol=1e-12, maxdepth=depth)
+        rep = verify_markov_structure(H, M, tol=1e-12, maxdepth=depth)
         worst = max(worst, rep.max_offpattern)
         assert rep.passed, (case["rates"], rep.failing()[:3])
     _report("5 shift-adjusted Markov structure on corpus", worst <= 1e-12,
@@ -139,12 +139,12 @@ def test_criterion_6_aggregate_structure_on_corpus(corpus):
     ok = True
     detail = []
     for case in corpus:
-        cs = case["cycled"]
-        order = cs.M * cs.n
-        X = build_X_check(cs)
-        Y = build_Y_check(cs)
-        cyc = is_cyclic_matrix(X @ cs.B, cs.M, tol=1e-12)
-        bd = is_block_diagonal(cs.C @ Y, cs.M, tol=1e-12)
+        cs, M = case["cycled"], case["spec"].M
+        order = cs.n
+        X = build_X_check(cs, M)
+        Y = build_Y_check(cs, M)
+        cyc = is_cyclic_matrix(X @ cs.B, M, tol=1e-12)
+        bd = is_block_diagonal(cs.C @ Y, M, tol=1e-12)
         rx, ry = rank_with_tol(X), rank_with_tol(Y)
         case_ok = cyc.passed and bd.passed and rx == order and ry == order
         if not case_ok:
@@ -191,11 +191,11 @@ def test_criterion_8_cyclic_form_positive_and_negative_controls(corpus_runs):
         model = run["model"]
         ok = ok and all(v["passed"] for v in report.cyclic_form.values())
         ok = ok and max(report.component_spread.values()) <= 1e-6
-        cs = run["case"]["cycled"]
-        if cs.M >= 2:
+        M = run["case"]["spec"].M
+        if M >= 2:
             raw = model.source
-            ok = ok and is_cyclic_matrix(raw.A, cs.M, tol=0.0).passed
-            phases = read_blocks(raw.A, cs.M, 1)
+            ok = ok and is_cyclic_matrix(raw.A, M, tol=0.0).passed
+            phases = read_blocks(raw.A, M, 1)
             ok = ok and max(np.abs(X - phases[0]).max() for X in phases) > 1e-6
             neg_checked += 1
     _report("8 transformed passes, raw phases disagree", ok and neg_checked >= 10,
@@ -211,8 +211,7 @@ def test_criterion_9_coordinate_freedom(dual_rate_run, plant):
     for trial in range(5):
         block = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         phi = lift_selector(block, 6)
-        Am, Bm, Cm, Dm = apply_transform(idm, model.T @ phi)
-        cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-6)
+        cm = extract_checked(apply_transform(idm, model.T @ phi), 6, 1e-6)
         devA, _ = cm.component_spread()
         c_blank = max(np.abs(cm.C_phases[1]).max(), np.abs(cm.C_phases[5]).max())
         passed, dists = model_transfer_check(cm, plant, build_masks((2, 3)), 1e-6)

@@ -4,6 +4,7 @@ import pytest
 from cycsid import (
     CycledSignal,
     DimensionMismatchError,
+    StateSpace,
     build_masks,
     cycle_signal,
     cycled_ranks,
@@ -98,6 +99,18 @@ def test_cyclic_reformulate_mixed_rates(plant):
                               spec.masks[i] @ plant.C)
     assert is_cyclic_matrix(cs.A, 3, tol=0.0).passed
     assert is_block_diagonal(cs.C, 3, tol=0.0).passed
+
+
+def test_cyclic_reformulate_is_a_state_space_of_the_cycled_sizes(plant):
+    cs = cyclic_reformulate(plant, build_masks((2, 3)))
+    assert isinstance(cs, StateSpace)
+    assert (cs.n, cs.m, cs.l) == (18, 6, 12)
+
+
+def test_cyclic_reformulate_rejects_another_output_count(plant):
+    with pytest.raises(DimensionMismatchError,
+                       match="^spec has 1 rates but the plant has 2 outputs$"):
+        cyclic_reformulate(plant, build_masks((2,)))
 
 
 def test_cyclic_reformulate_period_one_collapse(plant):
@@ -201,13 +214,19 @@ def test_verify_markov_structure_flags_injected_defect(plant):
     assert rep.reports[2].max_offpattern == rep.max_offpattern == pytest.approx(0.1)
 
 
+def test_verify_markov_structure_needs_every_lag_up_to_maxdepth(plant):
+    H = markov(cyclic_reformulate(plant, build_masks((1, 3))), 3)
+    with pytest.raises(DimensionMismatchError, match="^need 4 Markov matrices, got 3$"):
+        verify_markov_structure(H, 3, 1e-12, maxdepth=3)
+
+
 def test_markov_exchange_forms_agree_up_to_phase_rotation(corpus):
     # Left- and right-shifted forms are both block diagonal; left's block c
     # equals right's block (c+i) mod M, and they coincide outright when the
     # masks cannot distinguish phases (all rates 1) or i is a period multiple.
     for case in corpus[:6]:
-        cs = case["cycled"]
-        l, m, M = cs.l, cs.m, cs.M
+        cs, M = case["cycled"], case["spec"].M
+        l, m = cs.l // M, cs.m // M
         Sl = shift_matrix(l, M)
         Sm = shift_matrix(m, M)
         uniform_masks = all(r == 1 for r in case["rates"])

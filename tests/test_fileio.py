@@ -187,7 +187,7 @@ def test_model_file_records_offsets(dual_rate_run, tmp_path):
 
 def test_model_rate_dimension_mismatch(plant, tmp_path):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    idm = identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3)
+    idm = identified_model(cs.A, cs.B, cs.C, cs.D, 3)
     path = tmp_path / "model.json"
     save_model(idm, path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
@@ -201,7 +201,7 @@ def test_model_rate_dimension_mismatch(plant, tmp_path):
 def test_model_dimension_must_be_positive(plant, tmp_path, key):
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     path = tmp_path / "model.json"
-    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3), path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
     doc[key] = 0
     path.write_text(json.dumps(doc))
@@ -223,7 +223,7 @@ def test_model_numbers_are_json_numbers(plant, tmp_path, edit, message):
     # a string or a boolean where a number belongs is refused, not converted
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     path = tmp_path / "model.json"
-    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3), path, build_masks((1, 3)))
     path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
     with pytest.raises(SchemaError) as err:
         load_model(path)
@@ -252,7 +252,7 @@ def test_model_numbers_must_be_finite(plant, tmp_path, edit, message):
     # holds one is refused naming the key, so no report repeats it
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     path = tmp_path / "model.json"
-    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3), path, build_masks((1, 3)))
     path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
     with pytest.raises(SchemaError) as err:
         load_model(path)
@@ -263,7 +263,7 @@ def test_model_sv_gap_may_be_infinite(plant, tmp_path):
     # Infinity marks a phase whose n-th singular value is zero: it has no gap
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
     path = tmp_path / "model.json"
-    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3, 1, 2, 3), path, build_masks((1, 3)))
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3), path, build_masks((1, 3)))
     doc = json.loads(path.read_text())
     doc["phases"]["sv_gap"] = [0.0, float("inf"), 0.0]
     path.write_text(json.dumps(doc))
@@ -284,6 +284,34 @@ def test_an_unreadable_file_is_a_parse_error_naming_it(tmp_path):
         with pytest.raises(ParseError) as err:
             load(path)
         assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_leading_byte_order_mark_is_dropped(plant, tmp_path):
+    # spreadsheet tools start UTF-8 files with one: each file kind then loads
+    # as the same file without it
+    def with_bom(path):
+        marked = path.with_name("bom-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    signals = tmp_path / "signals.csv"
+    save_signals(simulate_multirate(plant, build_masks((2, 3)), np.ones((12, 1))), signals)
+    want, got = load_signals(signals), load_signals(with_bom(signals))
+    for name in ("u", "y", "obs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    model = tmp_path / "model.json"
+    save_model(identified_model(cs.A, cs.B, cs.C, cs.D, 3), model, build_masks((1, 3)),
+               {"seed": 4, "N": 10})
+    want, got = load_model(model), load_model(with_bom(model))
+    assert (got.spec, got.provenance) == (want.spec, want.provenance)
+    for field in dataclasses.fields(want.model):
+        assert np.array_equal(getattr(got.model, field.name), getattr(want.model, field.name))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]],
+                                            "D": [[0.0]]}, "rates": [2], "N": 90}))
+    want, got = load_config(config), load_config(with_bom(config))
+    assert (got.N, got.rates, got.tolerances) == (want.N, want.rates, want.tolerances)
 
 
 def test_model_bad_json_reports_position(tmp_path):
@@ -391,6 +419,11 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
                  id="tolerances"),
     pytest.param({"tolerances": {"tf": float("nan")}}, "tolerances must be positive",
                  id="tolerances-nan"),
+    pytest.param({"tolerances": {"tf": -float("inf")}}, "tolerances must be positive",
+                 id="tolerances-neg-inf"),
+    # an infinite tolerance turns its gate off, and a report cannot hold it as JSON
+    pytest.param({"tolerances": {"structure": float("inf")}},
+                 "tolerances.structure must be finite, got inf", id="tolerances-inf"),
     pytest.param({"input": {"amplitude": "x"}}, "input.amplitude must be a number, got 'x'",
                  id="amplitude"),
     *(pytest.param({"input": {"amplitude": v}}, f"input.amplitude must be finite, got {v}",

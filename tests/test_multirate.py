@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cycsid import (
+    DimensionMismatchError,
     InvalidRateError,
     RankDeficientAError,
     build_masks,
@@ -85,6 +86,12 @@ def test_simulate_multirate_all_ones_equals_plain(plant):
     full = simulate(plant, u)
     masked = simulate_multirate(plant, spec, u)
     assert np.array_equal(full.y, masked.y)
+
+
+def test_simulate_multirate_rejects_another_output_count(plant):
+    with pytest.raises(DimensionMismatchError,
+                       match="^spec has 3 rates but the plant has 2 outputs$"):
+        simulate_multirate(plant, build_masks((1, 2, 3)), np.ones((6, 1)))
 
 
 def test_simulate_multirate_phase1_blanked(plant):

@@ -472,6 +472,7 @@ def test_verify_refuses_a_model_file_holding_nan(tmp_path, dual_rate_run, capsys
 
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
+    pytest.param("--tol-tf", "inf", "tolerances.tf must be finite, got inf", id="tol-tf-inf"),
     pytest.param("--n", "0", "N must be positive", id="n"),
     pytest.param("--noise", "-0.5", "noise must be nonnegative", id="noise"),
     pytest.param("--noise", "inf", "noise must be finite, got inf", id="noise-inf"),
@@ -933,7 +934,7 @@ def test_verify_reports_the_attempt_of_a_model_that_fails_the_structure_check(
     # the transform applies and the cyclic-form check refuses it
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3, 1, 2, 3)
+    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3)
     path = tmp_path / "model.json"
     save_model(dense, path, spec)
     assert main(["verify", "--model", str(path), "--config", str(write_config(tmp_path)),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from cycsid import (
     DimensionMismatchError,
+    SignalLog,
     TransferFunction,
     ctrb,
     make_state_space,
@@ -29,6 +32,36 @@ def test_make_state_space_rejects_mismatch():
         make_state_space(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)))
     with pytest.raises(DimensionMismatchError, match="C"):
         make_state_space(np.eye(2), np.ones((2, 1)), np.ones((1, 3)), np.zeros((1, 1)))
+
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^D must be 1x1 to match C and B, got \(2, 1\)$"):
+        make_state_space(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("u, y, obs, message", [
+    pytest.param(np.ones((4, 1)), np.ones((3, 2)), None,
+                 "u and y must share a positive sample count, got 4 and 3", id="counts"),
+    pytest.param(np.ones((0, 1)), np.ones((0, 2)), None,
+                 "u and y must share a positive sample count, got 0 and 0", id="empty"),
+    pytest.param(np.ones((4, 1)), np.array([[1.0, np.nan]] * 4), None,
+                 "signals contain non-finite entries", id="y-nan"),
+    pytest.param(np.full((4, 1), np.inf), np.ones((4, 2)), None,
+                 "signals contain non-finite entries", id="u-inf"),
+    pytest.param(np.ones((4, 1)), np.ones((4, 2)), np.ones((4, 1)),
+                 "obs mask must match y shape", id="obs-shape"),
+])
+def test_signal_log_refuses_inconsistent_records(u, y, obs, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        SignalLog(u=u, y=y, obs=obs)
+
+
+@pytest.mark.parametrize("u, message", [
+    pytest.param(np.ones((4, 2)), "input must be (N, 1), got (4, 2)", id="width"),
+    pytest.param(np.ones((0, 1)), "input must be nonempty", id="empty"),
+])
+def test_simulate_rejects_a_malformed_input(plant, u, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        simulate(plant, u)
 
 
 def test_make_state_space_scalar(scalar_lag):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -14,6 +15,7 @@ from cycsid import (
     InsufficientDataError,
     MemoryBudgetError,
     RankConditionError,
+    StateSpace,
     build_block_hankel,
     build_masks,
     cycle_signal,
@@ -32,11 +34,14 @@ from cycsid import numerics, subspace
 from cycsid.cyclic import place_blocks, read_blocks
 from cycsid.subspace import (
     _observability_estimate,
+    _phase_margins,
     default_block_rows,
     full_block_rows,
     pattern_cover,
     sampled_rows,
 )
+
+from conftest import identified_model
 
 
 def test_hankel_scalar():
@@ -312,6 +317,38 @@ def test_identify_overstated_order_is_flagged():
     assert idm.order_gap > 0.1
 
 
+def test_a_phase_without_a_nonzero_nth_singular_value_has_margin_zero_and_no_gap():
+    margins, gaps = _phase_margins(
+        [np.array([4.0, 2.0, 0.5]), np.array([3.0, 0.0, 0.0]), np.array([5.0]),
+         np.array([4.0, 1.0])], 2)
+    assert margins == [0.5, 0.0, 0.0, 0.25]
+    assert gaps == [0.25, float("inf"), float("inf"), 0.0]
+
+
+def test_identified_model_is_a_frozen_state_space_of_the_cycled_sizes(dual_rate_run):
+    idm = dual_rate_run[1].source
+    assert isinstance(idm, StateSpace)
+    assert (idm.n, idm.m, idm.l, idm.M) == (18, 6, 12, 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        idm.M = 3
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({"D": np.zeros((5, 3))}, "D must be 6x3 to match C and B, got (5, 3)", id="D"),
+    pytest.param({"A": np.full((9, 9), np.nan)}, "A contains non-finite entries", id="A-nan"),
+    pytest.param({"x0": np.zeros(8)}, "x0 must have length 9, got 8", id="x0"),
+    pytest.param({"M": 2}, "period 2 does not divide the model's (n, m, l) = (9, 3, 6)",
+                 id="period"),
+    pytest.param({"phase_gaps": [0.0] * 2}, "phase_gaps must hold 3 entries, one per phase",
+                 id="gaps"),
+])
+def test_identified_model_refuses_inconsistent_fields(plant, edit, message):
+    cs = cyclic_reformulate(plant, build_masks((1, 3)))
+    idm = identified_model(cs.A, cs.B, cs.C, cs.D, 3)
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(idm, **edit)
+
+
 def test_identify_deterministic(plant):
     spec = build_masks((1, 3))
     rng = np.random.default_rng(7)
@@ -400,13 +437,14 @@ def test_bdx0_fit_is_the_dense_fit_on_the_pattern(plant, rates, noise):
     # the rows the data fill touch no other column; off it they are exact zeros
     uc, yc = _cycled_data(plant, rates, 800, 4, noise)
     idm = subspace_identify(uc, yc, n=plant.n)
-    M, n = idm.M, idm.n
+    M = idm.M
+    n, m, l = idm.n // M, idm.m // M, idm.l // M
     want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(idm.A, idm.C, uc.samples),
                                yc.samples.reshape(-1), rcond=None)
     got = np.concatenate([idm.x0, idm.B.ravel(order="F"), idm.D.ravel(order="F")])
     on = np.concatenate([np.arange(M * n) < n,
-                         place_blocks(np.ones((M, n, idm.m)), 1).ravel(order="F") > 0,
-                         place_blocks(np.ones((M, idm.l, idm.m)), 0).ravel(order="F") > 0])
+                         place_blocks(np.ones((M, n, m)), 1).ravel(order="F") > 0,
+                         place_blocks(np.ones((M, l, m)), 0).ravel(order="F") > 0])
     assert np.linalg.norm(got[on] - want[on]) <= 1e-12 * np.linalg.norm(want[on])
     assert not got[~on].any()
     assert np.array_equal(idm.B, place_blocks(read_blocks(idm.B, M, 1), 1))

@@ -29,9 +29,9 @@ from cycsid.pipeline import choose_transform
 from conftest import extract_checked, identified_model
 
 
-def as_identified(cs):
-    """Wrap a true cycled system as an identification result."""
-    return identified_model(cs.A, cs.B, cs.C, cs.D, cs.n, cs.m, cs.l, cs.M)
+def as_identified(cs, M):
+    """Wrap a true cycled system of period M as an identification result."""
+    return identified_model(cs.A, cs.B, cs.C, cs.D, M)
 
 
 def unit_F_blocks(n, l):
@@ -64,8 +64,8 @@ def test_reach_sum_reads_only_input_one(two_by_two_cycled):
     B.reshape(9, 3, 2)[:, :, 1] = np.random.default_rng(6).normal(size=(9, 3))
     other = dataclasses.replace(cs, B=B)
     assert not np.array_equal(other.B, cs.B)
-    assert np.array_equal(build_Y_check(other), build_Y_check(cs))
-    assert rank_with_tol(build_Y_check(cs)) == 9
+    assert np.array_equal(build_Y_check(other, 3), build_Y_check(cs, 3))
+    assert rank_with_tol(build_Y_check(cs, 3)) == 9
 
 
 def test_observability_aggregate_reads_only_output_one(two_by_two_cycled):
@@ -74,8 +74,8 @@ def test_observability_aggregate_reads_only_output_one(two_by_two_cycled):
     C.reshape(3, 2, 9)[:, 1] = np.random.default_rng(7).normal(size=(3, 9))
     other = dataclasses.replace(cs, C=C)
     assert not np.array_equal(other.C, cs.C)
-    assert np.array_equal(build_X_check(other), build_X_check(cs))
-    assert rank_with_tol(build_X_check(cs)) == 9
+    assert np.array_equal(build_X_check(other, 3), build_X_check(cs, 3))
+    assert rank_with_tol(build_X_check(cs, 3)) == 9
 
 
 def test_lift_selector():
@@ -86,10 +86,10 @@ def test_lift_selector():
     assert np.array_equal(lift_selector(block, 1), block)
 
 
-def dense_X_check(sys):
+def dense_X_check(sys, M):
     """sum_{i<n, j<M} lift(F_i) S_l^j C A^(Mi+j), with the shift and the
     lifted unit selector as dense matrices."""
-    n, l, M = sys.n, sys.l, sys.M
+    n, l = sys.n // M, sys.l // M
     S, F = shift_matrix(l, M), unit_F_blocks(n, l)
     X = np.zeros((M * n, M * n))
     P = sys.C.copy()
@@ -100,10 +100,10 @@ def dense_X_check(sys):
     return X
 
 
-def dense_reach_sum(sys):
+def dense_reach_sum(sys, M):
     """sum_{p<Mn} A^p B S_m^(p%M + 1) lift(G_(p mod n)), with dense shift and
     lifted unit-selector matrices."""
-    n, m, M = sys.n, sys.m, sys.M
+    n, m = sys.n // M, sys.m // M
     S, G = shift_matrix(m, M), unit_G_blocks(n, m)
     T = np.zeros((M * n, M * n))
     P = sys.B.copy()
@@ -122,8 +122,8 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
     rng = np.random.default_rng(M)
     P = rng.normal(size=(M * 3, M * 3)) + 3 * np.eye(M * 3)
     Pi = np.linalg.inv(P)
-    dense = identified_model(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D, 3, 1, 2, M)
-    systems = [as_identified(cs), dense]
+    dense = identified_model(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D, M)
+    systems = [as_identified(cs, M), dense]
     if M in (3, 6):
         run = request.getfixturevalue("mixed_rate_run" if M == 3 else "dual_rate_run")
         systems.append(run[1].source)
@@ -132,16 +132,16 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     for sys in systems:
-        close(build_X_check(sys), dense_X_check(sys))
-        close(build_Y_check(sys), dense_reach_sum(sys))
-        assert np.array_equal(build_transform(sys).matrix, build_Y_check(sys))
+        close(build_X_check(sys, M), dense_X_check(sys, M))
+        close(build_Y_check(sys, M), dense_reach_sum(sys, M))
+        assert np.array_equal(build_transform(sys).matrix, build_Y_check(sys, M))
 
 
 def test_aggregates_full_rank_and_structured(plant):
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(plant, spec)
-    X = build_X_check(cs)
-    Y = build_Y_check(cs)
+    X = build_X_check(cs, 6)
+    Y = build_Y_check(cs, 6)
     assert rank_with_tol(X) == 18
     assert rank_with_tol(Y) == 18
     assert is_cyclic_matrix(X @ cs.B, 6, tol=0.0).passed
@@ -152,20 +152,19 @@ def test_aggregates_degenerate_ranks(plant):
     spec = build_masks((2, 3))
     blind = make_state_space(plant.A, plant.B, np.zeros((2, 3)), plant.D)
     cs = cyclic_reformulate(blind, spec)
-    assert rank_with_tol(build_X_check(cs)) == 0
+    assert rank_with_tol(build_X_check(cs, 6)) == 0
     dead = make_state_space(plant.A, np.zeros((3, 1)), plant.C, plant.D)
     cs2 = cyclic_reformulate(dead, spec)
-    assert rank_with_tol(build_Y_check(cs2)) == 0
+    assert rank_with_tol(build_Y_check(cs2, 6)) == 0
 
 
 def test_transform_of_the_true_cycled_system_is_regular_and_restores_cyclic_form(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    idm = as_identified(cs)
+    idm = as_identified(cs, 3)
     tres = build_transform(idm)
     assert tres.regular
-    Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, tol=1e-10)
+    rep = verify_cyclic_form(apply_transform(idm, tres.matrix), 3, tol=1e-10)
     assert rep.passed, rep.max_offpattern
 
 
@@ -173,7 +172,7 @@ def test_transform_at_period_one_is_the_controllability_matrix():
     ss = make_state_space([[0.6, 0.1], [0.0, 0.3]], [[1.0], [1.0]],
                           [[1.0, 0.0]], [[0.0]])
     cs = cyclic_reformulate(ss, build_masks((1,)))
-    idm = as_identified(cs)
+    idm = as_identified(cs, 1)
     Ta = build_transform(idm).matrix
     # M = 1 collapses to sum_i A^i B G_i, the controllability matrix here
     expect = np.column_stack([ss.B.ravel(), (ss.A @ ss.B).ravel()])
@@ -182,19 +181,18 @@ def test_transform_at_period_one_is_the_controllability_matrix():
 
 def test_apply_transform_identity_leaves_model(plant):
     spec = build_masks((1, 3))
-    idm = as_identified(cyclic_reformulate(plant, spec))
-    Am, Bm, Cm, Dm = apply_transform(idm, np.eye(9))
-    assert np.abs(Am - idm.A).max() <= 1e-12
-    assert np.abs(Bm - idm.B).max() <= 1e-12
+    idm = as_identified(cyclic_reformulate(plant, spec), 3)
+    tr = apply_transform(idm, np.eye(9))
+    assert np.abs(tr.A - idm.A).max() <= 1e-12
+    assert np.abs(tr.B - idm.B).max() <= 1e-12
 
 
 def test_apply_transform_preserves_markov(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    idm = as_identified(cs)
+    idm = as_identified(cs, 3)
     T = build_transform(idm).matrix
-    Am, Bm, Cm, Dm = apply_transform(idm, T)
-    tr = identified_model(Am, Bm, Cm, Dm, 3, 1, 2, 3)
+    tr = apply_transform(idm, T)
     H0 = markov(idm, 19)
     H1 = markov(tr, 19)
     assert max(np.abs(a - b).max() for a, b in zip(H0, H1)) <= 1e-9
@@ -202,7 +200,7 @@ def test_apply_transform_preserves_markov(plant):
 
 def test_apply_transform_rejects_singular(plant):
     spec = build_masks((1, 3))
-    idm = as_identified(cyclic_reformulate(plant, spec))
+    idm = as_identified(cyclic_reformulate(plant, spec), 3)
     T = np.eye(9)
     T[0, 0] = 0.0
     with pytest.raises(SingularMatrixError):
@@ -213,12 +211,11 @@ def test_true_system_transform_is_exact(corpus):
     # bypassing identification entirely: the transform built from the true
     # cycled matrices returns cyclic structure at 1e-10
     for case in corpus[:8]:
-        cs = case["cycled"]
-        idm = as_identified(cs)
+        cs, M = case["cycled"], case["spec"].M
+        idm = as_identified(cs, M)
         tres = build_transform(idm)
         assert tres.regular
-        Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-        rep = verify_cyclic_form(Am, Bm, Cm, Dm, cs.M, tol=1e-10)
+        rep = verify_cyclic_form(apply_transform(idm, tres.matrix), M, tol=1e-10)
         assert rep.passed
 
 
@@ -228,7 +225,7 @@ def test_verify_cyclic_form_dense_fails(plant):
     rng = np.random.default_rng(2)
     P = rng.normal(size=(9, 9)) + 3 * np.eye(9)
     Pi = np.linalg.inv(P)
-    rep = verify_cyclic_form(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D,
+    rep = verify_cyclic_form(make_state_space(Pi @ cs.A @ P, Pi @ cs.B, cs.C @ P, cs.D),
                              3, tol=1e-6)
     assert not rep.reports["A_cyclic"].passed
 
@@ -236,8 +233,8 @@ def test_verify_cyclic_form_dense_fails(plant):
 def test_extract_components_reads_blocks(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    form = verify_cyclic_form(cs.A, cs.B, cs.C, cs.D, 3, tol=0.0)
-    cm = extract_components(cs.A, cs.B, cs.C, cs.D, 3, form)
+    form = verify_cyclic_form(cs, 3, tol=0.0)
+    cm = extract_components(cs, 3, form)
     assert cm.structure is form  # kept as evidence, not measured again
     for i in range(3):
         assert np.array_equal(cm.A_phases[i], plant.A)
@@ -252,7 +249,7 @@ def test_choose_transform_rejects_dense(plant):
     # transform is regular, and the transformed model fails the one
     # cyclic-form check, so the one attempt raises with its record
     cs = cyclic_reformulate(plant, build_masks((1, 3)))
-    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3, 1, 2, 3)
+    dense = identified_model(cs.A + 0.01, cs.B, cs.C, cs.D, 3)
     with pytest.raises(StructureViolationError) as err:
         choose_transform(dense, 1e-6)
     message = str(err.value)
@@ -264,7 +261,7 @@ def test_choose_transform_rejects_dense(plant):
 def test_model_transfer_check_true_components(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 0.0)
+    cm = extract_checked(cs, 3, 0.0)
     passed, dists = model_transfer_check(cm, plant, spec, 1e-10)
     assert passed and dists.shape == (2, 1)
 
@@ -275,7 +272,7 @@ def test_recovered_plant_reads_each_output_where_it_is_sampled(plant, offsets):
     # recovered plant reads that row from the first phase that samples it
     spec = build_masks((2, 3), offsets)
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 6, 0.0)
+    cm = extract_checked(cs, 6, 0.0)
     blind = offsets.index(1)
     assert not cm.C_phases[0][blind].any()
     rec = cm.recovered_plant(spec)
@@ -288,7 +285,7 @@ def test_recovered_plant_reads_each_output_where_it_is_sampled(plant, offsets):
 def test_model_transfer_check_detects_perturbed_reference(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
-    cm = extract_checked(cs.A, cs.B, cs.C, cs.D, 3, 0.0)
+    cm = extract_checked(cs, 3, 0.0)
     A2 = plant.A.copy()
     A2[0, 2] += 0.05
     other = make_state_space(A2, plant.B, plant.C, plant.D)
@@ -301,24 +298,23 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     # equality; equal blocks preserve everything including transfer functions
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(plant, spec)
-    idm = as_identified(cs)
+    idm = as_identified(cs, 6)
     T = build_transform(idm).matrix
     rng = np.random.default_rng(40)
 
     hetero = np.zeros((18, 18))
     for i in range(6):
         hetero[3 * i:3 * i + 3, 3 * i:3 * i + 3] = rng.normal(size=(3, 3)) + 2 * np.eye(3)
-    Am, Bm, Cm, Dm = apply_transform(idm, T @ hetero)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 6, tol=1e-9)
+    tr = apply_transform(idm, T @ hetero)
+    rep = verify_cyclic_form(tr, 6, tol=1e-9)
     assert rep.passed
-    cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-9)
+    cm = extract_checked(tr, 6, 1e-9)
     devA, _ = cm.component_spread()
     assert devA > 1e-3  # phases genuinely differ now
 
     block = rng.normal(size=(3, 3)) + 2 * np.eye(3)
     equal = lift_selector(block, 6)
-    Am, Bm, Cm, Dm = apply_transform(idm, T @ equal)
-    cm = extract_checked(Am, Bm, Cm, Dm, 6, 1e-9)
+    cm = extract_checked(apply_transform(idm, T @ equal), 6, 1e-9)
     devA, devB = cm.component_spread()
     assert devA <= 1e-9 and devB <= 1e-9
     passed, _ = model_transfer_check(cm, plant, spec, 1e-8)
@@ -330,8 +326,7 @@ def test_transform_restores_cyclic_form_on_identified_mixed_rate(mixed_rate_run)
     idm = model.source
     tres = build_transform(idm)
     assert tres.regular
-    Am, Bm, Cm, Dm = apply_transform(idm, tres.matrix)
-    rep = verify_cyclic_form(Am, Bm, Cm, Dm, 3, tol=1e-6)
+    rep = verify_cyclic_form(apply_transform(idm, tres.matrix), 3, tol=1e-6)
     assert rep.passed, rep.max_offpattern
 
 
