@@ -12,19 +12,8 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import (
-    DATA_ERRORS,
-    EXIT_CONFIG,
-    EXIT_DATA,
-    EXIT_STRUCTURE,
-    STRUCTURE_ERRORS,
-    CycsidError,
-    ParseError,
-    SchemaError,
-)
+from .errors import EXIT_CONFIG, EXIT_OK, KINDS, REFUSALS, ParseError, SchemaError, kind
 from .fileio import load_model, save_model, save_signals, write_json
-
-EXIT_OK = 0
 
 
 def build_parser():
@@ -134,16 +123,25 @@ def _verdict(report):
             f"checks {'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
 
 
+def _judged(run, path):
+    """run()'s (model, report), with the report written to path.  A refusal
+    is raised again; a structure refusal first leaves its record at path,
+    while a data or config refusal writes nothing."""
+    try:
+        model, report = run()
+    except REFUSALS as e:
+        if kind(e) == "structure":
+            write_json(pipeline.refusal(e), path)
+        raise
+    write_json(report, path)
+    return model, report
+
+
 def cmd_identify(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    try:
-        model, report = pipeline.run_identification(cfg)
-    except STRUCTURE_ERRORS as e:
-        write_json(pipeline.refusal(e), out / "report.json")
-        raise
+    model, report = _judged(lambda: pipeline.run_identification(cfg), out / "report.json")
     save_model(model.source, out / "model.json", cfg.spec, {"seed": report.seed, "N": report.N})
-    write_json(report.to_dict(), out / "report.json")
     print(f"order {report.order} model identified; {_verdict(report)}")
     depth = report.block_rows
     how = ("pattern" if depth["used"] == depth["pattern"]
@@ -152,7 +150,7 @@ def cmd_identify(args):
     print(f"block rows {depth['used']} ({how}); shift margin {margin:.2g} "
           f"{'>' if margin > report.sv_gap else '<='} gap {report.sv_gap:.2g}")
     print(f"wrote {out / 'model.json'}, {out / 'report.json'}")
-    return EXIT_STRUCTURE if report.failures() else EXIT_OK
+    return report.exit_code
 
 
 def cmd_verify(args):
@@ -169,25 +167,18 @@ def cmd_verify(args):
     if (n, m) != (plant.n, plant.m):
         raise SchemaError(f"model (n, m) = ({n}, {m}) != config plant "
                           f"(n, m) = ({plant.n}, {plant.m})")
-    try:
-        provenance = {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}
-        _, report = pipeline.validate(mf.model, cfg, provenance)
-    except STRUCTURE_ERRORS as e:
-        write_json(pipeline.refusal(e), out / "verify_report.json")
-        raise
-    write_json(report.to_dict(), out / "verify_report.json")
+    _, report = _judged(lambda: pipeline.validate(
+        mf.model, cfg, {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}),
+        out / "verify_report.json")
     print(f"order {report.order} model verified; {_verdict(report)}")
-    return EXIT_STRUCTURE if report.failures() else EXIT_OK
+    return report.exit_code
 
 
 def cmd_demo(args):
     studies = [(label, _override(pipeline.builtin_config(rates), args))
                for label, rates in pipeline.DEMO_STUDIES]
-    out = _outdir(args)
     status, reports = pipeline.demo_paper(studies)
-    write_json({label: rep.to_dict() if hasattr(rep, "to_dict") else rep
-                for label, rep in reports.items()},
-               out / "demo_report.json")
+    write_json(reports, _outdir(args) / "demo_report.json")
     return status
 
 
@@ -204,21 +195,13 @@ def main(argv=None):
         "verify": cmd_verify,
         "demo-paper": cmd_demo,
     }
-    # the commands raise, and only here is an error printed and given its exit code
+    # the commands raise, and only here is a refusal printed and given its exit code
     try:
         return handlers[args.command](args)
-    except DATA_ERRORS as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except STRUCTURE_ERRORS as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except (ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CycsidError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except REFUSALS as e:
+        code, prefix = KINDS[kind(e)]
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -84,8 +84,10 @@ class SchemaError(CycsidError):
     """A parsed file is missing or mistypes a required field."""
 
 
-# Exit codes of the command line, and the errors each one stands for; the
-# CLI and the built-in studies map errors through the same tuples.
+# The kinds of refused run.  kind(e) is the one classifier: the CLI prints
+# a refusal's prefix and exits with its code, and the built-in studies and
+# the report files record its kind, all read through KINDS.
+EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STRUCTURE = 4
@@ -93,3 +95,16 @@ EXIT_STRUCTURE = 4
 DATA_ERRORS = (InsufficientDataError, ExcitationDeficientError, ParseError, SchemaError)
 STRUCTURE_ERRORS = (AssumptionFailedError, StructureViolationError, DivergentModelError,
                     RankConditionError, RankDeficientAError, SingularMatrixError)
+#: the errors a run is refused with; any other exception is a fault and propagates
+REFUSALS = (CycsidError, ValueError, OSError)
+#: kind -> (exit code, stderr prefix)
+KINDS = {"config": (EXIT_CONFIG, "config error"), "data": (EXIT_DATA, "data error"),
+         "structure": (EXIT_STRUCTURE, "verification failure")}
+
+
+def kind(e):
+    """The kind of the refusal e, one of REFUSALS: "data" for DATA_ERRORS,
+    "structure" for STRUCTURE_ERRORS, and "config" for every other one."""
+    if isinstance(e, DATA_ERRORS):
+        return "data"
+    return "structure" if isinstance(e, STRUCTURE_ERRORS) else "config"

@@ -24,9 +24,11 @@ from .subspace import IdentifiedModel
 
 
 def write_json(obj, path):
-    """Write obj as indented JSON, making the parent directory when it is missing."""
+    """Write obj as indented JSON, making the parent directory when it is
+    missing; an object JSON has no type for, such as a RunReport, is written
+    as its to_dict()."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, default=lambda o: o.to_dict()) + "\n")
 
 
 @contextmanager

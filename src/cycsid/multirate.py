@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidRateError, RankDeficientAError
-from .numerics import DEFAULT_RANK_TOL, as_matrix, convert, integer, rank_with_tol
+from .numerics import DEFAULT_RANK_TOL, as_matrix, check_budget, convert, integer, rank_with_tol
 from .statespace import powers, simulate
 
 
@@ -41,7 +41,9 @@ def build_masks(rates, offsets=None):
 
     Sensor i reports when (k - offset_i) mod rate_i == 0, with offset_i in
     [0, rate_i); offsets default to zero, which reproduces the V_0 = I
-    convention of the worked examples.
+    convention of the worked examples.  The (M, l) table is sized against
+    the memory budget before it is built, so a period too long to tabulate
+    is a MemoryBudgetError (a ValueError) naming it.
     """
     rates = convert("rates", rates, _integers, "a list of integers")
     if len(rates) == 0:
@@ -53,7 +55,10 @@ def build_masks(rates, offsets=None):
     if len(offsets) != len(rates) or not all(0 <= o < r for o, r in zip(offsets, rates)):
         raise InvalidRateError(f"offsets {list(offsets)}: need one in [0, rate) per rate")
     M = math.lcm(*rates)
-    sampled = (np.subtract.outer(np.arange(M), offsets) % rates == 0).astype(np.float64)
+    check_budget(f"sampling table of period {M}", (M, len(rates)))
+    sampled = np.zeros((M, len(rates)))
+    for i, (rate, offset) in enumerate(zip(rates, offsets)):
+        sampled[offset::rate, i] = 1.0
     return MultirateSpec(rates=rates, offsets=offsets, M=M, sampled=sampled)
 
 

@@ -24,14 +24,15 @@ from .cyclic import (
     verify_markov_structure,
 )
 from .errors import (
-    DATA_ERRORS,
-    EXIT_DATA,
+    EXIT_OK,
     EXIT_STRUCTURE,
-    STRUCTURE_ERRORS,
+    KINDS,
+    REFUSALS,
     AssumptionFailedError,
     DimensionMismatchError,
     SchemaError,
     StructureViolationError,
+    kind,
 )
 from .fileio import load_signals, read_json, require
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
@@ -219,6 +220,11 @@ class RunReport:
                   "tf": self.tf_passed}
         return failed + [name for name, ok in passed.items() if not ok]
 
+    @property
+    def exit_code(self):
+        """The CLI exit code of the judged run: EXIT_STRUCTURE when a check failed."""
+        return EXIT_STRUCTURE if self.failures() else EXIT_OK
+
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["rates"] = list(self.rates)
@@ -291,8 +297,10 @@ def choose_transform(idm, tol):
 
 
 def refusal(e):
-    """The record a structure error leaves in place of a RunReport."""
-    return {"error": str(e), "kind": "structure", "attempt": getattr(e, "attempt", None)}
+    """The record a refused run leaves in place of a RunReport: the message,
+    the kind (errors.kind) and the refused transform's attempt record, None
+    when e holds none."""
+    return {"error": str(e), "kind": kind(e), "attempt": getattr(e, "attempt", None)}
 
 
 def observable_phases(cfg):
@@ -466,26 +474,24 @@ def demo_paper(studies, printer=print):
     """Run (label, ExperimentConfig) studies and print a verification report
     that compares each recovered transfer function with its config's plant.
 
-    Returns (status, reports): status is 0 when every check meets its
-    threshold, otherwise the CLI exit code of the worst failure.
+    Returns (status, reports): status is the worst CLI exit code over the
+    studies, 0 when every check meets its threshold; reports maps each label
+    to its RunReport, or to its refusal record when the study was refused.
     """
-    status = 0
+    status = EXIT_OK
     reports = {}
     for label, cfg in studies:
         printer(f"=== {label} ===")
         try:
             model, report = run_identification(cfg)
-        except DATA_ERRORS as e:
-            printer(f"study result: FAIL (data error: {e})")
-            printer("")
-            reports[label] = {"error": str(e), "kind": "data"}
-            status = max(status, EXIT_DATA)
-            continue
-        except STRUCTURE_ERRORS as e:
-            printer(f"study result: FAIL ({e})")
-            printer("")
+        except REFUSALS as e:
             reports[label] = refusal(e)
-            status = EXIT_STRUCTURE
+            code, prefix = KINDS[kind(e)]
+            # a structure refusal's message names the check it failed
+            why = e if code == EXIT_STRUCTURE else f"{prefix}: {e}"
+            printer(f"study result: FAIL ({why})")
+            printer("")
+            status = max(status, code)
             continue
         reports[label] = report
         r = report.ranks
@@ -517,6 +523,5 @@ def demo_paper(studies, printer=print):
                     f"{'PASS' if report.tf_distances[i][0] <= cfg.tolerances['tf'] else 'FAIL'}")
         printer(f"study result: {'FAIL (' + ', '.join(failed) + ')' if failed else 'PASS'}")
         printer("")
-        if failed:
-            status = EXIT_STRUCTURE
+        status = max(status, report.exit_code)
     return status, reports

@@ -405,6 +405,7 @@ def subspace_identify(ucheck, ycheck, n, block_rows=None):
     cols = regressor_columns(M, n, m_base, l_base)
     fitted = Phi[:rows.size, :cols.size].any(axis=0)
     full = np.zeros(Phi.shape[1])
+    del Phi  # the run's largest array is freed before the model checks its matrices
     full[cols[fitted]] = theta[:cols.size][fitted]
     x0 = full[:order]
     B = full[order:order + order * mm].reshape((order, mm), order="F")

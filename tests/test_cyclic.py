@@ -49,6 +49,9 @@ def test_shift_matrix_has_period_M():
     for q, M in [(1, 3), (2, 4), (3, 6)]:
         S = shift_matrix(q, M)
         assert np.array_equal(np.linalg.matrix_power(S, M), np.eye(q * M))
+    for q, M in [(0, 3), (2, 0)]:
+        with pytest.raises(ValueError, match="^q and M must be positive$"):
+            shift_matrix(q, M)
 
 
 def test_shift_inverse_is_cyclic():
@@ -69,6 +72,8 @@ def test_cycle_signal_period_one_identity():
     c = cycle_signal(raw, 1)
     assert np.array_equal(c.samples, raw)
     assert np.array_equal(uncycle_signal(c.samples, c.M), raw)
+    with pytest.raises(ValueError, match="^M must be positive$"):
+        cycle_signal(raw, 0)
 
 
 def test_cycle_uncycle_roundtrip():
@@ -185,6 +190,9 @@ def test_structure_checks_reject_bad_shape():
     with pytest.raises(DimensionMismatchError,
                        match=r"^expected 3 x 3 blocks, got shape \(6, 4\)$"):
         is_block_diagonal(np.zeros((6, 4)), 3)
+    # an empty matrix has no entry off the pattern
+    rep = is_cyclic_matrix(np.zeros((0, 0)), 3, tol=0.0)
+    assert rep.passed and rep.max_offpattern == 0.0
 
 
 def test_shift_adjusted_first_markov_is_block_diagonal(plant):

@@ -13,6 +13,7 @@ from cycsid import (
     ExperimentConfig,
     InsufficientDataError,
     MemoryBudgetError,
+    NonSquareError,
     SingularMatrixError,
     cycle_signal,
     invert,
@@ -33,6 +34,12 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert rank_with_tol(np.zeros((4, 2)), 1e-10) == 0
+    # an empty or non-2-D operand, and a negative tolerance, are refused
+    for bad in (np.zeros((0, 2)), np.zeros(3)):
+        with pytest.raises(DimensionMismatchError, match="must be 2-D and nonempty"):
+            rank_with_tol(bad)
+    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+        rank_with_tol(np.eye(2), -1.0)
 
 
 def test_rank_counts_only_clear_directions():
@@ -109,6 +116,8 @@ def test_invert_shift_is_transpose():
 def test_invert_zero_raises():
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
+    with pytest.raises(NonSquareError, match=r"^inverse needs a square matrix, got \(2, 3\)$"):
+        invert(np.ones((2, 3)))
 
 
 def test_invert_roundtrip_well_conditioned():

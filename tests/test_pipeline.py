@@ -20,6 +20,7 @@ from cycsid import (
     cyclic_reformulate,
     kernels,
     make_state_space,
+    numerics,
     pipeline,
     run_identification,
     save_signals,
@@ -378,6 +379,33 @@ def test_cli_operand_over_the_memory_budget_exits_2(tmp_path, capsys):
                                        "4590), would take 12.3 GiB, over the 2 GiB memory "
                                        "budget\n")
     assert not (tmp_path / "run").exists()
+
+
+def test_a_period_too_long_to_tabulate_is_refused_before_its_table(tmp_path, dual_rate_run,
+                                                                   capsys):
+    # rates 100000 and 100001 have period 10000100000, whose (M, 2) sampling
+    # table would take 149 GiB: it is refused before any period-sized array is
+    # made, as a config error in a config (2) and a data error in a model file (3)
+    from cycsid.fileio import save_model
+
+    rates = [100000, 100001]
+    table = ("the sampling table of period 10000100000, shape (10000100000, 2), "
+             "would take 149 GiB, over the 2 GiB memory budget")
+    out = tmp_path / "out"
+    big = write_config(tmp_path, rates=rates)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(big), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {big}: {table}\n"
+
+    cfg, model, _ = dual_rate_run
+    path = tmp_path / "model.json"
+    save_model(model.source, path, cfg.spec)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "rates": rates}))
+    assert main(["verify", "--model", str(path), "--config",
+                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: {table}\n"
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -979,6 +1007,32 @@ def test_demo_prints_reference_line_and_passes(tmp_path, capsys):
     assert "(0.1z^2+0.34z+0.77) / (z^3+0.4z^2-0.5z-0.8)" in text
     assert "study result: PASS" in text
     assert (tmp_path / "demo_report.json").exists()
+
+
+def test_demo_paper_records_every_refused_study_and_exits_with_the_worst_code(
+        tmp_path, monkeypatch, capsys):
+    # too few samples refuse both studies as data errors (3).  A memory budget
+    # that admits study (1,3) but not study (2,3)'s B/D/x0 regressor refuses
+    # the second as a config error (2), and the first study's report is still
+    # written.  Every refused study leaves the same record, and stderr stays empty
+    assert main(["demo-paper", "--n", "50", "--out", str(tmp_path / "short")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    short = json.loads((tmp_path / "short" / "demo_report.json").read_text())
+    for label, _ in DEMO_STUDIES:
+        record = short[label]
+        assert record == {"error": record["error"], "kind": "data", "attempt": None}
+        assert f"study result: FAIL (data error: {record['error']})" in lines
+
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 2**22)
+    assert main(["demo-paper", "--n", "600", "--out", str(tmp_path / "big")]) == 2
+    out = capsys.readouterr()
+    big = json.loads((tmp_path / "big" / "demo_report.json").read_text())
+    record = big["dual rate (2,3)"]
+    assert record == {"error": record["error"], "kind": "config", "attempt": None}
+    assert record["error"].startswith("the B/D/x0 regressor, shape (7200, 198)")
+    assert f"study result: FAIL (config error: {record['error']})" in out.out.splitlines()
+    assert RunReport.from_dict(big["mixed rates (1,3)"]).failures() == []
+    assert out.err == ""
 
 
 def test_demo_paper_pins_its_round_off_free_lines():

@@ -131,6 +131,8 @@ def test_powers_equal_the_loop_bit_for_bit(right, order, count):
 def test_markov_zero_feedthrough(plant):
     H = markov(plant, 3)
     assert np.array_equal(H[0], np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        markov(plant, 0)
 
 
 def test_markov_geometric(scalar_lag):
@@ -211,6 +213,16 @@ def test_tf_distance_single_coefficient():
     p = TransferFunction(num=[1.0], den=[1.0, -0.5])
     q = TransferFunction(num=[1.0], den=[1.0, -0.6])
     assert tf_distance(p, q) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ([1.0], [0.0, 1.0], "denominator must have a nonzero leading coefficient"),
+    ([1.0], [], "denominator must have a nonzero leading coefficient"),
+    ([1.0, 0.0, 1.0], [1.0, 0.5], "numerator degree exceeds denominator degree"),
+])
+def test_transfer_function_refuses_a_malformed_ratio(num, den, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+        TransferFunction(num=num, den=den)
 
 
 def test_tf_distance_aligns_degrees():

@@ -57,6 +57,8 @@ def test_hankel_start_offset():
 def test_hankel_rejects_short_signal():
     with pytest.raises(InsufficientDataError):
         build_block_hankel([1.0, 2.0, 3.0], rows=2, cols=3)
+    with pytest.raises(ValueError, match="^rows and cols must be positive$"):
+        build_block_hankel([1.0, 2.0, 3.0], rows=0, cols=2)
 
 
 def test_hankel_constant_signal():
@@ -379,6 +381,29 @@ def test_identify_frees_factorization_before_fit(plant):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * regressor_bytes, peak / regressor_bytes
+
+
+def test_identify_frees_the_regressor_before_the_model_is_built(plant, monkeypatch):
+    # the B/D/x0 regressor is gone when IdentifiedModel checks its matrices,
+    # so their temporaries are not laid out beside it
+    spec = build_masks((2, 3))
+    u = np.random.default_rng(5).uniform(-1, 1, (3000, 1))
+    log = simulate_multirate(plant, spec, u)
+    uc, yc = cycle_signal(log.u, spec.M), cycle_signal(log.y, spec.M)
+    held, identified = [], subspace.IdentifiedModel
+
+    def model(**fields):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return identified(**fields)
+
+    monkeypatch.setattr(subspace, "IdentifiedModel", model)
+    tracemalloc.start()
+    try:
+        subspace_identify(uc, yc, n=plant.n)
+    finally:
+        tracemalloc.stop()
+    regressor_bytes = 8 * math.prod(kernels.regressor_shape(3000, spec.M, plant.n, 1, 2))
+    assert len(held) == 1 and held[0] < regressor_bytes / 4, held[0] / regressor_bytes
 
 
 def test_a_regressor_over_the_memory_budget_is_refused_before_anything_is_built():
