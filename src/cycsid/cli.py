@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import EXIT_CONFIG, EXIT_OK, KINDS, REFUSALS, ParseError, SchemaError, kind
+from .errors import EXIT_CONFIG, EXIT_OK, KINDS, REFUSALS, SchemaError, kind
 from .fileio import load_model, save_model, save_signals, write_json
 
 
@@ -57,18 +57,17 @@ def build_parser():
 
 def _override(cfg, args):
     """cfg with the command-line overrides applied.  The config constructor
-    checks the result, so a bad flag value raises ValueError."""
+    checks the result, so a bad flag value raises ValueError; so does
+    --seed or --n on a signals file, named by --signals or by the config."""
     flags = {k: v for k, v in vars(args).items() if v is not None}
     changes = {}
+    for flag in ("seed", "n"):
+        if flag in flags and ("signals" in flags or "file" in cfg.input):
+            raise ValueError(f"--{flag} does not apply to a signals file, "
+                             "which holds its own input and length")
     if "seed" in flags:
-        inp = {**cfg.input, "seed": flags["seed"]}
-        inp.pop("file", None)
-        changes["input"] = inp
+        changes["input"] = {**cfg.input, "seed": flags["seed"]}
     if "signals" in flags:
-        for flag in ("seed", "n"):
-            if flag in flags:
-                raise ValueError(f"--{flag} does not apply to a signals file, "
-                                 "which holds its own input and length")
         # the recorded signals already carry whatever noise and initial state
         # they were made with
         changes["input"] = {"file": flags["signals"]}
@@ -84,16 +83,6 @@ def _override(cfg, args):
     return dataclasses.replace(cfg, **changes)
 
 
-def _load_config(args):
-    """The config file with the command-line overrides applied; a file that
-    cannot be read or parsed is a config error, so it raises ValueError."""
-    try:
-        cfg = pipeline.load_config(args.config)
-    except (ParseError, SchemaError) as e:
-        raise ValueError(str(e)) from e
-    return _override(cfg, args)
-
-
 def _outdir(args, cfg=None):
     """The output directory; the writers make it with the first file they write."""
     return Path(args.out if args.out is not None
@@ -101,7 +90,7 @@ def _outdir(args, cfg=None):
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args)
+    cfg = _override(pipeline.load_config(args.config), args)
     out = _outdir(args, cfg)
     log = pipeline.collect_data(cfg)
     sig_path = out / "signals.csv"
@@ -138,7 +127,7 @@ def _judged(run, path):
 
 
 def cmd_identify(args):
-    cfg = _load_config(args)
+    cfg = _override(pipeline.load_config(args.config), args)
     out = _outdir(args, cfg)
     model, report = _judged(lambda: pipeline.run_identification(cfg), out / "report.json")
     save_model(model.source, out / "model.json", cfg.spec, {"seed": report.seed, "N": report.N})
@@ -154,19 +143,15 @@ def cmd_identify(args):
 
 
 def cmd_verify(args):
-    cfg = _load_config(args)
+    cfg = _override(pipeline.load_config(args.config), args)
     out = _outdir(args, cfg)
     mf = load_model(args.model)
     spec = cfg.spec
-    plant = cfg.plant
-    # a model of another sampling pattern or plant size came from other data
+    # a model of another sampling pattern came from other data; validate
+    # refuses one of another plant size
     if mf.spec != spec:
         raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
                           f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}")
-    n, m = mf.model.n // spec.M, mf.model.m // spec.M
-    if (n, m) != (plant.n, plant.m):
-        raise SchemaError(f"model (n, m) = ({n}, {m}) != config plant "
-                          f"(n, m) = ({plant.n}, {plant.m})")
     _, report = _judged(lambda: pipeline.validate(
         mf.model, cfg, {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}),
         out / "verify_report.json")

@@ -54,16 +54,6 @@ def read_json(path):
         raise ParseError(f"{path}: {e.msg}", line=e.lineno, column=e.colno) from e
 
 
-def require(mapping, field, path):
-    """mapping[field]; a mapping that is not an object, or lacks field, is a SchemaError."""
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{path}: expected an object holding '{field}', "
-                          f"got {type(mapping).__name__}")
-    if field not in mapping:
-        raise SchemaError(f"{path}: missing required field '{field}'")
-    return mapping[field]
-
-
 # ---------------------------------------------------------------- signals ---
 
 def signals_header(m, l):

@@ -30,11 +30,12 @@ from .errors import (
     REFUSALS,
     AssumptionFailedError,
     DimensionMismatchError,
+    ParseError,
     SchemaError,
     StructureViolationError,
     kind,
 )
-from .fileio import load_signals, read_json, require
+from .fileio import load_signals, read_json
 from .multirate import build_masks, check_observability_assumption, simulate_multirate
 from .numerics import (
     blas_threads,
@@ -161,20 +162,35 @@ def _seed(value):
     return seed
 
 
+def _field(mapping, key):
+    """mapping[key]; a mapping that is not an object, or lacks key, is a ValueError."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"expected an object holding '{key}', got {type(mapping).__name__}")
+    if key not in mapping:
+        raise ValueError(f"missing required field '{key}'")
+    return mapping[key]
+
+
 def load_config(path):
-    """Build an ExperimentConfig from a JSON file whose keys are its fields;
-    a key that is not a field, or a malformed plant, is a SchemaError."""
-    doc = read_json(path)
-    plant_doc = require(doc, "plant", path)
-    for key in ("A", "B", "C", "D"):
-        require(plant_doc, key, path)
-    require(doc, "rates", path)
+    """Build an ExperimentConfig from a JSON file whose keys are its fields.
+
+    Every fault of the file is a config error, a ValueError that names the
+    file: one that cannot be read, is not UTF-8 or not JSON, a missing,
+    unknown or malformed key, and a malformed plant.
+    """
     try:
+        doc = read_json(path)
+        plant_doc = _field(doc, "plant")
+        for key in "ABCD":
+            _field(plant_doc, key)
+        _field(doc, "rates")
         plant = make_state_space(*(convert(f"plant.{key}", plant_doc[key], numbers,
                                            "a matrix of numbers") for key in "ABCD"))
         return ExperimentConfig(**{**doc, "plant": plant})
+    except ParseError as e:  # its message names the file
+        raise ValueError(str(e)) from e
     except (ValueError, TypeError, DimensionMismatchError) as e:
-        raise SchemaError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -276,24 +292,23 @@ def choose_transform(idm, tol):
     """Build the transform from idm's reachability data, apply it and check
     the cyclic form once, with the period read from idm.
 
-    Returns (CyclicModel, TransformResult, tried), where tried holds the one
-    attempt: its rank, cond(T) and, once applied, the cyclic-form margin.
-    Raises StructureViolationError, with the attempt's record as its
-    attempt, when T is singular or the transformed model is not cyclic at tol.
+    Returns (model, attempt): the CyclicModel, whose T is the transform, and
+    build_transform's attempt record, to which a regular T adds applied,
+    structure_passed and the cyclic-form margin max_offpattern.  Raises
+    StructureViolationError, with that record as its attempt, when T is
+    singular or the transformed model is not cyclic at tol.
     """
-    tres = build_transform(idm)
-    entry = {"convention": "general", "rank": tres.rank, "regular": tres.regular,
-             "cond": tres.cond}
-    if tres.regular:
-        transformed = apply_transform(idm, tres.matrix)
+    T, attempt = build_transform(idm)
+    if attempt["regular"]:
+        transformed = apply_transform(idm, T)
         form = verify_cyclic_form(transformed, idm.M, tol)
-        entry.update(applied=True, structure_passed=form.passed,
-                     max_offpattern=form.max_offpattern)
+        attempt.update(applied=True, structure_passed=form.passed,
+                       max_offpattern=form.max_offpattern)
         if form.passed:
-            model = extract_components(transformed, idm.M, form, T=tres.matrix)
-            return model, tres, [entry]
+            return extract_components(transformed, idm.M, form, T=T), attempt
     raise StructureViolationError(
-        f"the transform gives no regular matrix with cyclic structure: {entry}", attempt=entry)
+        f"the transform gives no regular matrix with cyclic structure: {attempt}",
+        attempt=attempt)
 
 
 def refusal(e):
@@ -339,12 +354,20 @@ def validate(idm, cfg, provenance):
     """Judge idm against cfg's plant, sampling and tolerances: (CyclicModel,
     RunReport), timed from the reference stage to verify.  provenance holds
     the data's seed and N (None when not recorded) and observable_phases.
+    Raises SchemaError, naming both sizes, when idm's period M or its
+    per-phase l, n or m is not cfg's: such a model came from other data.
     Raises StructureViolationError when choose_transform refuses idm.
     """
     timings = {}
     plant, spec, tol = cfg.plant, cfg.spec, cfg.tolerances
     M = spec.M
     order = M * plant.n
+    n, m, l = (size // idm.M for size in (idm.n, idm.m, idm.l))
+    if (idm.M, l) != (M, plant.l):
+        raise SchemaError(f"model (M, l) = ({idm.M}, {l}) != config (M, l) = ({M}, {plant.l})")
+    if (n, m) != (plant.n, plant.m):
+        raise SchemaError(f"model (n, m) = ({n}, {m}) != config plant "
+                          f"(n, m) = ({plant.n}, {plant.m})")
 
     # True-system reference facts.
     t0 = time.perf_counter()
@@ -368,9 +391,9 @@ def validate(idm, cfg, provenance):
     timings["markov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model, tres, tried = choose_transform(idm, tol["structure"])
+    model, attempt = choose_transform(idm, tol["structure"])
     model.source = idm
-    aggr = aggregate_diagnostics(idm, tres.matrix, tol["structure"])
+    aggr = aggregate_diagnostics(idm, model.T, tol["structure"])
     timings["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -384,14 +407,14 @@ def validate(idm, cfg, provenance):
         rates=cfg.rates,
         M=M,
         order=order,
-        conventions_tried=tried,
+        conventions_tried=[attempt],
         observable_phases=provenance["observable_phases"],
         ranks={
             "controllability": rank_c,
             "observability": rank_o,
             "obs_aggregate": rank_x,
             "ctrl_aggregate": rank_y,
-            "transform": tres.rank,
+            "transform": attempt["rank"],
             "selector_aggregate": aggr["selector_aggregate_rank"],
             "expected": order,
         },

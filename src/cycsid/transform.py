@@ -75,22 +75,16 @@ def build_Y_check(sys, M):
     return T
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    matrix: np.ndarray
-    rank: int
-    cond: float
-
-    @property
-    def regular(self):
-        return self.rank == len(self.matrix)
-
-
 def build_transform(idm):
-    """The coordinate transform build_Y_check(idm, idm.M), returned with its
-    numerical rank and condition number whether or not it is regular."""
+    """(T, attempt): the coordinate transform T = build_Y_check(idm, idm.M),
+    whether or not it is regular, and the record of the attempt, which
+    holds its convention ("general", the one there is), numerical rank,
+    regularity and condition number.  choose_transform adds the cyclic-form
+    check to that record, and reports and refusals carry it."""
     T = build_Y_check(idm, idm.M)
-    return TransformResult(matrix=T, rank=rank_with_tol(T), cond=float(np.linalg.cond(T)))
+    rank = rank_with_tol(T)
+    return T, {"convention": "general", "rank": rank, "regular": rank == len(T),
+               "cond": float(np.linalg.cond(T))}
 
 
 def apply_transform(idm, T):

@@ -16,6 +16,7 @@ from cycsid import (
     save_signals,
     simulate_multirate,
 )
+from cycsid.errors import kind
 from cycsid.fileio import MODEL_KEYS, ModelFile
 from cycsid.pipeline import load_config, run_identification
 from cycsid import cyclic_reformulate
@@ -280,8 +281,10 @@ def test_an_unreadable_file_is_a_parse_error_naming_it(tmp_path):
     signals.write_bytes(b"k,u_1,y_1,obs_1\n0,1.0,\xff,1\n")
     model = tmp_path / "binary.json"
     model.write_bytes(b'{"kind": "\xff"}')
-    for path, load in ((signals, load_signals), (model, load_model), (model, load_config)):
-        with pytest.raises(ParseError) as err:
+    # a config file's fault is a config error, a ValueError with the same text
+    for path, load, error in ((signals, load_signals, ParseError),
+                              (model, load_model, ParseError), (model, load_config, ValueError)):
+        with pytest.raises(error) as err:
             load(path)
         assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
@@ -349,7 +352,7 @@ def test_config_offsets_pair_with_rates(tmp_path):
     # same steps as 0 or 1, and the model file would record it differently
     for offsets in ([1, 0], [2], [-1]):
         path.write_text(json.dumps({**doc, "offsets": offsets}))
-        with pytest.raises(SchemaError, match=r"need one in \[0, rate\) per rate"):
+        with pytest.raises(ValueError, match=r"need one in \[0, rate\) per rate"):
             load_config(path)
 
 
@@ -358,14 +361,14 @@ def test_config_rejects_a_nonpositive_rate(tmp_path):
            "rates": [0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=r"rates must be positive, got \(0,\)"):
+    with pytest.raises(ValueError, match=r"rates must be positive, got \(0,\)"):
         load_config(path)
 
 
 def test_config_missing_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"plant": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}}))
-    with pytest.raises(SchemaError, match="D"):
+    with pytest.raises(ValueError, match="D"):
         load_config(path)
 
 
@@ -374,7 +377,7 @@ def test_config_rate_count_mismatch(tmp_path):
            "rates": [2, 3]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValueError):
         load_config(path)
 
 
@@ -394,7 +397,7 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
            "rates": [2], **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=key):
+    with pytest.raises(ValueError, match=key):
         load_config(path)
 
 
@@ -460,9 +463,38 @@ def test_config_value_that_fails_conversion_names_its_key(tmp_path, extra, messa
            "rates": [2], **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(ValueError) as err:
         load_config(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+CONFIG_DOC = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}, "rates": [2]}
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "[Errno 2] No such file or directory: '{path}'", id="missing"),
+    pytest.param(b"\xff", "{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte", id="not-utf8"),
+    pytest.param(b"{", "{path}: Expecting property name enclosed in double quotes "
+                 "(line 1, column 2)", id="not-json"),
+    pytest.param(b"[]", "{path}: expected an object holding 'plant', got list", id="list"),
+    pytest.param({"plant": CONFIG_DOC["plant"]}, "{path}: missing required field 'rates'",
+                 id="no-rates"),
+    pytest.param({**CONFIG_DOC, "tolerence": {}}, "{path}: ExperimentConfig.__init__() got "
+                 "an unexpected keyword argument 'tolerence'", id="unknown-key"),
+    pytest.param({**CONFIG_DOC, "N": "abc"}, "{path}: N must be an integer, got 'abc'",
+                 id="N-text"),
+])
+def test_every_config_file_fault_is_a_config_error(tmp_path, content, message):
+    # whatever is wrong with a config file, the refusal is of the config
+    # kind (exit 2), and its message names the file
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert kind(err.value) == "config"
+    assert str(err.value) == message.format(path=path)
 
 
 def test_config_seed_may_be_null(tmp_path):

@@ -280,10 +280,10 @@ def test_cli_simulate_identify_verify_chain(tmp_path, capsys):
     # attempt, cyclic form and components exactly
     idm = load_model(out / "model.json").model
     tol = report["cyclic_form"]["A_cyclic"]["tol"]
-    cm, tres, tried = choose_transform(idm, tol)
-    assert tried == report["conventions_tried"]
+    cm, attempt = choose_transform(idm, tol)
+    assert [attempt] == report["conventions_tried"]
     assert cm.structure.to_dict() == report["cyclic_form"]
-    assert tried[0]["convention"] == "general"
+    assert attempt["convention"] == "general"
     assert {k: [X.tolist() for X in getattr(cm, k)] for k in report["components"]} \
         == report["components"]
 
@@ -355,6 +355,28 @@ def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, c
     assert not (tmp_path / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("plant, rates, message", [
+    pytest.param(RESIZED_PAPER_PLANTS["n2"], (2, 3),
+                 "model (n, m) = (3, 1) != config plant (n, m) = (2, 1)", id="n2"),
+    pytest.param(RESIZED_PAPER_PLANTS["m2"], (2, 3),
+                 "model (n, m) = (3, 1) != config plant (n, m) = (3, 2)", id="m2"),
+    pytest.param({"A": [[0.0, 0.0, 0.8], [1.0, 0.0, 0.5], [0.0, 1.0, -0.4]],
+                  "B": [[1.0], [0.0], [0.0]], "C": [[1.0, 0.5, 0.3]], "D": [[0.0]]}, (6,),
+                 "model (M, l) = (6, 2) != config (M, l) = (6, 1)", id="l1"),
+    pytest.param(None, (3, 4), "model (M, l) = (6, 2) != config (M, l) = (12, 2)", id="M12"),
+])
+def test_validate_refuses_a_model_of_another_size(dual_rate_run, plant, rates, message):
+    # the (2,3) paper model judged against a config of another period or
+    # plant size came from other data: a data error that names both sizes
+    _, model, _ = dual_rate_run
+    plant = builtin_config(rates).plant if plant is None else make_state_space(**plant)
+    cfg = ExperimentConfig(plant=plant, rates=rates)
+    with pytest.raises(SchemaError) as err:
+        pipeline.validate(model.source, cfg,
+                          {"seed": None, "N": None, "observable_phases": [0]})
+    assert str(err.value) == message
+
+
 def test_a_simulated_record_over_the_memory_budget_is_a_config_error(tmp_path):
     # N = 10**9 at rates (2,3) would simulate 194 GiB: the config refuses it
     # and names N, before anything is simulated
@@ -364,7 +386,7 @@ def test_a_simulated_record_over_the_memory_budget_is_a_config_error(tmp_path):
                                          r"shape \(1000000000, 26\), would take 194 GiB"):
         ExperimentConfig(plant=plant, rates=(2, 3), N=10**9)
     path = write_config(tmp_path, rates=[2, 3], N=10**9)
-    with pytest.raises(SchemaError, match="N = 1000000000"):
+    with pytest.raises(ValueError, match="N = 1000000000"):
         load_config(path)
     assert time.perf_counter() - start < 0.5
     # a signals file is already in memory, and the record check leaves it alone
@@ -738,18 +760,27 @@ def test_config_checks_x0(tmp_path, capsys, x0, on_file, message):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "99"), ("--n", "600")], ids=["seed", "n"])
-def test_signals_file_takes_no_seed_or_n(tmp_path, capsys, flag, value):
-    # the recording fixes the input and the sample count, so either flag would be dropped
+@pytest.mark.parametrize("flag, value, named_by", [
+    ("--seed", "99", "--signals"), ("--n", "600", "--signals"),
+    ("--seed", "99", "config"), ("--n", "600", "config"),
+], ids=["seed", "n", "config-seed", "config-n"])
+def test_signals_file_takes_no_seed_or_n(tmp_path, capsys, flag, value, named_by):
+    # the recording fixes the input and the sample count, so either flag would
+    # be dropped, whether --signals or the config's input names the file
     path = write_config(tmp_path)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     signals = str(tmp_path / "signals.csv")
+    if named_by == "--signals":
+        runs = [["identify", "--config", str(path), "--signals", signals]]
+    else:
+        path = write_config(tmp_path, input={"file": signals})
+        runs = [[command, "--config", str(path)] for command in ("simulate", "identify")]
     capsys.readouterr()
-    assert main(["identify", "--config", str(path), "--signals", signals,
-                 "--out", str(tmp_path), flag, value]) == 2
+    for run in runs:
+        assert main([*run, "--out", str(tmp_path / "out"), flag, value]) == 2
     assert capsys.readouterr().err == (f"config error: {flag} does not apply to a signals "
-                                       "file, which holds its own input and length\n")
-    assert not (tmp_path / "report.json").exists()
+                                       "file, which holds its own input and length\n") * len(runs)
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_writes_the_identify_report_and_verdict(tmp_path, capsys):

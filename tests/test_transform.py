@@ -134,7 +134,7 @@ def test_block_roll_aggregates_match_dense_oracle(plant, M, request):
     for sys in systems:
         close(build_X_check(sys, M), dense_X_check(sys, M))
         close(build_Y_check(sys, M), dense_reach_sum(sys, M))
-        assert np.array_equal(build_transform(sys).matrix, build_Y_check(sys, M))
+        assert np.array_equal(build_transform(sys)[0], build_Y_check(sys, M))
 
 
 def test_aggregates_full_rank_and_structured(plant):
@@ -162,9 +162,9 @@ def test_transform_of_the_true_cycled_system_is_regular_and_restores_cyclic_form
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs, 3)
-    tres = build_transform(idm)
-    assert tres.regular
-    rep = verify_cyclic_form(apply_transform(idm, tres.matrix), 3, tol=1e-10)
+    T, attempt = build_transform(idm)
+    assert attempt["regular"]
+    rep = verify_cyclic_form(apply_transform(idm, T), 3, tol=1e-10)
     assert rep.passed, rep.max_offpattern
 
 
@@ -173,7 +173,7 @@ def test_transform_at_period_one_is_the_controllability_matrix():
                           [[1.0, 0.0]], [[0.0]])
     cs = cyclic_reformulate(ss, build_masks((1,)))
     idm = as_identified(cs, 1)
-    Ta = build_transform(idm).matrix
+    Ta = build_transform(idm)[0]
     # M = 1 collapses to sum_i A^i B G_i, the controllability matrix here
     expect = np.column_stack([ss.B.ravel(), (ss.A @ ss.B).ravel()])
     assert np.abs(Ta - expect).max() <= 1e-14
@@ -191,7 +191,7 @@ def test_apply_transform_preserves_markov(plant):
     spec = build_masks((1, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs, 3)
-    T = build_transform(idm).matrix
+    T = build_transform(idm)[0]
     tr = apply_transform(idm, T)
     H0 = markov(idm, 19)
     H1 = markov(tr, 19)
@@ -213,9 +213,9 @@ def test_true_system_transform_is_exact(corpus):
     for case in corpus[:8]:
         cs, M = case["cycled"], case["spec"].M
         idm = as_identified(cs, M)
-        tres = build_transform(idm)
-        assert tres.regular
-        rep = verify_cyclic_form(apply_transform(idm, tres.matrix), M, tol=1e-10)
+        T, attempt = build_transform(idm)
+        assert attempt["regular"]
+        rep = verify_cyclic_form(apply_transform(idm, T), M, tol=1e-10)
         assert rep.passed
 
 
@@ -299,7 +299,7 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
     spec = build_masks((2, 3))
     cs = cyclic_reformulate(plant, spec)
     idm = as_identified(cs, 6)
-    T = build_transform(idm).matrix
+    T = build_transform(idm)[0]
     rng = np.random.default_rng(40)
 
     hetero = np.zeros((18, 18))
@@ -324,9 +324,9 @@ def test_phase_freedom_structure_only_for_heterogeneous_blocks(plant):
 def test_transform_restores_cyclic_form_on_identified_mixed_rate(mixed_rate_run):
     _, model, _ = mixed_rate_run
     idm = model.source
-    tres = build_transform(idm)
-    assert tres.regular
-    rep = verify_cyclic_form(apply_transform(idm, tres.matrix), 3, tol=1e-6)
+    T, attempt = build_transform(idm)
+    assert attempt["regular"]
+    rep = verify_cyclic_form(apply_transform(idm, T), 3, tol=1e-6)
     assert rep.passed, rep.max_offpattern
 
 
