@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import EXIT_CONFIG, EXIT_OK, KINDS, REFUSALS, SchemaError, kind
+from .errors import EXIT_CONFIG, EXIT_OK, KINDS, REFUSALS, DivergentModelError, SchemaError, kind
 from .fileio import load_model, save_model, save_signals, write_json
 
 
@@ -152,9 +152,15 @@ def cmd_verify(args):
     if mf.spec != spec:
         raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
                           f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}")
-    _, report = _judged(lambda: pipeline.validate(
-        mf.model, cfg, {**mf.provenance, "observable_phases": pipeline.observable_phases(cfg)}),
-        out / "verify_report.json")
+
+    def judge():
+        try:
+            return pipeline.validate(mf.model, cfg, {**mf.provenance, "observable_phases":
+                                                     pipeline.observable_phases(cfg)})
+        except DivergentModelError as e:  # the file holds the overflowing matrices
+            raise SchemaError(f"{args.model}: {e}") from e
+
+    _, report = _judged(judge, out / "verify_report.json")
     print(f"order {report.order} model verified; {_verdict(report)}")
     return report.exit_code
 

@@ -40,12 +40,14 @@ class RankConditionError(CycsidError):
 
 
 class DivergentModelError(CycsidError):
-    """The identified state matrix overflows the B/D/x0 regressor."""
+    """A model's matrices overflow the B/D/x0 regressor, the model's Markov
+    parameters or its transform."""
 
 
 class DivergentPlantError(CycsidError, ValueError):
-    """The plant's state overflows over the simulated record: the plant and
-    the sample count come from the configuration."""
+    """The plant's state overflows over the simulated record, or its
+    matrices overflow the reference checks: the plant and the sample count
+    come from the configuration."""
 
 
 class MemoryBudgetError(CycsidError, ValueError):

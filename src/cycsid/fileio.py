@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SchemaError
 from .multirate import MultirateSpec, build_masks
-from .numerics import convert, integer, number, numbers, of_type, optional
+from .numerics import convert, exactly, integer, number, numbers, of_type, optional
 from .statespace import SignalLog
 from .subspace import IdentifiedModel
 
@@ -156,19 +156,6 @@ RECORD_KEYS = {"block_rows": ("used", "pattern", "shift_margin"),
                "provenance": ("seed", "N")}
 
 
-def _exactly(doc, name, keys):
-    """doc as an object holding exactly keys; anything else is a ValueError
-    that names the key.  name is the record's key, or "model" for the file."""
-    doc = convert(name, doc, of_type(dict), "an object")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {name} keys {unknown}; expected {sorted(keys)}")
-    missing = [key if name == "model" else f"{name}.{key}" for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"missing required field '{missing[0]}'")
-    return doc
-
-
 def _numbers(value):
     """A list of numbers as floats; Infinity stands for a phase without a gap."""
     if not isinstance(value, list):
@@ -182,7 +169,7 @@ def load_model(path):
     is a SchemaError that names it; so is a NaN anywhere, and an infinite
     entry anywhere but sv_gap, where Infinity marks a phase without a gap."""
     try:
-        doc = _exactly(read_json(path), "model", MODEL_KEYS)
+        doc = exactly(read_json(path), "model", MODEL_KEYS, MODEL_KEYS)
         if doc["kind"] != "identified":
             raise ValueError(f"unknown model kind '{doc['kind']}'")
         n, m, l, M = (convert(key, doc[key], integer, "an integer") for key in ("n", "m", "l", "M"))
@@ -198,7 +185,7 @@ def load_model(path):
         A, B, C, D, x0 = (convert(key, doc[key], numbers,
                                   "a list of numbers" if key == "x0" else "a matrix of numbers")
                           for key in ("A", "B", "C", "D", "x0"))
-        depth, phases, provenance = (_exactly(doc[key], key, keys)
+        depth, phases, provenance = (exactly(doc[key], key, keys, keys)
                                      for key, keys in RECORD_KEYS.items())
         used, pattern = (convert(f"block_rows.{key}", depth[key], integer, "an integer")
                          for key in ("used", "pattern"))

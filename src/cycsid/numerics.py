@@ -134,6 +134,21 @@ def optional(to):
     return lambda value: None if value is None else to(value)
 
 
+def exactly(doc, name, keys, required):
+    """doc as an object holding no key outside keys and every key of
+    required; anything else is a ValueError that names the key.  name is
+    the record's key, or the file's kind, "config" or "model", for the file
+    itself, whose keys are named alone."""
+    doc = convert(name, doc, of_type(dict), "an object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}; expected {sorted(keys)}")
+    absent = [k if name in ("config", "model") else f"{name}.{k}" for k in required if k not in doc]
+    if absent:
+        raise ValueError(f"missing required field '{absent[0]}'")
+    return doc
+
+
 def check_budget(name, shape):
     """Raise MemoryBudgetError, naming name, shape and size, when a float64
     array of shape would take more than MEMORY_BUDGET bytes."""

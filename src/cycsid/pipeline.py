@@ -11,6 +11,7 @@ method's justification is a chain of rank/structure facts.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,6 +31,8 @@ from .errors import (
     REFUSALS,
     AssumptionFailedError,
     DimensionMismatchError,
+    DivergentModelError,
+    DivergentPlantError,
     ParseError,
     SchemaError,
     StructureViolationError,
@@ -41,6 +44,7 @@ from .numerics import (
     blas_threads,
     check_budget,
     convert,
+    exactly,
     integer,
     number,
     numbers,
@@ -162,15 +166,6 @@ def _seed(value):
     return seed
 
 
-def _field(mapping, key):
-    """mapping[key]; a mapping that is not an object, or lacks key, is a ValueError."""
-    if not isinstance(mapping, dict):
-        raise ValueError(f"expected an object holding '{key}', got {type(mapping).__name__}")
-    if key not in mapping:
-        raise ValueError(f"missing required field '{key}'")
-    return mapping[key]
-
-
 def load_config(path):
     """Build an ExperimentConfig from a JSON file whose keys are its fields.
 
@@ -179,17 +174,15 @@ def load_config(path):
     unknown or malformed key, and a malformed plant.
     """
     try:
-        doc = read_json(path)
-        plant_doc = _field(doc, "plant")
-        for key in "ABCD":
-            _field(plant_doc, key)
-        _field(doc, "rates")
+        doc = exactly(read_json(path), "config", [f.name for f in fields(ExperimentConfig)],
+                      ("plant", "rates"))
+        plant_doc = exactly(doc["plant"], "plant", "ABCD", "ABCD")
         plant = make_state_space(*(convert(f"plant.{key}", plant_doc[key], numbers,
                                            "a matrix of numbers") for key in "ABCD"))
         return ExperimentConfig(**{**doc, "plant": plant})
     except ParseError as e:  # its message names the file
         raise ValueError(str(e)) from e
-    except (ValueError, TypeError, DimensionMismatchError) as e:
+    except (ValueError, DimensionMismatchError) as e:
         raise ValueError(f"{path}: {e}") from e
 
 
@@ -318,10 +311,23 @@ def refusal(e):
     return {"error": str(e), "kind": kind(e), "attempt": getattr(e, "attempt", None)}
 
 
+@contextmanager
+def _finite(error, what):
+    """Turn a floating-point overflow or invalid operation inside into
+    error(what), with numpy's message appended."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise error(f"{what} ({e})") from e
+
+
 def observable_phases(cfg):
     """The phases whose masked output pair observes cfg's plant, sorted;
-    raises AssumptionFailedError when there is none."""
-    phases = sorted(check_observability_assumption(cfg.plant, cfg.spec))
+    raises AssumptionFailedError when there is none, and DivergentPlantError
+    when the plant's matrices overflow the check."""
+    with _finite(DivergentPlantError, "the plant overflows its reference checks"):
+        phases = sorted(check_observability_assumption(cfg.plant, cfg.spec))
     if not phases:
         raise AssumptionFailedError("no sampling phase gives an observable masked output pair")
     return phases
@@ -356,7 +362,9 @@ def validate(idm, cfg, provenance):
     the data's seed and N (None when not recorded) and observable_phases.
     Raises SchemaError, naming both sizes, when idm's period M or its
     per-phase l, n or m is not cfg's: such a model came from other data.
-    Raises StructureViolationError when choose_transform refuses idm.
+    Raises StructureViolationError when choose_transform refuses idm, and
+    DivergentPlantError or DivergentModelError when the plant's or idm's
+    matrices overflow the checks on them.
     """
     timings = {}
     plant, spec, tol = cfg.plant, cfg.spec, cfg.tolerances
@@ -371,27 +379,29 @@ def validate(idm, cfg, provenance):
 
     # True-system reference facts.
     t0 = time.perf_counter()
-    cs = cyclic_reformulate(plant, spec)
-    rank_c, rank_o = cycled_ranks(cs)
-    Xc = build_X_check(cs, M)
-    Yc = build_Y_check(cs, M)
-    rank_x, rank_y = rank_with_tol(Xc), rank_with_tol(Yc)
-    true_structure = {
-        "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, M, 1e-12)),
-        "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, M, 1e-12)),
-    }
-    timings["reference"] = time.perf_counter() - t0
+    with _finite(DivergentPlantError, "the plant overflows its reference checks"):
+        cs = cyclic_reformulate(plant, spec)
+        rank_c, rank_o = cycled_ranks(cs)
+        Xc = build_X_check(cs, M)
+        Yc = build_Y_check(cs, M)
+        rank_x, rank_y = rank_with_tol(Xc), rank_with_tol(Yc)
+        true_structure = {
+            "XB_cyclic": asdict(is_cyclic_matrix(Xc @ cs.B, M, 1e-12)),
+            "CY_block_diagonal": asdict(is_block_diagonal(cs.C @ Yc, M, 1e-12)),
+        }
+        timings["reference"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    maxdepth = 2 * order
-    H_true = markov(cs, MARKOV_MATCH_DEPTH + 1)
-    H_id = markov(idm, max(MARKOV_MATCH_DEPTH, maxdepth) + 1)
-    mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, MARKOV_MATCH_DEPTH, tol["markov"])
-    markov_form = verify_markov_structure(H_id, M, tol["structure"], maxdepth=maxdepth)
-    timings["markov"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        maxdepth = 2 * order
+        H_true = markov(cs, MARKOV_MATCH_DEPTH + 1)
+    with _finite(DivergentModelError, "the model overflows its Markov parameters or transform"):
+        H_id = markov(idm, max(MARKOV_MATCH_DEPTH, maxdepth) + 1)
+        mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, MARKOV_MATCH_DEPTH, tol["markov"])
+        markov_form = verify_markov_structure(H_id, M, tol["structure"], maxdepth=maxdepth)
+        timings["markov"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    model, attempt = choose_transform(idm, tol["structure"])
+        t0 = time.perf_counter()
+        model, attempt = choose_transform(idm, tol["structure"])
     model.source = idm
     aggr = aggregate_diagnostics(idm, model.T, tol["structure"])
     timings["transform"] = time.perf_counter() - t0

@@ -2,6 +2,8 @@
 randomized 20-plant corpus with its end-to-end runs (session-scoped, since
 full identification runs are the expensive part of the suite)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,12 @@ from cycsid import (
     run_identification,
     verify_cyclic_form,
 )
+from cycsid.cli import main
 from cycsid.statespace import ctrb, obsv
 from cycsid.subspace import IdentifiedModel
+
+from refusals import FILES
+from test_readme import _section_code
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 20
@@ -41,6 +47,19 @@ def identified_model(A, B, C, D, M):
                            block_rows=0, pattern_block_rows=0, shift_margin=0.0,
                            phase_rank_margins=[0.0] * M, phase_gaps=[0.0] * M,
                            a_offpattern=0.0)
+
+
+def write_walkthrough(base, **changes):
+    """README's walk-through files in the directory base: its "Config format"
+    example, with changes to its keys, as cfg.json, and the signals and model
+    files that the walk-through's simulate and identify lines write."""
+    config, run = base / FILES["config"], base / "run"
+    config.write_text(json.dumps({**json.loads(_section_code("### Config format", "json")),
+                                  **changes}))
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["identify", "--config", str(config), "--signals", str(base / FILES["signals"]),
+                 "--out", str(run)]) == 0
+    return base
 
 
 @pytest.fixture(scope="session")

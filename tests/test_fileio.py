@@ -367,8 +367,9 @@ def test_config_rejects_a_nonpositive_rate(tmp_path):
 
 def test_config_missing_field(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"plant": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}}))
-    with pytest.raises(ValueError, match="D"):
+    path.write_text(json.dumps({"plant": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]},
+                                "rates": [1]}))
+    with pytest.raises(ValueError, match=r"missing required field 'plant\.D'$"):
         load_config(path)
 
 
@@ -407,7 +408,7 @@ def test_config_rejects_unknown_key(tmp_path, extra, key):
     pytest.param({"noise": "x"}, "noise must be a number, got 'x'", id="noise"),
     pytest.param({"noise": float("nan")}, "noise must be nonnegative", id="noise-nan"),
     pytest.param({"noise": float("inf")}, "noise must be finite, got inf", id="noise-inf"),
-    pytest.param({"plant": 5}, "expected an object holding 'A', got int", id="plant-number"),
+    pytest.param({"plant": 5}, "plant must be an object, got 5", id="plant-number"),
     pytest.param({"plant": {"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}},
                  "A must be square, got (1, 2)", id="plant-non-square"),
     pytest.param({"plant": {"A": [[0.5]], "B": [[float("nan")]], "C": [[1.0]], "D": [[0.0]]}},
@@ -477,11 +478,12 @@ CONFIG_DOC = {"plant": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
                  "invalid start byte", id="not-utf8"),
     pytest.param(b"{", "{path}: Expecting property name enclosed in double quotes "
                  "(line 1, column 2)", id="not-json"),
-    pytest.param(b"[]", "{path}: expected an object holding 'plant', got list", id="list"),
+    pytest.param(b"[]", "{path}: config must be an object, got []", id="list"),
     pytest.param({"plant": CONFIG_DOC["plant"]}, "{path}: missing required field 'rates'",
                  id="no-rates"),
-    pytest.param({**CONFIG_DOC, "tolerence": {}}, "{path}: ExperimentConfig.__init__() got "
-                 "an unexpected keyword argument 'tolerence'", id="unknown-key"),
+    pytest.param({**CONFIG_DOC, "tolerence": {}}, "{path}: unknown config keys ['tolerence']; "
+                 "expected ['N', 'input', 'noise', 'offsets', 'out_dir', 'plant', 'rates', "
+                 "'tolerances', 'x0']", id="unknown-key"),
     pytest.param({**CONFIG_DOC, "N": "abc"}, "{path}: N must be an integer, got 'abc'",
                  id="N-text"),
 ])

@@ -26,7 +26,7 @@ from cycsid import (
     save_signals,
 )
 from cycsid.cli import build_parser, main
-from cycsid.fileio import MODEL_KEYS, RECORD_KEYS, load_model, load_signals
+from cycsid.fileio import MODEL_KEYS, RECORD_KEYS, load_model
 from cycsid.pipeline import (
     DEMO_STUDIES,
     _fmt_matrix,
@@ -38,6 +38,7 @@ from cycsid.pipeline import (
 )
 
 from conftest import identified_model
+from refusals import RESIZED_PAPER_PLANTS
 
 
 def test_dual_rate_run_recovers_transfer_functions(dual_rate_run):
@@ -325,36 +326,6 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     assert not (out / "verify_report.json").exists()
 
 
-RESIZED_PAPER_PLANTS = {
-    "m2": {"A": [[0.0, 0.0, 0.8], [1.0, 0.0, 0.5], [0.0, 1.0, -0.4]],
-           "B": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-           "C": [[1.0, 0.5, 0.3], [0.1, 0.3, 0.7]],
-           "D": [[0.0, 0.0], [0.0, 0.0]]},
-    "n2": {"A": [[0.0, 0.8], [1.0, 0.5]], "B": [[1.0], [0.0]],
-           "C": [[1.0, 0.5], [0.1, 0.3]], "D": [[0.0], [0.0]]},
-}
-
-
-@pytest.mark.parametrize("size", sorted(RESIZED_PAPER_PLANTS))
-def test_verify_refuses_a_model_of_another_plant_size(tmp_path, dual_rate_run, capsys, size):
-    # a model of the (n, m) = (3, 1) paper plant, judged against a plant of
-    # another size at the same rates: a data error that names both sizes
-    from cycsid.fileio import save_model
-
-    cfg, model, _ = dual_rate_run
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec)
-    plant = RESIZED_PAPER_PLANTS[size]
-    other = write_config(tmp_path, plant=plant, rates=[2, 3])
-    capsys.readouterr()
-    assert main(["verify", "--model", str(path), "--config", str(other),
-                 "--out", str(tmp_path)]) == 3
-    n, m = len(plant["A"]), len(plant["B"][0])
-    assert capsys.readouterr().err == (f"data error: model (n, m) = (3, 1) != config plant "
-                                       f"(n, m) = ({n}, {m})\n")
-    assert not (tmp_path / "verify_report.json").exists()
-
-
 @pytest.mark.parametrize("plant, rates, message", [
     pytest.param(RESIZED_PAPER_PLANTS["n2"], (2, 3),
                  "model (n, m) = (3, 1) != config plant (n, m) = (2, 1)", id="n2"),
@@ -394,230 +365,6 @@ def test_a_simulated_record_over_the_memory_budget_is_a_config_error(tmp_path):
                             input={"file": "signals.csv"}).N == 10**9
 
 
-def test_cli_operand_over_the_memory_budget_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, rates=[5, 6], N=6000)
-    assert main(["identify", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == ("config error: the B/D/x0 regressor, shape (360000, "
-                                       "4590), would take 12.3 GiB, over the 2 GiB memory "
-                                       "budget\n")
-    assert not (tmp_path / "run").exists()
-
-
-def test_a_period_too_long_to_tabulate_is_refused_before_its_table(tmp_path, dual_rate_run,
-                                                                   capsys):
-    # rates 100000 and 100001 have period 10000100000, whose (M, 2) sampling
-    # table would take 149 GiB: it is refused before any period-sized array is
-    # made, as a config error in a config (2) and a data error in a model file (3)
-    from cycsid.fileio import save_model
-
-    rates = [100000, 100001]
-    table = ("the sampling table of period 10000100000, shape (10000100000, 2), "
-             "would take 149 GiB, over the 2 GiB memory budget")
-    out = tmp_path / "out"
-    big = write_config(tmp_path, rates=rates)
-    capsys.readouterr()
-    assert main(["simulate", "--config", str(big), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {big}: {table}\n"
-
-    cfg, model, _ = dual_rate_run
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, "rates": rates}))
-    assert main(["verify", "--model", str(path), "--config",
-                 str(write_config(tmp_path, rates=[2, 3])), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"data error: {path}: {table}\n"
-    assert not out.exists()
-
-
-def test_cli_config_error_exit_2(tmp_path):
-    missing = tmp_path / "nope.json"
-    assert main(["identify", "--config", str(missing)]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["simulate", "--config", str(bad)]) == 2
-
-
-@pytest.mark.parametrize("case", ["missing-model", "missing-config", "malformed-config"])
-def test_verify_refusal_prints_one_line_and_exits_with_its_code(tmp_path, dual_rate_run,
-                                                                 capsys, case):
-    # a missing model file is a data error (3) and a config that cannot be
-    # read a config error (2); neither leaves a verdict.  A model of another
-    # spec or size and a structure refusal are pinned by the tests above and below
-    from cycsid.fileio import save_model
-
-    cfg, model, _ = dual_rate_run
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec)
-    config = write_config(tmp_path, rates=[2, 3])
-    missing = tmp_path / "missing.json"
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    path, config, code, line = {
-        "missing-model": (missing, config, 3,
-                          f"data error: [Errno 2] No such file or directory: '{missing}'"),
-        "missing-config": (path, missing, 2,
-                           f"config error: [Errno 2] No such file or directory: '{missing}'"),
-        "malformed-config": (path, bad, 2, f"config error: {bad}: Expecting property name "
-                                           "enclosed in double quotes (line 1, column 2)"),
-    }[case]
-    capsys.readouterr()
-    assert main(["verify", "--model", str(path), "--config", str(config),
-                 "--out", str(tmp_path / "out")]) == code
-    assert capsys.readouterr().err == line + "\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("case", ["missing-signals", "binary-signals", "binary-config",
-                                  "binary-model"])
-def test_a_file_that_cannot_be_read_is_named_with_its_exit_code(tmp_path, dual_rate_run,
-                                                               capsys, case):
-    # signals and model files are data (exit 3) and a config is a config
-    # error (exit 2), whether the file is missing or not UTF-8 text
-    from cycsid.fileio import save_model
-
-    cfg, model, _ = dual_rate_run
-    config = write_config(tmp_path, rates=[2, 3])
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec)
-    binary = tmp_path / "binary.bin"
-    binary.write_bytes(b"k,u_1,y_1,y_2,obs_1,obs_2\r\n0,1\xff,0,0,1,1\r\n")
-    decode = "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte"
-    missing = tmp_path / "missing.csv"
-    args, code, line = {
-        "missing-signals": (["identify", "--config", config, "--signals", missing], 3,
-                            f"data error: [Errno 2] No such file or directory: '{missing}'"),
-        "binary-signals": (["identify", "--config", config, "--signals", binary], 3,
-                           f"data error: {binary}: {decode}"),
-        "binary-config": (["identify", "--config", binary], 2,
-                          f"config error: {binary}: {decode}"),
-        "binary-model": (["verify", "--model", binary, "--config", config], 3,
-                         f"data error: {binary}: {decode}"),
-    }[case]
-    capsys.readouterr()
-    assert main([str(a) for a in args] + ["--out", str(tmp_path / "out")]) == code
-    assert capsys.readouterr().err == line + "\n"
-    assert not (tmp_path / "out").exists()
-
-
-def test_verify_refuses_a_model_file_holding_nan(tmp_path, dual_rate_run, capsys):
-    # a NaN SV gap loaded before and was written back into verify_report.json,
-    # which is then not JSON
-    from cycsid.fileio import save_model
-
-    cfg, model, _ = dual_rate_run
-    config = write_config(tmp_path, rates=[2, 3])
-    path = tmp_path / "model.json"
-    save_model(model.source, path, cfg.spec)
-    doc = json.loads(path.read_text())
-    doc["phases"]["sv_gap"][0] = float("nan")
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", "--model", str(path), "--config", str(config),
-                 "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith(
-        f"data error: {path}: phases.sv_gap contains NaN\n")
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    pytest.param("--tol-tf", "-1", "tolerances must be positive", id="tol-tf"),
-    pytest.param("--tol-tf", "inf", "tolerances.tf must be finite, got inf", id="tol-tf-inf"),
-    pytest.param("--n", "0", "N must be positive", id="n"),
-    pytest.param("--noise", "-0.5", "noise must be nonnegative", id="noise"),
-    pytest.param("--noise", "inf", "noise must be finite, got inf", id="noise-inf"),
-    pytest.param("--seed", "-3", "input.seed must be a nonnegative integer or null, got -3",
-                 id="seed"),
-])
-def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, message):
-    cfg = write_config(tmp_path)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
-                 flag, value]) == 2
-    simulate_err = capsys.readouterr().err
-    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path),
-                 flag, value]) == 2
-    identify_err = capsys.readouterr().err
-    assert main(["demo-paper", "--out", str(tmp_path), flag, value]) == 2
-    demo = capsys.readouterr()
-    assert identify_err == demo.err == f"config error: {message}\n"
-    if flag == "--tol-tf":  # simulate takes no check flags
-        assert f"unrecognized arguments: {flag} {value}\n" in simulate_err
-    else:
-        assert simulate_err == identify_err
-    assert demo.out == ""
-    assert not (tmp_path / "report.json").exists()
-    assert not (tmp_path / "signals.csv").exists()
-
-
-def test_cli_unstable_plant_is_a_config_error(tmp_path, capsys):
-    # the plant's state overflows over the record: a typed config error that
-    # names the spectral radius and N, with no RuntimeWarning (warnings are
-    # errors here) and no misleading non-finite-signals message
-    cfg = write_config(tmp_path, plant={"A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
-                                        "D": [[0.0]]}, rates=[1], N=3000)
-    for command in ("simulate", "identify"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == ("config error: the plant's A (spectral radius 1.5) "
-                                           "overflows the simulation over N = 3000 samples\n")
-    assert not (tmp_path / "signals.csv").exists()
-    assert not (tmp_path / "report.json").exists()
-
-
-def test_cli_data_error_exit_3(tmp_path):
-    cfg = write_config(tmp_path)
-    sig = tmp_path / "bad.csv"
-    sig.write_text("k,u_1,y_1,y_2\n0,1,2,3\n")  # missing obs columns
-    assert main(["identify", "--config", str(cfg), "--signals", str(sig),
-                 "--out", str(tmp_path)]) == 3
-    starved = write_config(tmp_path, N=50)
-    assert main(["identify", "--config", str(starved),
-                 "--out", str(tmp_path)]) == 3
-
-
-def test_cli_signals_of_another_plant_size_are_a_data_error(tmp_path, capsys):
-    # a two-output recording given with a one-output plant: exit 3, no output
-    path = write_config(tmp_path)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
-    (tmp_path / "one").mkdir()
-    one = write_config(tmp_path / "one", rates=[1], plant={
-        "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]})
-    capsys.readouterr()
-    assert main(["identify", "--config", str(one), "--signals", str(tmp_path / "signals.csv"),
-                 "--out", str(tmp_path / "bad")]) == 3
-    assert capsys.readouterr().err == ("data error: signals are (1 in, 2 out) but the plant "
-                                       "is (1 in, 1 out)\n")
-    assert not (tmp_path / "bad").exists()
-
-
-def test_cli_non_finite_signals_field_is_a_data_error_naming_its_place(tmp_path, capsys):
-    # a nan on line 5 of the recording: exit 3 with the line and column, not
-    # a failure of the signal record
-    path = write_config(tmp_path)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
-    signals = tmp_path / "signals.csv"
-    lines = signals.read_text().splitlines()
-    fields = lines[4].split(",")
-    fields[2] = "nan"  # y_1 of step 3
-    lines[4] = ",".join(fields)
-    signals.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["identify", "--config", str(path), "--signals", str(signals),
-                 "--out", str(tmp_path / "bad")]) == 3
-    assert capsys.readouterr().err == (f"data error: {signals}: field 'nan' is not a finite "
-                                       "number (line 5, column 3)\n")
-    assert not (tmp_path / "bad").exists()
-
-
-def test_cli_malformed_config_plant_is_a_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, plant={"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
-                                         "D": [[0.0]]}, rates=[1])
-    for command in ("simulate", "identify"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
-        assert capsys.readouterr().err == (f"config error: {path}: "
-                                           "A must be square, got (1, 2)\n")
-    assert not (tmp_path / "bad").exists()
-
-
 def test_reference_stage_times_the_aggregate_ranks(monkeypatch):
     # validate's two aggregate ranks belong to the reference stage, so a
     # slower rank shows in its time
@@ -631,22 +378,6 @@ def test_reference_stage_times_the_aggregate_ranks(monkeypatch):
     monkeypatch.setattr(pipeline, "rank_with_tol", slow_rank)
     _, report = run_identification(builtin_config((1, 3)))
     assert report.timings["reference"] >= 2 * delay
-
-
-def test_cli_record_without_output_samples_is_a_data_error(tmp_path, capsys):
-    # a (1,3) recording whose sampled outputs are all exactly 0 carries no
-    # output data: exit 3, with no advice on a depth the user never set
-    path = write_config(tmp_path)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
-    log = load_signals(tmp_path / "signals.csv")
-    silent = tmp_path / "silent.csv"
-    save_signals(SignalLog(u=log.u, y=np.zeros_like(log.y), obs=log.obs), silent)
-    capsys.readouterr()
-    assert main(["identify", "--config", str(path), "--signals", str(silent),
-                 "--out", str(tmp_path / "silent")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: no output sample ") and "block_rows" not in err
-    assert not (tmp_path / "silent").exists()
 
 
 def test_cli_identify_shows_a_depth_fallback(tmp_path, capsys):
@@ -665,17 +396,6 @@ def test_cli_identify_shows_a_depth_fallback(tmp_path, capsys):
     depth = report["block_rows"]
     assert (depth["used"], depth["pattern"]) == (13, 6)
     assert depth["shift_margin"] > report["sv_gap"]
-
-
-def test_cli_structure_failure_exit_4(tmp_path):
-    blind = write_config(
-        tmp_path,
-        plant={"A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0], [1.0]],
-               "C": [[0.0, 0.0]], "D": [[0.0]]},
-        rates=[2],
-        N=600,
-    )
-    assert main(["identify", "--config", str(blind), "--out", str(tmp_path)]) == 4
 
 
 def test_identify_and_demo_paper_give_one_verdict(tmp_path, capsys):
