@@ -146,19 +146,18 @@ def cmd_verify(args):
     cfg = _override(pipeline.load_config(args.config), args)
     out = _outdir(args, cfg)
     mf = load_model(args.model)
-    spec = cfg.spec
-    # a model of another sampling pattern came from other data; validate
-    # refuses one of another plant size
-    if mf.spec != spec:
-        raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets {list(mf.spec.offsets)}"
-                          f" != config rates {list(spec.rates)}, offsets {list(spec.offsets)}")
 
     def judge():
-        try:
+        # a model of another sampling pattern or plant size came from other
+        # data, and matrices that overflow are the file's: each refusal is
+        # a data refusal that names the model file
+        with pipeline.naming(args.model, (SchemaError, DivergentModelError)):
+            if mf.spec != cfg.spec:
+                raise SchemaError(f"model rates {list(mf.spec.rates)}, offsets "
+                                  f"{list(mf.spec.offsets)} != config rates "
+                                  f"{list(cfg.spec.rates)}, offsets {list(cfg.spec.offsets)}")
             return pipeline.validate(mf.model, cfg, {**mf.provenance, "observable_phases":
                                                      pipeline.observable_phases(cfg)})
-        except DivergentModelError as e:  # the file holds the overflowing matrices
-            raise SchemaError(f"{args.model}: {e}") from e
 
     _, report = _judged(judge, out / "verify_report.json")
     print(f"order {report.order} model verified; {_verdict(report)}")

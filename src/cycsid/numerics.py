@@ -192,6 +192,18 @@ def invert(m):
     return np.linalg.solve(m, np.eye(m.shape[0]))
 
 
+@contextmanager
+def finite(error, what):
+    """Run the block with numpy's floating-point overflow and invalid
+    operation raised, and turn either into error(f"{what} ({numpy's
+    message})"): the one place where a run's overflow becomes a refusal."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise error(f"{what} ({e})") from e
+
+
 def _find_openblas():
     """(get_num_threads, set_num_threads) of the OpenBLAS mapped into this
     process, or () when none is found."""

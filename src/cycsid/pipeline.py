@@ -25,6 +25,7 @@ from .cyclic import (
     verify_markov_structure,
 )
 from .errors import (
+    DATA_ERRORS,
     EXIT_OK,
     EXIT_STRUCTURE,
     KINDS,
@@ -45,6 +46,7 @@ from .numerics import (
     check_budget,
     convert,
     exactly,
+    finite,
     integer,
     number,
     numbers,
@@ -259,9 +261,8 @@ def collect_data(cfg):
         log = load_signals(cfg.input["file"])
         if log.u.shape[1] != cfg.plant.m or log.y.shape[1] != cfg.plant.l:
             raise SchemaError(
-                f"signals are ({log.u.shape[1]} in, {log.y.shape[1]} out) but the plant "
-                f"is ({cfg.plant.m} in, {cfg.plant.l} out)"
-            )
+                f"{cfg.input['file']}: signals are ({log.u.shape[1]} in, {log.y.shape[1]} out) "
+                f"but the plant is ({cfg.plant.m} in, {cfg.plant.l} out)")
         # a recording made under another sampling pattern is other data
         pattern = cfg.spec.pattern(log.N)
         bad = np.argwhere((log.obs != pattern) | ((log.obs == 0) & (log.y != 0)))
@@ -312,21 +313,23 @@ def refusal(e):
 
 
 @contextmanager
-def _finite(error, what):
-    """Turn a floating-point overflow or invalid operation inside into
-    error(what), with numpy's message appended."""
+def naming(path, errors):
+    """Re-raise a refusal among errors inside as a SchemaError, a data
+    refusal, that names path, the file that holds what is refused; with
+    path None the refusal passes unchanged."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as e:
-        raise error(f"{what} ({e})") from e
+        yield
+    except errors as e:
+        if path is None:
+            raise
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def observable_phases(cfg):
     """The phases whose masked output pair observes cfg's plant, sorted;
     raises AssumptionFailedError when there is none, and DivergentPlantError
     when the plant's matrices overflow the check."""
-    with _finite(DivergentPlantError, "the plant overflows its reference checks"):
+    with finite(DivergentPlantError, "the plant overflows its reference checks"):
         phases = sorted(check_observability_assumption(cfg.plant, cfg.spec))
     if not phases:
         raise AssumptionFailedError("no sampling phase gives an observable masked output pair")
@@ -335,7 +338,8 @@ def observable_phases(cfg):
 
 @blas_threads()
 def run_identification(cfg):
-    """Identify a model from cfg's data and validate it: (CyclicModel, RunReport)."""
+    """Identify a model from cfg's data and validate it: (CyclicModel, RunReport).
+    A data refusal of a signals file's record names the file."""
     t_all = time.perf_counter()
     t0 = time.perf_counter()
     log = collect_data(cfg)
@@ -345,7 +349,8 @@ def run_identification(cfg):
     t_data = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idm = subspace_identify(uc, yc, cfg.plant.n)
+    with naming(cfg.input.get("file"), DATA_ERRORS):
+        idm = subspace_identify(uc, yc, cfg.plant.n)
     t_identify = time.perf_counter() - t0
 
     model, report = validate(idm, cfg, {"seed": cfg.input.get("seed"), "N": log.N,
@@ -379,7 +384,7 @@ def validate(idm, cfg, provenance):
 
     # True-system reference facts.
     t0 = time.perf_counter()
-    with _finite(DivergentPlantError, "the plant overflows its reference checks"):
+    with finite(DivergentPlantError, "the plant overflows its reference checks"):
         cs = cyclic_reformulate(plant, spec)
         rank_c, rank_o = cycled_ranks(cs)
         Xc = build_X_check(cs, M)
@@ -394,7 +399,7 @@ def validate(idm, cfg, provenance):
         t0 = time.perf_counter()
         maxdepth = 2 * order
         H_true = markov(cs, MARKOV_MATCH_DEPTH + 1)
-    with _finite(DivergentModelError, "the model overflows its Markov parameters or transform"):
+    with finite(DivergentModelError, "the model overflows its Markov parameters or transform"):
         H_id = markov(idm, max(MARKOV_MATCH_DEPTH, maxdepth) + 1)
         mk_passed, mk_worst, mk_idx = markov_match(H_true, H_id, MARKOV_MATCH_DEPTH, tol["markov"])
         markov_form = verify_markov_structure(H_id, M, tol["structure"], maxdepth=maxdepth)

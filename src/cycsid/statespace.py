@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergentPlantError
 from .kernels import scan_trajectory
-from .numerics import as_matrix, as_signal, as_vector
+from .numerics import as_matrix, as_signal, as_vector, finite
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,14 @@ def as_input_sequence(u, m):
 def simulate(sys, u, x0=None):
     """Simulate the recursion from x0 (zero when unspecified).
 
-    A state that overflows float64 is a DivergentPlantError, with no warning.
+    A state or output that overflows float64, whether A, the input or C
+    drives it there, is a DivergentPlantError, with no warning.
     """
-    u = as_input_sequence(u, sys.B.shape[1])
-    n = sys.A.shape[0]
-    x0 = np.zeros(n) if x0 is None else as_vector(x0, n, "x0")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            x, y = scan_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
-    except FloatingPointError as e:
-        raise DivergentPlantError(
-            f"the plant's A (spectral radius {np.abs(np.linalg.eigvals(sys.A)).max():.3g}) "
-            f"overflows the simulation over N = {u.shape[0]} samples") from e
+    u = as_input_sequence(u, sys.m)
+    x0 = np.zeros(sys.n) if x0 is None else as_vector(x0, sys.n, "x0")
+    with finite(DivergentPlantError,
+                f"the plant overflows the simulation over N = {u.shape[0]} samples"):
+        x, y = scan_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
     return SignalLog(u=u, y=y, x=x)
 
 

@@ -56,7 +56,7 @@ from .errors import (
     RankConditionError,
 )
 from .kernels import io_regressor, regressor_columns, regressor_rows, regressor_shape
-from .numerics import as_signal, as_vector, blas_threads, check_budget, rank_with_tol
+from .numerics import as_signal, as_vector, blas_threads, check_budget, finite, rank_with_tol
 from .statespace import StateSpace
 
 #: the forced order counts as exposed when every phase's sigma_(n+1)/sigma_n is at most this
@@ -327,7 +327,7 @@ def subspace_identify(ucheck, ycheck, n, block_rows=None):
     too short, ExcitationDeficientError when the input does not excite the
     factorization, MemoryBudgetError, before either is built, when the B/D/x0
     regressor or the LQ operand would exceed numerics.MEMORY_BUDGET, and
-    DivergentModelError when the fitted A overflows the B/D/x0 regressor; a
+    DivergentModelError when the fitted model overflows the B/D/x0 regressor; a
     weak singular-value gap at the forced order is reported on the result,
     not raised.
     """
@@ -384,15 +384,11 @@ def subspace_identify(ucheck, ycheck, n, block_rows=None):
     A = place_blocks(A_phases, 1)
     C = Gam[:ll].copy()
 
-    # x0, B, D jointly from the input-output equation; an overflowing A stops here.
+    # x0, B, D jointly from the input-output equation; an overflowing model stops here.
     C_phases = read_blocks(C, M, 0)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            Phi = io_regressor(A_phases, C_phases, u)
-    except FloatingPointError as e:
-        raise DivergentModelError(
-            f"the identified A (spectral radius {np.abs(np.linalg.eigvals(A)).max():.3g}) "
-            f"overflows the B/D/x0 regressor over {N} samples at block_rows={i}") from e
+    with finite(DivergentModelError, f"the identified model overflows the B/D/x0 regressor "
+                                     f"over {N} samples at block_rows={i}"):
+        Phi = io_regressor(A_phases, C_phases, u)
     # Phi's rows are the output samples, then zeros: the right-hand side too
     rows = regressor_rows(C_phases, N)
     rhs = np.zeros(Phi.shape[0])

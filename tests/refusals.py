@@ -105,11 +105,17 @@ ROWS = [
           "config error: the plant overflows its reference checks (overflow encountered in "
           "matmul)", ("config", {"plant.C.1.1": 1e308}))
       for command, argv in (("verify", VERIFY), ("identify-on-file", ON_FILE))),
+    # the simulation overflows, whether the plant's A, the input or C drives it there
     *(Row(f"plant-unstable-{command}", argv, 2,
-          "config error: the plant's A (spectral radius 1.5) overflows the simulation over "
-          "N = 3000 samples",
+          "config error: the plant overflows the simulation over N = 3000 samples (overflow "
+          "encountered in matmul)",
           ("config", {"plant": {**ONE_OUTPUT, "A": [[1.5]]}, "rates": [1], "offsets": [0]}))
       for command, argv in (("simulate", SIMULATE), ("identify", IDENTIFY))),
+    *(Row(f"{name}-overflows-simulate", SIMULATE, 2,
+          "config error: the plant overflows the simulation over N = 3000 samples (overflow "
+          f"encountered in {where})", ("config", {key: 1e308}))
+      for name, key, where in (("input", "input.amplitude", "add"),
+                               ("plant-C", "plant.C.0.0", "matmul"))),
     # an array over the memory budget is refused before it is made
     Row("period-too-long", SIMULATE, 2, f"config error: {{config}}: {TABLE}",
         ("config", {"rates": [100000, 100001]})),
@@ -139,12 +145,12 @@ ROWS = [
         "data error: {signals}: field 'nan' is not a finite number (line 5, column 3)",
         ("signals", {"4.2": "nan"})),  # counted from 0
     Row("signals-of-another-plant-size", ON_FILE, 3,
-        "data error: signals are (1 in, 2 out) but the plant is (1 in, 1 out)",
+        "data error: {signals}: signals are (1 in, 2 out) but the plant is (1 in, 1 out)",
         ("config", {"plant": ONE_OUTPUT, "rates": [1], "offsets": [0]})),
     # no advice on a depth the user never set
     Row("signals-without-output-samples", ON_FILE, 3,
-        "data error: no output sample of the 3000-sample record is nonzero: the data carry no "
-        "output",
+        "data error: {signals}: no output sample of the 3000-sample record is nonzero: the data "
+        "carry no output",
         ("signals", _silent)),
     Row("too-few-samples", IDENTIFY, 3,
         "data error: need at least 342 samples for block_rows=9, got 50", ("config", {"N": 50})),
@@ -159,8 +165,8 @@ ROWS = [
     Row("model-period-too-long", VERIFY, 3, f"data error: {{model}}: {TABLE}",
         ("model", {"rates": [100000, 100001]})),
     *(Row(f"model-of-plant-{size}", VERIFY, 3,
-          f"data error: model (n, m) = (3, 1) != config plant (n, m) = ({len(plant['A'])}, "
-          f"{len(plant['B'][0])})", ("config", {"plant": plant}))
+          "data error: {model}: model (n, m) = (3, 1) != config plant (n, m) = "
+          f"({len(plant['A'])}, {len(plant['B'][0])})", ("config", {"plant": plant}))
       for size, plant in RESIZED_PAPER_PLANTS.items()),
     # entries so large that the model's Markov parameters overflow
     *(Row(f"model-huge-{key}", VERIFY, 3,

@@ -321,8 +321,8 @@ def test_cli_identify_verify_chain_with_offsets(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--model", str(out / "model.json"), "--config", str(other),
                  "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("data error: model rates [2, 3], offsets [0, 1] "
-                                       "!= config rates [2, 3], offsets [1, 0]\n")
+    assert capsys.readouterr().err == (f"data error: {out / 'model.json'}: model rates [2, 3], "
+                                       "offsets [0, 1] != config rates [2, 3], offsets [1, 0]\n")
     assert not (out / "verify_report.json").exists()
 
 
