@@ -85,15 +85,14 @@ def read_blocks(mat, M, off):
 def cyclic_reformulate(ss, spec):
     """The M-fold cyclic reformulation of a plant under a multirate spec: a
     StateSpace of M x M block matrices, A and B cyclic, C and D block
-    diagonal, whose period is spec.M."""
-    if spec.l != ss.l:
-        raise DimensionMismatchError(
-            f"spec has {spec.l} rates but the plant has {ss.l} outputs"
-        )
-    M = spec.M
+    diagonal, whose period is spec.M.  Phase k's C and D blocks keep the
+    rows of the outputs it samples and are +0.0 elsewhere, as V_k C and
+    V_k D are."""
+    spec.check_outputs(ss)
+    M, kept = spec.M, spec.sampled[:, :, None] == 1
     return StateSpace(A=place_blocks([ss.A] * M, 1), B=place_blocks([ss.B] * M, 1),
-                      C=place_blocks([mask @ ss.C for mask in spec.masks], 0),
-                      D=place_blocks([mask @ ss.D for mask in spec.masks], 0))
+                      C=place_blocks(np.where(kept, ss.C, 0.0), 0),
+                      D=place_blocks(np.where(kept, ss.D, 0.0), 0))
 
 
 @dataclass(frozen=True)

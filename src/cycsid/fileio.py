@@ -101,11 +101,15 @@ def load_signals(path):
             if row[0].strip() != str(len(us)):
                 raise ParseError(f"{path}: k must count 0, 1, 2, ... over the data rows: "
                                  f"expected {len(us)}, found '{row[0]}'", line=lineno, column=1)
-            bad = next((i for i, v in enumerate(row) if not _is_finite(v)), None)
-            if bad is not None:
+            try:  # each field is parsed once; a refused row is searched again for its column
+                vals = [float(v) for v in row[1:]]
+                finite = all(map(math.isfinite, vals))
+            except ValueError:
+                finite = False
+            if not finite:
+                bad = next(i for i, v in enumerate(row) if not _is_finite(v))
                 raise ParseError(f"{path}: field '{row[bad]}' is not a finite number",
                                  line=lineno, column=bad + 1)
-            vals = [float(v) for v in row[1:]]
             us.append(vals[:m])
             ys.append(vals[m:m + l])
             obs.append(vals[m + l:])
@@ -157,7 +161,7 @@ RECORD_KEYS = {"block_rows": ("used", "pattern", "shift_margin"),
 
 
 def _numbers(value):
-    """A list of numbers as floats; Infinity stands for a phase without a gap."""
+    """A list of numbers as floats."""
     if not isinstance(value, list):
         raise TypeError(value)
     return [number(v) for v in value]
@@ -182,9 +186,8 @@ def load_model(path):
         if (spec.l, spec.M) != (l, M):
             raise ValueError(f"declared l={l}, M={M} but rates {list(spec.rates)} give "
                              f"l={spec.l}, M={spec.M}")
-        A, B, C, D, x0 = (convert(key, doc[key], numbers,
-                                  "a list of numbers" if key == "x0" else "a matrix of numbers")
-                          for key in ("A", "B", "C", "D", "x0"))
+        A, B, C, D = (convert(key, doc[key], numbers, "a matrix of numbers") for key in "ABCD")
+        x0 = convert("x0", doc["x0"], _numbers, "a list of numbers")
         depth, phases, provenance = (exactly(doc[key], key, keys, keys)
                                      for key, keys in RECORD_KEYS.items())
         used, pattern = (convert(f"block_rows.{key}", depth[key], integer, "an integer")
@@ -203,18 +206,16 @@ def load_model(path):
             raise ValueError("phases.sv_gap contains NaN")
         provenance = {key: convert(f"provenance.{key}", value, optional(integer),
                                    "an integer or null") for key, value in provenance.items()}
-        for key, value, want in (("A", A, (M * n, M * n)), ("B", B, (M * n, M * m)),
-                                 ("C", C, (M * l, M * n)), ("D", D, (M * l, M * m)),
-                                 ("x0", x0, (M * n,)), ("phase_rank_margins", rank_margins, (M,)),
-                                 ("phase_gaps", gaps, (M,))):
-            if np.shape(value) != want:
-                raise ValueError(f"{key} is {np.shape(value)} but the declared (n, m, l, M) "
-                                 f"make it {want}")
-        # IdentifiedModel refuses a non-finite entry in A, B, C, D or x0
+        # IdentifiedModel refuses a non-finite entry in A, B, C, D or x0, a
+        # matrix that does not fit the others, and a phase list not M long
         model = IdentifiedModel(A=A, B=B, C=C, D=D, M=M, x0=x0,
                                 block_rows=used, pattern_block_rows=pattern,
                                 shift_margin=margin, phase_rank_margins=rank_margins,
                                 phase_gaps=gaps, a_offpattern=a_off)
+        if (model.n, model.m, model.l) != (M * n, M * m, M * l):
+            raise ValueError(f"the model's matrices make (n, m, l) = ({model.n // M}, "
+                             f"{model.m // M}, {model.l // M}) per phase but the file "
+                             f"declares ({n}, {m}, {l})")
     except (ValueError, DimensionMismatchError) as e:
         raise SchemaError(f"{path}: {e}") from e
     return ModelFile(model, spec, provenance)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRateError, RankDeficientAError
+from .errors import InvalidRateError, RankDeficientAError
 from .numerics import DEFAULT_RANK_TOL, as_matrix, check_budget, convert, integer, rank_with_tol
 from .statespace import powers, simulate
 
@@ -34,6 +34,11 @@ class MultirateSpec:
     def pattern(self, N):
         """(N, l) 0/1 observation pattern over N steps."""
         return self.sampled[np.arange(N) % self.M]
+
+    def check_outputs(self, plant):
+        """Raise InvalidRateError unless plant has one output per rate."""
+        if plant.l != self.l:
+            raise InvalidRateError(f"{self.l} rates for a plant with {plant.l} outputs")
 
 
 def build_masks(rates, offsets=None):
@@ -68,10 +73,7 @@ def _integers(values):
 
 def simulate_multirate(ss, spec, u, x0=None):
     """Simulate with outputs masked by V_{k mod M}; unobserved entries are exact 0."""
-    if spec.l != ss.l:
-        raise DimensionMismatchError(
-            f"spec has {spec.l} rates but the plant has {ss.l} outputs"
-        )
+    spec.check_outputs(ss)
     log = simulate(ss, u, x0)
     log.obs = spec.pattern(log.N)
     log.y *= log.obs
@@ -87,6 +89,7 @@ def check_observability_assumption(ss, spec):
     kept row is bit-equal to the one V_j C would give), and one stacked SVD
     gives every phase's rank at rank_with_tol's relative cutoff.
     """
+    spec.check_outputs(ss)
     n = ss.n
     if rank_with_tol(ss.A) < n:
         raise RankDeficientAError("state matrix must have rank n for the multirate analysis")

@@ -135,22 +135,15 @@ class ExperimentConfig:
         # the sampling pattern; a bad rate or offset is a ValueError naming it
         self.spec = build_masks(self.rates, self.offsets)
         self.rates, self.offsets = self.spec.rates, self.spec.offsets
-        if len(self.rates) != self.plant.l:
-            raise ValueError(
-                f"{len(self.rates)} rates for a plant with {self.plant.l} outputs"
-            )
+        self.spec.check_outputs(self.plant)
         if set(self.input) != {"file"}:
             # u, the states, y and obs of the simulation, and the cycled u and y
             p = self.plant
             check_budget(f"simulated record of N = {self.N} samples",
                          (self.N, p.m + p.n + 2 * p.l + self.spec.M * (p.m + p.l)))
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(convert("tolerances", self.tolerances, optional(of_type(dict)),
-                           "an object or null") or {})
-        unknown = sorted(set(tol) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ValueError(f"unknown tolerances {unknown}; "
-                             f"expected keys {sorted(DEFAULT_TOLERANCES)}")
+        given = convert("tolerances", self.tolerances, optional(of_type(dict)),
+                        "an object or null") or {}
+        tol = {**DEFAULT_TOLERANCES, **exactly(given, "tolerances", DEFAULT_TOLERANCES, ())}
         tol = {k: convert(f"tolerances.{k}", v, number, "a number") for k, v in tol.items()}
         if not all(v > 0 for v in tol.values()):  # NaN too
             raise ValueError("tolerances must be positive")

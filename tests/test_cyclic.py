@@ -4,6 +4,7 @@ import pytest
 from cycsid import (
     CycledSignal,
     DimensionMismatchError,
+    InvalidRateError,
     StateSpace,
     build_masks,
     cycle_signal,
@@ -113,8 +114,7 @@ def test_cyclic_reformulate_is_a_state_space_of_the_cycled_sizes(plant):
 
 
 def test_cyclic_reformulate_rejects_another_output_count(plant):
-    with pytest.raises(DimensionMismatchError,
-                       match="^spec has 1 rates but the plant has 2 outputs$"):
+    with pytest.raises(InvalidRateError, match="^1 rates for a plant with 2 outputs$"):
         cyclic_reformulate(plant, build_masks((2,)))
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cycsid import (
-    DimensionMismatchError,
+    ExperimentConfig,
     InvalidRateError,
     RankDeficientAError,
     build_masks,
     check_observability_assumption,
+    cyclic_reformulate,
     make_state_space,
     simulate,
     simulate_multirate,
@@ -89,9 +90,26 @@ def test_simulate_multirate_all_ones_equals_plain(plant):
 
 
 def test_simulate_multirate_rejects_another_output_count(plant):
-    with pytest.raises(DimensionMismatchError,
-                       match="^spec has 3 rates but the plant has 2 outputs$"):
+    with pytest.raises(InvalidRateError, match="^3 rates for a plant with 2 outputs$"):
         simulate_multirate(plant, build_masks((1, 2, 3)), np.ones((6, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda plant, spec: ExperimentConfig(plant=plant, rates=spec.rates),
+                 id="ExperimentConfig"),
+    pytest.param(cyclic_reformulate, id="cyclic_reformulate"),
+    pytest.param(lambda plant, spec: simulate_multirate(plant, spec, np.ones((6, 1))),
+                 id="simulate_multirate"),
+    pytest.param(check_observability_assumption, id="check_observability_assumption"),
+])
+@pytest.mark.parametrize("rates", [(2,), (1, 2, 3)])
+def test_every_caller_refuses_a_spec_of_another_output_count(plant, call, rates):
+    # one check, MultirateSpec.check_outputs, with one type and one message;
+    # the type is a ValueError too, as the config constructor promises
+    with pytest.raises(InvalidRateError,
+                       match=f"^{len(rates)} rates for a plant with 2 outputs$") as err:
+        call(plant, build_masks(rates))
+    assert isinstance(err.value, ValueError)
 
 
 def test_simulate_multirate_phase1_blanked(plant):

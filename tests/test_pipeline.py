@@ -594,8 +594,7 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"sv_gap": 0.1}, "unknown model keys ['sv_gap']", id="sv_gap"),
     pytest.param({"phases": {"rank_margin": "x"}},
                  "phases.rank_margin must be a list of numbers, got 'x'", id="rank_margin"),
-    pytest.param({"phases": {"sv_gap": [0.1]}},
-                 "phase_gaps is (1,) but the declared (n, m, l, M) make it (6,)",
+    pytest.param({"phases": {"sv_gap": [0.1]}}, "phase_gaps must hold 6 entries, one per phase",
                  id="phase-count"),
     pytest.param({"phases": 1}, "phases must be an object, got 1", id="phases"),
     pytest.param({"order_exposed": True}, "unknown model keys ['order_exposed']",
@@ -609,13 +608,18 @@ def test_verify_judges_a_cyclic_model_file_at_the_given_tolerance(tmp_path, dual
     pytest.param({"A": [[0.0] * 18] * 17 + [[0.0]]},
                  "A must be a matrix of numbers, got [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...], ",
                  id="ragged-A"),
-    *(pytest.param({key: [[0.0] * cols] * rows},
-                   f"{key} is ({rows}, {cols}) but the declared (n, m, l, M) make it {want}",
-                   id=f"shape-{key}")
-      for key, rows, cols, want in (("B", 17, 6, (18, 6)), ("C", 12, 17, (12, 18)),
-                                    ("D", 11, 6, (12, 6)))),
-    pytest.param({"x0": [0.0] * 17}, "x0 is (17,) but the declared (n, m, l, M) make it (18,)",
-                 id="shape-x0"),
+    # the model's constructor names the matrix that does not fit the others
+    *(pytest.param({key: [[0.0] * cols] * rows}, message, id=f"shape-{key}")
+      for key, rows, cols, message in (
+          ("B", 17, 6, "A is (18, 18) but B has 17 rows"),
+          ("C", 12, 17, "A is (18, 18) but C has 17 columns"),
+          ("D", 11, 6, "D must be 12x6 to match C and B, got (11, 6)"))),
+    pytest.param({"x0": [0.0] * 17}, "x0 must have length 18, got 17", id="shape-x0"),
+    pytest.param({"x0": [[0.0]] * 18}, "x0 must be a list of numbers, got [[0.0], [0.0], ",
+                 id="nested-x0"),
+    # matrices that fit each other, but not the declared per-phase sizes
+    pytest.param({"n": 2}, "the model's matrices make (n, m, l) = (3, 1, 2) per phase but "
+                 "the file declares (2, 1, 2)", id="declared-n"),
 ])
 def test_verify_names_a_malformed_model_field(tmp_path, dual_rate_run, capsys, edit, message):
     # the model file is data: a bad field is a data error (exit 3) that names it

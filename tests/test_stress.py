@@ -29,13 +29,14 @@ from conftest import random_plant
 OUTCOMES = ("pass", "typed", "flagged")
 
 
-def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32):
+def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32,
+                 noise=(0.0, 1e-3)):
     """count ExperimentConfigs drawn from seed: n <= n_max states, m <= 2
     inputs, l <= 3 outputs, rates <= rate_max with random offsets, D or
-    none, noise 0 or 1e-3, N log-uniform in [60, N_max], so that some
-    records are too short for their depth.  Draws whose B/D/x0 regressor
-    would exceed regressor_mb are drawn again, so large periods come with
-    short records."""
+    none, an output noise level drawn from noise, N log-uniform in
+    [60, N_max], so that some records are too short for their depth.  Draws
+    whose B/D/x0 regressor would exceed regressor_mb are drawn again, so
+    large periods come with short records."""
     rng = np.random.default_rng(seed)
     cases = []
     while len(cases) < count:
@@ -43,7 +44,7 @@ def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32):
         rates = tuple(int(r) for r in rng.integers(1, rate_max + 1, size=l))
         offsets = tuple(int(rng.integers(0, r)) for r in rates)
         with_d = bool(rng.integers(0, 2))
-        noise = float(rng.choice([0.0, 1e-3]))
+        level = float(rng.choice(noise))
         N = int(np.exp(rng.uniform(np.log(60), np.log(N_max))))
         M = math.lcm(*rates)
         cols = M * n * (1 + M * m) + M * l * M * m
@@ -51,7 +52,7 @@ def stress_cases(seed, count, n_max=3, rate_max=4, N_max=2000, regressor_mb=32):
             continue
         plant = random_plant(rng, n, l, with_d, m=m)
         cases.append(ExperimentConfig(plant=plant, rates=rates, offsets=offsets, N=N,
-                                      noise=noise,
+                                      noise=level,
                                       input={"seed": int(rng.integers(0, 2**31))}))
     return cases
 
@@ -146,3 +147,23 @@ DEEP = stress_cases(4099, 100, n_max=4, rate_max=5, N_max=3000, regressor_mb=64)
 @pytest.mark.parametrize("cfg", DEEP, ids=[f"{k:03d}-{_id(c)}" for k, c in enumerate(DEEP)])
 def test_long_stress_case_ends_in_one_outcome_at_every_depth(cfg, capfd):
     check_forced_depths(cfg, capfd)
+
+
+# output noise near the signal level: the same three outcomes, and a case
+# that passes the 1e-6 gates on such data must still be right
+NOISY = stress_cases(11, 20, noise=(1e-2, 1e-1))
+
+
+@pytest.mark.parametrize("cfg", NOISY, ids=[f"{k:02d}-{_id(c)}" for k, c in enumerate(NOISY)])
+def test_loud_noise_stress_case_ends_in_one_outcome(cfg, capfd):
+    check_case(cfg, capfd)
+
+
+LOUD = stress_cases(12, 200, n_max=4, rate_max=5, N_max=3000, regressor_mb=64,
+                    noise=(1e-2, 1e-1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cfg", LOUD, ids=[f"{k:03d}-{_id(c)}" for k, c in enumerate(LOUD)])
+def test_long_loud_noise_stress_case_ends_in_one_outcome(cfg, capfd):
+    check_case(cfg, capfd)
