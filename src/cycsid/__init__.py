@@ -13,7 +13,6 @@ from .cyclic import (
     cyclic_reformulate,
     is_block_diagonal,
     is_cyclic_matrix,
-    shift_matrix,
     verify_markov_structure,
 )
 from .errors import (
@@ -67,7 +66,6 @@ from .transform import (
     build_X_check,
     build_Y_check,
     extract_components,
-    lift_selector,
     model_transfer_check,
     verify_cyclic_form,
 )

@@ -1,9 +1,11 @@
-"""Cyclic reformulation machinery: shift matrices, signal cycling, the
-block-structured time-invariant system, and structural predicates.
+"""Cyclic reformulation machinery: signal cycling, the block-structured
+time-invariant system, and structural predicates.
 
 A "cyclic" block matrix carries its only nonzero blocks on the first block
-subdiagonal plus the top-right corner; conjugation by the shift matrix
-rotates block-diagonal structure by one position.
+subdiagonal plus the top-right corner; conjugation by the block shift
+matrix rotates block-diagonal structure by one position.  The shift is a
+block-index permutation here, never a matrix; tests/oracles.py holds the
+paper's dense shift matrix that the tests compare against.
 """
 
 from dataclasses import asdict, dataclass
@@ -16,18 +18,6 @@ from .statespace import StateSpace, ctrb, obsv
 
 #: off-pattern tolerance for analytically constructed matrices
 EXACT_TOL = 1e-12
-
-
-def shift_matrix(q, M):
-    """Mq x Mq block permutation: I_q on the first block superdiagonal and
-    in the bottom-left corner; satisfies shift_matrix(q, M)**M == I."""
-    if q < 1 or M < 1:
-        raise ValueError("q and M must be positive")
-    S = np.zeros((M * q, M * q))
-    for i in range(M):
-        j = (i + 1) % M
-        S[i * q:(i + 1) * q, j * q:(j + 1) * q] = np.eye(q)
-    return S
 
 
 @dataclass(frozen=True)
@@ -136,8 +126,8 @@ def is_cyclic_matrix(mat, M, tol=EXACT_TOL):
 
 @dataclass(frozen=True)
 class StructureChecks:
-    """Named structure checks; the verdict, the worst margin and the failing
-    checks are read off the reports, so they cannot disagree with them."""
+    """Named structure checks; the verdict and the worst margin are read off
+    the reports, so they cannot disagree with them."""
 
     reports: dict  # key -> StructureReport
 
@@ -148,10 +138,6 @@ class StructureChecks:
     @property
     def max_offpattern(self):
         return max((r.max_offpattern for r in self.reports.values()), default=0.0)
-
-    def failing(self):
-        """(key, max_offpattern) of every check that did not pass."""
-        return [(k, r.max_offpattern) for k, r in self.reports.items() if not r.passed]
 
     def to_dict(self):
         return {k: asdict(r) for k, r in self.reports.items()}

@@ -3,12 +3,13 @@
 Both solve a linear recursion x(k+1) = A x(k) + f(k) by one doubling scan,
 ``_doubling_scan``: BLAS calls in a Python loop over blocks of K rows and
 O(log K) passes per block, not over samples.  ``scan_trajectory`` simulates
-a plant; it agrees with the per-step recursion ``trajectory``, its test
-oracle, to round-off, since the scan sums the forced response in another
-order.  ``io_regressor`` builds the output-error regressor of a cyclic
-model's x0, B and D with the periodic system's recursion run over periods:
-the scan gives the phase-0 state's sensitivity at each period start, and
-each sampled output row reads it through the phase matrices.  The regressor
+a plant; it agrees with the per-step recursion, its oracle
+``tests/oracles.trajectory``, to round-off, since the scan sums the forced
+response in another order.  ``io_regressor`` builds the output-error
+regressor of a cyclic model's x0, B and D with the periodic system's
+recursion run over periods: the scan gives the phase-0 state's sensitivity
+at each period start, and each sampled output row reads it through the
+phase matrices.  The regressor
 keeps the full shape the benchmark's tracer pins (ROADMAP item 1), with its
 nonzero block in the top-left corner of a column-major array of zeros whose
 padding is never written: one row per output sample in time order
@@ -49,24 +50,6 @@ def _power_table(A, T):
     return G
 
 
-def trajectory(A, B, C, D, u, x0):
-    """Run x(k+1) = A x(k) + B u(k), y(k) = C x(k) + D u(k), one step at a time.
-
-    Returns (x, y) with x[k] the state at step k and y the unmasked output.
-    The test oracle of ``scan_trajectory``.
-    """
-    A, B, C, D, u, x0 = (np.asarray(X, dtype=np.float64) for X in (A, B, C, D, u, x0))
-    N = u.shape[0]
-    x = np.empty((N, A.shape[0]))
-    y = np.empty((N, C.shape[0]))
-    xk = x0
-    for k in range(N):
-        x[k] = xk
-        y[k] = C @ xk + D @ u[k]
-        xk = A @ xk + B @ u[k]
-    return x, y
-
-
 def _doubling_scan(x, A):
     """Solve x[k] = A x[k-1] + x[k] down the rows of x in place (Hillis &
     Steele, CACM 29(12), 1986): the pass with offset h = 1, 2, 4, ... adds
@@ -84,11 +67,14 @@ def _doubling_scan(x, A):
 
 
 def scan_trajectory(A, B, C, D, u, x0):
-    """``trajectory``'s (x, y) by ``_doubling_scan``, per block of _BLOCK
-    samples: x[k] starts as B u(k - 1), and each block's first row as its
-    state, x0 or A times the state the previous block ended on plus
-    B u(k - 1).  y = C x + D u follows per block.  Beyond x and y, only
-    block-sized arrays are allocated.
+    """Run x(k+1) = A x(k) + B u(k), y(k) = C x(k) + D u(k) from x0: (x, y)
+    with x[k] the state at step k and y the unmasked output.
+
+    ``_doubling_scan`` solves it per block of _BLOCK samples: x[k] starts
+    as B u(k - 1), and each block's first row as its state, x0 or A times
+    the state the previous block ended on plus B u(k - 1).  y = C x + D u
+    follows per block.  Beyond x and y, only block-sized arrays are
+    allocated.
     """
     A, B, C, D, u = (np.asarray(X, dtype=np.float64) for X in (A, B, C, D, u))
     N = u.shape[0]
@@ -106,34 +92,9 @@ def scan_trajectory(A, B, C, D, u, x0):
     return x, y
 
 
-def _io_regressor_dense(A, C, u):
-    """The full (N*l) x (n + n*m + l*m) regressor Phi, one sample at a time.
-
-    Reference for io_regressor in tests.
-    """
-    N, m = u.shape
-    l, n = C.shape
-    Phi = np.zeros((N * l, n + n * m + l * m))
-    Ak = np.eye(n)
-    Z = np.zeros((n, n * m))
-    for k in range(N):
-        r = k * l
-        Phi[r:r + l, :n] = C @ Ak
-        Phi[r:r + l, n:n + n * m] = C @ Z
-        for j in range(m):
-            for i in range(l):
-                Phi[r + i, n + n * m + j * l + i] = u[k, j]
-        Z = A @ Z
-        for j in range(m):
-            for i in range(n):
-                Z[i, j * n + i] += u[k, j]
-        Ak = A @ Ak
-    return Phi
-
-
 def regressor_columns(M, n, m, l):
     """Index in the full [x0, vec B, vec D] of each leading column of
-    ``io_regressor``, vecs column-major as in ``_io_regressor_dense``: x0
+    ``io_regressor``, vecs column-major as in the full regressor: x0
     block 0 (n columns), then B block (sigma, sigma - 1) by (sigma, j, a)
     (M*m*n), then D block (p, p) by (p, j, i) (M*m*l).  At M = 1 these are
     0, 1, ..., n + n*m + l*m - 1.
@@ -152,12 +113,9 @@ def regressor_rows(C, N):
     the output rows (q, c) whose row c of C_q is nonzero, q-major, at the
     steps M*mu + q < N.  Sample s is row s of ``io_regressor``.
 
-    C is stacked phase blocks (M, l, n) or one (l, n) matrix.  The rows of C
-    that are zero are the outputs no sensor samples at that phase.
+    C is stacked phase blocks (M, l, n).  The rows of C that are zero are
+    the outputs no sensor samples at that phase.
     """
-    C = np.asarray(C)
-    if C.ndim == 2:
-        C = C[None]
     M, l, _ = C.shape
     q, c = np.nonzero(np.any(C != 0, axis=2))
     steps = np.arange(0, N, M)[:, None] + q
@@ -180,12 +138,13 @@ def io_regressor(A, C, u):
     diagonal output matrix, stacked (M, n, n) and (M, l, n): A[p] is block
     (p+1, p) and C[p] block (p, p), as `cyclic.read_blocks` gives them.  u is
     the cycled input, (N, M*m), whose sample k sits in phase block k mod M.
-    Plain (n, n) and (l, n) matrices are one phase, M = 1, where A, C and u
-    may be anything.
+    One phase, M = 1, is a plain time-invariant model stacked as (1, n, n)
+    and (1, l, n), where A, C and u may be anything.
 
     Row block k of the full regressor is [C A^k, C Z(k), u(k)^T (x) I] in
     the cycled matrices, with Z(k+1) = A Z(k) + u(k)^T (x) I, Z(0) = 0 and
-    column-major vecs; ``_io_regressor_dense`` builds it sample by sample.
+    column-major vecs; its oracle ``tests/oracles.io_regressor_dense``
+    builds it sample by sample.
     A cycled output holds data only on the rows (k, q, c) with q = k mod M
     and row c of C_q nonzero, the output samples, and there the full
     regressor is nonzero only in the columns of x0 block 0, of the B blocks
@@ -224,8 +183,6 @@ def io_regressor(A, C, u):
     """
     A = np.asarray(A, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
-    if A.ndim == 2:
-        A, C = A[None], C[None]
     u = np.asarray(u, dtype=np.float64)
     M, n, _ = A.shape
     l = C.shape[1]

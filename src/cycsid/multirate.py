@@ -26,11 +26,6 @@ class MultirateSpec:
     def l(self):
         return len(self.rates)
 
-    @property
-    def masks(self):
-        """The paper's diagonal l x l masks V_0..V_{M-1}, one per phase."""
-        return tuple(np.diag(row) for row in self.sampled)
-
     def pattern(self, N):
         """(N, l) 0/1 observation pattern over N steps."""
         return self.sampled[np.arange(N) % self.M]

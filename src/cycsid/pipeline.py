@@ -359,10 +359,13 @@ def validate(idm, cfg, provenance):
     RunReport), timed from the reference stage to verify.  provenance holds
     the data's seed and N (None when not recorded) and observable_phases.
     Raises SchemaError, naming both sizes, when idm's period M or its
-    per-phase l, n or m is not cfg's: such a model came from other data.
-    Raises StructureViolationError when choose_transform refuses idm, and
-    DivergentPlantError or DivergentModelError when the plant's or idm's
-    matrices overflow the checks on them.
+    per-phase l, n or m is not cfg's, and, naming the first one, when a
+    row of idm's C or D phase blocks is nonzero at a (phase, output) that
+    cfg's pattern never samples: such a model came from other data.  An
+    identified model is exactly zero on those rows, while a sampled output
+    may hold zeros.  Raises StructureViolationError when choose_transform
+    refuses idm, and DivergentPlantError or DivergentModelError when the
+    plant's or idm's matrices overflow the checks on them.
     """
     timings = {}
     plant, spec, tol = cfg.plant, cfg.spec, cfg.tolerances
@@ -374,6 +377,12 @@ def validate(idm, cfg, provenance):
     if (n, m) != (plant.n, plant.m):
         raise SchemaError(f"model (n, m) = ({n}, {m}) != config plant "
                           f"(n, m) = ({plant.n}, {plant.m})")
+    for name, X in (("C", idm.C), ("D", idm.D)):
+        unsampled = np.any(X.reshape(M, l, -1) != 0, axis=2) & (spec.sampled == 0)
+        if unsampled.any():
+            q, i = np.argwhere(unsampled)[0]
+            raise SchemaError(f"model {name} is nonzero at phase {q}, output {i + 1}, which rates "
+                              f"{list(spec.rates)}, offsets {list(spec.offsets)} never sample")
 
     # True-system reference facts.
     t0 = time.perf_counter()

@@ -7,7 +7,7 @@ subclass that adds the period and the evidence it was accepted on) and the
 transformed model.  The operations here act on each of them unchanged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +70,12 @@ class SignalLog:
 
     u is (N, m), y is (N, l); obs is an (N, l) 0/1 array marking which
     output entries were actually observed (all ones for single-rate runs).
-    States x are kept for testing only and are never serialized; the
-    initial state is x[0] of a simulation and is not recorded otherwise.
+    The states and the initial state are not recorded.
     """
 
     u: np.ndarray
     y: np.ndarray
     obs: np.ndarray | None = None
-    x: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.u = as_signal(self.u, "u")
@@ -122,8 +120,8 @@ def simulate(sys, u, x0=None):
     x0 = np.zeros(sys.n) if x0 is None else as_vector(x0, sys.n, "x0")
     with finite(DivergentPlantError,
                 f"the plant overflows the simulation over N = {u.shape[0]} samples"):
-        x, y = scan_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
-    return SignalLog(u=u, y=y, x=x)
+        _, y = scan_trajectory(sys.A, sys.B, sys.C, sys.D, u, x0)
+    return SignalLog(u=u, y=y)
 
 
 def powers(A, X, count, right=False):

@@ -18,16 +18,10 @@ from .cyclic import (
     StructureChecks,
     is_block_diagonal,
     is_cyclic_matrix,
-    place_blocks,
     read_blocks,
 )
 from .numerics import invert, rank_with_tol
 from .statespace import StateSpace, powers, tf_distance, transfer_functions
-
-
-def lift_selector(block, M):
-    """M-fold block-diagonal replication of one selector block."""
-    return place_blocks([block] * M, 0)
 
 
 def build_X_check(sys, M):

@@ -35,7 +35,7 @@ def extract_checked(sys, M, tol):
     model, as the pipeline's convention search hands it over; like the
     pipeline, it extracts only a model that passes the check at tol."""
     form = verify_cyclic_form(sys, M, tol)
-    assert form.passed, form.failing()
+    assert form.passed, form.reports
     return extract_components(sys, M, form)
 
 

@@ -14,11 +14,13 @@ from cycsid import (
     is_cyclic_matrix,
     make_state_space,
     markov,
-    shift_matrix,
     simulate,
     simulate_multirate,
     verify_markov_structure,
 )
+from cycsid.kernels import scan_trajectory
+
+from oracles import masks, shift_matrix
 
 
 def uncycle_signal(samples, M):
@@ -102,7 +104,7 @@ def test_cyclic_reformulate_mixed_rates(plant):
         assert np.array_equal(cs.A[3 * r:3 * r + 3, 3 * i:3 * i + 3], plant.A)
         assert np.array_equal(cs.B[3 * r:3 * r + 3, i:i + 1], plant.B)
         assert np.array_equal(cs.C[2 * i:2 * i + 2, 3 * i:3 * i + 3],
-                              spec.masks[i] @ plant.C)
+                              masks(spec)[i] @ plant.C)
     assert is_cyclic_matrix(cs.A, 3, tol=0.0).passed
     assert is_block_diagonal(cs.C, 3, tol=0.0).passed
 
@@ -140,13 +142,13 @@ def test_cycled_state_tracks_flat_state(plant):
     cs = cyclic_reformulate(plant, spec)
     u = rng.uniform(-1, 1, (20, 1))
     x0 = rng.normal(size=3)
-    flat = simulate(plant, u, x0)
+    flat, _ = scan_trajectory(plant.A, plant.B, plant.C, plant.D, u, x0)
     uc = cycle_signal(u, 3)
-    cyc = simulate(cs, uc.samples, cycled_initial_state(x0, 3))
+    cyc, _ = scan_trajectory(cs.A, cs.B, cs.C, cs.D, uc.samples, cycled_initial_state(x0, 3))
     for k in range(20):
         p = k % 3
-        assert np.abs(cyc.x[k, 3 * p:3 * p + 3] - flat.x[k]).max() <= 1e-12
-        off = np.delete(cyc.x[k].reshape(3, 3), p, axis=0)
+        assert np.abs(cyc[k, 3 * p:3 * p + 3] - flat[k]).max() <= 1e-12
+        off = np.delete(cyc[k].reshape(3, 3), p, axis=0)
         assert np.all(off == 0)
 
 
@@ -218,7 +220,7 @@ def test_verify_markov_structure_flags_injected_defect(plant):
     H[2][3, 0] += 0.1  # off-diagonal-block position for the (0, 2) check
     rep = verify_markov_structure(H, 3, tol=1e-9, maxdepth=8)
     assert not rep.passed
-    assert [lag for lag, _ in rep.failing()] == [2]
+    assert [lag for lag, r in rep.reports.items() if not r.passed] == [2]
     assert rep.reports[2].max_offpattern == rep.max_offpattern == pytest.approx(0.1)
 
 
@@ -326,6 +328,7 @@ def test_verify_markov_structure_matches_shift_matrix_oracle(M):
         assert rep.reports[i + j].max_offpattern == v, (i, j, name)
     assert rep.max_offpattern == max(want.values())
     assert rep.passed == (max(want.values()) <= tol)
-    assert {lag for lag, _ in rep.failing()} == {i + j for (i, j, _), v in want.items() if v > tol}
+    failing = {lag for lag, r in rep.reports.items() if not r.passed}
+    assert failing == {i + j for (i, j, _), v in want.items() if v > tol}
     if M > 1:
-        assert {lag for lag, _ in rep.failing()} == {2, 5}
+        assert failing == {2, 5}

@@ -20,6 +20,8 @@ from cycsid import (
 )
 from cycsid.cyclic import read_blocks
 
+from oracles import io_regressor_dense, trajectory
+
 
 @pytest.fixture
 def workload():
@@ -51,7 +53,7 @@ def test_trajectory_matches_hand_recursion():
             want_x[k] = xk
             want_y[k] = C @ xk + D @ u[k]
             xk = A @ xk + B @ u[k]
-        x, y = kernels.trajectory(A, B, C, D, u, x0)
+        x, y = trajectory(A, B, C, D, u, x0)
         assert np.array_equal(x, want_x) and np.array_equal(y, want_y), (N, m)
 
 
@@ -69,7 +71,7 @@ def test_scan_trajectory_matches_the_per_step_oracle(n, m):
         B, C, D = rng.normal(size=(n, m)), rng.normal(size=(l, n)), rng.normal(size=(l, m))
         u = rng.uniform(-1, 1, size=(N, m))
         x0 = rng.normal(size=n)
-        want_x, want_y = kernels.trajectory(A, B, C, D, u, x0)
+        want_x, want_y = trajectory(A, B, C, D, u, x0)
         x, y = kernels.scan_trajectory(A, B, C, D, u, x0)
         assert x.shape == want_x.shape and y.shape == want_y.shape, N
         assert np.abs(x - want_x).max() <= 1e-13 * np.abs(want_x).max(), N
@@ -107,10 +109,11 @@ def test_simulate_overflows_where_the_per_step_recursion_does(a, finite, diverge
     # stay below the final state, so it overflows exactly when the recursion does
     plant = make_state_space([[a]], [[1.0]], [[1.0]], [[0.0]])
     log = simulate(plant, np.ones(finite))
-    want_x, want_y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D,
-                                        np.ones((finite, 1)), np.zeros(1))
-    assert np.isfinite(log.x).all() and np.isfinite(log.y).all()
-    assert np.abs(log.x - want_x).max() <= 1e-13 * np.abs(want_x).max()
+    x, _ = kernels.scan_trajectory(plant.A, plant.B, plant.C, plant.D,
+                                   np.ones((finite, 1)), np.zeros(1))
+    want_x, _ = trajectory(plant.A, plant.B, plant.C, plant.D, np.ones((finite, 1)), np.zeros(1))
+    assert np.isfinite(x).all() and np.isfinite(log.y).all()
+    assert np.abs(x - want_x).max() <= 1e-13 * np.abs(want_x).max()
     with pytest.raises(DivergentPlantError, match=f"N = {diverges} samples"):
         simulate(plant, np.ones(diverges))
 
@@ -120,18 +123,18 @@ def test_io_regressor_layout(workload):
     n = A.shape[0]
     m = u.shape[1]
     l = C.shape[0]
-    Phi = kernels.io_regressor(A, C, u)
+    Phi = kernels.io_regressor(A[None], C[None], u)
     # reconstruct the response from theta = [x0, vec B, vec D] and compare
     theta = np.concatenate([x0, B.ravel(order="F"), D.ravel(order="F")])
-    _, y = kernels.trajectory(A, B, C, D, u, x0)
+    _, y = trajectory(A, B, C, D, u, x0)
     assert np.abs(Phi @ theta - y.reshape(-1)).max() <= 1e-10
 
 
 def test_io_regressor_is_column_major(workload):
     # LAPACK solves on a column-major copy; the layout changes speed, not theta
     A, B, C, D, u, x0 = workload
-    _, y = kernels.trajectory(A, B, C, D, u, x0)
-    Phi = kernels.io_regressor(A, C, u)
+    _, y = trajectory(A, B, C, D, u, x0)
+    Phi = kernels.io_regressor(A[None], C[None], u)
     assert Phi.flags.f_contiguous
     theta, *_ = np.linalg.lstsq(Phi, y.reshape(-1), rcond=None)
     want, *_ = np.linalg.lstsq(np.ascontiguousarray(Phi), y.reshape(-1), rcond=None)
@@ -147,8 +150,8 @@ def test_io_regressor_is_column_major(workload):
 def test_io_regressor_matches_dense_reference(workload, N, m):
     A, B, C, D, u, x0 = workload
     u = u[:N] if m == u.shape[1] else np.random.default_rng(3).uniform(-1, 1, size=(N, m))
-    want = kernels._io_regressor_dense(A, C, u)
-    got = kernels.io_regressor(A, C, u)
+    want = io_regressor_dense(A, C, u)
+    got = kernels.io_regressor(A[None], C[None], u)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -161,11 +164,11 @@ def test_io_regressor_overflows_where_the_per_sample_oracle_does(a, diverges):
     # its powers and partial sums stay below it
     A, C = np.array([[a]]), np.array([[1.0]])
     with np.errstate(over="raise"):
-        for f in (kernels._io_regressor_dense, kernels.io_regressor):
+        for f, AC in ((io_regressor_dense, (A, C)), (kernels.io_regressor, (A[None], C[None]))):
             with pytest.raises(FloatingPointError):
-                f(A, C, np.ones((diverges, 1)))
-        got = kernels.io_regressor(A, C, np.ones((diverges - 1, 1)))
-        want = kernels._io_regressor_dense(A, C, np.ones((diverges - 1, 1)))
+                f(*AC, np.ones((diverges, 1)))
+        got = kernels.io_regressor(A[None], C[None], np.ones((diverges - 1, 1)))
+        want = io_regressor_dense(A, C, np.ones((diverges - 1, 1)))
     assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -195,7 +198,7 @@ def test_io_regressor_carries_the_state_across_blocks(monkeypatch, rates, N):
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
     assert scans == [kernels._BLOCK + 1, kernels._BLOCK + 1, 2]
-    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    want = io_regressor_dense(cs.A, cs.C, u)
     rows = kernels.regressor_rows(read_blocks(cs.C, spec.M, 0), N)
     cols = kernels.regressor_columns(spec.M, n, m, len(rates))
     assert np.abs(got[:rows.size, :cols.size] - want[rows][:, cols]).max() \
@@ -227,7 +230,7 @@ def test_io_regressor_matches_dense_reference_on_cycled_inputs(m, M):
     cs = cyclic_reformulate(plant, build_masks((1, M)))
     N = 135
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), M).samples
-    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    want = io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, M, 1), read_blocks(cs.C, M, 0), u)
     cols = kernels.regressor_columns(M, n, m, l)
     nc, w = n + M * m * n, cols.size  # x0 and B columns, all leading columns
@@ -261,7 +264,7 @@ def test_phase_regressor_matches_dense_reference(n, m, rates, N):
     spec = build_masks(rates)
     cs = cyclic_reformulate(plant, spec)
     u = cycle_signal(rng.uniform(-1, 1, size=(N, m)), spec.M).samples
-    want = kernels._io_regressor_dense(cs.A, cs.C, u)
+    want = io_regressor_dense(cs.A, cs.C, u)
     got = kernels.io_regressor(read_blocks(cs.A, spec.M, 1), read_blocks(cs.C, spec.M, 0), u)
     rows = kernels.regressor_rows(read_blocks(cs.C, spec.M, 0), N)
     cols = kernels.regressor_columns(spec.M, n, m, len(rates))
@@ -312,7 +315,7 @@ def test_io_regressor_allocates_no_regressor_sized_temporary():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        Phi = kernels.io_regressor(cs.A, cs.C, u)
+        Phi = kernels.io_regressor(cs.A[None], cs.C[None], u)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -365,9 +368,9 @@ def test_bdx0_fit_matches_dense_lstsq(identified, N):
     # is a sample of the one-phase regressor, whose rows put them first
     A, C, u, y = identified
     u, y = u[:N], y[:N]
-    theta, *_ = np.linalg.lstsq(kernels.io_regressor(A, C, u), _samples_first(C, y),
-                                rcond=None)
-    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
+    theta, *_ = np.linalg.lstsq(kernels.io_regressor(A[None], C[None], u),
+                                _samples_first(C[None], y), rcond=None)
+    want, *_ = np.linalg.lstsq(io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
     assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -386,7 +389,7 @@ def test_bdx0_fit_on_phase_blocks_matches_dense_lstsq(identified, N):
     theta, *_ = np.linalg.lstsq(Phi, _samples_first(read_blocks(C, M, 0), y), rcond=None)
     got = np.zeros(Phi.shape[1])
     got[cols] = theta[:cols.size]
-    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(A, C, u), y.reshape(-1),
+    want, *_ = np.linalg.lstsq(io_regressor_dense(A, C, u), y.reshape(-1),
                                rcond=None)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

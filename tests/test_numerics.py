@@ -22,10 +22,10 @@ from cycsid import (
     run_identification,
     subspace_identify,
 )
-from cycsid.cyclic import shift_matrix
 from cycsid.numerics import MEMORY_BUDGET, as_signal, blas_threads, check_budget, number, numbers
 
 from conftest import random_plant
+from oracles import shift_matrix
 
 
 def test_rank_identity():

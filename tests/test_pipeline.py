@@ -18,7 +18,6 @@ from cycsid import (
     builtin_config,
     check_observability_assumption,
     cyclic_reformulate,
-    kernels,
     make_state_space,
     numerics,
     pipeline,
@@ -38,6 +37,7 @@ from cycsid.pipeline import (
 )
 
 from conftest import identified_model
+from oracles import trajectory
 from refusals import RESIZED_PAPER_PLANTS
 
 
@@ -108,7 +108,7 @@ def test_rate_four_plant_with_fast_modes_ends_typed_and_records_cond(capfd, tmp_
             continue
         runs += 1
         u = generate_input(cfg)
-        _, y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(3))
+        _, y = trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(3))
         obs = cfg.spec.pattern(cfg.N)
         signals = tmp_path / f"signals{runs}.csv"
         save_signals(SignalLog(u=u, y=y * obs, obs=obs), signals)
@@ -346,6 +346,38 @@ def test_validate_refuses_a_model_of_another_size(dual_rate_run, plant, rates, m
         pipeline.validate(model.source, cfg,
                           {"seed": None, "N": None, "observable_phases": [0]})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("identified_at, judged_at, message", [
+    pytest.param(((2, 3), (0, 1)), ((2, 3), (1, 0)),
+                 "model C is nonzero at phase 0, output 1, which rates [2, 3], offsets [1, 0] "
+                 "never sample", id="offsets-swapped"),
+    pytest.param(((3, 2), None), ((2, 3), None),
+                 "model C is nonzero at phase 2, output 2, which rates [2, 3], offsets [0, 0] "
+                 "never sample", id="rates-swapped"),
+])
+def test_validate_refuses_a_model_of_another_sampling_pattern(identified_at, judged_at,
+                                                               message):
+    # the same period and sizes, but the model's C reads an output at a phase
+    # that the config never samples: the model came from other data
+    (rates, offsets), (cfg_rates, cfg_offsets) = identified_at, judged_at
+    model, _ = run_identification(dataclasses.replace(builtin_config(rates), offsets=offsets))
+    cfg = dataclasses.replace(builtin_config(cfg_rates), offsets=cfg_offsets)
+    with pytest.raises(SchemaError) as err:
+        pipeline.validate(model.source, cfg, {"seed": None, "N": None, "observable_phases": [0]})
+    assert str(err.value) == message
+
+
+def test_validate_judges_a_model_that_is_zero_on_a_sampled_output(dual_rate_run):
+    # the check is one way: a sampled output whose model row is all zero is
+    # judged, and fails the checks it fails
+    cfg, model, _ = dual_rate_run
+    idm = model.source
+    C = idm.C.copy()
+    C[0] = 0.0  # phase 0 samples output 1
+    _, report = pipeline.validate(dataclasses.replace(idm, C=C), cfg,
+                                  {"seed": None, "N": None, "observable_phases": [0]})
+    assert "tf" in report.failures()
 
 
 def test_a_simulated_record_over_the_memory_budget_is_a_config_error(tmp_path):

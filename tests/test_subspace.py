@@ -42,6 +42,7 @@ from cycsid.subspace import (
 )
 
 from conftest import identified_model
+from oracles import io_regressor_dense, trajectory
 
 
 def test_hankel_scalar():
@@ -80,7 +81,7 @@ def _cycled_data(plant, rates, N, seed, noise=0.0):
     spec = build_masks(rates)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1, 1, (N, plant.m))
-    _, y = kernels.trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(plant.n))
+    _, y = trajectory(plant.A, plant.B, plant.C, plant.D, u, np.zeros(plant.n))
     obs = spec.pattern(N)
     y = y * obs + noise * rng.uniform(-1, 1, y.shape) * obs
     return cycle_signal(u, spec.M), cycle_signal(y, spec.M)
@@ -464,7 +465,7 @@ def test_bdx0_fit_is_the_dense_fit_on_the_pattern(plant, rates, noise):
     idm = subspace_identify(uc, yc, n=plant.n)
     M = idm.M
     n, m, l = idm.n // M, idm.m // M, idm.l // M
-    want, *_ = np.linalg.lstsq(kernels._io_regressor_dense(idm.A, idm.C, uc.samples),
+    want, *_ = np.linalg.lstsq(io_regressor_dense(idm.A, idm.C, uc.samples),
                                yc.samples.reshape(-1), rcond=None)
     got = np.concatenate([idm.x0, idm.B.ravel(order="F"), idm.D.ravel(order="F")])
     on = np.concatenate([np.arange(M * n) < n,
